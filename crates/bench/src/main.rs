@@ -1302,10 +1302,13 @@ fn save_farm_history(
     store: &labchip_farm::HistoryStore,
 ) -> Result<(), String> {
     let records = farm.history(&labchip_farm::HistoryFilter::all(), 0);
+    let mut saved = 0;
     for record in &records {
-        let journal = farm
-            .accumulated_journal(record.id)
-            .expect("recorded jobs have journals");
+        // The farm releases the journals of its oldest terminal jobs; a
+        // record without its journal cannot be diffed, so it is skipped.
+        let Some(journal) = farm.accumulated_journal(record.id) else {
+            continue;
+        };
         store.save(record, &journal).map_err(|err| {
             format!(
                 "cannot save {} to `{}`: {err}",
@@ -1313,12 +1316,15 @@ fn save_farm_history(
                 store.dir().display()
             )
         })?;
+        saved += 1;
     }
-    println!(
-        "saved {} job records to {}",
-        records.len(),
-        store.dir().display()
-    );
+    println!("saved {saved} job records to {}", store.dir().display());
+    if saved < records.len() {
+        println!(
+            "skipped {} older jobs whose journals the farm already released",
+            records.len() - saved
+        );
+    }
     Ok(())
 }
 

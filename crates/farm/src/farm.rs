@@ -26,7 +26,7 @@
 //! `job-<id>`), and every job leaves a JSON-serialisable [`JobRecord`]
 //! served by [`Farm::status`] and [`Farm::history`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -46,7 +46,10 @@ use crate::queue::TenantQueue;
 pub struct FarmConfig {
     /// Worker threads draining the queue.
     pub workers: usize,
-    /// Total queued jobs across all tenants before `submit` rejects.
+    /// Total queued jobs across all tenants before `submit` rejects. Also
+    /// the number of terminal jobs whose committed journals the farm keeps
+    /// (see [`Farm::accumulated_journal`]), so memory stays flat however
+    /// many jobs the farm serves.
     pub queue_depth: usize,
     /// Rayon planner threads *per worker* (0 = inherit the ambient pool).
     /// Routing results are bit-identical across planner thread counts;
@@ -90,8 +93,9 @@ struct Job {
     /// Journal events committed so far: completed executions in full plus
     /// the replay-exact prefix of interrupted ones. After the job is
     /// `Done`, this is bit-identical to the journal of an uninterrupted
-    /// run.
-    committed: Vec<Event>,
+    /// run. `None` once released: only the newest `queue_depth` terminal
+    /// jobs keep theirs.
+    committed: Option<Vec<Event>>,
     /// Cooperative cancellation flag, polled at phase boundaries.
     cancel_requested: bool,
     /// When the job (re-)entered the queue, for `queue_ms`.
@@ -103,6 +107,10 @@ struct Job {
 struct FarmState {
     queue: TenantQueue<JobId>,
     jobs: BTreeMap<JobId, Job>,
+    /// Terminal jobs still holding their committed journal, oldest first.
+    retained: VecDeque<JobId>,
+    /// How many terminal journals `retained` may hold.
+    retain_journals: usize,
     next_id: u64,
     /// Jobs currently executing on workers.
     running: usize,
@@ -144,6 +152,8 @@ impl Farm {
             state: Mutex::new(FarmState {
                 queue: TenantQueue::new(config.queue_depth),
                 jobs: BTreeMap::new(),
+                retained: VecDeque::new(),
+                retain_journals: config.queue_depth,
                 next_id: 0,
                 running: 0,
                 paused: config.start_paused,
@@ -218,7 +228,7 @@ impl Farm {
                 },
                 checkpoint: None,
                 fault: spec.fault,
-                committed: Vec::new(),
+                committed: Some(Vec::new()),
                 cancel_requested: false,
                 enqueued_at: Instant::now(),
                 announced: false,
@@ -251,6 +261,7 @@ impl Farm {
                 let rows = job.record.phases_completed;
                 let wall = job.record.run_ms;
                 state.queue.remove(&tenant, |queued| *queued == id);
+                state.retire(id);
                 self.shared.changed.notify_all();
                 drop(state);
                 if announced {
@@ -307,11 +318,16 @@ impl Farm {
     /// bit-identical to the journal of an uninterrupted run — the
     /// equivalence oracle the recovery tests and `report journal-diff`
     /// build on.
+    ///
+    /// `None` for an unknown job, and for a terminal job whose journal was
+    /// released: the farm keeps journals only for the newest
+    /// [`FarmConfig::queue_depth`] terminal jobs. The job's record, state
+    /// hash included, stays available through [`Farm::record`].
     pub fn accumulated_journal(&self, id: JobId) -> Option<Journal> {
         let state = self.lock();
-        let job = state.jobs.get(&id)?;
+        let committed = state.jobs.get(&id)?.committed.as_ref()?;
         let mut journal = Journal::new();
-        for event in &job.committed {
+        for event in committed {
             journal.record(event.clone());
         }
         Some(journal)
@@ -393,6 +409,20 @@ impl Farm {
 impl Drop for Farm {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+impl FarmState {
+    /// Records that `id` turned terminal, releasing the committed journals
+    /// of older terminal jobs beyond the retention bound.
+    fn retire(&mut self, id: JobId) {
+        self.retained.push_back(id);
+        while self.retained.len() > self.retain_journals {
+            let oldest = self.retained.pop_front();
+            if let Some(job) = oldest.and_then(|id| self.jobs.get_mut(&id)) {
+                job.committed = None;
+            }
+        }
     }
 }
 
@@ -559,8 +589,9 @@ fn settle(
         job.record.run_ms += run_ms;
         match result {
             Ok((outcome, journal)) => {
-                job.committed.extend(journal.events().iter().cloned());
-                job.record.journal_events = job.committed.len();
+                let committed = job.committed.get_or_insert_with(Vec::new);
+                committed.extend(journal.events().iter().cloned());
+                job.record.journal_events = committed.len();
                 job.record.phases_completed = outcome.phases.len();
                 job.record.state_hash = Some(format!("{:#018x}", outcome.state.state_hash()));
                 job.record.status = JobStatus::Done;
@@ -576,14 +607,15 @@ fn settle(
                     journal,
                     cause,
                 } = *stopped;
-                job.committed.extend(
+                let committed = job.committed.get_or_insert_with(Vec::new);
+                committed.extend(
                     journal
                         .truncated(checkpoint.journal_offset)
                         .events()
                         .iter()
                         .cloned(),
                 );
-                job.record.journal_events = job.committed.len();
+                job.record.journal_events = committed.len();
                 job.record.phases_completed = checkpoint.completed.len();
                 match cause {
                     StopCause::Cancelled { next_phase } => {
@@ -613,6 +645,9 @@ fn settle(
         if job.record.status.is_terminal() {
             finished = Some((job.record.phases_completed, job.record.run_ms));
         }
+    }
+    if finished.is_some() {
+        state.retire(claim.id);
     }
     if let Some(tenant) = requeue {
         state.queue.push_front(&tenant, claim.id);
@@ -837,6 +872,49 @@ mod tests {
                 .filter(|event| matches!(event, ProgressEvent::Row { .. }))
                 .count();
             assert_eq!(rows, protocol.len());
+        }
+    }
+
+    #[test]
+    fn only_the_newest_queue_depth_terminal_journals_are_kept() {
+        let workload = small_workload();
+        let protocol = small_protocol(&workload, 6);
+        let farm = Farm::new(FarmConfig {
+            workers: 1,
+            queue_depth: 2,
+            workload,
+            ..FarmConfig::default()
+        });
+        let ids: Vec<JobId> = (0..5u64)
+            .map(|seed| {
+                let id = farm
+                    .submit(protocol.clone(), JobSpec::tenant("a").with_seed(seed))
+                    .expect("the previous job has drained");
+                farm.wait_idle();
+                id
+            })
+            .collect();
+        for (seed, &id) in ids.iter().enumerate() {
+            let config = WorkloadConfig {
+                seed: seed as u64,
+                ..workload
+            };
+            let (outcome, journal) = BatchDriver::new(config)
+                .runner()
+                .run_journaled(&protocol, 0);
+            let record = farm.record(id).expect("records are never released");
+            assert_eq!(record.status, JobStatus::Done, "{}", record.detail);
+            assert_eq!(
+                record.state_hash,
+                Some(format!("{:#018x}", outcome.state.state_hash()))
+            );
+            assert_eq!(record.journal_events, journal.len());
+            let kept = farm.accumulated_journal(id);
+            if seed < 3 {
+                assert_eq!(kept, None, "{id}: the 3 oldest journals are released");
+            } else {
+                assert_eq!(kept, Some(journal), "{id}: the 2 newest journals are kept");
+            }
         }
     }
 

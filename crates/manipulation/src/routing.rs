@@ -19,6 +19,7 @@
 
 use crate::cage::ParticleId;
 use crate::error::ManipulationError;
+use crate::sharding::ConflictScan;
 use labchip_units::{GridCoord, GridDims};
 use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -195,39 +196,63 @@ impl RoutingOutcome {
     /// — respects the separation rule at every step: the correctness
     /// invariant of the planner.
     ///
-    /// Uses a spatial hash per step (`O(paths · makespan · sep²)` instead of
-    /// `O(paths² · makespan)`), so validating full-array outcomes with
-    /// thousands of paths stays cheap.
+    /// Runs the router's dense occupancy scan over the bounding box of all
+    /// positions: step 0 in full, then each later step only for the
+    /// particles that moved into it. Validating a full-array outcome with
+    /// thousands of paths therefore costs about one pass over the paths
+    /// instead of `O(paths² · makespan)`. An outcome spread over more than
+    /// 2²⁴ cells — no planner produces one on a real chip — is compared
+    /// pairwise instead of allocating the scan grid.
     pub fn is_conflict_free(&self, min_separation: u32) -> bool {
         if min_separation == 0 {
             return true;
         }
-        let all = || self.paths.iter().chain(self.stranded.iter());
-        let horizon = all()
-            .map(ParticlePath::arrival_step)
+        let all: Vec<&ParticlePath> = self.paths.iter().chain(self.stranded.iter()).collect();
+        let horizon = all
+            .iter()
+            .map(|path| path.arrival_step())
             .max()
             .unwrap_or(0)
             .max(1);
-        let mut occupant: HashMap<GridCoord, usize> = HashMap::with_capacity(self.paths.len());
-        for t in 0..=horizon {
-            occupant.clear();
-            for (i, path) in all().enumerate() {
-                if occupant.insert(path.position_at(t), i).is_some() {
-                    return false; // two particles in the same cage
-                }
-            }
-            for (i, path) in all().enumerate() {
-                let mut conflicted = false;
-                for_each_zone_cell(path.position_at(t), min_separation, |c| {
-                    conflicted |= occupant.get(&c).is_some_and(|&j| j != i);
-                });
-                if conflicted {
-                    return false;
-                }
-            }
+        let mut corners = all.iter().flat_map(|path| path.positions.iter());
+        let Some(&first) = corners.next() else {
+            return true;
+        };
+        let (lo, hi) = corners.fold((first, first), |(lo, hi), c| {
+            (
+                GridCoord::new(lo.x.min(c.x), lo.y.min(c.y)),
+                GridCoord::new(hi.x.max(c.x), hi.y.max(c.y)),
+            )
+        });
+        let cells = (u64::from(hi.x - lo.x) + 1) * (u64::from(hi.y - lo.y) + 1);
+        if cells > MAX_DENSE_SCAN_CELLS {
+            return pairwise_conflict_free(&all, horizon, min_separation);
         }
-        true
+        let last: Vec<usize> = all.iter().map(|path| path.positions.len() - 1).collect();
+        ConflictScan::default().stays_clear(
+            (lo, hi),
+            horizon,
+            &last,
+            |i, t| all[i].position_at(t),
+            min_separation,
+        )
     }
+}
+
+/// Largest bounding box, in cells, that [`RoutingOutcome::is_conflict_free`]
+/// scans densely (two `u32`s per cell: 128 MiB, a 4096² chip).
+const MAX_DENSE_SCAN_CELLS: u64 = 1 << 24;
+
+/// The brute-force form of [`RoutingOutcome::is_conflict_free`]: every pair
+/// of paths, at every step `0..=horizon`.
+fn pairwise_conflict_free(paths: &[&ParticlePath], horizon: usize, min_separation: u32) -> bool {
+    (0..=horizon).all(|t| {
+        paths.iter().enumerate().all(|(i, a)| {
+            paths[i + 1..]
+                .iter()
+                .all(|b| a.position_at(t).chebyshev(b.position_at(t)) >= min_separation)
+        })
+    })
 }
 
 /// Multi-particle router.
@@ -860,6 +885,84 @@ mod tests {
             outcome.is_conflict_free(0),
             "separation 0 disables the rule"
         );
+    }
+
+    fn outcome(paths: Vec<Vec<(u32, u32)>>) -> RoutingOutcome {
+        let paths = paths
+            .into_iter()
+            .enumerate()
+            .map(|(i, cells)| ParticlePath {
+                id: ParticleId(i as u64),
+                positions: cells
+                    .into_iter()
+                    .map(|(x, y)| GridCoord::new(x, y))
+                    .collect(),
+            })
+            .collect();
+        finalize(paths, Vec::new(), Vec::new())
+    }
+
+    #[test]
+    fn outcomes_spread_beyond_the_dense_scan_are_checked_pairwise() {
+        let far = u32::MAX - 1;
+        let spread = outcome(vec![vec![(0, 0), (1, 0)], vec![(far, far)], vec![(3, 0)]]);
+        assert!(spread.is_conflict_free(2));
+        assert!(
+            !spread.is_conflict_free(3),
+            "(1, 0) and (3, 0) meet at step 1"
+        );
+        let clash = outcome(vec![
+            vec![(far, 0)],
+            vec![(far - 1, 5), (far - 1, 1)],
+            vec![(0, far)],
+        ]);
+        assert!(clash.is_conflict_free(1));
+        assert!(!clash.is_conflict_free(2));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// The dense scan agrees with the pairwise check on crowded
+        /// outcomes: shared cages, near misses at every separation,
+        /// conflicts at step 0 and paths of unequal length.
+        #[test]
+        fn dense_conflict_check_matches_pairwise(
+            sep in 1u32..5,
+            spacing_slack in 0u32..3,
+            walks in proptest::collection::vec((0u32..4, 0u32..3, 1usize..12, 0u64..u64::MAX), 0..7),
+            stranded_from in 0usize..7,
+        ) {
+            // Starts on a row whose spacing sits just below, at, or just
+            // above the separation; walks that mostly wait then drift.
+            let spacing = sep - 1 + spacing_slack;
+            let mut paths: Vec<ParticlePath> = walks
+                .iter()
+                .enumerate()
+                .map(|(i, &(dx, y, len, mut bits))| {
+                    let mut c = GridCoord::new(2 + i as u32 * spacing + dx % 2, 2 + y);
+                    let mut positions = vec![c];
+                    for _ in 1..len {
+                        let step = [(0, 0), (0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+                            [(bits % 6) as usize];
+                        bits /= 6;
+                        c = c.offset(step.0, step.1).unwrap_or(c);
+                        positions.push(c);
+                    }
+                    ParticlePath { id: ParticleId(i as u64), positions }
+                })
+                .collect();
+            let stranded = paths.split_off(stranded_from.min(paths.len()));
+            let outcome = finalize(paths, Vec::new(), stranded);
+            let all: Vec<&ParticlePath> = outcome.paths.iter().chain(&outcome.stranded).collect();
+            let horizon = all.iter().map(|p| p.arrival_step()).max().unwrap_or(0).max(1);
+            proptest::prop_assert_eq!(
+                outcome.is_conflict_free(sep),
+                pairwise_conflict_free(&all, horizon, sep),
+                "{:?}",
+                all
+            );
+        }
     }
 
     #[test]

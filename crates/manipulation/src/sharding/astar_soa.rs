@@ -396,8 +396,52 @@ impl ArenaPool {
 /// `[start, ...]` of length ≤ `window + 1` ending on a cell that is safe to
 /// park on for the rest of the window, minimising the Manhattan distance to
 /// `goal` (then arrival time). Falls back to waiting at `start`.
+///
+/// The search stops as soon as no state left in the open set can improve
+/// on the best parking spot (see [`search`]), so a particle whose goal lies
+/// beyond the window no longer pops its whole reachable space–time cone.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn window_astar(
+    lo: GridCoord,
+    hi: GridCoord,
+    allowed: impl Fn(GridCoord) -> bool,
+    start: GridCoord,
+    goal: GridCoord,
+    reservations: &impl ReservationView,
+    scratch: &mut Scratch,
+    cap: usize,
+) -> Vec<GridCoord> {
+    search::<true>(lo, hi, allowed, start, goal, reservations, scratch, cap)
+}
+
+/// [`window_astar`] without the bound-pruned stop: pops every reachable
+/// state (up to `cap`). The reference the early exit is tested against.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)]
+fn window_astar_exhaustive(
+    lo: GridCoord,
+    hi: GridCoord,
+    allowed: impl Fn(GridCoord) -> bool,
+    start: GridCoord,
+    goal: GridCoord,
+    reservations: &impl ReservationView,
+    scratch: &mut Scratch,
+    cap: usize,
+) -> Vec<GridCoord> {
+    search::<false>(lo, hi, allowed, start, goal, reservations, scratch, cap)
+}
+
+/// The windowed A\* behind [`window_astar`]. With `PRUNE`, the loop breaks
+/// once a popped `f` exceeds `best.h + window`: the Manhattan heuristic is
+/// consistent, so popped `f` never decreases, and every state popped later
+/// has `h = f - t ≥ f - window > best.h`. So `best` cannot change after
+/// that point. `best_moving` still could, but only to a spot with
+/// `h > best.h`, and the stall-breaking rule below takes `best_moving` only
+/// when its `h` equals `best.h`, so the choice between them cannot change
+/// either. Parent links are written once per state, so the returned path
+/// is identical to the exhaustive search's.
+#[allow(clippy::too_many_arguments)]
+fn search<const PRUNE: bool>(
     lo: GridCoord,
     hi: GridCoord,
     allowed: impl Fn(GridCoord) -> bool,
@@ -461,7 +505,14 @@ pub(crate) fn window_astar(
     consider(start, 0, &mut best, &mut best_moving);
 
     let mut expansions = 0usize;
-    while let Some(Open { t, y, x, .. }) = scratch.open.pop() {
+    while let Some(Open { f, t, y, x }) = scratch.open.pop() {
+        if PRUNE {
+            if let Some((d, _, _)) = best {
+                if f as usize > d as usize + window {
+                    break; // nothing left can beat the best parking spot
+                }
+            }
+        }
         let c = GridCoord::new(x as u32, y as u32);
         let t = t as usize;
         consider(c, t, &mut best, &mut best_moving);
@@ -521,4 +572,82 @@ pub(crate) fn window_astar(
     }
     positions.reverse();
     positions
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// SplitMix64: a tiny deterministic stream for deriving test inputs.
+    fn mix(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A random walk of `window` steps from a cell of the box `[lo, hi]`.
+    fn walk(seed: u64, lo: GridCoord, hi: GridCoord, window: usize) -> Vec<GridCoord> {
+        let (bw, bh) = (u64::from(hi.x - lo.x + 1), u64::from(hi.y - lo.y + 1));
+        let mut c = GridCoord::new(
+            lo.x + (mix(seed) % bw) as u32,
+            lo.y + (mix(seed ^ 1) % bh) as u32,
+        );
+        let mut path = vec![c];
+        let mut bits = mix(seed ^ 2);
+        for _ in 0..window {
+            let (dx, dy) = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)][(bits % 5) as usize];
+            bits = mix(bits);
+            c = c.offset(dx, dy).unwrap_or(c);
+            path.push(c);
+        }
+        path
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The bound-pruned search returns exactly the exhaustive search's
+        /// path, on both reservation back-ends.
+        #[test]
+        fn early_exit_matches_exhaustive_search(
+            tile in (0u32..6, 0u32..6, 2u32..14, 2u32..14),
+            shape in (1usize..14, 1u32..4, 0usize..6),
+            ends in (0u64..u64::MAX, 0u64..u64::MAX),
+            walk_seeds in collection::vec(0u64..u64::MAX, 0..6),
+            mask_seed in 0u64..u64::MAX,
+            cap in prop_oneof![Just(super::super::EXPANSION_CAP), 1usize..400],
+        ) {
+            let (lx, ly, bw, bh) = tile;
+            let (window, sep, blocked_fifths) = shape;
+            let lo = GridCoord::new(lx, ly);
+            let hi = GridCoord::new(lx + bw - 1, ly + bh - 1);
+            let start = GridCoord::new(lx + (mix(ends.0) % u64::from(bw)) as u32, ly + (mix(ends.0 ^ 1) % u64::from(bh)) as u32);
+            // Goals may lie outside the box, as they do for tile-confined
+            // searches of particles bound elsewhere.
+            let goal = GridCoord::new((mix(ends.1) % u64::from(lx + bw + 8)) as u32, (mix(ends.1 ^ 1) % u64::from(ly + bh + 8)) as u32);
+            let allowed = |c: GridCoord| {
+                c == start
+                    || mix(mask_seed ^ (u64::from(c.x) << 32 | u64::from(c.y))) % 5 >= blocked_fifths as u64
+            };
+            let walks: Vec<Vec<GridCoord>> =
+                walk_seeds.iter().map(|&s| walk(s, lo, hi, window)).collect();
+
+            let mut sparse = WindowReservations::new(window, sep);
+            let mut dense = DenseReservations::default();
+            dense.begin(window, sep, lo, hi);
+            for path in &walks {
+                sparse.add_path(path);
+                dense.add_path(path);
+            }
+            let mut scratch = Scratch::default();
+            let pruned = window_astar(lo, hi, allowed, start, goal, &sparse, &mut scratch, cap);
+            let full = window_astar_exhaustive(lo, hi, allowed, start, goal, &sparse, &mut scratch, cap);
+            prop_assert_eq!(&pruned, &full);
+            let pruned = window_astar(lo, hi, allowed, start, goal, &dense, &mut scratch, cap);
+            let full = window_astar_exhaustive(lo, hi, allowed, start, goal, &dense, &mut scratch, cap);
+            prop_assert_eq!(&pruned, &full);
+        }
+    }
 }

@@ -62,7 +62,8 @@ use labchip_units::GridCoord;
 use partition::{stagger_phases, Partition, TileMembership};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use verify::{verify_and_repair, ConflictScan};
+use verify::verify_and_repair;
+pub(crate) use verify::ConflictScan;
 
 /// Sharding and windowing knobs of the [`IncrementalRouter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
