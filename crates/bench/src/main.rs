@@ -15,9 +15,6 @@
 //! report journal-diff A.json B.json    # first divergence between two journals
 //! report journal-diff --demo [--seed N] [--noise X] [--side N] [--particles N] [--save PREFIX]
 //! report journal-diff --farm DIR JOB   # saved farm job vs a fresh baseline run
-//! report journal-diff --fleet [--live] [--seed N] [--side N] [--particles N] [--grid CxR]
-//!                                      # monolithic vs sharded global journal (E16);
-//!                                      # --live plans shard windows in parallel
 //! report farm demo [...]               # run a demo workload on an in-process farm
 //! report farm submit P.json [...]      # run one protocol JSON as a farm job
 //! report farm status --dir DIR JOB     # one saved job record, as JSON
@@ -704,105 +701,6 @@ fn bench_workload(out_path: &str) {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
 
-    // Live fleet-planning benchmark: the paper-scale 320²/10k window
-    // planned serially shard-by-shard (`route_windows`) versus live in
-    // parallel over seam channels (`route_windows_live`), per shard grid.
-    // Particles sit on a 4×2-spaced lattice with x ≡ 3 (mod 4) — every
-    // swept band boundary is a multiple of 80, so column B-1 is always
-    // populated — and each declares a one-step transfer to the right:
-    // every shard plans a real, *solvable* window (starts and goals both
-    // satisfy the separation rule) and every vertical seam carries
-    // genuine export→import traffic. The `speedup` field on
-    // the live rows is gated on `available_parallelism >= 2` — a 1-core
-    // box reports `"skipped"` instead of a misleading sub-1.0 number.
-    // The trailing divergence row reruns the reduced E16 sweep with
-    // `live_planning` on: the equivalence tripwire for the live path.
-    let fleet_live_rows: Vec<(String, f64, usize, String)> = {
-        use labchip::scenario::{Scenario, ScenarioContext};
-        use labchip_manipulation::cage::ParticleId;
-        use labchip_manipulation::fleet::{FleetTopology, ShardedState};
-        use labchip_manipulation::sharding::{IncrementalRouter, ShardConfig};
-        use labchip_units::GridCoord;
-        const SIDE: u32 = 320;
-        const PARTICLES: usize = 10_000;
-        let dims = GridDims::square(SIDE);
-        let sep = 2u32;
-        let router = IncrementalRouter::new(ShardConfig::default());
-        let mut placements: Vec<(ParticleId, GridCoord)> = Vec::with_capacity(PARTICLES);
-        'lattice: for y in (1..SIDE).step_by(2) {
-            for x in (3..SIDE).step_by(4) {
-                let id = ParticleId(placements.len() as u64 + 1);
-                placements.push((id, GridCoord::new(x, y)));
-                if placements.len() == PARTICLES {
-                    break 'lattice;
-                }
-            }
-        }
-        let transfers: Vec<(ParticleId, GridCoord, GridCoord)> = placements
-            .iter()
-            .filter(|(_, at)| at.x + 1 < SIDE)
-            .map(|&(id, at)| (id, at, GridCoord::new(at.x + 1, at.y)))
-            .collect();
-        let build = |cols: u32, rows: u32| {
-            let mut fleet = ShardedState::new(FleetTopology::new(dims, sep, cols, rows));
-            for &(id, at) in &placements {
-                fleet.mirror_place(id, at);
-            }
-            fleet.begin_transfers(&transfers);
-            fleet
-        };
-        let mut rows_out = Vec::new();
-        for &(cols, grid_rows) in &[(1u32, 1u32), (2, 1), (2, 2), (4, 2)] {
-            let shards = (cols * grid_rows) as usize;
-            let mut serial = build(cols, grid_rows);
-            let t0 = Instant::now();
-            serial.route_windows(&router);
-            let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let mut live = build(cols, grid_rows);
-            let t0 = Instant::now();
-            let report = live.route_windows_live(&router);
-            let live_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let speedup = if available_parallelism >= 2 {
-                format!(", \"speedup\": {:.3}", serial_ms / live_ms.max(1e-9))
-            } else {
-                ", \"speedup\": \"skipped\"".into()
-            };
-            rows_out.push((
-                format!("workload/fleet_live/serial_ms/grid/{cols}x{grid_rows}"),
-                serial_ms,
-                shards,
-                String::new(),
-            ));
-            rows_out.push((
-                format!("workload/fleet_live/live_ms/grid/{cols}x{grid_rows}"),
-                live_ms,
-                shards,
-                speedup,
-            ));
-            rows_out.push((
-                format!("workload/fleet_live/seam_messages/grid/{cols}x{grid_rows}"),
-                report.seam_messages as f64,
-                shards,
-                String::new(),
-            ));
-        }
-        let live_sweep = labchip_farm::FleetScenario.run(
-            &labchip_farm::fleet_scenario::Config {
-                array_side: 96,
-                particles: 200,
-                live_planning: true,
-                ..labchip_farm::fleet_scenario::Config::default()
-            },
-            &mut ScenarioContext::silent("E16"),
-        );
-        rows_out.push((
-            "workload/fleet_live/divergences".into(),
-            live_sweep.total_divergences as f64,
-            0,
-            String::new(),
-        ));
-        rows_out
-    };
     let mut json = format!(
         "{{\n  \"meta\": {{\"available_parallelism\": {available_parallelism}, \"cycles\": {CYCLES}, \"reps\": {REPS}}},\n  \"benchmarks\": [\n"
     );
@@ -823,11 +721,6 @@ fn bench_workload(out_path: &str) {
             "    {{\"id\": \"{id}\", \"value\": {value:.3}, \"threads\": {workers}}},\n"
         ));
     }
-    for (id, value, shards, extra) in &fleet_live_rows {
-        json.push_str(&format!(
-            "    {{\"id\": \"{id}\", \"value\": {value:.3}, \"threads\": {shards}{extra}}},\n"
-        ));
-    }
     json.push_str(&format!(
         "    {{\"id\": \"workload/plan_warm_cold_ratio\", \"value\": {warm_cold_ratio:.4}}},\n"
     ));
@@ -842,12 +735,7 @@ fn bench_workload(out_path: &str) {
 
     println!(
         "wrote {out_path} ({} entries)",
-        entries.len()
-            + pinned.len()
-            + farm_rows.len()
-            + fleet_rows.len()
-            + fleet_live_rows.len()
-            + 3
+        entries.len() + pinned.len() + farm_rows.len() + fleet_rows.len() + 3
     );
     println!("warm/cold replan ratio (320x10000, 1 thread): {warm_cold_ratio:.4}");
     if let Some((_, _, _)) = pinned.last() {
@@ -863,11 +751,6 @@ fn bench_workload(out_path: &str) {
     for (id, value, _) in farm_rows.iter().chain(&fleet_rows) {
         if id.contains("jobs_per_sec") || id.contains("wall_ms") || id.ends_with("divergences") {
             println!("{id}: {value:.2}");
-        }
-    }
-    for (id, value, _, extra) in &fleet_live_rows {
-        if id.contains("_ms") || id.ends_with("divergences") {
-            println!("{id}: {value:.2}{extra}");
         }
     }
     println!(
@@ -893,13 +776,7 @@ fn bench_workload(out_path: &str) {
 /// divergence point is exactly where the recovery loop first acted on a
 /// detection mismatch, the E12 debugging question the journal was built to
 /// answer. `--save PREFIX` writes both demo journals for later file-mode
-/// diffs. Fleet mode (`--fleet`) runs the canned cycle monolithic and
-/// sharded at the same seed and diffs the two *global* journals — the E16
-/// contract says they are byte-identical, so anything but "journals are
-/// identical" is a sharding bug, localised to its first event. With
-/// `--live` the sharded run plans its windows live and in parallel over
-/// seam handoff channels; the contract (and the expected output) is
-/// unchanged.
+/// diffs.
 fn journal_diff(args: &[String]) -> Result<(), String> {
     use labchip::workload::{BatchDriver, Protocol, RecoveryPolicy, WorkloadConfig};
     use labchip_manipulation::journal::{diff, Journal};
@@ -936,89 +813,12 @@ fn journal_diff(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    // Fleet mode: the same canned cycle run monolithic and sharded; the
-    // sharded run's global journal must be byte-identical (the E16
-    // equivalence contract), so this diff is expected to print
-    // "journals are identical" — CI greps for exactly that.
-    if args.first().map(String::as_str) == Some("--fleet") {
-        use labchip_manipulation::fleet::{FleetTopology, ShardedState};
-        let mut seed = 2005u64;
-        let mut side = 48u32;
-        let mut particles = 60usize;
-        let mut grid = (2u32, 1u32);
-        let mut live = false;
-        let mut rest = args[1..].iter();
-        while let Some(flag) = rest.next() {
-            let mut value = |name: &str| -> Result<&String, String> {
-                rest.next().ok_or_else(|| format!("{name} needs a value"))
-            };
-            match flag.as_str() {
-                "--live" => live = true,
-                "--seed" => {
-                    seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--side" => {
-                    side = value("--side")?
-                        .parse()
-                        .map_err(|e| format!("--side: {e}"))?
-                }
-                "--particles" => {
-                    particles = value("--particles")?
-                        .parse()
-                        .map_err(|e| format!("--particles: {e}"))?;
-                }
-                "--grid" => {
-                    let raw = value("--grid")?;
-                    let (cols, rows) = raw
-                        .split_once('x')
-                        .ok_or_else(|| format!("--grid expects COLSxROWS, got `{raw}`"))?;
-                    grid = (
-                        cols.parse().map_err(|e| format!("--grid cols: {e}"))?,
-                        rows.parse().map_err(|e| format!("--grid rows: {e}"))?,
-                    );
-                }
-                other => return Err(format!("unknown journal-diff --fleet flag `{other}`")),
-            }
-        }
-        let config = WorkloadConfig {
-            array_side: side,
-            seed,
-            live_planning: live,
-            ..WorkloadConfig::default()
-        };
-        let dims = GridDims::square(side);
-        let sep = config.min_separation.max(1);
-        let protocol = Protocol::canned_cycle(dims, sep, particles);
-        let driver = BatchDriver::new(config);
-        let (_, monolithic) = driver.runner().run_journaled(&protocol, 0);
-        let fleet = ShardedState::new(FleetTopology::new(dims, sep, grid.0, grid.1));
-        let (_, sharded, fleet) = driver.runner().run_sharded(&protocol, 0, fleet);
-        let outcome = fleet.into_outcome();
-        println!(
-            "canned cycle, seed {seed}, {side}x{side}, {particles} particles:\n\
-             monolithic global journal vs {} ({}x{} grid, {} handoffs) global journal\n",
-            if live {
-                "live-planned sharded"
-            } else {
-                "sharded"
-            },
-            grid.0,
-            grid.1,
-            outcome.handoffs()
-        );
-        println!("{}", diff(&monolithic, &sharded));
-        return Ok(());
-    }
-
     if args.first().map(String::as_str) != Some("--demo") {
         let [path_a, path_b] = args else {
             return Err(
                 "usage: report journal-diff A.json B.json  |  report journal-diff --demo \
                  [--seed N] [--noise X] [--side N] [--particles N] [--save PREFIX]  |  \
-                 report journal-diff --farm DIR JOB  |  report journal-diff --fleet \
-                 [--live] [--seed N] [--side N] [--particles N] [--grid CxR]"
+                 report journal-diff --farm DIR JOB"
                     .into(),
             );
         };

@@ -23,7 +23,6 @@ use labchip_array::addressing::ProgrammingInterface;
 use labchip_array::timing::WindowBudget;
 use labchip_manipulation::cage::ParticleId;
 use labchip_manipulation::error::ManipulationError;
-use labchip_manipulation::fleet::ShardedState;
 use labchip_manipulation::protocol::TimeBreakdown;
 use labchip_manipulation::routing::{RoutingOutcome, RoutingProblem, RoutingRequest};
 use labchip_manipulation::sharding::{IncrementalRouter, RouterCache};
@@ -149,73 +148,6 @@ pub struct FinalCounts {
     pub occupancy_detected: usize,
 }
 
-/// Which state model the phases execute against.
-///
-/// The phases always run the identical algorithm over the global
-/// [`ChipState`]; in the `Sharded` arm every successful mutation is
-/// additionally *mirrored* into a [`ShardedState`] fleet through the
-/// typed helpers on [`PhaseCtx`] ([`place`](PhaseCtx::place),
-/// [`remove`](PhaseCtx::remove), …). Because the mirror never feeds back
-/// into the global state or any RNG stream, a sharded run's global
-/// journal is byte-identical to the monolithic run by construction — the
-/// fleet is an exact decomposition riding alongside, with its own
-/// per-shard journals, handoff events and warm-start router caches.
-#[derive(Debug, Default)]
-pub enum StateView {
-    /// The classic single-`ChipState` path: mirrors are no-ops.
-    #[default]
-    Monolithic,
-    /// A sharded fleet maintained as an exact mirror of the global state.
-    Sharded(Box<ShardedState>),
-}
-
-impl StateView {
-    /// Whether a sharded fleet is attached.
-    pub fn is_sharded(&self) -> bool {
-        matches!(self, StateView::Sharded(_))
-    }
-
-    /// Detaches the view, leaving `Monolithic` behind — how a sharded
-    /// runner extracts the fleet at the end of a run.
-    pub fn take(&mut self) -> StateView {
-        std::mem::take(self)
-    }
-
-    fn as_sharded_mut(&mut self) -> Option<&mut ShardedState> {
-        match self {
-            StateView::Monolithic => None,
-            StateView::Sharded(fleet) => Some(fleet),
-        }
-    }
-
-    /// Mirrors a phase-started marker into every shard journal.
-    pub fn note_phase_started(&mut self, index: usize, name: &str) {
-        if let Some(fleet) = self.as_sharded_mut() {
-            fleet.note_phase_started(index, name);
-        }
-    }
-
-    /// Mirrors a phase-finished marker into every shard journal, then
-    /// releases the fleet's window barrier: every declared transfer has
-    /// either landed or been abandoned by the end of the phase, so the
-    /// pending set must be empty going into the next one.
-    pub fn note_phase_finished(&mut self, index: usize) {
-        if let Some(fleet) = self.as_sharded_mut() {
-            fleet.note_phase_finished(index);
-            fleet.barrier();
-        }
-    }
-
-    /// Mirrors a phase-aborted marker into every shard journal and clears
-    /// the transfers the aborted phase had declared.
-    pub fn note_phase_aborted(&mut self, index: usize, reason: &str) {
-        if let Some(fleet) = self.as_sharded_mut() {
-            fleet.note_phase_aborted(index, reason);
-            fleet.barrier();
-        }
-    }
-}
-
 /// Cycle-scoped context handed to every phase: the driver's shared
 /// resources plus the accumulators the final [`CycleReport`](super::CycleReport)
 /// is assembled from.
@@ -273,10 +205,6 @@ pub struct PhaseCtx<'a> {
     /// Corrective cage moves commanded by recovery.
     pub recovery_moves: usize,
     pub(crate) finals: Option<FinalCounts>,
-    /// The state model the phases mutate through (defaults to
-    /// [`StateView::Monolithic`]; a sharded runner attaches a fleet after
-    /// construction).
-    pub view: StateView,
 }
 
 /// A serde-round-trippable snapshot of every [`PhaseCtx`] accumulator —
@@ -366,91 +294,6 @@ impl<'a> PhaseCtx<'a> {
             recovery_rounds: 0,
             recovery_moves: 0,
             finals: None,
-            view: StateView::Monolithic,
-        }
-    }
-
-    /// Places a particle through the state's journaled choke point and
-    /// mirrors the success into the sharded view, if one is attached.
-    /// Rejected placements mirror nothing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ChipState::place`] rejections.
-    pub fn place(
-        &mut self,
-        state: &mut ChipState,
-        id: ParticleId,
-        at: GridCoord,
-    ) -> Result<(), ManipulationError> {
-        state.place(id, at)?;
-        if let Some(fleet) = self.view.as_sharded_mut() {
-            fleet.mirror_place(id, at);
-        }
-        Ok(())
-    }
-
-    /// Removes a particle through the state's journaled choke point and
-    /// mirrors the success into the sharded view, if one is attached.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ChipState::remove`] rejections.
-    pub fn remove(
-        &mut self,
-        state: &mut ChipState,
-        id: ParticleId,
-    ) -> Result<GridCoord, ManipulationError> {
-        let from = state.remove(id)?;
-        if let Some(fleet) = self.view.as_sharded_mut() {
-            fleet.mirror_remove(id);
-        }
-        Ok(from)
-    }
-
-    /// Merge-places a particle through the state's journaled choke point
-    /// and mirrors it into the sharded view, if one is attached.
-    pub fn place_merged(&mut self, state: &mut ChipState, id: ParticleId, at: GridCoord) {
-        state.place_merged(id, at);
-        if let Some(fleet) = self.view.as_sharded_mut() {
-            fleet.mirror_place_merged(id, at);
-        }
-    }
-
-    /// Replaces the plan through the state's journaled choke point and
-    /// mirrors the ownership-split plan into the sharded view.
-    pub fn set_plan(&mut self, state: &mut ChipState, goals: Vec<GridCoord>) {
-        state.set_plan_from_goals(goals.iter().copied());
-        if let Some(fleet) = self.view.as_sharded_mut() {
-            fleet.mirror_plan(&goals);
-        }
-    }
-
-    /// Charges simulated time through the state's journaled choke point
-    /// and broadcasts the charge to every shard of the sharded view.
-    pub fn charge(&mut self, state: &mut ChipState, ledger: TimeLedger, duration: Seconds) {
-        state.charge(ledger, duration);
-        if let Some(fleet) = self.view.as_sharded_mut() {
-            fleet.mirror_charge(ledger, duration);
-        }
-    }
-
-    /// Declares the `(id, from, to)` transfers of the upcoming motion
-    /// window to the sharded view and plans each shard's local window
-    /// through the per-shard router caches — serially, or concurrently
-    /// over the live planner's handoff channels when
-    /// [`WorkloadConfig::live_planning`] is set. A no-op on the
-    /// monolithic path.
-    pub fn begin_transfers(&mut self, transfers: &[(ParticleId, GridCoord, GridCoord)]) {
-        let router = self.router;
-        let live = self.config.live_planning;
-        if let Some(fleet) = self.view.as_sharded_mut() {
-            fleet.begin_transfers(transfers);
-            if live {
-                fleet.route_windows_live(router);
-            } else {
-                fleet.route_windows(router);
-            }
         }
     }
 
@@ -750,8 +593,8 @@ impl AssayPhase for Load {
             // On an empty grid every lattice site is placeable (they are
             // mutually separated); a repeated load skips sites an earlier
             // batch already crowds.
-            if ctx
-                .place(state, ParticleId(first_id + placed as u64), *start)
+            if state
+                .place(ParticleId(first_id + placed as u64), *start)
                 .is_ok()
             {
                 placed += 1;
@@ -761,7 +604,7 @@ impl AssayPhase for Load {
             }
         }
         ctx.requested += placed;
-        ctx.charge(state, TimeLedger::Fluidics, ctx.config.load_time);
+        state.charge(TimeLedger::Fluidics, ctx.config.load_time);
         Ok(PhaseReport {
             phase: self.name().to_owned(),
             time: TimeBreakdown::default(),
@@ -924,8 +767,7 @@ impl AssayPhase for Route {
         ctx.planning += Seconds::new(started.elapsed().as_secs_f64());
         ctx.conflict_free &= outcome.is_conflict_free(sep);
         ctx.check_planned_moves(&outcome, dims);
-        ctx.charge(
-            state,
+        state.charge(
             TimeLedger::Motion,
             ctx.config.step_period * outcome.makespan as f64,
         );
@@ -934,16 +776,10 @@ impl AssayPhase for Route {
         // wherever their best-effort trajectory stopped. Lift every moved
         // particle first, then set the finals — applying moves one at a
         // time would trip the separation check against particles that have
-        // not been moved yet. The window's transfers are declared to the
-        // sharded view up front so each lift/settle mirror can journal its
-        // handoff half in application order.
+        // not been moved yet.
         let moved = || outcome.paths.iter().chain(outcome.stranded.iter());
-        let transfers: Vec<(ParticleId, GridCoord, GridCoord)> = moved()
-            .filter_map(|path| Some((path.id, path.positions[0], *path.positions.last()?)))
-            .collect();
-        ctx.begin_transfers(&transfers);
         for path in moved() {
-            ctx.remove(state, path.id).map_err(|e| {
+            state.remove(path.id).map_err(|e| {
                 PhaseError::invariant(self.name(), format!("lifting routed particle: {e}"))
             })?;
             if state.fault_tripped() {
@@ -954,14 +790,14 @@ impl AssayPhase for Route {
             let last = *path.positions.last().ok_or_else(|| {
                 PhaseError::invariant(self.name(), "router produced an empty path")
             })?;
-            ctx.place(state, path.id, last).map_err(|e| {
+            state.place(path.id, last).map_err(|e| {
                 PhaseError::invariant(self.name(), format!("settling routed particle: {e}"))
             })?;
             if state.fault_tripped() {
                 return Err(PhaseError::interrupted(self.name()));
             }
         }
-        ctx.set_plan(state, goals);
+        state.set_plan_from_goals(goals);
 
         ctx.routed += outcome.paths.len();
         ctx.makespan_steps += outcome.makespan;
@@ -1003,7 +839,7 @@ impl AssayPhase for Sense {
         let scan_time = ctx
             .scan
             .averaged_scan_time(dims, &FrameAverager::new(frames));
-        ctx.charge(state, TimeLedger::Sensing, scan_time);
+        state.charge(TimeLedger::Sensing, scan_time);
         if state.fault_tripped() {
             return Err(PhaseError::interrupted(self.name()));
         }
@@ -1087,8 +923,7 @@ impl AssayPhase for Recover {
             // Re-scan every suspect with heavier averaging; most detection
             // errors dissolve here. Charge the rows actually re-read.
             let rows: HashSet<u32> = suspects.iter().map(|c| c.y).collect();
-            ctx.charge(
-                state,
+            state.charge(
                 TimeLedger::Recovery,
                 scan.row_time(dims.cols) * (rows.len() as f64 * rescan_frames as f64),
             );
@@ -1163,8 +998,7 @@ impl AssayPhase for Recover {
                 break;
             };
             ctx.check_planned_moves(&recovery_outcome, dims);
-            ctx.charge(
-                state,
+            state.charge(
                 TimeLedger::Recovery,
                 ctx.config.step_period * recovery_outcome.makespan as f64,
             );
@@ -1201,9 +1035,8 @@ impl AssayPhase for Recover {
                     moved.push((id, from, to));
                 }
             }
-            ctx.begin_transfers(&moved);
             for &(id, _, _) in &moved {
-                ctx.remove(state, id).map_err(|e| {
+                state.remove(id).map_err(|e| {
                     PhaseError::invariant(self.name(), format!("lifting tracked particle: {e}"))
                 })?;
                 if state.fault_tripped() {
@@ -1211,11 +1044,11 @@ impl AssayPhase for Recover {
                 }
             }
             for &(id, from, to) in &moved {
-                if ctx.place(state, id, to).is_err() {
+                if state.place(id, to).is_err() {
                     // An undetected particle blocks the slot; the cell
                     // stays where it was (its own cage is still free).
-                    if ctx.place(state, id, from).is_err() {
-                        ctx.place_merged(state, id, from);
+                    if state.place(id, from).is_err() {
+                        state.place_merged(id, from);
                     }
                 }
                 if state.fault_tripped() {
@@ -1226,8 +1059,7 @@ impl AssayPhase for Recover {
             // Verify the sites the moves touched so the loop (and the final
             // report) sees the post-move readout, not a stale map.
             let rows: HashSet<u32> = touched.iter().map(|c| c.y).collect();
-            ctx.charge(
-                state,
+            state.charge(
                 TimeLedger::Recovery,
                 scan.row_time(dims.cols) * (rows.len() as f64 * rescan_frames as f64),
             );
@@ -1271,14 +1103,14 @@ impl AssayPhase for Flush {
         let flushed = state.particle_count();
         let ids: Vec<ParticleId> = state.grid().iter_particles().map(|(id, _)| id).collect();
         for id in ids {
-            ctx.remove(state, id).map_err(|e| {
+            state.remove(id).map_err(|e| {
                 PhaseError::invariant(self.name(), format!("flushing tracked particle: {e}"))
             })?;
             if state.fault_tripped() {
                 return Err(PhaseError::interrupted(self.name()));
             }
         }
-        ctx.charge(state, TimeLedger::Fluidics, ctx.config.flush_time);
+        state.charge(TimeLedger::Fluidics, ctx.config.flush_time);
         Ok(PhaseReport {
             phase: self.name().to_owned(),
             time: TimeBreakdown::default(),

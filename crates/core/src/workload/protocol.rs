@@ -32,11 +32,10 @@
 use super::envelope::ForceEnvelope;
 use super::phases::{
     sort_capacity, AssayPhase, CtxSnapshot, Flush, Load, PhaseCtx, PhaseError, PhaseReport,
-    Recover, Route, RouteTarget, Sense, StateView,
+    Recover, Route, RouteTarget, Sense,
 };
 use super::{CycleReport, RecoveryPolicy, WorkloadConfig};
 use labchip_array::addressing::ProgrammingInterface;
-use labchip_manipulation::fleet::ShardedState;
 use labchip_manipulation::journal::{FaultPlan, Journal};
 use labchip_manipulation::protocol::TimeBreakdown;
 use labchip_manipulation::sharding::{IncrementalRouter, RouterCache};
@@ -417,13 +416,11 @@ impl<'a> ProtocolRunner<'a> {
                 control.on_phase_started(index, phase.name());
             }
             state.note_phase_started(index, phase.name());
-            ctx.view.note_phase_started(index, phase.name());
             let ledger_before = *state.time();
             match phase.run(state, ctx) {
                 Ok(mut report) => {
                     report.time = state.time().delta_since(&ledger_before);
                     state.note_phase_finished(index);
-                    ctx.view.note_phase_finished(index);
                     if let Some(control) = control {
                         control.on_phase_finished(index, &report);
                     }
@@ -431,7 +428,6 @@ impl<'a> ProtocolRunner<'a> {
                 }
                 Err(error) => {
                     state.note_phase_aborted(index, &error.to_string());
-                    ctx.view.note_phase_aborted(index, &error.to_string());
                     return Err(Interruption {
                         cause: StopCause::Phase(error),
                         checkpoint,
@@ -550,53 +546,6 @@ impl<'a> ProtocolRunner<'a> {
         }
         let journal = state.take_journal().expect("journal attached above");
         (self.assemble(cycle, state, ctx, phases), journal)
-    }
-
-    /// Like [`run_journaled`](Self::run_journaled), with a sharded
-    /// [`ShardedState`] fleet attached as an exact mirror of the global
-    /// state: the phases run the identical algorithm over the global
-    /// `ChipState` (so the returned journal is byte-identical to
-    /// [`run_journaled`](Self::run_journaled) at the same seed), and every
-    /// successful mutation is additionally routed into the owning shard —
-    /// with typed handoff events journaled when a motion window carries a
-    /// particle across a shard boundary, and per-shard routing windows
-    /// warm-started through the fleet's router caches.
-    ///
-    /// The fleet is returned alongside the outcome for inspection
-    /// ([`ShardedState::into_outcome`] yields the per-shard journals and
-    /// handoff statistics) or reuse of its warm caches across cycles.
-    pub fn run_sharded(
-        &self,
-        protocol: &Protocol,
-        cycle: usize,
-        fleet: ShardedState,
-    ) -> (ProtocolOutcome, Journal, ShardedState) {
-        let mut state = self.fresh_state();
-        state.attach_journal();
-        let mut ctx = self.fresh_ctx(cycle, self.cycle_seed(cycle));
-        ctx.view = StateView::Sharded(Box::new(fleet));
-        let mut phases = Vec::with_capacity(protocol.phases.len());
-        if let Err(interruption) = self.execute(
-            protocol,
-            cycle,
-            0,
-            &mut state,
-            &mut ctx,
-            &mut phases,
-            false,
-            None,
-        ) {
-            phases.push(Self::aborted_report(
-                &interruption.expect_phase_error(),
-                &state,
-            ));
-        }
-        let journal = state.take_journal().expect("journal attached above");
-        let fleet = match ctx.view.take() {
-            StateView::Sharded(fleet) => *fleet,
-            StateView::Monolithic => unreachable!("fleet attached above"),
-        };
-        (self.assemble(cycle, state, ctx, phases), journal, fleet)
     }
 
     /// Runs `protocol` with a journal and an armed [`FaultPlan`] kill
@@ -875,13 +824,12 @@ mod tests {
 
     #[test]
     fn sharded_run_is_bit_identical_to_the_monolithic_run() {
-        // The tentpole equivalence at the core layer: a sharded run's
-        // global journal is byte-identical to the monolithic run at the
-        // same seed, the fleet composes back to the exact global state,
-        // every shard journal replays cleanly, and a multi-shard grid
-        // actually exercises the handoff path.
+        // The fleet is a projection of the monolithic journal: the shards
+        // compose back to the exact global state, every shard journal
+        // replays cleanly, and a multi-shard grid actually exercises the
+        // handoff path.
         use crate::workload::{BatchDriver, WorkloadConfig};
-        use labchip_manipulation::fleet::{FleetTopology, ShardedState};
+        use labchip_manipulation::fleet::{project, FleetTopology};
 
         let config = WorkloadConfig {
             array_side: 32,
@@ -897,85 +845,25 @@ mod tests {
         let (baseline, baseline_journal) = driver.runner().run_journaled(&protocol, 0);
 
         for (gx, gy) in [(1u32, 1u32), (2, 1), (2, 2)] {
-            let topology = FleetTopology::new(dims, sep, gx, gy);
-            let fleet = ShardedState::new(topology);
-            let (outcome, journal, fleet) = driver.runner().run_sharded(&protocol, 0, fleet);
+            let fleet = project(&baseline_journal, &FleetTopology::new(dims, sep, gx, gy));
             assert_eq!(
-                journal.events(),
-                baseline_journal.events(),
-                "{gx}x{gy}: global journal must be byte-identical to monolithic"
-            );
-            assert_eq!(outcome.state, baseline.state);
-            let composed = fleet.compose();
-            assert_eq!(
-                composed.state_hash(),
+                fleet.compose().state_hash(),
                 baseline.state.state_hash(),
                 "{gx}x{gy}: composed fleet must match the monolithic state hash"
             );
-            let fleet_outcome = fleet.into_outcome();
             assert_eq!(
-                fleet_outcome.replay_divergences(),
+                fleet.replay_divergences(),
                 0,
                 "{gx}x{gy}: every shard journal must replay to its shard state"
             );
             if gx * gy > 1 {
                 assert!(
-                    fleet_outcome.handoffs() > 0,
+                    fleet.handoffs() > 0,
                     "{gx}x{gy}: a multi-shard sort must hand particles across boundaries"
                 );
             } else {
-                assert_eq!(fleet_outcome.handoffs(), 0);
+                assert_eq!(fleet.handoffs(), 0);
             }
-        }
-    }
-
-    #[test]
-    fn live_planned_sharded_run_is_bit_identical_too() {
-        // The live parallel per-shard planner is advisory exactly like
-        // the serial one: at the same seed, the global journal, final
-        // state, composition and per-shard replays all match the
-        // monolithic run — and the live path actually ran (live_windows
-        // counted, seam messages on multi-shard grids).
-        use crate::workload::{BatchDriver, WorkloadConfig};
-        use labchip_manipulation::fleet::{FleetTopology, ShardedState};
-
-        let config = WorkloadConfig {
-            array_side: 32,
-            noise_scale: 1.0,
-            detection_frames: 2,
-            recovery: RecoveryPolicy::date05_reference(),
-            live_planning: true,
-            ..WorkloadConfig::default()
-        };
-        let driver = BatchDriver::new(config);
-        let dims = GridDims::square(config.array_side);
-        let sep = config.min_separation.max(1);
-        let protocol = Protocol::canned_cycle(dims, sep, 24);
-        let (baseline, baseline_journal) = driver.runner().run_journaled(&protocol, 0);
-
-        for (gx, gy) in [(1u32, 1u32), (2, 1), (2, 2)] {
-            let topology = FleetTopology::new(dims, sep, gx, gy);
-            let fleet = ShardedState::new(topology);
-            let (outcome, journal, fleet) = driver.runner().run_sharded(&protocol, 0, fleet);
-            assert_eq!(
-                journal.events(),
-                baseline_journal.events(),
-                "{gx}x{gy}: live-planned global journal must be byte-identical"
-            );
-            assert_eq!(outcome.state, baseline.state);
-            assert_eq!(fleet.compose().state_hash(), baseline.state.state_hash());
-            let stats = fleet.stats();
-            assert!(stats.live_windows > 0, "{gx}x{gy}: live planner never ran");
-            if gx * gy > 1 {
-                assert!(
-                    stats.seam_messages > 0,
-                    "{gx}x{gy}: seam traffic must cross the handoff channels"
-                );
-            } else {
-                assert_eq!(stats.seam_messages, 0);
-            }
-            let fleet_outcome = fleet.into_outcome();
-            assert_eq!(fleet_outcome.replay_divergences(), 0);
         }
     }
 

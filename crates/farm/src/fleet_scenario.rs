@@ -3,41 +3,29 @@
 //!
 //! The scenario sweeps shard grids over one protocol at one seed:
 //!
-//! 1. run the **monolithic baseline** once, journaled — its event stream
-//!    and final state hash are the oracle;
-//! 2. for every shard grid: run the same protocol **sharded**
-//!    ([`ProtocolRunner::run_sharded`](labchip::workload::ProtocolRunner::run_sharded)),
-//!    measuring wall clock, handoff counts, per-shard load imbalance and
-//!    warm-start cache traffic;
+//! 1. run the **monolithic baseline** once, journaled — its final state
+//!    hash is the oracle;
+//! 2. for every shard grid: [`project`] the baseline journal onto the
+//!    shards and fold them with the worker gang, measuring wall clock,
+//!    handoff counts and per-shard load imbalance;
 //! 3. oracles, all of which **must hold** (CI asserts zero divergences):
-//!    the sharded run's global journal is byte-identical to the
-//!    monolithic journal; the shards compose back to the monolithic
-//!    state hash; every shard journal replays to its live shard state;
-//!    the [`ShardGroup`] worker gang (one worker per shard, barrier
-//!    rendezvous at phase boundaries) reproduces every live shard hash;
+//!    the shards compose back to the monolithic state hash; every shard
+//!    journal replays to its shard state; the [`ShardGroup`] worker gang
+//!    (one worker per shard, barrier rendezvous at phase boundaries)
+//!    reproduces every shard hash;
 //! 4. on every multi-shard grid, one shard worker is **killed** at an
 //!    interior phase boundary and the whole group resumed from its
 //!    [`GroupCheckpoint`](crate::group::GroupCheckpoint) — the resumed
 //!    hashes must equal the uninterrupted run's.
 //!
-//! Wall-clock vs the 1-shard row measures the mirroring + per-shard
-//! planning overhead; the sweep's point is the measured equivalence at
-//! scale, not a speedup claim (the global run still executes the full
-//! algorithm).
-//!
-//! With [`Config::live_planning`] the sweep instead plans every routing
-//! window **live and in parallel** — one planner thread per shard over
-//! seam handoff channels
-//! ([`LiveFleetPlanner`](labchip_manipulation::fleet::LiveFleetPlanner))
-//! — and runs the worker gang in live mode too. Every oracle above must
-//! hold unchanged; the dedicated `workload/fleet_live` bench rows
-//! measure the window-planning speedup itself.
+//! Wall clock per row is the projection plus one uninterrupted group run;
+//! the sweep's point is the measured equivalence at scale, not a speedup
+//! claim.
 
 use labchip::experiments::ExperimentTable;
 use labchip::scenario::{Scenario, ScenarioContext};
 use labchip::workload::{BatchDriver, Protocol, RecoveryPolicy, WorkloadConfig};
-use labchip_manipulation::fleet::{FleetTopology, ShardedState};
-use labchip_manipulation::sharding::IncrementalRouter;
+use labchip_manipulation::fleet::{project, FleetTopology};
 use labchip_units::{GridDims, Seconds};
 use serde::{Deserialize, Serialize};
 
@@ -63,10 +51,6 @@ pub struct Config {
     pub noise_scale: f64,
     /// Closed-loop recovery policy.
     pub recovery: RecoveryPolicy,
-    /// Plan routing windows live and in parallel (one planner per shard
-    /// over seam handoff channels) instead of serially shard-by-shard.
-    /// The journal/compose oracles must hold either way.
-    pub live_planning: bool,
     /// RNG seed of the swept run.
     pub seed: u64,
 }
@@ -82,7 +66,6 @@ impl Default for Config {
             detection_frames: 2,
             noise_scale: 8.0,
             recovery: RecoveryPolicy::date05_reference(),
-            live_planning: false,
             seed: 1606,
         }
     }
@@ -95,7 +78,7 @@ pub struct GridRow {
     pub grid: String,
     /// Shards in the fleet.
     pub shards: usize,
-    /// Sharded-run wall clock, milliseconds.
+    /// Projection plus uninterrupted group-run wall clock, milliseconds.
     pub wall_ms: f64,
     /// Wall-clock ratio of the sweep's first grid to this one.
     pub speedup: f64,
@@ -105,19 +88,6 @@ pub struct GridRow {
     pub imports: u64,
     /// Phase-boundary barriers the fleet rendezvoused at.
     pub barriers: u64,
-    /// Per-shard local routing windows solved.
-    pub local_solves: u64,
-    /// Local windows skipped (no goal in shard, or degenerate geometry).
-    pub local_skips: u64,
-    /// Live (parallel) planning windows the fleet executed — 0 unless
-    /// [`Config::live_planning`] is set.
-    pub live_windows: u64,
-    /// Seam handoff messages exchanged over the live planner's channels.
-    pub seam_messages: u64,
-    /// Warm-start cache hits summed over shards.
-    pub cache_hits: u64,
-    /// Warm-start cache misses summed over shards.
-    pub cache_misses: u64,
     /// Per-shard journal lengths — the distributed work.
     pub journal_events: Vec<usize>,
     /// Final per-shard populations.
@@ -125,9 +95,6 @@ pub struct GridRow {
     /// Load imbalance: max over mean of the per-shard journal lengths
     /// (1.0 = perfectly balanced).
     pub imbalance: f64,
-    /// Whether the global journal missed byte-identity with the
-    /// monolithic baseline.
-    pub journal_divergence: bool,
     /// Whether the composed fleet missed the baseline state hash.
     pub compose_divergence: bool,
     /// Shards whose journal replay missed their live state hash.
@@ -172,20 +139,8 @@ impl Results {
                     format!("{:.2}", row.imbalance),
                     row.divergences.to_string(),
                     format!(
-                        "{} barriers, {} local solves ({} skips), cache {}/{} hit/miss{}{}",
+                        "{} barriers{}",
                         row.barriers,
-                        row.local_solves,
-                        row.local_skips,
-                        row.cache_hits,
-                        row.cache_misses,
-                        if row.live_windows > 0 {
-                            format!(
-                                ", {} live windows ({} seam msgs)",
-                                row.live_windows, row.seam_messages
-                            )
-                        } else {
-                            String::new()
-                        },
                         match row.kill_recovered {
                             Some(true) => ", kill+resume ok",
                             Some(false) => ", kill+resume DIVERGED",
@@ -238,7 +193,6 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
         detection_frames: config.detection_frames,
         noise_scale: config.noise_scale,
         recovery: config.recovery,
-        live_planning: config.live_planning,
         seed: config.seed,
         ..WorkloadConfig::default()
     };
@@ -264,24 +218,13 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
         let topology = FleetTopology::new(dims, sep, cols, rows_);
         let shards = topology.shard_count();
         let started = std::time::Instant::now();
-        let (outcome, journal, fleet) =
-            driver
-                .runner()
-                .run_sharded(&protocol, 0, ShardedState::new(topology));
+        let group = ShardGroup::from_outcome(project(&baseline_journal, &topology), baseline_hash);
+        let group_run = group.run();
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
-        let journal_divergence = journal.events() != baseline_journal.events()
-            || outcome.state.state_hash() != baseline_hash;
-        let group = ShardGroup::from_outcome(fleet.into_outcome(), outcome.state.state_hash());
-        let group = if workload.live_planning {
-            group.with_live_planning(IncrementalRouter::new(workload.shards))
-        } else {
-            group
-        };
         let compose_divergence = group.fleet().compose().state_hash() != baseline_hash;
         let shard_replay_divergences = group.fleet().replay_divergences();
         let expected = group.expected_hashes();
-        let group_run = group.run();
         let group_divergences = group_run
             .state_hashes()
             .iter()
@@ -296,7 +239,9 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
                 boundary: (group.segment_count() / 2).clamp(1, group.segment_count() - 1),
             };
             let (_stopped, checkpoint) = group.run_killed(kill);
-            group.resume(&checkpoint).state_hashes() == expected
+            group
+                .resume(&checkpoint)
+                .is_ok_and(|resumed| resumed.state_hashes() == expected)
         });
 
         let stats = group.stats();
@@ -307,12 +252,7 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
         } else {
             1.0
         };
-        let (cache_hits, cache_misses) = group
-            .cache_stats()
-            .iter()
-            .fold((0, 0), |(h, m), s| (h + s.hits, m + s.misses));
-        let divergences = usize::from(journal_divergence)
-            + usize::from(compose_divergence)
+        let divergences = usize::from(compose_divergence)
             + shard_replay_divergences
             + group_divergences
             + usize::from(kill_recovered == Some(false));
@@ -331,12 +271,6 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
             handoffs: stats.exports,
             imports: stats.imports,
             barriers: stats.barriers,
-            local_solves: stats.local_solves,
-            local_skips: stats.local_skips,
-            live_windows: stats.live_windows,
-            seam_messages: stats.seam_messages,
-            cache_hits,
-            cache_misses,
             populations: group
                 .fleet()
                 .states
@@ -345,7 +279,6 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
                 .collect(),
             journal_events,
             imbalance,
-            journal_divergence,
             compose_divergence,
             shard_replay_divergences,
             group_divergences,
@@ -433,26 +366,6 @@ mod tests {
                 results.grids[0].populations[0],
                 "sharding never loses a particle"
             );
-        }
-    }
-
-    #[test]
-    fn live_planned_sweep_holds_every_oracle() {
-        let config = Config {
-            live_planning: true,
-            ..quick_config()
-        };
-        let results = run_with(&config, &mut ScenarioContext::silent("E16"));
-        assert_eq!(results.total_divergences, 0, "{results:?}");
-        for row in &results.grids {
-            assert!(row.live_windows > 0, "{row:?}");
-            assert!(!row.journal_divergence);
-            assert!(!row.compose_divergence);
-        }
-        assert_eq!(results.grids[0].seam_messages, 0);
-        for row in &results.grids[1..] {
-            assert!(row.seam_messages > 0, "{row:?}");
-            assert_eq!(row.kill_recovered, Some(true), "{row:?}");
         }
     }
 

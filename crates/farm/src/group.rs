@@ -1,44 +1,26 @@
 //! A sharded chip as a farm job group: one worker per shard, barrier
 //! rendezvous at phase-window boundaries, whole-group checkpoint/resume.
 //!
-//! The fleet layer ([`labchip_manipulation::fleet`]) decomposes one
-//! logical array into per-shard [`ChipState`]s and journals every shard's
-//! events — including the typed cross-shard handoffs — through the same
-//! choke points the monolithic chip uses. This module executes that
-//! decomposition the way the farm executes everything else: as a group of
-//! workers folding event streams.
+//! The fleet layer ([`labchip_manipulation::fleet`]) projects one
+//! monolithic journal onto per-shard [`ChipState`]s and journals every
+//! shard's events — including the typed cross-shard handoffs — through
+//! the same choke points the monolithic chip uses. This module executes
+//! that decomposition the way the farm executes everything else: as a
+//! group of workers folding event streams.
 //!
 //! ## Execution model
 //!
-//! [`ShardGroup::plan`] runs the sharded protocol once on the coordinator
-//! (the [`ProtocolRunner::run_sharded`](labchip::workload::ProtocolRunner::run_sharded)
-//! entry point) and keeps the per-shard journals, split into one segment
-//! per protocol phase at the broadcast phase markers. [`ShardGroup::run`]
-//! then spawns **one worker thread per shard**; each worker folds its
-//! shard's segments through the shared
-//! [`apply_event`] replay step into a replica
-//! shard state, and all workers rendezvous on a [`Barrier`] at every
-//! phase boundary — no shard starts phase `k + 1` until every shard has
-//! finished phase `k`, mirroring how a physical multi-chip fleet must
-//! synchronise before particles cross chip edges.
-//!
-//! ## Live planning
-//!
-//! With [`ShardGroup::with_live_planning`] (enabled automatically by
-//! [`ShardGroup::plan`] when
-//! [`WorkloadConfig::live_planning`](labchip::workload::WorkloadConfig)
-//! is set) every worker additionally *owns its router window end to
-//! end*: it carries a private [`IncrementalRouter`] +
-//! [`RouterCache`], and at every phase boundary it (a) announces the
-//! cross-shard handoffs it just folded to their destination shards over
-//! typed [`mpsc`] channels ([`GroupHandoff`] messages, sent sorted by
-//! particle id), (b) drains its own channel after the barrier and
-//! retires the announcements its folded imports confirm, and (c) plans
-//! the *next* segment's goal map live — residents toward the upcoming
-//! [`Event::PlanReplaced`] sites — before folding it. The planning is
-//! advisory (the replica fold alone determines state), so every
-//! bit-identity guarantee of the journal path is preserved while the
-//! routing work itself finally runs one-window-per-core.
+//! [`ShardGroup::plan`] runs the protocol once on the coordinator
+//! ([`ProtocolRunner::run_journaled`](labchip::workload::ProtocolRunner::run_journaled)),
+//! [projects](labchip_manipulation::fleet::project) the global journal
+//! onto the shard grid, and keeps the per-shard journals, split into one
+//! segment per protocol phase at the broadcast phase markers.
+//! [`ShardGroup::run`] then spawns **one worker thread per shard**; each
+//! worker folds its shard's segments through the shared [`apply_event`]
+//! replay step into a replica shard state, and all workers rendezvous on
+//! a [`Barrier`] at every phase boundary — no shard starts phase `k + 1`
+//! until every shard has finished phase `k`, mirroring how a physical
+//! multi-chip fleet must synchronise before particles cross chip edges.
 //!
 //! ## Kill and resume
 //!
@@ -46,24 +28,22 @@
 //! boundary. Because the barrier makes boundaries group-wide, the whole
 //! group stops there in a consistent state, captured as a
 //! JSON-serialisable [`GroupCheckpoint`] (boundary index + per-shard
-//! snapshots + per-shard in-flight handoff announcements).
-//! [`ShardGroup::resume`] restores every shard from the checkpoint and
-//! folds the remaining segments; the final per-shard hashes are
-//! **bit-identical** to an uninterrupted group run — the E16
-//! group-recovery guarantee, extending the per-job guarantee of E14/E15
-//! to a gang of coupled workers.
+//! snapshots). [`ShardGroup::resume`] checks the checkpoint against the
+//! group, restores every shard from it and folds the remaining segments;
+//! the final per-shard hashes are **bit-identical** to an uninterrupted
+//! group run — the E16 group-recovery guarantee, extending the per-job
+//! guarantee of E14/E15 to a gang of coupled workers. A checkpoint that
+//! does not fit the group is a typed [`ResumeError`], never a panic.
 
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Barrier};
+use std::sync::Barrier;
 
 use labchip::workload::{BatchDriver, Protocol, WorkloadConfig};
-use labchip_manipulation::cage::ParticleId;
-use labchip_manipulation::fleet::{FleetOutcome, FleetStats, FleetTopology, ShardedState};
-use labchip_manipulation::journal::{apply_event, Event, Journal};
-use labchip_manipulation::routing::{RoutingProblem, RoutingRequest};
-use labchip_manipulation::sharding::{CacheStats, IncrementalRouter, RouterCache};
+use labchip_manipulation::fleet::{project, FleetOutcome, FleetStats, FleetTopology};
+use labchip_manipulation::journal::{apply_event, Event, Journal, ReplayError};
 use labchip_manipulation::state::{ChipState, ChipStateSnapshot};
-use labchip_units::{GridCoord, GridDims};
+use labchip_units::GridDims;
 use serde::{Deserialize, Serialize};
 
 /// Kill one shard worker of a group at a phase boundary.
@@ -77,23 +57,6 @@ pub struct GroupKill {
     pub boundary: usize,
 }
 
-/// One live-planning seam announcement: "particle `id` crossed from
-/// `from_shard` into `to_shard`". Workers send these over the group's
-/// handoff channels (sorted by particle id) when they fold a
-/// [`Event::HandoffExported`]; the destination worker retires the
-/// announcement when it folds the matching
-/// [`Event::HandoffImported`]. Announcements still unretired at a
-/// boundary are the *in-flight* queue the checkpoint snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct GroupHandoff {
-    /// The particle crossing the seam.
-    pub id: ParticleId,
-    /// Shard the particle left.
-    pub from_shard: usize,
-    /// Shard the particle enters (= the channel the message rides).
-    pub to_shard: usize,
-}
-
 /// A consistent whole-group resume point: every shard's state at one
 /// phase boundary. JSON-serialisable like the per-job
 /// [`Checkpoint`](labchip::workload::Checkpoint).
@@ -103,10 +66,6 @@ pub struct GroupCheckpoint {
     pub next_segment: usize,
     /// Per-shard replica states at the boundary.
     pub shards: Vec<ChipStateSnapshot>,
-    /// Per-shard in-flight handoff announcements (delivered but not yet
-    /// retired by a folded import) at the boundary, sorted. Empty for
-    /// groups running without live planning.
-    pub in_flight: Vec<Vec<GroupHandoff>>,
 }
 
 impl GroupCheckpoint {
@@ -125,6 +84,84 @@ impl GroupCheckpoint {
     }
 }
 
+/// Why [`ShardGroup::resume`] refused a checkpoint.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ResumeError {
+    /// The checkpoint holds a different number of shards than the group.
+    ShardCount {
+        /// Shards in the group.
+        expected: usize,
+        /// Shard snapshots in the checkpoint.
+        found: usize,
+    },
+    /// The checkpoint's boundary lies past the group's last segment.
+    Segment {
+        /// The checkpoint's `next_segment`.
+        next_segment: usize,
+        /// Phase segments in the group.
+        segments: usize,
+    },
+    /// A shard snapshot does not span that shard's local frame.
+    ShardDims {
+        /// The offending shard.
+        shard: usize,
+        /// The shard's local dims in the group topology.
+        expected: GridDims,
+        /// The dims of the snapshot's grid or plan.
+        found: GridDims,
+    },
+    /// A shard's remaining journal segments do not fold onto its
+    /// snapshot.
+    Fold {
+        /// The offending shard.
+        shard: usize,
+        /// The rejected event.
+        source: ReplayError,
+    },
+}
+
+impl fmt::Display for ResumeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ResumeError::ShardCount { expected, found } => write!(
+                f,
+                "checkpoint holds {found} shard snapshots, the group has {expected} shards"
+            ),
+            ResumeError::Segment {
+                next_segment,
+                segments,
+            } => write!(
+                f,
+                "checkpoint resumes at segment {next_segment}, the group has {segments}"
+            ),
+            ResumeError::ShardDims {
+                shard,
+                expected,
+                found,
+            } => write!(
+                f,
+                "shard {shard} snapshot spans {}x{}, the shard frame is {}x{}",
+                found.cols, found.rows, expected.cols, expected.rows
+            ),
+            ResumeError::Fold { shard, source } => {
+                write!(
+                    f,
+                    "shard {shard} does not resume from its snapshot: {source}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for ResumeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ResumeError::Fold { source, .. } => Some(source),
+            _ => None,
+        }
+    }
+}
+
 /// The result of a (possibly resumed) group run: the replica shard states
 /// and how many phase segments every worker folded.
 #[derive(Debug)]
@@ -133,16 +170,6 @@ pub struct GroupOutcome {
     pub states: Vec<ChipState>,
     /// Phase segments each worker folded (group-wide, by barrier).
     pub segments_folded: usize,
-    /// Per-shard handoff announcements still in flight when the group
-    /// stopped (always empty without live planning; usually empty with
-    /// it, since export and import halves land in the same segment).
-    pub in_flight: Vec<Vec<GroupHandoff>>,
-    /// Advisory lookahead window problems the live workers solved at
-    /// phase boundaries (0 without live planning).
-    pub live_windows: usize,
-    /// [`GroupHandoff`] messages exchanged over the live workers' seam
-    /// channels (0 without live planning).
-    pub seam_messages: usize,
 }
 
 impl GroupOutcome {
@@ -162,25 +189,19 @@ pub struct ShardGroup {
     /// Phase segments between barriers (equal across shards: markers are
     /// broadcast).
     segments: usize,
-    /// State hash of the coordinator's global (monolithic-equivalent)
-    /// final state.
+    /// State hash of the coordinator's global (monolithic) final state.
     global_hash: u64,
-    /// When set, workers run the live planning protocol (seam channels +
-    /// boundary lookahead windows) with this router.
-    live: Option<IncrementalRouter>,
 }
 
 impl ShardGroup {
-    /// Runs `protocol` sharded over a `grid_cols x grid_rows` fleet on
-    /// the coordinator and captures the per-shard journals as a job
-    /// group.
+    /// Runs `protocol` on the coordinator, projects its journal onto a
+    /// `grid_cols x grid_rows` fleet and captures the per-shard journals
+    /// as a job group.
     ///
     /// # Panics
     ///
     /// Panics if the grid does not fit the configured array (see
-    /// [`FleetTopology::new`]) or a shard journal carries phase markers
-    /// inconsistent with its siblings — both coordinator bugs, not
-    /// runtime conditions.
+    /// [`FleetTopology::new`]).
     pub fn plan(
         config: &WorkloadConfig,
         protocol: &Protocol,
@@ -190,25 +211,20 @@ impl ShardGroup {
         let driver = BatchDriver::new(*config);
         let dims = GridDims::square(config.array_side);
         let sep = config.min_separation.max(1);
-        let fleet = ShardedState::new(FleetTopology::new(dims, sep, grid_cols, grid_rows));
-        let (outcome, _journal, fleet) = driver.runner().run_sharded(protocol, 0, fleet);
-        let global_hash = outcome.state.state_hash();
-        let group = Self::from_outcome(fleet.into_outcome(), global_hash);
-        if config.live_planning {
-            group.with_live_planning(IncrementalRouter::new(config.shards))
-        } else {
-            group
-        }
+        let (outcome, journal) = driver.runner().run_journaled(protocol, 0);
+        let topology = FleetTopology::new(dims, sep, grid_cols, grid_rows);
+        Self::from_outcome(project(&journal, &topology), outcome.state.state_hash())
     }
 
-    /// Wraps an already-executed sharded run as a job group —
+    /// Wraps an already-projected fleet as a job group —
     /// [`ShardGroup::plan`] without re-running the coordinator, for
     /// callers (like scenario E16) that already hold the
     /// [`FleetOutcome`].
     ///
     /// # Panics
     ///
-    /// Panics if the shard journals carry inconsistent phase boundaries.
+    /// Panics if the shard journals carry inconsistent phase boundaries
+    /// (impossible for a [`project`]ed fleet: markers are broadcast).
     pub fn from_outcome(outcome: FleetOutcome, global_hash: u64) -> Self {
         let bounds: Vec<Vec<usize>> = outcome.journals.iter().map(segment_bounds).collect();
         let segments = bounds[0].len() - 1;
@@ -221,23 +237,7 @@ impl ShardGroup {
             bounds,
             segments,
             global_hash,
-            live: None,
         }
-    }
-
-    /// Enables the live planning protocol: every worker gets a private
-    /// copy of `router` (plus its own [`RouterCache`]), exchanges
-    /// [`GroupHandoff`] seam messages at every boundary, and plans the
-    /// next segment's goal map before folding it.
-    #[must_use]
-    pub fn with_live_planning(mut self, router: IncrementalRouter) -> Self {
-        self.live = Some(router);
-        self
-    }
-
-    /// `true` when the group runs the live planning protocol.
-    pub fn is_live(&self) -> bool {
-        self.live.is_some()
     }
 
     /// Shards in the group (= workers spawned per run).
@@ -250,14 +250,9 @@ impl ShardGroup {
         self.segments
     }
 
-    /// Handoff and planning counters of the coordinator's sharded run.
+    /// Handoff counters of the projected fleet.
     pub fn stats(&self) -> FleetStats {
         self.outcome.stats
-    }
-
-    /// Per-shard warm-start cache statistics of the coordinator's run.
-    pub fn cache_stats(&self) -> &[CacheStats] {
-        &self.outcome.cache_stats
     }
 
     /// Journal length of every shard — the per-shard work the group
@@ -266,8 +261,8 @@ impl ShardGroup {
         self.outcome.journals.iter().map(Journal::len).collect()
     }
 
-    /// State hash of every *live* shard from the coordinator's run — what
-    /// a group run's replicas must reproduce.
+    /// State hash of every projected shard — what a group run's replicas
+    /// must reproduce.
     pub fn expected_hashes(&self) -> Vec<u64> {
         self.outcome
             .states
@@ -276,8 +271,7 @@ impl ShardGroup {
             .collect()
     }
 
-    /// State hash of the coordinator's global final state (byte-identical
-    /// to a monolithic run of the same protocol and seed).
+    /// State hash of the coordinator's global final state.
     pub fn global_hash(&self) -> u64 {
         self.global_hash
     }
@@ -288,8 +282,14 @@ impl ShardGroup {
     }
 
     /// Executes the group uninterrupted: every worker folds all segments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard journal does not fold from the empty shard —
+    /// impossible for a [`project`]ed fleet.
     pub fn run(&self) -> GroupOutcome {
-        self.execute(0, None, None, None)
+        self.execute(0, None, None)
+            .expect("projected shard journals fold from the empty shard")
     }
 
     /// Executes the group with one shard worker killed at a boundary.
@@ -305,11 +305,12 @@ impl ShardGroup {
             kill.boundary >= 1 && kill.boundary < self.segments,
             "kill.boundary must be an interior phase boundary"
         );
-        let outcome = self.execute(0, None, None, Some(kill));
+        let outcome = self
+            .execute(0, None, Some(kill))
+            .expect("projected shard journals fold from the empty shard");
         let checkpoint = GroupCheckpoint {
             next_segment: outcome.segments_folded,
             shards: outcome.states.iter().map(ChipState::snapshot).collect(),
-            in_flight: outcome.in_flight.clone(),
         };
         (outcome, checkpoint)
     }
@@ -317,243 +318,113 @@ impl ShardGroup {
     /// Resumes a stopped group from its checkpoint: replacement workers
     /// restore every shard snapshot and fold the remaining segments.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the checkpoint's shard count or boundary does not match
-    /// this group.
-    pub fn resume(&self, checkpoint: &GroupCheckpoint) -> GroupOutcome {
-        assert_eq!(
-            checkpoint.shards.len(),
-            self.shard_count(),
-            "checkpoint shard count must match the group"
-        );
-        assert!(
-            checkpoint.next_segment <= self.segments,
-            "checkpoint boundary out of range"
-        );
-        assert!(
-            checkpoint.in_flight.is_empty() || checkpoint.in_flight.len() == self.shard_count(),
-            "checkpoint in-flight queue count must match the group"
-        );
-        let in_flight = (!checkpoint.in_flight.is_empty()).then_some(&checkpoint.in_flight[..]);
-        self.execute(
-            checkpoint.next_segment,
-            Some(&checkpoint.shards),
-            in_flight,
-            None,
-        )
+    /// A [`ResumeError`] when the checkpoint's shard count, boundary or
+    /// snapshot dims do not fit this group, or a shard's remaining
+    /// segments do not fold onto its snapshot.
+    pub fn resume(&self, checkpoint: &GroupCheckpoint) -> Result<GroupOutcome, ResumeError> {
+        if checkpoint.shards.len() != self.shard_count() {
+            return Err(ResumeError::ShardCount {
+                expected: self.shard_count(),
+                found: checkpoint.shards.len(),
+            });
+        }
+        if checkpoint.next_segment > self.segments {
+            return Err(ResumeError::Segment {
+                next_segment: checkpoint.next_segment,
+                segments: self.segments,
+            });
+        }
+        for (shard, snapshot) in checkpoint.shards.iter().enumerate() {
+            let expected = self.outcome.topology.local_dims(shard);
+            for found in [snapshot.grid.dims(), snapshot.plan.dims()] {
+                if found != expected {
+                    return Err(ResumeError::ShardDims {
+                        shard,
+                        expected,
+                        found,
+                    });
+                }
+            }
+        }
+        self.execute(checkpoint.next_segment, Some(&checkpoint.shards), None)
     }
 
-    /// The worker gang: one thread per shard folding segments
-    /// `start..`, rendezvousing on a barrier at every boundary, all
-    /// stopping together at the earliest armed kill. Live groups
-    /// additionally exchange [`GroupHandoff`] messages at every boundary
-    /// and plan the next segment's goal map before folding it.
+    /// The worker gang: one thread per shard folding segments `start..`,
+    /// rendezvousing on a barrier at every boundary, all stopping
+    /// together at the earliest armed kill or fold failure.
     fn execute(
         &self,
         start: usize,
         snapshots: Option<&[ChipStateSnapshot]>,
-        in_flight: Option<&[Vec<GroupHandoff>]>,
         kill: Option<GroupKill>,
-    ) -> GroupOutcome {
+    ) -> Result<GroupOutcome, ResumeError> {
         let workers = self.shard_count();
         let barrier = Barrier::new(workers);
-        // usize::MAX = no stop armed; the killed worker stores its
+        // usize::MAX = no stop armed; a stopping worker lowers it to its
         // boundary before the rendezvous, so every worker observes it
         // after the same barrier generation and exits in lockstep.
         let stop_after = AtomicUsize::new(usize::MAX);
         let sep = self.outcome.topology.min_separation().max(1);
-        let live = self.live;
         let segments = self.segments;
-        // One seam channel per shard. Senders are cloned into every
-        // worker; a boundary-k message is always sent before the
-        // boundary-k barrier and drained right after it, so the
-        // rendezvous doubles as the delivery fence.
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..workers)
-            .map(|_| mpsc::channel::<GroupHandoff>())
-            .unzip();
-        let mut rx_slots: Vec<Option<mpsc::Receiver<GroupHandoff>>> =
-            rxs.into_iter().map(Some).collect();
         let results = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|shard| {
                     let barrier = &barrier;
                     let stop_after = &stop_after;
-                    let topology = &self.outcome.topology;
                     let events = self.outcome.journals[shard].events();
                     let bounds = &self.bounds[shard];
-                    let txs = txs.clone();
-                    let rx = rx_slots[shard].take().expect("one receiver per worker");
                     let mut state = match snapshots {
                         Some(snapshots) => ChipState::from_snapshot(snapshots[shard].clone()),
-                        None => ChipState::with_separation(topology.local_dims(shard), sep),
+                        None => {
+                            ChipState::with_separation(self.outcome.topology.local_dims(shard), sep)
+                        }
                     };
-                    let mut inbox: Vec<GroupHandoff> = in_flight
-                        .map(|queues| queues[shard].clone())
-                        .unwrap_or_default();
                     scope.spawn(move || {
-                        let mut cache = RouterCache::new();
-                        let mut live_windows = 0usize;
-                        let mut seam_messages = 0usize;
+                        let mut failure = None;
                         for seg in start..segments {
-                            let mut outbox: Vec<GroupHandoff> = Vec::new();
-                            let mut retired: Vec<GroupHandoff> = Vec::new();
                             for (offset, event) in
                                 events[bounds[seg]..bounds[seg + 1]].iter().enumerate()
                             {
-                                if live.is_some() {
-                                    match *event {
-                                        Event::HandoffExported { id, to_shard, .. } => {
-                                            outbox.push(GroupHandoff {
-                                                id,
-                                                from_shard: shard,
-                                                to_shard,
-                                            });
-                                        }
-                                        Event::HandoffImported { id, from_shard, .. } => {
-                                            retired.push(GroupHandoff {
-                                                id,
-                                                from_shard,
-                                                to_shard: shard,
-                                            });
-                                        }
-                                        _ => {}
-                                    }
-                                }
-                                apply_event(&mut state, event, bounds[seg] + offset)
-                                    .expect("shard journal segments replay cleanly");
-                            }
-                            if live.is_some() {
-                                // Deterministic wire order: sorted by id.
-                                outbox.sort_unstable();
-                                for msg in &outbox {
-                                    txs[msg.to_shard]
-                                        .send(*msg)
-                                        .expect("seam receivers outlive the send");
-                                    seam_messages += 1;
+                                let index = bounds[seg] + offset;
+                                if let Err(source) = apply_event(&mut state, event, index) {
+                                    failure = Some(ResumeError::Fold { shard, source });
+                                    break;
                                 }
                             }
                             let folded = seg + 1;
-                            if kill.is_some_and(|k| k.shard == shard && k.boundary == folded) {
-                                stop_after.store(folded, Ordering::SeqCst);
+                            let killed =
+                                kill.is_some_and(|k| k.shard == shard && k.boundary == folded);
+                            if killed || failure.is_some() {
+                                stop_after.fetch_min(folded, Ordering::SeqCst);
                             }
                             barrier.wait();
-                            let stopping = folded >= stop_after.load(Ordering::SeqCst);
-                            if let Some(router) = live {
-                                // Drain this boundary's announcements (the
-                                // barrier fences delivery), then retire the
-                                // ones our folded imports confirmed. What
-                                // remains is in flight — it survives kills
-                                // inside the checkpoint.
-                                inbox.extend(rx.try_iter());
-                                inbox.sort_unstable();
-                                for done in &retired {
-                                    if let Some(pos) = inbox.iter().position(|msg| msg == done) {
-                                        inbox.remove(pos);
-                                    }
-                                }
-                                if !stopping && folded < segments {
-                                    live_windows += plan_next_window(
-                                        &state,
-                                        &events[bounds[folded]..bounds[folded + 1]],
-                                        topology.local_dims(shard),
-                                        sep,
-                                        &router,
-                                        &mut cache,
-                                    );
-                                }
-                            }
-                            if stopping {
+                            if folded >= stop_after.load(Ordering::SeqCst) {
                                 break;
                             }
                         }
-                        (state, inbox, live_windows, seam_messages)
+                        failure.map_or(Ok(state), Err)
                     })
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|handle| handle.join().expect("shard worker panicked"))
-                .collect::<Vec<_>>()
+                .collect::<Result<Vec<_>, _>>()
         });
         let stopped = stop_after.load(Ordering::SeqCst);
-        let mut states = Vec::with_capacity(workers);
-        let mut queues = Vec::with_capacity(workers);
-        let mut live_windows = 0;
-        let mut seam_messages = 0;
-        for (state, inbox, windows, messages) in results {
-            states.push(state);
-            queues.push(inbox);
-            live_windows += windows;
-            seam_messages += messages;
-        }
-        GroupOutcome {
-            states,
-            segments_folded: if stopped == usize::MAX {
-                self.segments
-            } else {
-                stopped
-            },
-            in_flight: queues,
-            live_windows,
-            seam_messages,
-        }
-    }
-}
-
-/// One advisory live planning window: route the replica's residents
-/// toward the goal map the *next* segment will install (its first
-/// [`Event::PlanReplaced`]), pairing residents ascending by id with goal
-/// sites sorted by `(y, x)` — both orders deterministic, so every run
-/// plans the identical problem. Returns 1 if a window problem was
-/// submitted to the router (solved or skipped), 0 if the segment carries
-/// no plan or the shard is empty.
-fn plan_next_window(
-    state: &ChipState,
-    next_segment: &[Event],
-    dims: GridDims,
-    sep: u32,
-    router: &IncrementalRouter,
-    cache: &mut RouterCache,
-) -> usize {
-    let goals = next_segment.iter().find_map(|event| match event {
-        Event::PlanReplaced { goals } => Some(goals.clone()),
-        _ => None,
-    });
-    let Some(mut sites) = goals else { return 0 };
-    let members: Vec<(ParticleId, GridCoord)> = state.grid().iter_particles().collect();
-    if members.is_empty() || sites.is_empty() {
-        return 0;
-    }
-    sites.sort_unstable_by_key(|site| (site.y, site.x));
-    let mut any_goal = false;
-    let requests: Vec<RoutingRequest> = members
-        .iter()
-        .enumerate()
-        .map(|(slot, &(id, start))| {
-            let goal = sites.get(slot).copied().unwrap_or(start);
-            if goal != start {
-                any_goal = true;
-            }
-            RoutingRequest { id, start, goal }
+        Ok(GroupOutcome {
+            states: results?,
+            segments_folded: stopped.min(self.segments),
         })
-        .collect();
-    if !any_goal {
-        return 0;
     }
-    let mut problem = RoutingProblem::new(dims, requests);
-    problem.min_separation = sep;
-    problem.max_steps = router.shards.window.max(1) as usize;
-    // Advisory: the outcome (or failure) is dropped; only the worker's
-    // cache warms. The replica state is driven by the journal fold alone.
-    let _ = router.solve_cached(&problem, cache);
-    1
 }
 
 /// Splits a shard journal into per-phase segments at its phase-finished /
 /// phase-aborted markers: `bounds[k]..bounds[k + 1]` is phase `k`'s event
 /// run, marker included. Any tail after the last marker folds into the
-/// final segment.
+/// final segment; a journal with no markers at all is one segment.
 fn segment_bounds(journal: &Journal) -> Vec<usize> {
     let mut bounds = vec![0];
     for (index, event) in journal.events().iter().enumerate() {
@@ -564,12 +435,9 @@ fn segment_bounds(journal: &Journal) -> Vec<usize> {
             bounds.push(index + 1);
         }
     }
-    if *bounds.last().expect("bounds start non-empty") != journal.len() {
-        *bounds.last_mut().expect("bounds start non-empty") = journal.len();
-    }
-    if bounds.len() == 1 {
-        // A journal with no markers at all is one segment.
-        bounds.push(journal.len());
+    match bounds.len() {
+        1 => bounds.push(journal.len()),
+        n => bounds[n - 1] = journal.len(),
     }
     bounds
 }
@@ -577,15 +445,15 @@ fn segment_bounds(journal: &Journal) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use labchip_units::GridDims;
+    use labchip_manipulation::cage::ParticleId;
+    use labchip_units::GridCoord;
 
-    fn group_with(grid: (u32, u32), live_planning: bool) -> ShardGroup {
+    fn group(grid: (u32, u32)) -> ShardGroup {
         let config = WorkloadConfig {
             array_side: 24,
             seed: 11,
             noise_scale: 1.0,
             detection_frames: 2,
-            live_planning,
             ..WorkloadConfig::default()
         };
         let protocol = Protocol::canned_cycle(
@@ -594,10 +462,6 @@ mod tests {
             16,
         );
         ShardGroup::plan(&config, &protocol, grid.0, grid.1)
-    }
-
-    fn group(grid: (u32, u32)) -> ShardGroup {
-        group_with(grid, false)
     }
 
     #[test]
@@ -622,7 +486,7 @@ mod tests {
             let restored = GroupCheckpoint::from_json(&checkpoint.to_json()).expect("round trip");
             assert_eq!(restored, checkpoint);
             // ...and the resumed group lands on the uninterrupted hashes.
-            let resumed = group.resume(&restored);
+            let resumed = group.resume(&restored).expect("checkpoint fits the group");
             assert_eq!(resumed.segments_folded, group.segment_count());
             assert_eq!(resumed.state_hashes(), group.expected_hashes());
         }
@@ -636,73 +500,109 @@ mod tests {
         let outcome = group.run();
         assert_eq!(outcome.state_hashes(), group.expected_hashes());
         assert_eq!(group.journal_lengths().len(), 1);
-        // No live planning => no live work and no in-flight traffic.
-        assert!(!group.is_live());
-        assert_eq!(outcome.live_windows, 0);
-        assert_eq!(outcome.seam_messages, 0);
-        assert!(outcome.in_flight.iter().all(Vec::is_empty));
     }
 
-    #[test]
-    fn live_workers_plan_boundary_windows_and_reproduce_the_hashes() {
-        let serial = group((2, 2));
-        let group = group_with((2, 2), true);
-        assert!(group.is_live());
-        let outcome = group.run();
-        // Live planning is advisory: replica hashes stay bit-identical to
-        // the serial-fold group and to the coordinator's shards.
-        assert_eq!(outcome.state_hashes(), group.expected_hashes());
-        assert_eq!(outcome.state_hashes(), serial.run().state_hashes());
-        // Every folded export rode the seam channels exactly once, and
-        // every announcement was retired by its matching import.
-        assert_eq!(outcome.seam_messages as u64, group.stats().exports);
-        assert!(outcome.in_flight.iter().all(Vec::is_empty));
-        // Workers planned lookahead windows at the phase boundaries.
-        assert!(outcome.live_windows > 0, "live workers planned no windows");
-    }
-
-    #[test]
-    fn live_group_checkpoints_snapshot_in_flight_queues_and_resume_cleanly() {
-        let group = group_with((2, 1), true);
-        let uninterrupted = group.run();
-        assert_eq!(uninterrupted.state_hashes(), group.expected_hashes());
-        for boundary in 1..group.segment_count() {
-            let (stopped, checkpoint) = group.run_killed(GroupKill { shard: 1, boundary });
-            assert_eq!(stopped.segments_folded, boundary);
-            // The checkpoint carries one (possibly empty) in-flight queue
-            // per shard and survives its JSON round trip.
-            assert_eq!(checkpoint.in_flight.len(), group.shard_count());
-            let restored = GroupCheckpoint::from_json(&checkpoint.to_json()).expect("round trip");
-            assert_eq!(restored, checkpoint);
-            let resumed = group.resume(&restored);
-            assert_eq!(resumed.segments_folded, group.segment_count());
-            assert_eq!(resumed.state_hashes(), uninterrupted.state_hashes());
-        }
-    }
-
+    /// A checkpoint saved by an older build carried an `in_flight` key of
+    /// seam announcements; it still decodes and resumes.
     #[test]
     fn stale_in_flight_announcements_do_not_disturb_a_resumed_group() {
-        // An announcement whose import never arrives (e.g. the export half
-        // of a handoff interrupted by an abort) must ride the checkpoint
-        // without affecting replica state: live planning is advisory.
-        let group = group_with((2, 1), true);
-        let (_, mut checkpoint) = group.run_killed(GroupKill {
+        let group = group((2, 1));
+        let (_, checkpoint) = group.run_killed(GroupKill {
             shard: 0,
             boundary: 2,
         });
-        checkpoint.in_flight[1].push(GroupHandoff {
-            id: ParticleId(9_999),
-            from_shard: 0,
-            to_shard: 1,
-        });
-        let restored = GroupCheckpoint::from_json(&checkpoint.to_json()).expect("round trip");
-        let resumed = group.resume(&restored);
+        let json = checkpoint.to_json();
+        let legacy = format!(
+            "{},\"in_flight\":[[],[{{\"id\":9999,\"from_shard\":0,\"to_shard\":1}}]]}}",
+            json.strip_suffix('}')
+                .expect("checkpoints are JSON objects")
+        );
+        let restored = GroupCheckpoint::from_json(&legacy).expect("legacy checkpoint decodes");
+        assert_eq!(restored, checkpoint);
+        let resumed = group.resume(&restored).expect("legacy checkpoint resumes");
         assert_eq!(resumed.state_hashes(), group.expected_hashes());
-        // The stale announcement is still in flight at the end.
-        assert!(resumed.in_flight[1].contains(&GroupHandoff {
-            id: ParticleId(9_999),
-            from_shard: 0,
-            to_shard: 1
-        }));
+    }
+
+    /// Checkpoints come from outside the program: one that does not fit
+    /// the group is a typed error, never a panic.
+    #[test]
+    fn resume_rejects_checkpoints_that_do_not_fit_the_group() {
+        let group = group((2, 1));
+        let (_, checkpoint) = group.run_killed(GroupKill {
+            shard: 1,
+            boundary: 2,
+        });
+        let tampered = |edit: &dyn Fn(&mut GroupCheckpoint)| {
+            let mut copy = checkpoint.clone();
+            edit(&mut copy);
+            let restored = GroupCheckpoint::from_json(&copy.to_json()).expect("still JSON");
+            group.resume(&restored).expect_err("tampered checkpoint")
+        };
+
+        let error = tampered(&|c| {
+            c.shards.pop();
+        });
+        assert_eq!(
+            error,
+            ResumeError::ShardCount {
+                expected: 2,
+                found: 1
+            }
+        );
+        assert!(error.to_string().contains("1 shard snapshots"), "{error}");
+
+        let error = tampered(&|c| c.next_segment = 99);
+        assert_eq!(
+            error,
+            ResumeError::Segment {
+                next_segment: 99,
+                segments: group.segment_count()
+            }
+        );
+
+        // A snapshot of some other frame in shard 0's slot.
+        let foreign = ChipState::with_separation(GridDims::new(5, 5), 2).snapshot();
+        let error = tampered(&|c| c.shards[0] = foreign.clone());
+        assert!(
+            matches!(
+                error,
+                ResumeError::ShardDims {
+                    shard: 0,
+                    found: GridDims { cols: 5, rows: 5 },
+                    ..
+                }
+            ),
+            "{error:?}"
+        );
+
+        // Right dims, wrong contents: re-folding the load segment
+        // re-places particles the snapshots already hold.
+        let error = tampered(&|c| c.next_segment = 0);
+        assert!(matches!(error, ResumeError::Fold { .. }), "{error:?}");
+    }
+
+    /// A journal with no phase markers is one segment, not an empty one.
+    #[test]
+    fn markerless_journals_fold_as_one_segment() {
+        let dims = GridDims::square(16);
+        let mut global = ChipState::with_separation(dims, 2);
+        global.attach_journal();
+        global.place(ParticleId(1), GridCoord::new(2, 8)).unwrap();
+        global.place(ParticleId(2), GridCoord::new(13, 8)).unwrap();
+        let journal = global.take_journal().unwrap();
+        assert_eq!(segment_bounds(&journal), [0, 2]);
+        assert_eq!(segment_bounds(&Journal::new()), [0, 0]);
+
+        let fleet = project(&journal, &FleetTopology::new(dims, 2, 2, 1));
+        let group = ShardGroup::from_outcome(fleet, global.state_hash());
+        assert_eq!(group.segment_count(), 1);
+        let outcome = group.run();
+        let populations: Vec<usize> = outcome
+            .states
+            .iter()
+            .map(ChipState::particle_count)
+            .collect();
+        assert_eq!(populations, [1, 1]);
+        assert_eq!(outcome.state_hashes(), group.expected_hashes());
     }
 }

@@ -157,6 +157,14 @@ mod tests {
         assert_eq!(loaded, record(3));
         assert_eq!(store.load_journal(JobId(3)).unwrap(), journal);
         assert!(store.load_record(JobId(9)).is_err());
+
+        // A record saved before the `live_planning` knob was removed from
+        // `WorkloadConfig` still loads.
+        let current = serde_json::to_string(&record(5));
+        let legacy = current.replacen("\"config\":{", "\"config\":{\"live_planning\":false,", 1);
+        assert_ne!(legacy, current);
+        std::fs::write(store.record_path(JobId(5)), legacy).unwrap();
+        assert_eq!(store.load_record(JobId(5)).unwrap(), record(5));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -45,7 +45,7 @@ pub mod scenario;
 
 pub use farm::{Farm, FarmConfig};
 pub use fleet_scenario::FleetScenario;
-pub use group::{GroupCheckpoint, GroupKill, GroupOutcome, ShardGroup};
+pub use group::{GroupCheckpoint, GroupKill, GroupOutcome, ResumeError, ShardGroup};
 pub use history::HistoryStore;
 pub use job::{HistoryFilter, JobId, JobRecord, JobSpec, JobStatus, SubmitError};
 pub use queue::{QueueFull, TenantQueue};

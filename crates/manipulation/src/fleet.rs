@@ -12,58 +12,31 @@
 //!   carries a halo (ghost) margin of `min_separation / 2` cells, so a
 //!   shard's local coordinate frame has the same boundary context the
 //!   staggered-tile planner assumes (see [`crate::sharding`]).
-//! * [`ShardedState`] — a fleet of per-shard [`ChipState`]s maintained as
-//!   an exact decomposition of the global chip. The workload layer keeps
-//!   executing the *identical* algorithm against the global state (so the
-//!   global journal cannot diverge by construction) and mirrors every
-//!   mutation into the owning shard. A particle whose removal/placement
-//!   pair crosses a shard boundary is journaled through the
-//!   [`ChipState::export_particle`] / [`ChipState::import_particle`]
-//!   choke points as a typed
-//!   [`Event::HandoffExported`](crate::journal::Event::HandoffExported) /
-//!   [`Event::HandoffImported`](crate::journal::Event::HandoffImported)
-//!   pair — so every shard journal replays
-//!   bit-for-bit through the ordinary [`replay`](crate::journal::replay)
-//!   oracle, handoffs included.
-//! * [`ShardedState::compose`] — folds the shard states back into one
+//! * [`project`] — the fleet as a pure function of the monolithic
+//!   journal: every global event is folded into the shard that owns its
+//!   cell, through the same [`ChipState`] choke points the monolithic
+//!   chip uses, so each shard carries its own journal. A removal whose
+//!   particle next lands in another shard within the same phase is
+//!   journaled as a typed
+//!   [`Event::HandoffExported`] / [`Event::HandoffImported`] pair
+//!   ([`ChipState::export_particle`] / [`ChipState::import_particle`]),
+//!   so every shard journal replays bit-for-bit through the ordinary
+//!   [`replay`](crate::journal::replay) oracle, handoffs included.
+//! * [`FleetOutcome::compose`] — folds the shard states back into one
 //!   global [`ChipState`] whose grid, plan, ledger, [`PartialEq`] and
 //!   [`ChipState::state_hash`] all match the monolithic run exactly; the
 //!   equivalence check scenario E16 sweeps.
-//! * [`ShardedState::route_windows`] — plans each shard's pending
-//!   transfer window locally through the existing
-//!   [`IncrementalRouter`]/[`RouterCache`] pair, one warm-startable cache
-//!   per shard.
-//! * [`LiveFleetPlanner`] /
-//!   [`ShardedState::route_windows_live`] — the *parallel* variant:
-//!   one worker thread per shard plans its own window concurrently, and
-//!   seam crossings are exchanged through typed [`HandoffMsg`] `mpsc`
-//!   channels in a two-phase export→import protocol. Each worker first
-//!   announces every declared transfer leaving its shard, all workers
-//!   rendezvous on a barrier, then each drains its inbox **sorted by
-//!   particle id** — so the set of requests a shard plans depends only
-//!   on the window-start state, never on channel arrival order, and the
-//!   result is deterministic for any thread interleaving. Like the
-//!   serial path, the live plans are advisory warm-ups of the per-shard
-//!   caches: neither touches the global state, RNG or any journal, so
-//!   the global journal stays byte-identical to the monolithic run by
-//!   construction.
 //!
-//! Transfers are declared up front
-//! ([`ShardedState::begin_transfers`]) so each mutation can be journaled
-//! at its application point in application order — deferring the
-//! export/import decision until the destination is observed would append
-//! shard events out of order and break per-shard replay.
+//! The global run stays the only place motion is planned: the router
+//! already tiles every window internally, so the fleet is one more view of
+//! what the global journal says happened, never a second planner.
 
 use crate::cage::ParticleId;
-use crate::journal::Journal;
-use crate::routing::{RoutingProblem, RoutingRequest};
-use crate::sharding::{CacheStats, IncrementalRouter, RouterCache};
+use crate::journal::{Event, Journal};
 use crate::state::{ChipState, TimeLedger};
-use labchip_units::{GridCoord, GridDims, GridRect, Seconds};
+use labchip_units::{GridCoord, GridDims, GridRect};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
-use std::sync::mpsc;
-use std::sync::Barrier;
+use std::collections::HashMap;
 
 /// Partition of a logical array into a `gx × gy` grid of shard
 /// rectangles with halo (ghost) margins.
@@ -221,625 +194,183 @@ impl FleetTopology {
     }
 }
 
-/// Handoff and planning counters of a sharded run.
+/// Handoff counters of a projected fleet.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetStats {
     /// Cross-shard handoff exports journaled.
     pub exports: u64,
     /// Cross-shard handoff imports journaled.
     pub imports: u64,
-    /// Staggered-phase barriers executed (one per finished phase).
+    /// Phase boundaries (finished or aborted phases) every shard journaled.
     pub barriers: u64,
-    /// Per-shard local window solves that ran.
-    pub local_solves: u64,
-    /// Per-shard local windows skipped because the local problem failed
-    /// validation (e.g. merged cages at the window start).
-    pub local_skips: u64,
-    /// Live (parallel) planning windows executed.
-    pub live_windows: u64,
-    /// Seam-crossing [`HandoffMsg`]es sent over the live planner's
-    /// export→import channels.
-    pub seam_messages: u64,
-    /// Seam messages a destination shard folded into its local planning
-    /// problem (announcements whose seam entry cell was free).
-    pub seam_imports: u64,
 }
 
-/// A transfer declared for the current window: where the particle is
-/// headed, and — once its removal has been mirrored — which shard
-/// exported it.
-#[derive(Debug, Clone, Copy)]
-struct PendingTransfer {
-    to: GridCoord,
-    exported_from: Option<usize>,
-}
-
-/// A typed seam-crossing announcement exchanged over the live planner's
-/// handoff channels: "particle `id`, currently at `from` in shard
-/// `from_shard`, is declared to land at `to` in shard `to_shard` this
-/// window". Receivers sort their inbox by `id` before planning, which
-/// makes the exchange deterministic for any channel arrival order (a
-/// particle has at most one declared transfer per window, so `id` is a
-/// total order on the inbox).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HandoffMsg {
-    /// The crossing particle.
-    pub id: ParticleId,
-    /// Shard currently hosting the particle.
-    pub from_shard: usize,
-    /// Shard owning the declared destination cell.
-    pub to_shard: usize,
-    /// Global cell the particle occupies at the window start.
-    pub from: GridCoord,
-    /// Global destination cell of the declared transfer.
-    pub to: GridCoord,
-}
-
-/// Per-window report of one [`LiveFleetPlanner::plan_window`] call,
-/// summed over the shard workers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LiveWindowReport {
-    /// Shard windows solved.
-    pub solves: u64,
-    /// Shard windows skipped (no goal, or local validation failure).
-    pub skips: u64,
-    /// Seam messages sent across the handoff channels.
-    pub seam_messages: u64,
-    /// Seam messages folded into a destination shard's problem.
-    pub seam_imports: u64,
-}
-
-/// A fleet of per-shard [`ChipState`]s maintained as an exact, journaled
-/// decomposition of one global chip.
+/// Projects a monolithic journal onto the shards of `topology`.
 ///
-/// The owner of the global [`ChipState`] drives the simulation exactly as
-/// in the monolithic path and mirrors each successful mutation here; the
-/// mirrors never touch global state, RNG or the global journal, so a
-/// sharded run's global journal is byte-identical to the monolithic run
-/// by construction. Mirror calls panic if the fleet ever desynchronises
-/// from the global chip — that is a bug, not an input error, because a
-/// mutation that succeeded globally must succeed in the owning shard
-/// (shard occupancy is a subset of global occupancy, so every separation
-/// and bounds argument carries over).
-#[derive(Debug)]
-pub struct ShardedState {
-    topology: FleetTopology,
-    shards: Vec<ChipState>,
-    caches: Vec<RouterCache>,
-    /// Which shard currently hosts each particle.
-    locate: HashMap<ParticleId, usize>,
-    /// Transfers declared for the current window.
-    pending: HashMap<ParticleId, PendingTransfer>,
-    stats: FleetStats,
-}
-
-impl ShardedState {
-    /// Creates an empty fleet over `topology`, one journaled [`ChipState`]
-    /// and one warm-startable [`RouterCache`] per shard.
-    pub fn new(topology: FleetTopology) -> Self {
-        let sep = topology.min_separation().max(1);
-        let shards: Vec<ChipState> = (0..topology.shard_count())
-            .map(|s| {
-                let mut state = ChipState::with_separation(topology.local_dims(s), sep);
-                state.attach_journal();
-                state
-            })
-            .collect();
-        let caches = (0..topology.shard_count())
-            .map(|_| RouterCache::new())
-            .collect();
-        Self {
-            topology,
-            shards,
-            caches,
-            locate: HashMap::new(),
-            pending: HashMap::new(),
-            stats: FleetStats::default(),
-        }
-    }
-
-    /// The fleet topology.
-    pub fn topology(&self) -> &FleetTopology {
-        &self.topology
-    }
-
-    /// Read access to one shard state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn shard(&self, shard: usize) -> &ChipState {
-        &self.shards[shard]
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Handoff and planning counters so far.
-    pub fn stats(&self) -> FleetStats {
-        self.stats
-    }
-
-    /// Warm-start cache statistics of one shard's [`RouterCache`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn cache_stats(&self, shard: usize) -> CacheStats {
-        self.caches[shard].stats()
-    }
-
-    /// Particles currently hosted per shard — the load-imbalance probe.
-    pub fn shard_populations(&self) -> Vec<usize> {
-        self.shards.iter().map(ChipState::particle_count).collect()
-    }
-
-    /// Declares the transfers of the upcoming window: `(id, from, to)`
-    /// triples taken from the routing outcome *before* any particle is
-    /// lifted. Declaring up front is what lets each subsequent mirror call
-    /// journal the handoff halves in application order.
-    pub fn begin_transfers(&mut self, transfers: &[(ParticleId, GridCoord, GridCoord)]) {
-        for &(id, _from, to) in transfers {
-            self.pending.insert(
-                id,
-                PendingTransfer {
-                    to,
-                    exported_from: None,
-                },
-            );
-        }
-    }
-
-    /// Plans each shard's declared-transfer window locally through the
-    /// incremental router, one content-keyed [`RouterCache`] per shard —
-    /// so an unchanged shard window warm-starts from its own cache.
-    /// Shards with no in-shard transfer target are skipped outright; a
-    /// shard whose local problem fails validation (merged cages share a
-    /// start site, or two holds collide with a goal) degrades to a
-    /// counted skip, never an error: the global plan remains the source
-    /// of executed motion.
-    pub fn route_windows(&mut self, router: &IncrementalRouter) {
-        for s in 0..self.shards.len() {
-            let members: Vec<(ParticleId, GridCoord)> =
-                self.shards[s].grid().iter_particles().collect();
-            if members.is_empty() {
-                continue;
-            }
-            let mut any_goal = false;
-            let requests: Vec<RoutingRequest> = members
-                .iter()
-                .map(|&(id, start)| {
-                    let goal = match self.pending.get(&id) {
-                        Some(pending) if self.topology.owner(pending.to) == s => {
-                            let local = self.topology.to_local(s, pending.to);
-                            if local != start {
-                                any_goal = true;
-                            }
-                            local
-                        }
-                        _ => start,
-                    };
-                    RoutingRequest { id, start, goal }
-                })
-                .collect();
-            if !any_goal {
-                continue;
-            }
-            let mut problem = RoutingProblem::new(self.topology.local_dims(s), requests);
-            problem.min_separation = self.topology.min_separation();
-            // One planner window per call: the fleet plans shard-local
-            // windows, it does not re-derive the global trajectory.
-            problem.max_steps = router.shards.window.max(1) as usize;
-            match router.solve_cached(&problem, &mut self.caches[s]) {
-                Ok(_) => self.stats.local_solves += 1,
-                Err(_) => self.stats.local_skips += 1,
-            }
-        }
-    }
-
-    /// The parallel variant of [`route_windows`](Self::route_windows):
-    /// one worker thread per shard plans its window concurrently,
-    /// resolving seam crossings through the [`LiveFleetPlanner`]'s
-    /// two-phase export→import channel protocol. Bit-equivalent in
-    /// journal terms (neither path touches any journal); the live path
-    /// additionally folds announced seam arrivals into the destination
-    /// shard's window problem.
-    pub fn route_windows_live(&mut self, router: &IncrementalRouter) -> LiveWindowReport {
-        LiveFleetPlanner::new(*router).plan_window(self)
-    }
-
-    /// Mirrors a successful global placement into the owning shard. A
-    /// declared transfer whose removal was journaled as an export lands
-    /// as a typed [handoff import](ChipState::import_particle); everything
-    /// else is a plain placement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard rejects the placement — impossible while the
-    /// fleet mirrors a valid global chip.
-    pub fn mirror_place(&mut self, id: ParticleId, at: GridCoord) {
-        let shard = self.topology.owner(at);
-        let local = self.topology.to_local(shard, at);
-        match self.pending.remove(&id) {
-            Some(PendingTransfer {
-                exported_from: Some(from_shard),
-                ..
-            }) => {
-                self.shards[shard]
-                    .import_particle(id, local, from_shard)
-                    .expect("mirror of a successful global place cannot fail");
-                self.stats.imports += 1;
-            }
-            _ => {
-                self.shards[shard]
-                    .place(id, local)
-                    .expect("mirror of a successful global place cannot fail");
-            }
-        }
-        self.locate.insert(id, shard);
-    }
-
-    /// Mirrors a successful global removal out of the hosting shard. A
-    /// declared transfer headed to another shard is journaled as a typed
-    /// [handoff export](ChipState::export_particle); everything else is a
-    /// plain removal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the particle is not tracked by the fleet — impossible
-    /// while the fleet mirrors a valid global chip.
-    pub fn mirror_remove(&mut self, id: ParticleId) {
-        let shard = self
-            .locate
-            .remove(&id)
-            .expect("mirror of a successful global remove cannot miss");
-        let export_to = match self.pending.get(&id) {
-            Some(pending) => {
-                let destination = self.topology.owner(pending.to);
-                (destination != shard).then_some(destination)
-            }
-            None => None,
-        };
-        match export_to {
-            Some(destination) => {
-                self.shards[shard]
-                    .export_particle(id, destination)
-                    .expect("mirror of a successful global remove cannot miss");
-                if let Some(pending) = self.pending.get_mut(&id) {
-                    pending.exported_from = Some(shard);
+/// The global events are folded, in order, into one journaled
+/// [`ChipState`] per shard:
+///
+/// * `Placed`, `PlacedMerged` and `Removed` go to the shard that owns the
+///   cell, in that shard's local frame;
+/// * `PlanReplaced` is split by owner — every shard journals its share of
+///   the goals (possibly empty);
+/// * `Charged` and the phase markers go to every shard, so each shard
+///   carries the complete ledger and the same phase boundaries.
+///
+/// **Handoff rule.** A `Removed { id, from }` is journaled as
+/// `HandoffExported { to_shard }` exactly when the next `Placed` of `id`
+/// before the next `PhaseFinished`/`PhaseAborted` lands in another shard;
+/// that placement becomes the matching `HandoffImported { from_shard }`.
+/// In-shard moves, flushes, a particle re-placed only after a phase
+/// boundary, and a removal whose next placement is a merge (an import
+/// must land on a free cage) all journal a plain removal. So does a lift
+/// whose phase aborted before the settle: no particle is left in flight.
+///
+/// # Panics
+///
+/// Panics if `global` is not the journal of a valid run over
+/// `topology.dims()` (check it with [`replay`](crate::journal::replay)
+/// first when it comes from outside the program).
+pub fn project(global: &Journal, topology: &FleetTopology) -> FleetOutcome {
+    let events = global.events();
+    let destinations = handoff_destinations(events, topology);
+    let sep = topology.min_separation().max(1);
+    let mut shards: Vec<ChipState> = (0..topology.shard_count())
+        .map(|s| {
+            let mut state = ChipState::with_separation(topology.local_dims(s), sep);
+            state.attach_journal();
+            state
+        })
+        .collect();
+    let mut stats = FleetStats::default();
+    // Exported particles awaiting their import, keyed to the exporter.
+    let mut in_transit: HashMap<ParticleId, usize> = HashMap::new();
+    let localise = |at: GridCoord| {
+        let shard = topology.owner(at);
+        (shard, topology.to_local(shard, at))
+    };
+    const INVALID: &str = "a valid global journal projects onto its owning shards";
+    for (position, event) in events.iter().enumerate() {
+        match event {
+            Event::PhaseStarted { index, name } => {
+                for shard in &mut shards {
+                    shard.note_phase_started(*index, name);
                 }
-                self.stats.exports += 1;
             }
-            None => {
-                self.shards[shard]
-                    .remove(id)
-                    .expect("mirror of a successful global remove cannot miss");
+            Event::PhaseFinished { index } => {
+                for shard in &mut shards {
+                    shard.note_phase_finished(*index);
+                }
+                stats.barriers += 1;
             }
-        }
-    }
-
-    /// Mirrors a successful global merge placement into the owning shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is outside the array.
-    pub fn mirror_place_merged(&mut self, id: ParticleId, at: GridCoord) {
-        let shard = self.topology.owner(at);
-        let local = self.topology.to_local(shard, at);
-        self.pending.remove(&id);
-        self.shards[shard].place_merged(id, local);
-        self.locate.insert(id, shard);
-    }
-
-    /// Mirrors a global plan replacement: each shard's plan becomes the
-    /// goals it owns, localised; every shard journals the replacement
-    /// (possibly empty), preserving the barrier structure of the trace.
-    pub fn mirror_plan(&mut self, goals: &[GridCoord]) {
-        for s in 0..self.shards.len() {
-            let local: Vec<GridCoord> = goals
-                .iter()
-                .filter(|&&goal| self.topology.owner(goal) == s)
-                .map(|&goal| self.topology.to_local(s, goal))
-                .collect();
-            self.shards[s].set_plan_from_goals(local);
-        }
-    }
-
-    /// Mirrors a global time charge into every shard, so each shard
-    /// journal carries the complete ledger and [`compose`](Self::compose)
-    /// reproduces the monolithic ledger bit-for-bit.
-    pub fn mirror_charge(&mut self, ledger: TimeLedger, duration: Seconds) {
-        for shard in &mut self.shards {
-            shard.charge(ledger, duration);
-        }
-    }
-
-    /// Broadcasts a phase-start marker to every shard journal.
-    pub fn note_phase_started(&mut self, index: usize, name: &str) {
-        for shard in &mut self.shards {
-            shard.note_phase_started(index, name);
-        }
-    }
-
-    /// Broadcasts a phase-completion marker to every shard journal.
-    pub fn note_phase_finished(&mut self, index: usize) {
-        for shard in &mut self.shards {
-            shard.note_phase_finished(index);
-        }
-    }
-
-    /// Broadcasts a phase-abort marker to every shard journal.
-    pub fn note_phase_aborted(&mut self, index: usize, reason: &str) {
-        for shard in &mut self.shards {
-            shard.note_phase_aborted(index, reason);
-        }
-    }
-
-    /// The staggered-phase barrier: a rendezvous point at the end of each
-    /// phase where every declared transfer has settled. Undelivered
-    /// declarations (a phase that aborted mid-window) are dropped so the
-    /// next window starts clean.
-    pub fn barrier(&mut self) {
-        self.pending.clear();
-        self.stats.barriers += 1;
-    }
-
-    /// Folds the shard states back into one global [`ChipState`]: every
-    /// particle at its global coordinate, the plan the union of the shard
-    /// plans, the ledger taken from shard 0 (all shards charge
-    /// identically). The result compares equal to — and hashes
-    /// identically with — the monolithic state the fleet mirrored.
-    pub fn compose(&self) -> ChipState {
-        let sep = self.topology.min_separation().max(1);
-        let mut composed = ChipState::with_separation(self.topology.dims(), sep);
-        for (s, shard) in self.shards.iter().enumerate() {
-            for (id, local) in shard.grid().iter_particles() {
-                // Merge-tolerant placement: the shard may legitimately
-                // hold merged cages, and the grid's id-keyed map makes
-                // the insertion order irrelevant.
-                composed.place_merged(id, self.topology.to_global(s, local));
+            Event::PhaseAborted { index, reason } => {
+                for shard in &mut shards {
+                    shard.note_phase_aborted(*index, reason);
+                }
+                stats.barriers += 1;
             }
-        }
-        let mut plan: Vec<GridCoord> = Vec::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            plan.extend(
-                shard
-                    .plan()
-                    .occupied_sites()
-                    .into_iter()
-                    .map(|site| self.topology.to_global(s, site)),
-            );
-        }
-        composed.set_plan_from_goals(plan);
-        if let Some(first) = self.shards.first() {
-            let time = *first.time();
-            debug_assert!(
-                self.shards.iter().all(|shard| *shard.time() == time),
-                "mirror_charge keeps every shard ledger identical"
-            );
-            composed.charge(TimeLedger::Fluidics, time.fluidics);
-            composed.charge(TimeLedger::Sensing, time.sensing);
-            composed.charge(TimeLedger::Motion, time.motion);
-            composed.charge(TimeLedger::Recovery, time.recovery);
-        }
-        composed
-    }
-
-    /// Finishes the run: detaches every shard journal and returns the
-    /// fleet's outcome record.
-    pub fn into_outcome(mut self) -> FleetOutcome {
-        let journals: Vec<Journal> = self
-            .shards
-            .iter_mut()
-            .map(|shard| shard.take_journal().expect("fleet shards are journaled"))
-            .collect();
-        let cache_stats = (0..self.shards.len())
-            .map(|s| self.caches[s].stats())
-            .collect();
-        FleetOutcome {
-            topology: self.topology,
-            states: self.shards,
-            journals,
-            stats: self.stats,
-            cache_stats,
-        }
-    }
-}
-
-/// Live parallel per-shard window planner.
-///
-/// Where [`ShardedState::route_windows`] walks the shards in a serial
-/// loop, the live planner spawns **one worker thread per shard**, each
-/// owning its shard's [`RouterCache`] (and therefore its pooled A\*
-/// arenas) for the duration of the window. Seam traffic is exchanged in
-/// a two-phase protocol over typed [`mpsc`] channels:
-///
-/// 1. **Export** — every worker scans the declared transfers of the
-///    particles it hosts and sends a [`HandoffMsg`] to the destination
-///    shard's channel for each one leaving its shard, then waits on a
-///    [`Barrier`].
-/// 2. **Import** — past the barrier every send has happened-before every
-///    drain, so each worker drains its inbox completely, sorts it by
-///    particle id, and folds the announced arrivals into its local
-///    window problem (seam entry cell = the sender's position clamped
-///    into the receiver's halo rect; arrivals whose entry cell is
-///    already taken are deferred to a later window).
-///
-/// The sorted drain is the determinism argument: the request set each
-/// shard plans is a pure function of the window-start state and the
-/// declared transfers, never of channel arrival order or thread
-/// interleaving, so cache contents and planning outcomes are
-/// bit-identical across runs and thread schedules.
-#[derive(Debug, Clone, Copy)]
-pub struct LiveFleetPlanner {
-    router: IncrementalRouter,
-}
-
-impl LiveFleetPlanner {
-    /// Creates a live planner over the given incremental router.
-    pub fn new(router: IncrementalRouter) -> Self {
-        Self { router }
-    }
-
-    /// Plans every shard's declared-transfer window concurrently and
-    /// returns the summed per-worker report. Updates the fleet's
-    /// [`FleetStats`] counters (`local_solves`, `local_skips`,
-    /// `live_windows`, `seam_messages`, `seam_imports`).
-    pub fn plan_window(&self, fleet: &mut ShardedState) -> LiveWindowReport {
-        let router = self.router;
-        let topology = &fleet.topology;
-        let pending = &fleet.pending;
-        let workers = fleet.shards.len();
-        let barrier = Barrier::new(workers);
-        let (txs, rxs): (Vec<_>, Vec<_>) =
-            (0..workers).map(|_| mpsc::channel::<HandoffMsg>()).unzip();
-        let reports: Vec<LiveWindowReport> = std::thread::scope(|scope| {
-            let handles: Vec<_> = fleet
-                .shards
-                .iter()
-                .zip(fleet.caches.iter_mut())
-                .zip(rxs)
-                .enumerate()
-                .map(|(s, ((shard, cache), rx))| {
-                    let txs = txs.clone();
-                    let barrier = &barrier;
-                    scope.spawn(move || {
-                        let mut report = LiveWindowReport::default();
-                        let members: Vec<(ParticleId, GridCoord)> =
-                            shard.grid().iter_particles().collect();
-                        // Phase 1 — export: announce every declared
-                        // transfer leaving this shard to its destination.
-                        for &(id, start) in &members {
-                            if let Some(transfer) = pending.get(&id) {
-                                let destination = topology.owner(transfer.to);
-                                if destination != s {
-                                    let msg = HandoffMsg {
-                                        id,
-                                        from_shard: s,
-                                        to_shard: destination,
-                                        from: topology.to_global(s, start),
-                                        to: transfer.to,
-                                    };
-                                    txs[destination]
-                                        .send(msg)
-                                        .expect("live planner receivers outlive the export phase");
-                                    report.seam_messages += 1;
-                                }
-                            }
-                        }
-                        drop(txs);
-                        barrier.wait();
-                        // Phase 2 — import: every send happened before
-                        // the barrier, so the drain is complete; the
-                        // sort pins a deterministic order.
-                        let mut inbox: Vec<HandoffMsg> = rx.try_iter().collect();
-                        inbox.sort_by_key(|msg| msg.id);
-
-                        let mut any_goal = false;
-                        let mut requests: Vec<RoutingRequest> = members
+            Event::Placed { id, at } | Event::HandoffImported { id, at, .. } => {
+                let (shard, at) = localise(*at);
+                match in_transit.remove(id) {
+                    Some(from_shard) => {
+                        stats.imports += 1;
+                        shards[shard].import_particle(*id, at, from_shard)
+                    }
+                    None => shards[shard].place(*id, at),
+                }
+                .expect(INVALID);
+            }
+            Event::Removed { id, from } | Event::HandoffExported { id, from, .. } => {
+                let (shard, _) = localise(*from);
+                match destinations[position] {
+                    Some(to_shard) if to_shard != shard => {
+                        stats.exports += 1;
+                        in_transit.insert(*id, shard);
+                        shards[shard].export_particle(*id, to_shard)
+                    }
+                    _ => shards[shard].remove(*id),
+                }
+                .expect(INVALID);
+            }
+            Event::PlacedMerged { id, at } => {
+                let (shard, at) = localise(*at);
+                shards[shard].place_merged(*id, at);
+            }
+            Event::PlanReplaced { goals } => {
+                for (s, shard) in shards.iter_mut().enumerate() {
+                    shard.set_plan_from_goals(
+                        goals
                             .iter()
-                            .map(|&(id, start)| {
-                                let goal = match pending.get(&id) {
-                                    Some(transfer) if topology.owner(transfer.to) == s => {
-                                        let local = topology.to_local(s, transfer.to);
-                                        if local != start {
-                                            any_goal = true;
-                                        }
-                                        local
-                                    }
-                                    _ => start,
-                                };
-                                RoutingRequest { id, start, goal }
-                            })
-                            .collect();
-                        // Announced arrivals: plan each from its seam
-                        // entry cell toward its destination. An entry
-                        // cell already taken (a resident, or an earlier
-                        // arrival in id order) defers the crossing to a
-                        // later window.
-                        let rect = topology.halo_rect(s);
-                        let mut taken: HashSet<GridCoord> =
-                            members.iter().map(|&(_, at)| at).collect();
-                        for msg in &inbox {
-                            let entry_global = GridCoord::new(
-                                msg.from.x.clamp(rect.min.x, rect.max.x),
-                                msg.from.y.clamp(rect.min.y, rect.max.y),
-                            );
-                            let entry = topology.to_local(s, entry_global);
-                            if !taken.insert(entry) {
-                                continue;
-                            }
-                            let goal = topology.to_local(s, msg.to);
-                            if entry != goal {
-                                any_goal = true;
-                            }
-                            report.seam_imports += 1;
-                            requests.push(RoutingRequest {
-                                id: msg.id,
-                                start: entry,
-                                goal,
-                            });
-                        }
-                        if !any_goal || requests.is_empty() {
-                            return report;
-                        }
-                        let mut problem = RoutingProblem::new(topology.local_dims(s), requests);
-                        problem.min_separation = topology.min_separation();
-                        // One planner window per call, exactly like the
-                        // serial path: advisory shard-local lookahead,
-                        // not a re-derivation of the global trajectory.
-                        problem.max_steps = router.shards.window.max(1) as usize;
-                        match router.solve_cached(&problem, cache) {
-                            Ok(_) => report.solves += 1,
-                            Err(_) => report.skips += 1,
-                        }
-                        report
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("live shard planner panicked"))
-                .collect()
-        });
-        let mut total = LiveWindowReport::default();
-        for report in reports {
-            total.solves += report.solves;
-            total.skips += report.skips;
-            total.seam_messages += report.seam_messages;
-            total.seam_imports += report.seam_imports;
+                            .filter(|&&goal| topology.owner(goal) == s)
+                            .map(|&goal| topology.to_local(s, goal)),
+                    );
+                }
+            }
+            Event::Charged { ledger, seconds } => {
+                for shard in &mut shards {
+                    shard.charge(*ledger, *seconds);
+                }
+            }
         }
-        fleet.stats.local_solves += total.solves;
-        fleet.stats.local_skips += total.skips;
-        fleet.stats.live_windows += 1;
-        fleet.stats.seam_messages += total.seam_messages;
-        fleet.stats.seam_imports += total.seam_imports;
-        total
+    }
+    let journals = shards
+        .iter_mut()
+        .map(|shard| shard.take_journal().expect("shards are journaled"))
+        .collect();
+    FleetOutcome {
+        topology: topology.clone(),
+        states: shards,
+        journals,
+        stats,
     }
 }
 
-/// Everything a finished sharded run leaves behind: the final shard
-/// states, their journals, and the handoff/planning counters.
+/// For every removal in `events`, the shard its particle is next placed
+/// in (plainly, not merged) before the phase ends — `None` for every other
+/// event. One backward pass, cleared at each phase boundary: a route
+/// phase lifts all its particles before settling any, so scanning forward
+/// from each removal would be quadratic in the population.
+fn handoff_destinations(events: &[Event], topology: &FleetTopology) -> Vec<Option<usize>> {
+    let mut destinations = vec![None; events.len()];
+    // The next placement of each particle later in the current segment:
+    // its owning shard, or `None` for a merge.
+    let mut next: HashMap<ParticleId, Option<usize>> = HashMap::new();
+    for (position, event) in events.iter().enumerate().rev() {
+        match event {
+            Event::PhaseFinished { .. } | Event::PhaseAborted { .. } => next.clear(),
+            Event::Placed { id, at } | Event::HandoffImported { id, at, .. } => {
+                next.insert(*id, Some(topology.owner(*at)));
+            }
+            Event::PlacedMerged { id, .. } => {
+                next.insert(*id, None);
+            }
+            Event::Removed { id, .. } | Event::HandoffExported { id, .. } => {
+                destinations[position] = next.remove(id).flatten();
+            }
+            Event::PhaseStarted { .. } | Event::PlanReplaced { .. } | Event::Charged { .. } => {}
+        }
+    }
+    destinations
+}
+
+/// A projected fleet: the final shard states, their journals, and the
+/// handoff counters.
 #[derive(Debug, Clone)]
 pub struct FleetOutcome {
-    /// The topology the run was sharded under.
+    /// The topology the fleet is sharded under.
     pub topology: FleetTopology,
     /// Final per-shard states (journals detached).
     pub states: Vec<ChipState>,
     /// Per-shard journals, handoff events included.
     pub journals: Vec<Journal>,
-    /// Handoff and planning counters.
+    /// Handoff counters.
     pub stats: FleetStats,
-    /// Per-shard warm-start cache statistics.
-    pub cache_stats: Vec<CacheStats>,
 }
 
 impl FleetOutcome {
     /// Replays every shard journal through the ordinary
     /// [`replay`](crate::journal::replay) oracle and counts shards whose
-    /// replayed state hash misses the live shard state — must be zero.
+    /// replayed state hash misses the shard state — must be zero.
     pub fn replay_divergences(&self) -> usize {
         let sep = self.topology.min_separation().max(1);
         (0..self.states.len())
@@ -854,13 +385,20 @@ impl FleetOutcome {
             .count()
     }
 
-    /// Folds the final shard states into one global [`ChipState`] (see
-    /// [`ShardedState::compose`]).
+    /// Folds the shard states back into one global [`ChipState`]: every
+    /// particle at its global coordinate, the plan the union of the shard
+    /// plans, the ledger taken from shard 0 (all shards charge
+    /// identically). The result compares equal to — and hashes
+    /// identically with — the monolithic state the fleet was projected
+    /// from.
     pub fn compose(&self) -> ChipState {
         let sep = self.topology.min_separation().max(1);
         let mut composed = ChipState::with_separation(self.topology.dims(), sep);
         for (s, state) in self.states.iter().enumerate() {
             for (id, local) in state.grid().iter_particles() {
+                // Merge-tolerant placement: a shard may legitimately hold
+                // merged cages, and the grid's id-keyed map makes the
+                // insertion order irrelevant.
                 composed.place_merged(id, self.topology.to_global(s, local));
             }
         }
@@ -894,7 +432,7 @@ impl FleetOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::Event;
+    use labchip_units::Seconds;
 
     #[test]
     fn topology_partitions_every_cell_exactly_once() {
@@ -940,188 +478,158 @@ mod tests {
         assert_eq!(topo.to_local(0, GridCoord::new(7, 3)), GridCoord::new(7, 3));
     }
 
-    /// Drives a small global chip and its mirror through a
-    /// boundary-crossing move, then checks composition, handoff journaling
-    /// and per-shard replay.
+    fn kinds(journal: &Journal) -> Vec<&'static str> {
+        journal.events().iter().map(Event::kind).collect()
+    }
+
+    /// A cross-seam move inside one phase projects to an export/import
+    /// pair; the shards compose back to the global state and replay.
     #[test]
-    fn mirrored_handoff_composes_and_replays_bit_identically() {
+    fn projected_handoff_composes_and_replays_bit_identically() {
         let dims = GridDims::square(16);
-        let sep = 2;
-        let mut global = ChipState::with_separation(dims, sep);
+        let mut global = ChipState::with_separation(dims, 2);
         global.attach_journal();
-        let topo = FleetTopology::new(dims, sep, 2, 1);
-        let mut fleet = ShardedState::new(topo);
-
-        // Place two particles, one per shard half.
-        for (id, at) in [(1u64, GridCoord::new(2, 8)), (2, GridCoord::new(13, 8))] {
-            global.place(ParticleId(id), at).unwrap();
-            fleet.mirror_place(ParticleId(id), at);
-        }
-        // Move particle 1 across the x = 8 boundary: declared transfer,
-        // lift, settle — the mirror journals an export/import pair.
-        let from = GridCoord::new(2, 8);
-        let to = GridCoord::new(11, 4);
-        fleet.begin_transfers(&[(ParticleId(1), from, to)]);
+        global.note_phase_started(0, "load");
+        global.place(ParticleId(1), GridCoord::new(2, 8)).unwrap();
+        global.place(ParticleId(2), GridCoord::new(13, 8)).unwrap();
+        global.charge(TimeLedger::Fluidics, Seconds::new(60.0));
+        global.note_phase_finished(0);
+        // Route: lift both, then settle — particle 1 crosses x = 8.
+        global.note_phase_started(1, "route");
         global.remove(ParticleId(1)).unwrap();
-        fleet.mirror_remove(ParticleId(1));
-        global.place(ParticleId(1), to).unwrap();
-        fleet.mirror_place(ParticleId(1), to);
-        let goals = vec![to, GridCoord::new(13, 8)];
-        global.set_plan_from_goals(goals.iter().copied());
-        fleet.mirror_plan(&goals);
+        global.remove(ParticleId(2)).unwrap();
+        global.place(ParticleId(1), GridCoord::new(11, 4)).unwrap();
+        global.place(ParticleId(2), GridCoord::new(13, 8)).unwrap();
+        global.set_plan_from_goals([GridCoord::new(11, 4), GridCoord::new(13, 8)]);
         global.charge(TimeLedger::Motion, Seconds::new(1.25));
-        fleet.mirror_charge(TimeLedger::Motion, Seconds::new(1.25));
-        fleet.barrier();
+        global.note_phase_finished(1);
+        let journal = global.take_journal().unwrap();
 
-        assert_eq!(fleet.stats().exports, 1);
-        assert_eq!(fleet.stats().imports, 1);
-        let composed = fleet.compose();
-        assert_eq!(composed, global);
-        assert_eq!(composed.state_hash(), global.state_hash());
+        let fleet = project(&journal, &FleetTopology::new(dims, 2, 2, 1));
         assert_eq!(
-            fleet.shard_populations(),
-            vec![0, 2],
+            kinds(&fleet.journals[0]),
+            [
+                "phase_started",
+                "placed",
+                "charged",
+                "phase_finished",
+                "phase_started",
+                "handoff_exported",
+                "plan_replaced",
+                "charged",
+                "phase_finished"
+            ]
+        );
+        assert_eq!(
+            kinds(&fleet.journals[1]),
+            [
+                "phase_started",
+                "placed",
+                "charged",
+                "phase_finished",
+                "phase_started",
+                "removed",
+                "handoff_imported",
+                "placed",
+                "plan_replaced",
+                "charged",
+                "phase_finished"
+            ]
+        );
+        assert!(fleet.journals[0]
+            .events()
+            .contains(&Event::HandoffExported {
+                id: ParticleId(1),
+                from: GridCoord::new(2, 8),
+                to_shard: 1,
+            }));
+        assert!(fleet.journals[1].events().iter().any(|event| matches!(
+            event,
+            Event::HandoffImported {
+                id: ParticleId(1),
+                from_shard: 0,
+                ..
+            }
+        )));
+        assert_eq!(fleet.stats.exports, 1);
+        assert_eq!(fleet.stats.imports, 1);
+        assert_eq!(fleet.stats.barriers, 2);
+        assert_eq!(fleet.handoffs(), 1);
+        assert_eq!(fleet.replay_divergences(), 0);
+        let populations: Vec<usize> = fleet.states.iter().map(ChipState::particle_count).collect();
+        assert_eq!(
+            populations,
+            [0, 2],
             "both particles ended in the right half"
         );
-
-        let outcome = fleet.into_outcome();
-        assert_eq!(outcome.handoffs(), 1);
-        assert_eq!(outcome.replay_divergences(), 0);
-        assert_eq!(outcome.compose().state_hash(), global.state_hash());
-        let kinds: Vec<&str> = outcome.journals[0]
-            .events()
-            .iter()
-            .map(Event::kind)
-            .collect();
-        assert!(kinds.contains(&"handoff_exported"));
-        let kinds: Vec<&str> = outcome.journals[1]
-            .events()
-            .iter()
-            .map(Event::kind)
-            .collect();
-        assert!(kinds.contains(&"handoff_imported"));
+        assert_eq!(fleet.compose(), global);
+        assert_eq!(fleet.compose().state_hash(), global.state_hash());
     }
 
+    /// In-shard moves, flushes, re-placements after a phase boundary and
+    /// merge landings all journal a plain removal — no handoff.
     #[test]
     fn in_shard_moves_journal_plain_remove_and_place() {
-        let dims = GridDims::square(12);
-        let topo = FleetTopology::new(dims, 2, 2, 1);
-        let mut fleet = ShardedState::new(topo);
-        fleet.mirror_place(ParticleId(7), GridCoord::new(1, 1));
-        fleet.begin_transfers(&[(ParticleId(7), GridCoord::new(1, 1), GridCoord::new(3, 3))]);
-        fleet.mirror_remove(ParticleId(7));
-        fleet.mirror_place(ParticleId(7), GridCoord::new(3, 3));
-        assert_eq!(fleet.stats().exports, 0);
-        assert_eq!(fleet.stats().imports, 0);
-        let outcome = fleet.into_outcome();
-        let kinds: Vec<&str> = outcome.journals[0]
-            .events()
-            .iter()
-            .map(Event::kind)
-            .collect();
-        assert_eq!(kinds, ["placed", "removed", "placed"]);
-    }
-
-    /// Builds a 2×1 fleet with one declared seam crossing and one
-    /// in-shard move, for the live-planner tests.
-    fn seam_fleet() -> ShardedState {
-        let dims = GridDims::square(24);
-        let topo = FleetTopology::new(dims, 2, 2, 1);
-        let mut fleet = ShardedState::new(topo);
-        fleet.mirror_place(ParticleId(1), GridCoord::new(10, 10));
-        fleet.mirror_place(ParticleId(2), GridCoord::new(20, 4));
-        fleet.begin_transfers(&[
-            // Crosses the x = 12 boundary: shard 0 exports, shard 1 imports.
-            (
-                ParticleId(1),
-                GridCoord::new(10, 10),
-                GridCoord::new(16, 10),
-            ),
-            // Stays in shard 1.
-            (ParticleId(2), GridCoord::new(20, 4), GridCoord::new(20, 8)),
-        ]);
-        fleet
-    }
-
-    #[test]
-    fn live_planner_exchanges_seam_traffic_and_plans_in_parallel() {
-        let mut fleet = seam_fleet();
-        let router = IncrementalRouter::default();
-        let report = fleet.route_windows_live(&router);
-        assert_eq!(report.seam_messages, 1, "{report:?}");
-        assert_eq!(report.seam_imports, 1, "{report:?}");
-        // Shard 1 plans both its resident and the announced arrival;
-        // shard 0's only resident is leaving, so it has no local goal.
-        assert_eq!(report.solves, 1, "{report:?}");
-        assert_eq!(report.skips, 0, "{report:?}");
-        let stats = fleet.stats();
-        assert_eq!(stats.live_windows, 1);
-        assert_eq!(stats.seam_messages, 1);
-        assert_eq!(stats.seam_imports, 1);
-        assert_eq!(stats.local_solves, 1);
-        // The window warmed shard 1's cache.
-        assert!(fleet.cache_stats(1).misses > 0);
-        // Re-planning the identical window warm-starts from the cache
-        // and reports identically — the protocol is deterministic.
-        let hits_before = fleet.cache_stats(1).hits;
-        let again = fleet.route_windows_live(&router);
-        assert_eq!(again, report);
-        assert!(fleet.cache_stats(1).hits > hits_before);
-    }
-
-    #[test]
-    fn live_planner_leaves_journals_untouched() {
-        let mut fleet = seam_fleet();
-        let router = IncrementalRouter::default();
-        let serial_lengths: Vec<usize> = {
-            let mut serial = seam_fleet();
-            serial.route_windows(&router);
-            serial
-                .into_outcome()
-                .journals
-                .iter()
-                .map(Journal::len)
-                .collect()
-        };
-        fleet.route_windows_live(&router);
-        let live_lengths: Vec<usize> = fleet
-            .into_outcome()
-            .journals
-            .iter()
-            .map(Journal::len)
-            .collect();
-        assert_eq!(live_lengths, serial_lengths, "planning never journals");
-    }
-
-    #[test]
-    fn live_planner_on_a_single_shard_degenerates_to_the_serial_window() {
         let dims = GridDims::square(16);
-        let mut fleet = ShardedState::new(FleetTopology::new(dims, 2, 1, 1));
-        fleet.mirror_place(ParticleId(9), GridCoord::new(2, 2));
-        fleet.begin_transfers(&[(ParticleId(9), GridCoord::new(2, 2), GridCoord::new(9, 9))]);
-        let report = fleet.route_windows_live(&IncrementalRouter::default());
-        assert_eq!(report.seam_messages, 0);
-        assert_eq!(report.seam_imports, 0);
-        assert_eq!(report.solves, 1);
-    }
+        let mut global = ChipState::with_separation(dims, 2);
+        global.attach_journal();
+        global.note_phase_started(0, "load");
+        global.place(ParticleId(7), GridCoord::new(1, 1)).unwrap();
+        global.place(ParticleId(8), GridCoord::new(3, 12)).unwrap();
+        global.note_phase_finished(0);
+        global.note_phase_started(1, "route");
+        // An in-shard move.
+        global.remove(ParticleId(7)).unwrap();
+        global.place(ParticleId(7), GridCoord::new(3, 3)).unwrap();
+        // Lifted here, re-placed in the other shard only after the
+        // phase boundary.
+        global.remove(ParticleId(8)).unwrap();
+        global.note_phase_finished(1);
+        global.note_phase_started(2, "flush");
+        global.place(ParticleId(8), GridCoord::new(12, 12)).unwrap();
+        // Lifted across the seam, but landing as a merge.
+        global.remove(ParticleId(8)).unwrap();
+        global.place_merged(ParticleId(8), GridCoord::new(3, 3));
+        // A flush removal with no later placement.
+        global.remove(ParticleId(7)).unwrap();
+        global.note_phase_finished(2);
+        let journal = global.take_journal().unwrap();
 
-    #[test]
-    fn route_windows_exercises_the_per_shard_caches() {
-        let dims = GridDims::square(24);
-        let topo = FleetTopology::new(dims, 2, 2, 1);
-        let mut fleet = ShardedState::new(topo);
-        fleet.mirror_place(ParticleId(1), GridCoord::new(2, 10));
-        fleet.mirror_place(ParticleId(2), GridCoord::new(20, 10));
-        fleet.begin_transfers(&[(ParticleId(1), GridCoord::new(2, 10), GridCoord::new(6, 10))]);
-        let router = IncrementalRouter::default();
-        fleet.route_windows(&router);
-        assert_eq!(fleet.stats().local_solves, 1, "only shard 0 has a goal");
-        let stats = fleet.cache_stats(0);
-        assert!(stats.misses > 0);
-        // The same declared window warm-starts from the shard cache.
-        fleet.route_windows(&router);
-        assert!(fleet.cache_stats(0).hits > stats.hits);
-        fleet.barrier();
-        assert_eq!(fleet.stats().barriers, 1);
+        let fleet = project(&journal, &FleetTopology::new(dims, 2, 2, 1));
+        assert_eq!(
+            kinds(&fleet.journals[0]),
+            [
+                "phase_started",
+                "placed",
+                "placed",
+                "phase_finished",
+                "phase_started",
+                "removed",
+                "placed",
+                "removed",
+                "phase_finished",
+                "phase_started",
+                "placed_merged",
+                "removed",
+                "phase_finished"
+            ]
+        );
+        assert_eq!(
+            kinds(&fleet.journals[1]),
+            [
+                "phase_started",
+                "phase_finished",
+                "phase_started",
+                "phase_finished",
+                "phase_started",
+                "placed",
+                "removed",
+                "phase_finished"
+            ]
+        );
+        assert_eq!(fleet.stats.exports, 0);
+        assert_eq!(fleet.stats.imports, 0);
+        assert_eq!(fleet.replay_divergences(), 0);
+        assert_eq!(fleet.compose().state_hash(), global.state_hash());
     }
 }

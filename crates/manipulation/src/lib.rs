@@ -69,7 +69,7 @@ pub mod state;
 pub mod prelude {
     pub use crate::cage::{CageGrid, ParticleId};
     pub use crate::error::ManipulationError;
-    pub use crate::fleet::{FleetOutcome, FleetStats, FleetTopology, ShardedState};
+    pub use crate::fleet::{FleetOutcome, FleetStats, FleetTopology};
     pub use crate::journal::{Event, FaultPlan, Journal};
     pub use crate::metrics::{SustainedThroughput, ThroughputReport};
     pub use crate::ops::Manipulator;
