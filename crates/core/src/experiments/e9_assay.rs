@@ -1,20 +1,24 @@
 //! E9 — the assembled device (Fig. 3) runs an end-to-end assay.
 //!
-//! A complete single-cell isolation assay is executed against the packaged
-//! chip model: load a sample, scan the sensors, isolate the target cell,
-//! wash the rest to the waste edge, recover the target. The result is the
-//! time budget split between fluidic handling, sensing and cage motion — the
-//! system-level confirmation that mass transfer, not electronics, dominates
-//! the experiment (and that the packaged device has everything it needs).
+//! A complete single-cell isolation assay runs on the journaled
+//! [`ChipState`] of the packaged chip: load a sample, scan the sensors,
+//! isolate the target cell with [`ops`], scan again, wash the rest to the
+//! waste edge, recover the target. The result is the time budget split
+//! between fluidic handling, sensing and cage motion — the system-level
+//! confirmation that mass transfer, not electronics, dominates the
+//! experiment (and that the packaged device has everything it needs).
+//! Overrides that leave no room for a cell degrade instead of failing:
+//! the report counts the cells actually placed, and isolate, wash and
+//! recover are skipped when there is no target.
 
 use crate::experiments::ExperimentTable;
 use crate::scenario::{Scenario, ScenarioContext};
-use labchip_array::pattern::{CagePattern, PatternKind};
 use labchip_fluidics::fabrication::{FabricationProcess, ProcessKind};
 use labchip_fluidics::packaging::PackagingStack;
 use labchip_manipulation::cage::ParticleId;
-use labchip_manipulation::ops::Manipulator;
-use labchip_manipulation::protocol::{Protocol, ProtocolExecutor, ProtocolStep};
+use labchip_manipulation::error::ManipulationError;
+use labchip_manipulation::ops;
+use labchip_manipulation::state::{ChipState, TimeLedger};
 use labchip_sensing::averaging::FrameAverager;
 use labchip_sensing::scan::ScanTiming;
 use labchip_units::{GridCoord, GridDims, Seconds};
@@ -95,66 +99,75 @@ impl From<Results> for ExperimentTable {
     }
 }
 
-fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
+/// Runs the assay on a fresh journaled chip state and returns the final
+/// state (journal still attached) with the results.
+fn run_assay(config: &Config, ctx: &mut ScenarioContext) -> (ChipState, Results) {
     let dims = GridDims::square(config.array_side);
+    let mut state = ChipState::new(dims);
+    state.attach_journal();
+    let step_period = ops::reference_step_period();
 
-    // Load sites: a lattice in the central region, enough for the requested
-    // number of cells.
-    let lattice = CagePattern::new(
-        dims,
-        PatternKind::Lattice {
-            period: 4,
-            offset: GridCoord::new(2, 2),
-        },
-    )
-    .expect("period-4 lattice is valid");
-    let sites: Vec<GridCoord> = lattice
-        .cage_sites()
-        .iter()
-        .copied()
+    // Load: cells trap on the first sites, row by row, of a period-4
+    // lattice from (2, 2) — as many as the array holds up to the requested
+    // number. Ids are assigned in coordinate order.
+    let side = config.array_side;
+    let mut sites: Vec<GridCoord> = (2..side)
+        .step_by(4)
+        .flat_map(|y| (2..side).step_by(4).map(move |x| GridCoord::new(x, y)))
         .take(config.cells as usize)
         .collect();
-    let load_pattern =
-        CagePattern::new(dims, PatternKind::Custom(sites)).expect("sites are on the array");
+    sites.sort_unstable();
+    let mut loaded = 0u32;
+    for site in sites {
+        if state.place(ParticleId(u64::from(loaded)), site).is_ok() {
+            loaded += 1;
+        }
+    }
+    state.charge(TimeLedger::Fluidics, config.load_time);
 
     // Detection scan time: full-array scan with the configured averaging.
     let scan_time = ScanTiming::date05_reference()
-        .averaged_scan_time(dims, &FrameAverager::new(config.detection_frames));
+        .averaged_scan_time(dims, &FrameAverager::new(config.detection_frames.max(1)));
 
     let target = ParticleId(0);
-    let protocol = Protocol::new("single-cell isolation")
-        .with_step(ProtocolStep::LoadSample {
-            pattern: load_pattern,
-            handling_time: config.load_time,
-        })
-        .with_step(ProtocolStep::Detect { scan_time })
-        .with_step(ProtocolStep::Isolate { id: target })
-        .with_step(ProtocolStep::Detect { scan_time })
-        .with_step(ProtocolStep::Wash { keep: vec![target] })
-        .with_step(ProtocolStep::Recover {
-            id: target,
-            handling_time: config.recover_time,
-        });
-
-    let mut manipulator = Manipulator::new(dims);
-    let report = ProtocolExecutor::new(&mut manipulator)
-        .run(&protocol)
-        .expect("the reference assay is executable");
+    let mut cage_steps = 0;
+    let mut recovered = 0;
+    state.charge(TimeLedger::Sensing, scan_time);
+    let mut isolate_and_recover = |state: &mut ChipState| -> Result<(), ManipulationError> {
+        cage_steps += ops::isolate(state, target, step_period)?;
+        state.charge(TimeLedger::Sensing, scan_time);
+        cage_steps += ops::wash_except(state, &[target], step_period)?;
+        state.remove(target)?;
+        state.charge(TimeLedger::Fluidics, config.recover_time);
+        recovered += 1;
+        Ok(())
+    };
+    if loaded == 0 {
+        state.charge(TimeLedger::Sensing, scan_time);
+        ctx.emit_row("no cell loaded: isolate, wash and recover skipped");
+    } else if let Err(error) = isolate_and_recover(&mut state) {
+        ctx.emit_row(format!("assay stopped: {error}"));
+    }
 
     // The physical device the assay runs on (Fig. 3).
     let stack = PackagingStack::date05_reference();
     let process = FabricationProcess::preset(ProcessKind::DryFilmResist);
-
+    let time = *state.time();
     let results = Results {
-        cells_loaded: config.cells,
-        cells_recovered: report.recovered.len(),
-        cage_steps: report.cage_steps,
-        fluidics: report.time.fluidics,
-        sensing: report.time.sensing,
-        motion: report.time.motion,
+        cells_loaded: loaded,
+        cells_recovered: recovered,
+        cage_steps,
+        fluidics: time.fluidics,
+        sensing: time.sensing,
+        motion: time.motion,
         device_turnaround: stack.assembly_turnaround(&process),
         device_cost_eur: stack.assembly_cost(&process).get(),
     };
+    (state, results)
+}
+
+fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
+    let (_, results) = run_assay(config, ctx);
     ctx.emit_row(format!(
         "recovered {}/{} cells in {} cage steps",
         results.cells_recovered, results.cells_loaded, results.cage_steps
@@ -237,6 +250,7 @@ impl Results {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use labchip_manipulation::journal::replay;
 
     fn run(config: &Config) -> Results {
         run_with(config, &mut ScenarioContext::silent("E9"))
@@ -248,6 +262,54 @@ mod tests {
         assert_eq!(results.cells_recovered, 1);
         assert!(results.cage_steps > 0);
         assert!(results.total_time().as_minutes() > 3.0);
+    }
+
+    #[test]
+    fn default_assay_output_is_pinned() {
+        let results = run(&Config::default());
+        assert_eq!(results.cells_loaded, 9);
+        assert_eq!(results.cells_recovered, 1);
+        assert_eq!(results.cage_steps, 93);
+        assert_eq!(results.fluidics, Seconds::new(240.0));
+        assert_eq!(results.sensing, Seconds::new(0.006144));
+        assert_eq!(results.motion, Seconds::new(37.2));
+    }
+
+    #[test]
+    fn assay_journal_replays_to_the_live_state() {
+        let config = Config::default();
+        let (mut state, _) = run_assay(&config, &mut ScenarioContext::silent("E9"));
+        let journal = state.take_journal().expect("E9 attaches a journal");
+        let dims = GridDims::square(config.array_side);
+        let replayed = replay(&journal, dims, state.grid().min_separation())
+            .expect("the assay journal replays");
+        assert_eq!(replayed.state_hash(), state.state_hash());
+        assert_eq!(replayed, state);
+    }
+
+    #[test]
+    fn overrides_without_room_for_cells_degrade() {
+        let with = |array_side, cells, detection_frames| Config {
+            array_side,
+            cells,
+            detection_frames,
+            ..Config::default()
+        };
+        // No cell requested, or an array too small for the load lattice:
+        // nothing is loaded, so isolate, wash and recover are skipped.
+        for config in [with(32, 0, 32), with(2, 9, 32), with(1, 9, 32)] {
+            let results = run(&config);
+            assert_eq!(results.cells_loaded, 0, "{config:?}");
+            assert_eq!(results.cells_recovered, 0);
+            assert_eq!(results.cage_steps, 0);
+            assert_eq!(results.motion, Seconds::ZERO);
+            assert_eq!(results.fluidics, config.load_time);
+        }
+        // A 3×3 array holds one lattice site: one cell is loaded, not nine.
+        let results = run(&with(3, 9, 32));
+        assert_eq!((results.cells_loaded, results.cells_recovered), (1, 1));
+        // Zero averaged frames scan like one instead of aborting.
+        assert_eq!(run(&with(32, 9, 0)).sensing, run(&with(32, 9, 1)).sensing);
     }
 
     #[test]

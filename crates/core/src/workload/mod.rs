@@ -59,7 +59,7 @@ pub mod phases;
 pub mod protocol;
 
 pub use envelope::ForceEnvelope;
-pub use phases::{AssayPhase, CtxSnapshot, PhaseCtx, PhaseError, PhaseReport, RouteTarget};
+pub use phases::{Accumulators, AssayPhase, PhaseCtx, PhaseError, PhaseReport, RouteTarget};
 pub use protocol::{
     Checkpoint, InterruptedRun, NeverStop, PhaseSpec, Protocol, ProtocolOutcome, ProtocolRunner,
     RunControl, StopCause, StoppedRun,
@@ -69,9 +69,9 @@ use labchip_array::addressing::ProgrammingInterface;
 use labchip_array::timing::WindowBudget;
 use labchip_manipulation::cage::ParticleId;
 use labchip_manipulation::metrics::SustainedThroughput;
-use labchip_manipulation::protocol::TimeBreakdown;
 use labchip_manipulation::routing::{RoutingOutcome, RoutingProblem};
 use labchip_manipulation::sharding::{CacheStats, IncrementalRouter, RouterCache, ShardConfig};
+use labchip_manipulation::state::TimeBreakdown;
 use labchip_sensing::array_scan::ArrayScanner;
 use labchip_sensing::detect::DetectionStats;
 use labchip_sensing::scan::ScanTiming;

@@ -23,10 +23,9 @@ use labchip_array::addressing::ProgrammingInterface;
 use labchip_array::timing::WindowBudget;
 use labchip_manipulation::cage::ParticleId;
 use labchip_manipulation::error::ManipulationError;
-use labchip_manipulation::protocol::TimeBreakdown;
 use labchip_manipulation::routing::{RoutingOutcome, RoutingProblem, RoutingRequest};
 use labchip_manipulation::sharding::{IncrementalRouter, RouterCache};
-use labchip_manipulation::state::{ChipState, DirtyRegions, TimeLedger};
+use labchip_manipulation::state::{ChipState, DirtyRegions, TimeBreakdown, TimeLedger};
 use labchip_sensing::array_scan::ArrayScanner;
 use labchip_sensing::averaging::FrameAverager;
 use labchip_sensing::detect::{DetectionStats, Occupancy, OccupancyMap};
@@ -149,8 +148,8 @@ pub struct FinalCounts {
 }
 
 /// Cycle-scoped context handed to every phase: the driver's shared
-/// resources plus the accumulators the final [`CycleReport`](super::CycleReport)
-/// is assembled from.
+/// resources plus the [`Accumulators`] the final
+/// [`CycleReport`](super::CycleReport) is assembled from.
 pub struct PhaseCtx<'a> {
     /// Workload knobs in effect.
     pub config: &'a WorkloadConfig,
@@ -168,6 +167,20 @@ pub struct PhaseCtx<'a> {
     /// phases route through [`PhaseCtx::solve_routing`] so caching stays
     /// transparent to them.
     pub route_cache: Option<&'a Mutex<RouterCache>>,
+    /// Every cycle accumulator — the part of the ctx a
+    /// [`Checkpoint`](super::protocol::Checkpoint) stores.
+    pub acc: Accumulators,
+}
+
+/// Every cycle-scoped accumulator of a [`PhaseCtx`], serde-round-trippable
+/// as the second half of a [`Checkpoint`](super::protocol::Checkpoint)
+/// (the first being the [`ChipStateSnapshot`](labchip_manipulation::state::ChipStateSnapshot)).
+/// Restoring it into a fresh ctx over the same driver resources makes a
+/// resumed run bit-identical to an uninterrupted one: the scan-pass
+/// counter and cycle seed pin every RNG stream, the rest pins the final
+/// [`CycleReport`](super::CycleReport) assembly.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Accumulators {
     /// Zero-based cycle index.
     pub cycle: usize,
     /// Seed of this cycle's batch placement.
@@ -204,78 +217,14 @@ pub struct PhaseCtx<'a> {
     pub recovery_rounds: usize,
     /// Corrective cage moves commanded by recovery.
     pub recovery_moves: usize,
-    pub(crate) finals: Option<FinalCounts>,
-}
-
-/// A serde-round-trippable snapshot of every [`PhaseCtx`] accumulator —
-/// the second half of a [`Checkpoint`](super::protocol::Checkpoint)
-/// (the first being the [`ChipStateSnapshot`](labchip_manipulation::state::ChipStateSnapshot)).
-/// Restoring it into a fresh ctx over the same driver resources makes a
-/// resumed run bit-identical to an uninterrupted one: the scan-pass
-/// counter and cycle seed pin every RNG stream, the rest pins the final
-/// [`CycleReport`](super::CycleReport) assembly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CtxSnapshot {
-    /// Zero-based cycle index.
-    pub cycle: usize,
-    /// Seed of this cycle's batch placement.
-    pub cycle_seed: u64,
-    /// Next scan pass number.
-    pub pass: u64,
-    /// Particles requested across all load phases.
-    pub requested: usize,
-    /// Requests the routers delivered to their goals.
-    pub routed: usize,
-    /// Cage steps until the last routed particle arrived.
-    pub makespan_steps: usize,
-    /// Individual cage moves across all route phases.
-    pub total_moves: usize,
-    /// Planner wall-clock accumulated so far.
-    pub planning: Seconds,
-    /// Whether every routed plan passed the separation invariant.
-    pub conflict_free: bool,
-    /// Planned moves checked against the force envelope.
-    pub moves_checked: usize,
-    /// Moves the envelope rejected.
-    pub infeasible_moves: usize,
-    /// Programming-clock budget of the executed motion.
-    pub budget: WindowBudget,
-    /// The latest detected occupancy map.
-    pub detected: Option<OccupancyMap>,
-    /// Confusion counts accumulated over all full-array scans.
-    pub detection: DetectionStats,
-    /// Detected-vs-plan mismatches of the first scan.
-    pub mismatches_initial: Option<usize>,
-    /// Recovery rounds executed.
-    pub recovery_rounds: usize,
-    /// Corrective cage moves commanded by recovery.
-    pub recovery_moves: usize,
     /// Final plan-vs-reality counts, if already captured.
     pub finals: Option<FinalCounts>,
 }
 
-impl<'a> PhaseCtx<'a> {
-    /// Creates a fresh cycle context over the driver's resources.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        config: &'a WorkloadConfig,
-        envelope: &'a ForceEnvelope,
-        router: &'a IncrementalRouter,
-        programming: &'a ProgrammingInterface,
-        scan: &'a ScanTiming,
-        scanner: &'a ArrayScanner,
-        route_cache: Option<&'a Mutex<RouterCache>>,
-        cycle: usize,
-        cycle_seed: u64,
-    ) -> Self {
+impl Accumulators {
+    /// Fresh accumulators for cycle `cycle` with batch seed `cycle_seed`.
+    pub fn new(cycle: usize, cycle_seed: u64) -> Self {
         Self {
-            config,
-            envelope,
-            router,
-            programming,
-            scan,
-            scanner,
-            route_cache,
             cycle,
             cycle_seed,
             pass: (cycle as u64) << 16,
@@ -296,52 +245,31 @@ impl<'a> PhaseCtx<'a> {
             finals: None,
         }
     }
+}
 
-    /// Snapshots every accumulator for a checkpoint.
-    pub fn snapshot(&self) -> CtxSnapshot {
-        CtxSnapshot {
-            cycle: self.cycle,
-            cycle_seed: self.cycle_seed,
-            pass: self.pass,
-            requested: self.requested,
-            routed: self.routed,
-            makespan_steps: self.makespan_steps,
-            total_moves: self.total_moves,
-            planning: self.planning,
-            conflict_free: self.conflict_free,
-            moves_checked: self.moves_checked,
-            infeasible_moves: self.infeasible_moves,
-            budget: self.budget,
-            detected: self.detected.clone(),
-            detection: self.detection,
-            mismatches_initial: self.mismatches_initial,
-            recovery_rounds: self.recovery_rounds,
-            recovery_moves: self.recovery_moves,
-            finals: self.finals,
+impl<'a> PhaseCtx<'a> {
+    /// Creates a cycle context over the driver's resources.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        config: &'a WorkloadConfig,
+        envelope: &'a ForceEnvelope,
+        router: &'a IncrementalRouter,
+        programming: &'a ProgrammingInterface,
+        scan: &'a ScanTiming,
+        scanner: &'a ArrayScanner,
+        route_cache: Option<&'a Mutex<RouterCache>>,
+        acc: Accumulators,
+    ) -> Self {
+        Self {
+            config,
+            envelope,
+            router,
+            programming,
+            scan,
+            scanner,
+            route_cache,
+            acc,
         }
-    }
-
-    /// Restores every accumulator from a checkpoint snapshot (the borrowed
-    /// driver resources are supplied by [`PhaseCtx::new`]).
-    pub fn restore(&mut self, snapshot: &CtxSnapshot) {
-        self.cycle = snapshot.cycle;
-        self.cycle_seed = snapshot.cycle_seed;
-        self.pass = snapshot.pass;
-        self.requested = snapshot.requested;
-        self.routed = snapshot.routed;
-        self.makespan_steps = snapshot.makespan_steps;
-        self.total_moves = snapshot.total_moves;
-        self.planning = snapshot.planning;
-        self.conflict_free = snapshot.conflict_free;
-        self.moves_checked = snapshot.moves_checked;
-        self.infeasible_moves = snapshot.infeasible_moves;
-        self.budget = snapshot.budget;
-        self.detected = snapshot.detected.clone();
-        self.detection = snapshot.detection;
-        self.mismatches_initial = snapshot.mismatches_initial;
-        self.recovery_rounds = snapshot.recovery_rounds;
-        self.recovery_moves = snapshot.recovery_moves;
-        self.finals = snapshot.finals;
     }
 
     /// Routes a problem through the shared router, warm-starting from the
@@ -388,16 +316,17 @@ impl<'a> PhaseCtx<'a> {
                 let prev = path.position_at(t - 1);
                 let cur = path.position_at(t);
                 if prev != cur {
-                    self.moves_checked += 1;
+                    self.acc.moves_checked += 1;
                     if !feasible {
-                        self.infeasible_moves += 1;
+                        self.acc.infeasible_moves += 1;
                     }
                     changed.push(prev);
                     changed.push(cur);
                 }
             }
             if !changed.is_empty() {
-                self.budget
+                self.acc
+                    .budget
                     .record(&self.programming.plan_update(dims, &changed));
             }
         }
@@ -406,18 +335,19 @@ impl<'a> PhaseCtx<'a> {
     /// Captures the final plan-vs-reality counts from the current state
     /// (overwriting any earlier capture — the *last* on-chip snapshot wins).
     pub(crate) fn capture_finals(&mut self, state: &mut ChipState) {
-        let mismatches_final = match &self.detected {
+        let mismatches_final = match &self.acc.detected {
             Some(map) => map
                 .diff_count(state.plan())
                 .expect("detected and plan maps share the array dims"),
             None => state.plan().occupied_count(),
         };
         let occupancy_detected = self
+            .acc
             .detected
             .as_ref()
             .map(OccupancyMap::occupied_count)
             .unwrap_or(0);
-        self.finals = Some(FinalCounts {
+        self.acc.finals = Some(FinalCounts {
             mismatches_final,
             true_mismatches_final: state.true_mismatches(),
             occupancy_detected,
@@ -586,7 +516,7 @@ impl AssayPhase for Load {
         // draws a *fresh* batch instead of replaying the first one (whose
         // sites are all occupied by now). The first load of a cycle has
         // `first_id == 0` and keeps the exact historical stream.
-        let seed = ctx.cycle_seed ^ first_id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let seed = ctx.acc.cycle_seed ^ first_id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let starts = loading_sites(dims, self.particles, sep, seed, self.capacity_clamp);
         let mut placed = 0usize;
         for start in &starts {
@@ -603,7 +533,7 @@ impl AssayPhase for Load {
                 return Err(PhaseError::interrupted(self.name()));
             }
         }
-        ctx.requested += placed;
+        ctx.acc.requested += placed;
         state.charge(TimeLedger::Fluidics, ctx.config.load_time);
         Ok(PhaseReport {
             phase: self.name().to_owned(),
@@ -764,8 +694,8 @@ impl AssayPhase for Route {
                 ),
             });
         };
-        ctx.planning += Seconds::new(started.elapsed().as_secs_f64());
-        ctx.conflict_free &= outcome.is_conflict_free(sep);
+        ctx.acc.planning += Seconds::new(started.elapsed().as_secs_f64());
+        ctx.acc.conflict_free &= outcome.is_conflict_free(sep);
         ctx.check_planned_moves(&outcome, dims);
         state.charge(
             TimeLedger::Motion,
@@ -799,9 +729,9 @@ impl AssayPhase for Route {
         }
         state.set_plan_from_goals(goals);
 
-        ctx.routed += outcome.paths.len();
-        ctx.makespan_steps += outcome.makespan;
-        ctx.total_moves += outcome.total_moves;
+        ctx.acc.routed += outcome.paths.len();
+        ctx.acc.makespan_steps += outcome.makespan;
+        ctx.acc.total_moves += outcome.total_moves;
         Ok(PhaseReport {
             phase: format!("{}:{}", self.name(), self.target.label()),
             time: TimeBreakdown::default(),
@@ -843,18 +773,18 @@ impl AssayPhase for Sense {
         if state.fault_tripped() {
             return Err(PhaseError::interrupted(self.name()));
         }
-        let result = ctx.scanner.scan_source(state, frames, ctx.pass);
-        ctx.pass += 1;
-        ctx.detection.merge(&result.stats);
+        let result = ctx.scanner.scan_source(state, frames, ctx.acc.pass);
+        ctx.acc.pass += 1;
+        ctx.acc.detection.merge(&result.stats);
         let mismatches = result
             .map
             .diff_count(state.plan())
             .map_err(|e| PhaseError::invariant(self.name(), e.to_string()))?;
-        if ctx.mismatches_initial.is_none() {
-            ctx.mismatches_initial = Some(mismatches);
+        if ctx.acc.mismatches_initial.is_none() {
+            ctx.acc.mismatches_initial = Some(mismatches);
         }
         let occupied = result.map.occupied_count();
-        ctx.detected = Some(result.map);
+        ctx.acc.detected = Some(result.map);
         Ok(PhaseReport {
             phase: self.name().to_owned(),
             time: TimeBreakdown::default(),
@@ -894,7 +824,7 @@ impl AssayPhase for Recover {
             .config
             .detection_frames
             .saturating_mul(policy.rescan_factor.max(1));
-        let Some(mut detected) = ctx.detected.take() else {
+        let Some(mut detected) = ctx.acc.detected.take() else {
             // No scan to recover against: nothing to do.
             return Ok(PhaseReport {
                 phase: self.name().to_owned(),
@@ -905,8 +835,8 @@ impl AssayPhase for Recover {
             });
         };
 
-        let moves_before = ctx.recovery_moves;
-        let rounds_before = ctx.recovery_rounds;
+        let moves_before = ctx.acc.recovery_moves;
+        let rounds_before = ctx.acc.recovery_rounds;
         for _ in 0..policy.max_rounds {
             if state.fault_tripped() {
                 return Err(PhaseError::interrupted(self.name()));
@@ -918,7 +848,7 @@ impl AssayPhase for Recover {
             if suspects.is_empty() {
                 break;
             }
-            ctx.recovery_rounds += 1;
+            ctx.acc.recovery_rounds += 1;
 
             // Re-scan every suspect with heavier averaging; most detection
             // errors dissolve here. Charge the rows actually re-read.
@@ -931,10 +861,10 @@ impl AssayPhase for Recover {
             for &site in &suspects {
                 detected.set(
                     site,
-                    scanner.sense_site(truth.get(site), site, rescan_frames, ctx.pass),
+                    scanner.sense_site(truth.get(site), site, rescan_frames, ctx.acc.pass),
                 );
             }
-            ctx.pass += 1;
+            ctx.acc.pass += 1;
 
             // Decide: confirmed strays are detected particles off the plan;
             // vacancies are plan slots the readout still reports empty.
@@ -1002,7 +932,7 @@ impl AssayPhase for Recover {
                 TimeLedger::Recovery,
                 ctx.config.step_period * recovery_outcome.makespan as f64,
             );
-            ctx.recovery_moves += recovery_outcome.total_moves;
+            ctx.acc.recovery_moves += recovery_outcome.total_moves;
 
             // Execute on the particles actually present. A commanded move of
             // a phantom detection drags an empty cage — time passes, nothing
@@ -1067,14 +997,14 @@ impl AssayPhase for Recover {
             for &site in &touched {
                 detected.set(
                     site,
-                    scanner.sense_site(truth.get(site), site, rescan_frames, ctx.pass),
+                    scanner.sense_site(truth.get(site), site, rescan_frames, ctx.acc.pass),
                 );
             }
-            ctx.pass += 1;
+            ctx.acc.pass += 1;
         }
-        let moves = ctx.recovery_moves - moves_before;
-        let rounds = ctx.recovery_rounds - rounds_before;
-        ctx.detected = Some(detected);
+        let moves = ctx.acc.recovery_moves - moves_before;
+        let rounds = ctx.acc.recovery_rounds - rounds_before;
+        ctx.acc.detected = Some(detected);
         Ok(PhaseReport {
             phase: self.name().to_owned(),
             time: TimeBreakdown::default(),

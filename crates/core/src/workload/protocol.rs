@@ -31,15 +31,14 @@
 
 use super::envelope::ForceEnvelope;
 use super::phases::{
-    sort_capacity, AssayPhase, CtxSnapshot, Flush, Load, PhaseCtx, PhaseError, PhaseReport,
+    sort_capacity, Accumulators, AssayPhase, Flush, Load, PhaseCtx, PhaseError, PhaseReport,
     Recover, Route, RouteTarget, Sense,
 };
 use super::{CycleReport, RecoveryPolicy, WorkloadConfig};
 use labchip_array::addressing::ProgrammingInterface;
 use labchip_manipulation::journal::{FaultPlan, Journal};
-use labchip_manipulation::protocol::TimeBreakdown;
 use labchip_manipulation::sharding::{IncrementalRouter, RouterCache};
-use labchip_manipulation::state::{ChipState, ChipStateSnapshot};
+use labchip_manipulation::state::{ChipState, ChipStateSnapshot, TimeBreakdown};
 use labchip_sensing::array_scan::ArrayScanner;
 use labchip_sensing::scan::ScanTiming;
 use labchip_units::GridDims;
@@ -186,7 +185,7 @@ pub struct Checkpoint {
     /// The durable chip state at the start of `next_phase`.
     pub state: ChipStateSnapshot,
     /// Every cycle accumulator at the start of `next_phase`.
-    pub ctx: CtxSnapshot,
+    pub ctx: Accumulators,
     /// Journal length when the checkpoint was taken: replaying the journal
     /// truncated to this offset reconstructs `state` exactly.
     pub journal_offset: usize,
@@ -358,8 +357,9 @@ impl<'a> ProtocolRunner<'a> {
         ChipState::with_separation(dims, sep)
     }
 
-    /// A fresh cycle context over this runner's borrowed resources.
-    fn fresh_ctx(&self, cycle: usize, cycle_seed: u64) -> PhaseCtx<'a> {
+    /// A cycle context with the given accumulators over this runner's
+    /// borrowed resources.
+    fn ctx(&self, acc: Accumulators) -> PhaseCtx<'a> {
         PhaseCtx::new(
             self.config,
             self.envelope,
@@ -368,8 +368,7 @@ impl<'a> ProtocolRunner<'a> {
             self.scan,
             self.scanner,
             self.route_cache,
-            cycle,
-            cycle_seed,
+            acc,
         )
     }
 
@@ -398,7 +397,7 @@ impl<'a> ProtocolRunner<'a> {
                     cycle,
                     next_phase: index,
                     state: state.snapshot(),
-                    ctx: ctx.snapshot(),
+                    ctx: ctx.acc.clone(),
                     journal_offset: state.journal().map_or(0, Journal::len),
                     completed: phases.clone(),
                 })
@@ -451,26 +450,27 @@ impl<'a> ProtocolRunner<'a> {
         ctx: PhaseCtx<'_>,
         phases: Vec<PhaseReport>,
     ) -> ProtocolOutcome {
-        let finals = ctx.finals.unwrap_or_default();
+        let acc = ctx.acc;
+        let finals = acc.finals.unwrap_or_default();
         let report = CycleReport {
             cycle,
-            requested: ctx.requested,
-            routed: ctx.routed,
-            makespan_steps: ctx.makespan_steps,
-            total_moves: ctx.total_moves,
-            planning: ctx.planning,
+            requested: acc.requested,
+            routed: acc.routed,
+            makespan_steps: acc.makespan_steps,
+            total_moves: acc.total_moves,
+            planning: acc.planning,
             time: *state.time(),
-            moves_checked: ctx.moves_checked,
-            infeasible_moves: ctx.infeasible_moves,
+            moves_checked: acc.moves_checked,
+            infeasible_moves: acc.infeasible_moves,
             occupancy_detected: finals.occupancy_detected,
-            detection: ctx.detection,
-            mismatches_initial: ctx.mismatches_initial.unwrap_or(0),
+            detection: acc.detection,
+            mismatches_initial: acc.mismatches_initial.unwrap_or(0),
             mismatches_final: finals.mismatches_final,
             true_mismatches_final: finals.true_mismatches_final,
-            recovery_rounds: ctx.recovery_rounds,
-            recovery_moves: ctx.recovery_moves,
-            budget: ctx.budget,
-            conflict_free: ctx.conflict_free,
+            recovery_rounds: acc.recovery_rounds,
+            recovery_moves: acc.recovery_moves,
+            budget: acc.budget,
+            conflict_free: acc.conflict_free,
         };
         ProtocolOutcome {
             report,
@@ -500,7 +500,7 @@ impl<'a> ProtocolRunner<'a> {
     /// `aborted:` report row instead of a panic.
     pub fn run(&self, protocol: &Protocol, cycle: usize) -> ProtocolOutcome {
         let mut state = self.fresh_state();
-        let mut ctx = self.fresh_ctx(cycle, self.cycle_seed(cycle));
+        let mut ctx = self.ctx(Accumulators::new(cycle, self.cycle_seed(cycle)));
         let mut phases = Vec::with_capacity(protocol.phases.len());
         if let Err(interruption) = self.execute(
             protocol,
@@ -527,7 +527,7 @@ impl<'a> ProtocolRunner<'a> {
     pub fn run_journaled(&self, protocol: &Protocol, cycle: usize) -> (ProtocolOutcome, Journal) {
         let mut state = self.fresh_state();
         state.attach_journal();
-        let mut ctx = self.fresh_ctx(cycle, self.cycle_seed(cycle));
+        let mut ctx = self.ctx(Accumulators::new(cycle, self.cycle_seed(cycle)));
         let mut phases = Vec::with_capacity(protocol.phases.len());
         if let Err(interruption) = self.execute(
             protocol,
@@ -566,7 +566,7 @@ impl<'a> ProtocolRunner<'a> {
     ) -> Result<(ProtocolOutcome, Journal), Box<InterruptedRun>> {
         let mut state = self.fresh_state();
         state.attach_journal_with_fault(fault);
-        let mut ctx = self.fresh_ctx(cycle, self.cycle_seed(cycle));
+        let mut ctx = self.ctx(Accumulators::new(cycle, self.cycle_seed(cycle)));
         let mut phases = Vec::with_capacity(protocol.phases.len());
         match self.execute(
             protocol,
@@ -627,7 +627,7 @@ impl<'a> ProtocolRunner<'a> {
             Some(fault) => state.attach_journal_with_fault(fault),
             None => state.attach_journal(),
         }
-        let mut ctx = self.fresh_ctx(cycle, self.cycle_seed(cycle));
+        let mut ctx = self.ctx(Accumulators::new(cycle, self.cycle_seed(cycle)));
         let mut phases = Vec::with_capacity(protocol.phases.len());
         let outcome = self.execute(
             protocol,
@@ -663,8 +663,7 @@ impl<'a> ProtocolRunner<'a> {
             Some(fault) => state.attach_journal_with_fault(fault),
             None => state.attach_journal(),
         }
-        let mut ctx = self.fresh_ctx(checkpoint.cycle, checkpoint.ctx.cycle_seed);
-        ctx.restore(&checkpoint.ctx);
+        let mut ctx = self.ctx(checkpoint.ctx.clone());
         let mut phases = checkpoint.completed.clone();
         let outcome = self.execute(
             &checkpoint.protocol,
@@ -714,8 +713,7 @@ impl<'a> ProtocolRunner<'a> {
     /// report.
     pub fn resume(&self, checkpoint: &Checkpoint) -> ProtocolOutcome {
         let mut state = ChipState::from_snapshot(checkpoint.state.clone());
-        let mut ctx = self.fresh_ctx(checkpoint.cycle, checkpoint.ctx.cycle_seed);
-        ctx.restore(&checkpoint.ctx);
+        let mut ctx = self.ctx(checkpoint.ctx.clone());
         let mut phases = checkpoint.completed.clone();
         if let Err(interruption) = self.execute(
             &checkpoint.protocol,

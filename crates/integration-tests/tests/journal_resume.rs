@@ -7,10 +7,13 @@
 //!
 //! The sweep crosses seeds × sensor noise × recovery policy so the killable
 //! surface includes the closed-loop recovery path, not just the happy path.
-//! Alongside the property, two regressions pin the serde edges: astral-plane
-//! protocol names (surrogate pairs in JSON) round-trip, and non-finite
-//! ledger floats are rejected cleanly by `Checkpoint::from_json` rather
-//! than resurrected as NaN.
+//! Alongside the property, regressions pin the serde edges: astral-plane
+//! protocol names (surrogate pairs in JSON) round-trip, non-finite ledger
+//! floats and hostile nesting depth are rejected cleanly by
+//! `Checkpoint::from_json`, and a checkpoint file written by an earlier
+//! build (`golden/checkpoint_16x16_flush.json`) still decodes, re-encodes
+//! byte-for-byte and resumes to the uninterrupted state — the on-disk
+//! format is pinned.
 
 use labchip::workload::{
     BatchDriver, Checkpoint, ForceEnvelope, Protocol, RecoveryPolicy, WorkloadConfig,
@@ -155,4 +158,41 @@ fn checkpoint_json_rejects_non_finite_ledger_floats_cleanly() {
     checkpoint.ctx.planning = Seconds::new(0.0);
     checkpoint.state.time.motion = Seconds::new(f64::INFINITY);
     assert!(Checkpoint::from_json(&checkpoint.to_json()).is_err());
+}
+
+/// Deeply nested input is a clean decode error, not a stack overflow.
+#[test]
+fn checkpoint_json_rejects_hostile_nesting_cleanly() {
+    for text in ["[".repeat(100_000), r#"{"a":"#.repeat(100_000)] {
+        assert!(Checkpoint::from_json(&text).is_err());
+    }
+}
+
+/// A checkpoint captured from a 16² canned cycle (6 particles, noisy
+/// sensing, recovery on) killed at the start of its flush phase, as an
+/// earlier build wrote it to disk.
+const PINNED_CHECKPOINT: &str = include_str!("golden/checkpoint_16x16_flush.json");
+
+#[test]
+fn pinned_checkpoint_file_decodes_re_encodes_and_resumes() {
+    let checkpoint = Checkpoint::from_json(PINNED_CHECKPOINT).expect("pinned checkpoint decodes");
+    assert_eq!(
+        checkpoint.to_json(),
+        PINNED_CHECKPOINT,
+        "re-encoding is byte-identical"
+    );
+    assert_eq!(checkpoint.next_phase, 4, "killed before the flush");
+    assert!(checkpoint.ctx.detected.is_some());
+
+    let config = WorkloadConfig {
+        array_side: 16,
+        ..workload(2005, 8.0, RecoveryPolicy::date05_reference())
+    };
+    let protocol = canned(&config, 6);
+    assert_eq!(checkpoint.protocol, protocol);
+    let driver = BatchDriver::with_envelope(config, envelope());
+    let (baseline, _) = driver.runner().run_journaled(&protocol, 0);
+    let resumed = driver.runner().resume(&checkpoint);
+    assert_eq!(resumed.state.state_hash(), baseline.state.state_hash());
+    assert_eq!(baseline.state.state_hash(), 0x7940_391e_a5fb_149c);
 }

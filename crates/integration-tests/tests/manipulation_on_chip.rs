@@ -1,37 +1,37 @@
-//! Integration: manipulation layer → actuation array. Every frame produced by
-//! a manipulation operation is a programmable electrode pattern, and the
-//! complete assay remains executable on the chip facade.
+//! Integration: manipulation layer → actuation array. The operations run on
+//! the shared, journaled `ChipState`; the cage pattern of the state before
+//! and after each operation is programmable on the chip facade, and the
+//! complete assay replays bit-for-bit from its journal.
 
 use labchip::prelude::*;
+use labchip_manipulation::journal::replay;
+use labchip_manipulation::ops;
 use labchip_units::{GridCoord, GridDims, Seconds};
 
 #[test]
-fn every_motion_frame_is_programmable_on_the_array() {
+fn state_patterns_around_an_operation_are_programmable_on_the_array() {
     let dims = GridDims::square(24);
-    let mut manipulator = Manipulator::new(dims);
-    manipulator
-        .grid_mut()
-        .place(ParticleId(1), GridCoord::new(3, 3))
-        .unwrap();
-    manipulator
-        .grid_mut()
-        .place(ParticleId(2), GridCoord::new(3, 12))
-        .unwrap();
-    let report = manipulator
-        .move_group(&[
-            (ParticleId(1), GridCoord::new(20, 3)),
-            (ParticleId(2), GridCoord::new(20, 12)),
-        ])
+    let mut state = ChipState::new(dims);
+    state.place(ParticleId(1), GridCoord::new(3, 3)).unwrap();
+    state.place(ParticleId(2), GridCoord::new(3, 12)).unwrap();
+    let before = state.pattern().clone();
+    let targets = [
+        (ParticleId(1), GridCoord::new(20, 3)),
+        (ParticleId(2), GridCoord::new(20, 12)),
+    ];
+    let steps = ops::move_group(&mut state, &targets, ops::reference_step_period())
         .expect("routing succeeds");
+    assert!(steps >= 17);
 
-    // Program every intermediate frame onto a chip of the same size: if any
-    // frame were invalid the facade would reject it.
+    // Program the pattern before and after the move onto a chip of the
+    // same size: if either were invalid the facade would reject it.
     let mut chip = BiochipBuilder::new()
         .dims(dims)
         .build()
         .expect("valid configuration");
-    for frame in &report.frames {
-        chip.program_pattern(frame).expect("frame is programmable");
+    for frame in [&before, state.pattern()] {
+        chip.program_pattern(frame)
+            .expect("pattern is programmable");
         assert_eq!(chip.cage_count(), frame.cage_count());
         assert_eq!(frame.cage_count(), 2, "no cage is lost or merged");
     }
@@ -41,54 +41,49 @@ fn every_motion_frame_is_programmable_on_the_array() {
 fn assay_protocol_runs_on_the_same_grid_the_chip_exposes() {
     let chip = Biochip::small_reference(32);
     let dims = chip.array().dims();
+    let step_period = ops::reference_step_period();
 
-    let sites: Vec<GridCoord> = CagePattern::new(
+    let mut state = ChipState::new(dims);
+    state.attach_journal();
+    // Load six cells on a period-6 lattice.
+    let sites = CagePattern::new(
         dims,
         labchip_array::pattern::PatternKind::Lattice {
             period: 6,
             offset: GridCoord::new(3, 3),
         },
     )
-    .unwrap()
-    .cage_sites()
-    .iter()
-    .copied()
-    .take(6)
-    .collect();
-    let pattern =
-        CagePattern::new(dims, labchip_array::pattern::PatternKind::Custom(sites)).unwrap();
-
+    .unwrap();
+    for (k, site) in sites.cage_sites().iter().take(6).enumerate() {
+        state.place(ParticleId(k as u64), *site).unwrap();
+    }
+    state.charge(TimeLedger::Fluidics, Seconds::from_minutes(2.0));
+    // Detect, isolate, wash, recover.
     let scan_time = chip
         .scan_timing()
         .averaged_scan_time(dims, &FrameAverager::new(16));
-    let protocol = Protocol::new("integration assay")
-        .with_step(ProtocolStep::LoadSample {
-            pattern,
-            handling_time: Seconds::from_minutes(2.0),
-        })
-        .with_step(ProtocolStep::Detect { scan_time })
-        .with_step(ProtocolStep::Isolate { id: ParticleId(2) })
-        .with_step(ProtocolStep::Wash {
-            keep: vec![ParticleId(2)],
-        })
-        .with_step(ProtocolStep::Recover {
-            id: ParticleId(2),
-            handling_time: Seconds::from_minutes(1.0),
-        });
+    state.charge(TimeLedger::Sensing, scan_time);
+    let target = ParticleId(2);
+    ops::isolate(&mut state, target, step_period).expect("isolation routes");
+    ops::wash_except(&mut state, &[target], step_period).expect("wash routes");
+    state.remove(target).expect("target is on the chip");
+    state.charge(TimeLedger::Fluidics, Seconds::from_minutes(1.0));
 
-    let mut manipulator = Manipulator::new(dims);
-    let report = ProtocolExecutor::new(&mut manipulator)
-        .run(&protocol)
-        .expect("assay executes");
-    assert_eq!(report.recovered, vec![ParticleId(2)]);
-    assert!(report.time.fluidics > report.time.motion);
-    assert!(report.time.motion > report.time.sensing);
+    let time = *state.time();
+    assert!(time.fluidics > time.motion);
+    assert!(time.motion > time.sensing);
+    assert_eq!(state.particle_count(), 5);
 
     // The final state of the manipulation is programmable on the chip.
     let mut chip = chip;
-    chip.program_pattern(&manipulator.grid().to_pattern())
+    chip.program_pattern(state.pattern())
         .expect("final pattern programmable");
-    assert_eq!(chip.cage_count(), manipulator.grid().particle_count());
+    assert_eq!(chip.cage_count(), state.particle_count());
+
+    // And the whole assay is journaled: replay reaches the live state.
+    let journal = state.take_journal().expect("journal attached");
+    let replayed = replay(&journal, dims, state.grid().min_separation()).expect("replays");
+    assert_eq!(replayed.state_hash(), state.state_hash());
 }
 
 #[test]

@@ -14,7 +14,7 @@
 use labchip::workload::{
     BatchDriver, ForceEnvelope, PhaseSpec, Protocol, RecoveryPolicy, RouteTarget, WorkloadConfig,
 };
-use labchip_manipulation::protocol::TimeBreakdown;
+use labchip_manipulation::state::TimeBreakdown;
 use labchip_units::Seconds;
 use proptest::prelude::*;
 use std::sync::OnceLock;

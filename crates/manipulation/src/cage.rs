@@ -175,56 +175,6 @@ impl CageGrid {
         Ok(())
     }
 
-    /// Applies one synchronous cage-pattern step: every listed particle moves
-    /// (at most one electrode) at the same instant, exactly as the hardware
-    /// reprograms the whole pattern in one frame. Validation is performed on
-    /// the *resulting* configuration, so convoys of cages moving together are
-    /// accepted even though an intermediate sequential state would appear to
-    /// violate the separation rule.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error — and leaves the grid untouched — when a particle is
-    /// unknown, a move is longer than one electrode or leaves the grid, or
-    /// the resulting configuration violates the separation rule.
-    pub fn apply_step(
-        &mut self,
-        moves: &[(ParticleId, GridCoord)],
-    ) -> Result<(), ManipulationError> {
-        // Build the proposed configuration.
-        let mut proposed: BTreeMap<u64, GridCoord> = self.particles.clone();
-        for (id, to) in moves {
-            let from = self.position(*id)?;
-            if from.chebyshev(*to) > 1 {
-                return Err(ManipulationError::SiteConflict {
-                    coord: *to,
-                    reason: format!("cage can only move one electrode per step (from {from})"),
-                });
-            }
-            if !self.dims.contains(*to) {
-                return Err(ManipulationError::OutOfBounds { coord: *to });
-            }
-            proposed.insert(id.0, *to);
-        }
-        // Validate pairwise separation of the proposed configuration.
-        let entries: Vec<(u64, GridCoord)> = proposed.iter().map(|(k, v)| (*k, *v)).collect();
-        for (i, (id_a, pos_a)) in entries.iter().enumerate() {
-            for (id_b, pos_b) in &entries[i + 1..] {
-                if pos_a.chebyshev(*pos_b) < self.min_separation {
-                    return Err(ManipulationError::SiteConflict {
-                        coord: *pos_b,
-                        reason: format!(
-                            "particles #{id_a} and #{id_b} would end up {} apart",
-                            pos_a.chebyshev(*pos_b)
-                        ),
-                    });
-                }
-            }
-        }
-        self.particles = proposed;
-        Ok(())
-    }
-
     /// Places a particle *without* enforcing the separation rule. This is the
     /// merge primitive: the one situation in which two particles legitimately
     /// share a cage (their traps have been deliberately coalesced).
@@ -242,27 +192,6 @@ impl CageGrid {
         let sites: Vec<GridCoord> = self.particles.values().copied().collect();
         CagePattern::new(self.dims, PatternKind::Custom(sites))
             .expect("tracked positions are always inside the grid")
-    }
-
-    /// Loads particles at the sites of a cage pattern (used after an initial
-    /// sample-load detection pass), assigning sequential ids starting at
-    /// `first_id`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first placement error encountered.
-    pub fn load_from_pattern(
-        &mut self,
-        pattern: &CagePattern,
-        first_id: u64,
-    ) -> Result<Vec<ParticleId>, ManipulationError> {
-        let mut ids = Vec::new();
-        for (offset, site) in pattern.cage_sites().iter().enumerate() {
-            let id = ParticleId(first_id + offset as u64);
-            self.place(id, *site)?;
-            ids.push(id);
-        }
-        Ok(ids)
     }
 }
 
@@ -331,48 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_step_accepts_a_moving_convoy() {
-        // Two cages exactly two electrodes apart moving in the same direction
-        // at the same instant: fine as a synchronous step, even though moving
-        // them one at a time would transiently violate the separation rule.
-        let mut g = grid();
-        g.place(ParticleId(1), GridCoord::new(4, 4)).unwrap();
-        g.place(ParticleId(2), GridCoord::new(6, 4)).unwrap();
-        g.apply_step(&[
-            (ParticleId(1), GridCoord::new(5, 4)),
-            (ParticleId(2), GridCoord::new(7, 4)),
-        ])
-        .unwrap();
-        assert_eq!(g.position(ParticleId(1)).unwrap(), GridCoord::new(5, 4));
-        assert_eq!(g.position(ParticleId(2)).unwrap(), GridCoord::new(7, 4));
-    }
-
-    #[test]
-    fn apply_step_rejects_configurations_that_merge_cages() {
-        let mut g = grid();
-        g.place(ParticleId(1), GridCoord::new(4, 4)).unwrap();
-        g.place(ParticleId(2), GridCoord::new(6, 4)).unwrap();
-        // Only the left particle moves right: the result would be adjacent.
-        let err = g
-            .apply_step(&[
-                (ParticleId(1), GridCoord::new(5, 4)),
-                (ParticleId(2), GridCoord::new(6, 4)),
-            ])
-            .unwrap_err();
-        assert!(matches!(err, ManipulationError::SiteConflict { .. }));
-        // The grid is unchanged after the failed step.
-        assert_eq!(g.position(ParticleId(1)).unwrap(), GridCoord::new(4, 4));
-        // A two-electrode jump is also rejected.
-        assert!(g
-            .apply_step(&[(ParticleId(1), GridCoord::new(2, 4))])
-            .is_err());
-        // Unknown particles are rejected.
-        assert!(g
-            .apply_step(&[(ParticleId(9), GridCoord::new(2, 4))])
-            .is_err());
-    }
-
-    #[test]
     fn remove_frees_the_site() {
         let mut g = grid();
         g.place(ParticleId(1), GridCoord::new(4, 4)).unwrap();
@@ -391,9 +278,11 @@ mod tests {
         assert_eq!(pattern.cage_count(), 2);
 
         let mut g2 = CageGrid::new(GridDims::square(16));
-        let ids = g2.load_from_pattern(&pattern, 100).unwrap();
-        assert_eq!(ids.len(), 2);
+        for (k, site) in pattern.cage_sites().iter().enumerate() {
+            g2.place(ParticleId(100 + k as u64), *site).unwrap();
+        }
         assert_eq!(g2.particle_count(), 2);
+        assert_eq!(g2.to_pattern(), pattern);
     }
 
     #[test]

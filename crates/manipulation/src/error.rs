@@ -31,11 +31,6 @@ pub enum ManipulationError {
         /// Explanation.
         reason: String,
     },
-    /// A protocol step was invalid in the current state.
-    InvalidProtocol {
-        /// Explanation.
-        reason: String,
-    },
 }
 
 impl fmt::Display for ManipulationError {
@@ -50,9 +45,6 @@ impl fmt::Display for ManipulationError {
             ManipulationError::UnknownParticle { id } => write!(f, "unknown particle #{id}"),
             ManipulationError::RoutingFailed { unrouted, reason } => {
                 write!(f, "routing failed for {unrouted} particle(s): {reason}")
-            }
-            ManipulationError::InvalidProtocol { reason } => {
-                write!(f, "invalid protocol step: {reason}")
             }
         }
     }

@@ -28,8 +28,8 @@
 //!   array — windowed planning over a staggered tile partition, parallel
 //!   across shards, with warm-start plan caching keyed by shard content
 //!   hashes and fed by the state's dirty-region tracking,
-//! * high-level [`ops`] (move, merge, isolate, park, wash),
-//! * an assay [`protocol`] description and executor,
+//! * high-level [`ops`] (move, merge, isolate, wash) as journaled
+//!   functions over [`state::ChipState`],
 //! * throughput [`metrics`].
 //!
 //! ## Example: route a crossing pair conflict-free
@@ -60,7 +60,6 @@ pub mod fleet;
 pub mod journal;
 pub mod metrics;
 pub mod ops;
-pub mod protocol;
 pub mod routing;
 pub mod sharding;
 pub mod state;
@@ -72,13 +71,11 @@ pub mod prelude {
     pub use crate::fleet::{FleetOutcome, FleetStats, FleetTopology};
     pub use crate::journal::{Event, FaultPlan, Journal};
     pub use crate::metrics::{SustainedThroughput, ThroughputReport};
-    pub use crate::ops::Manipulator;
-    pub use crate::protocol::{Protocol, ProtocolExecutor, ProtocolReport, ProtocolStep};
     pub use crate::routing::{
         Router, RoutingOutcome, RoutingProblem, RoutingRequest, RoutingStrategy,
     };
     pub use crate::sharding::{CacheStats, IncrementalRouter, RouterCache, ShardConfig};
-    pub use crate::state::{ChipState, DirtyRegions, TimeLedger};
+    pub use crate::state::{ChipState, DirtyRegions, TimeBreakdown, TimeLedger};
 }
 
 pub use error::ManipulationError;

@@ -42,7 +42,6 @@
 use crate::cage::{CageGrid, ParticleId};
 use crate::error::ManipulationError;
 use crate::journal::{Event, FaultPlan, Journal};
-use crate::protocol::TimeBreakdown;
 use labchip_array::pattern::CagePattern;
 use labchip_sensing::array_scan::TruthSource;
 use labchip_sensing::detect::{Occupancy, OccupancyMap};
@@ -73,6 +72,39 @@ impl DirtyRegions {
     /// Whether nothing was mutated since the last drain.
     pub fn is_clean(&self) -> bool {
         matches!(self, Self::Cells(cells) if cells.is_empty())
+    }
+}
+
+/// Where the simulated chip time of an assay went, by ledger.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+pub struct TimeBreakdown {
+    /// Fluidic handling (loading, recovery).
+    pub fluidics: Seconds,
+    /// Sensor scanning and averaging.
+    pub sensing: Seconds,
+    /// Cage motion (the mechanics of dragging cells).
+    pub motion: Seconds,
+    /// Closed-loop recovery: targeted re-scans of suspect sites and the
+    /// corrective cage moves they trigger when detection disagrees with the
+    /// plan.
+    pub recovery: Seconds,
+}
+
+impl TimeBreakdown {
+    /// Total duration over all ledgers.
+    pub fn total(&self) -> Seconds {
+        self.fluidics + self.sensing + self.motion + self.recovery
+    }
+
+    /// Field-wise difference `self - earlier`: the ledger charged between
+    /// two snapshots (what one assay phase cost).
+    pub fn delta_since(&self, earlier: &TimeBreakdown) -> TimeBreakdown {
+        TimeBreakdown {
+            fluidics: self.fluidics - earlier.fluidics,
+            sensing: self.sensing - earlier.sensing,
+            motion: self.motion - earlier.motion,
+            recovery: self.recovery - earlier.recovery,
+        }
     }
 }
 

@@ -85,6 +85,7 @@ pub fn from_str<T: DeserializeOwned>(text: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.parse_value()?;
@@ -180,9 +181,16 @@ fn write_string(out: &mut String, s: &str) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts — the recursion limit
+/// of the real `serde_json`. Deeper input is an [`Error`], not a stack
+/// overflow.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -223,14 +231,29 @@ impl Parser<'_> {
             Some(b't') if self.consume_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.consume_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(Error::new(format!(
                 "unexpected character at offset {}",
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`RECURSION_LIMIT`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(Error::new(format!(
+                "recursion limit exceeded at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -460,6 +483,26 @@ mod tests {
         assert!(from_str::<Value>("1 2").is_err());
         assert!(from_str::<Value>("nul").is_err());
         assert!(from_str::<Value>(r#""\q""#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_the_recursion_limit() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| r#"{"a":"#.repeat(depth) + "0" + &"}".repeat(depth);
+        // Exactly at the limit still parses, one deeper is an error.
+        assert!(from_str::<Value>(&arrays(RECURSION_LIMIT)).is_ok());
+        assert!(from_str::<Value>(&objects(RECURSION_LIMIT)).is_ok());
+        for text in [arrays(RECURSION_LIMIT + 1), objects(RECURSION_LIMIT + 1)] {
+            let err = from_str::<Value>(&text).unwrap_err();
+            assert!(err.to_string().contains("recursion limit"), "{err}");
+        }
+        // Hostile depth fails cleanly instead of overflowing the stack.
+        for text in ["[".repeat(100_000), r#"{"a":"#.repeat(100_000)] {
+            assert!(from_str::<Value>(&text).is_err());
+        }
+        // Siblings do not accumulate depth.
+        let wide = format!("[{}]", vec![arrays(RECURSION_LIMIT - 1); 3].join(","));
+        assert!(from_str::<Value>(&wide).is_ok());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use labchip::prelude::*;
 use labchip_array::pattern::{CagePattern, PatternKind};
+use labchip_manipulation::ops;
 use labchip_units::{GridCoord, GridDims, Hertz, Meters, Seconds};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -44,51 +45,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Nine viable cells end up trapped after loading; cell #4 (say, the one
     // the operator picked under the microscope) is isolated to the array edge,
     // everything else is washed to the waste side, then the target is
-    // recovered through the outlet.
+    // recovered through the outlet. Every step runs on the chip state, which
+    // keeps the time ledger.
     let dims = GridDims::square(32);
-    let load_sites: Vec<GridCoord> = CagePattern::new(
+    let load_sites = CagePattern::new(
         dims,
         PatternKind::Lattice {
             period: 5,
             offset: GridCoord::new(4, 4),
         },
-    )?
-    .cage_sites()
-    .iter()
-    .copied()
-    .take(9)
-    .collect();
-    let load_pattern = CagePattern::new(dims, PatternKind::Custom(load_sites))?;
+    )?;
+    let mut state = ChipState::new(dims);
+    for (k, site) in load_sites.cage_sites().iter().take(9).enumerate() {
+        state.place(ParticleId(k as u64), *site)?;
+    }
+    state.charge(TimeLedger::Fluidics, Seconds::from_minutes(3.0));
 
     let scan_time = ScanTiming::date05_reference().averaged_scan_time(dims, &averager);
+    state.charge(TimeLedger::Sensing, scan_time);
     let target = ParticleId(4);
-    let protocol = Protocol::new("viability sorting")
-        .with_step(ProtocolStep::LoadSample {
-            pattern: load_pattern,
-            handling_time: Seconds::from_minutes(3.0),
-        })
-        .with_step(ProtocolStep::Detect { scan_time })
-        .with_step(ProtocolStep::Isolate { id: target })
-        .with_step(ProtocolStep::Wash { keep: vec![target] })
-        .with_step(ProtocolStep::Recover {
-            id: target,
-            handling_time: Seconds::from_minutes(1.0),
-        });
+    let step_period = ops::reference_step_period();
+    let isolated = ops::isolate(&mut state, target, step_period)?;
+    let washed = ops::wash_except(&mut state, &[target], step_period)?;
+    state.remove(target)?;
+    state.charge(TimeLedger::Fluidics, Seconds::from_minutes(1.0));
 
-    let mut manipulator = Manipulator::new(dims);
-    let report = ProtocolExecutor::new(&mut manipulator).run(&protocol)?;
-
-    println!("protocol `{}`:", report.name);
-    println!("  steps executed : {}", report.steps_executed);
-    println!("  cage steps     : {}", report.cage_steps);
-    println!("  recovered cells: {:?}", report.recovered);
+    let time = state.time();
+    println!("viability sorting:");
+    println!("  cage steps     : {}", isolated + washed);
+    println!("  recovered cell : {target:?}");
     println!("  time budget:");
     println!(
         "    fluidics {:.1} min | motion {:.1} min | sensing {:.1} s | total {:.1} min",
-        report.time.fluidics.as_minutes(),
-        report.time.motion.as_minutes(),
-        report.time.sensing.get(),
-        report.time.total().as_minutes()
+        time.fluidics.as_minutes(),
+        time.motion.as_minutes(),
+        time.sensing.get(),
+        time.total().as_minutes()
     );
     Ok(())
 }
