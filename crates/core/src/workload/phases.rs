@@ -919,11 +919,9 @@ impl AssayPhase for Recover {
             }
             let mut recovery_problem = RoutingProblem::new(dims, requests);
             recovery_problem.min_separation = sep;
-            if recovery_problem.validate().is_err() {
-                // A surviving false positive sits too close to a real
-                // particle: no conflict-free plan exists for this reading.
-                break;
-            }
+            // The solver validates internally: an error means a surviving
+            // false positive sits too close to a real particle, and no
+            // conflict-free plan exists for this reading.
             let Ok(recovery_outcome) = ctx.solve_routing(state, &recovery_problem) else {
                 break;
             };

@@ -63,11 +63,49 @@ impl RoutingProblem {
     /// Validates that starts and goals are in bounds and mutually compatible
     /// with the separation rule.
     ///
+    /// A well-formed problem is confirmed in linear time by the dense
+    /// occupancy scan, one pass over the starts and one over the goals.
+    /// Only an ill-formed one (or one spread over more cells than the scan
+    /// allocates) runs the pairwise comparison, which names the first
+    /// offending pair.
+    ///
     /// # Errors
     ///
     /// Returns [`ManipulationError::OutOfBounds`] or
     /// [`ManipulationError::SiteConflict`] describing the first problem.
     pub fn validate(&self) -> Result<(), ManipulationError> {
+        let in_bounds = self
+            .requests
+            .iter()
+            .all(|r| self.dims.contains(r.start) && self.dims.contains(r.goal));
+        if in_bounds && self.sites_clear(|r| r.start) && self.sites_clear(|r| r.goal) {
+            return Ok(());
+        }
+        self.validate_pairwise()
+    }
+
+    /// Whether the cells `site` picks from the requests keep the separation
+    /// rule, by one dense scan over their bounding box. `false` also when
+    /// the box is too large to scan densely.
+    fn sites_clear(&self, site: impl Fn(&RoutingRequest) -> GridCoord) -> bool {
+        let Some((lo, hi)) = bounding_box(self.requests.iter().map(&site)) else {
+            return true;
+        };
+        dense_scan_fits(lo, hi)
+            && ConflictScan::default()
+                .first_conflicts(
+                    (lo, hi),
+                    0..=0,
+                    self.requests.len(),
+                    |i, _| site(&self.requests[i]),
+                    self.min_separation,
+                )
+                .is_empty()
+    }
+
+    /// The `O(requests²)` form of [`Self::validate`], which reports the
+    /// first offending request pair in request order.
+    fn validate_pairwise(&self) -> Result<(), ManipulationError> {
         for r in &self.requests {
             for c in [r.start, r.goal] {
                 if !self.dims.contains(c) {
@@ -214,18 +252,12 @@ impl RoutingOutcome {
             .max()
             .unwrap_or(0)
             .max(1);
-        let mut corners = all.iter().flat_map(|path| path.positions.iter());
-        let Some(&first) = corners.next() else {
+        let Some((lo, hi)) =
+            bounding_box(all.iter().flat_map(|path| path.positions.iter().copied()))
+        else {
             return true;
         };
-        let (lo, hi) = corners.fold((first, first), |(lo, hi), c| {
-            (
-                GridCoord::new(lo.x.min(c.x), lo.y.min(c.y)),
-                GridCoord::new(hi.x.max(c.x), hi.y.max(c.y)),
-            )
-        });
-        let cells = (u64::from(hi.x - lo.x) + 1) * (u64::from(hi.y - lo.y) + 1);
-        if cells > MAX_DENSE_SCAN_CELLS {
+        if !dense_scan_fits(lo, hi) {
             return pairwise_conflict_free(&all, horizon, min_separation);
         }
         let last: Vec<usize> = all.iter().map(|path| path.positions.len() - 1).collect();
@@ -240,8 +272,25 @@ impl RoutingOutcome {
 }
 
 /// Largest bounding box, in cells, that [`RoutingOutcome::is_conflict_free`]
-/// scans densely (two `u32`s per cell: 128 MiB, a 4096² chip).
+/// and [`RoutingProblem::validate`] scan densely (two `u32`s per cell:
+/// 128 MiB, a 4096² chip).
 const MAX_DENSE_SCAN_CELLS: u64 = 1 << 24;
+
+/// Whether the inclusive box `[lo, hi]` is small enough to scan densely.
+fn dense_scan_fits(lo: GridCoord, hi: GridCoord) -> bool {
+    (u64::from(hi.x - lo.x) + 1) * (u64::from(hi.y - lo.y) + 1) <= MAX_DENSE_SCAN_CELLS
+}
+
+/// The inclusive bounding box of `cells`; `None` when there are none.
+fn bounding_box(mut cells: impl Iterator<Item = GridCoord>) -> Option<(GridCoord, GridCoord)> {
+    let first = cells.next()?;
+    Some(cells.fold((first, first), |(lo, hi), c| {
+        (
+            GridCoord::new(lo.x.min(c.x), lo.y.min(c.y)),
+            GridCoord::new(hi.x.max(c.x), hi.y.max(c.y)),
+        )
+    }))
+}
 
 /// The brute-force form of [`RoutingOutcome::is_conflict_free`]: every pair
 /// of paths, at every step `0..=horizon`.
@@ -962,6 +1011,43 @@ mod tests {
                 "{:?}",
                 all
             );
+        }
+
+        /// The dense `validate` returns exactly the pairwise reference's
+        /// result, first error included: crowded requests with shared
+        /// cells, near misses at every separation, and out-of-bounds
+        /// coordinates mixed in.
+        #[test]
+        fn dense_validate_matches_pairwise(
+            sep in 0u32..5,
+            spacing_slack in 0u32..3,
+            sites in proptest::collection::vec((0u32..3, 0u32..3, 0u32..3, 0u32..3, 0u8..12), 0..9),
+        ) {
+            // Starts along one row and goals along another, both spaced just
+            // below, at or just above the separation and jittered by up to
+            // two cells; goals run in reverse order. A few coordinates land
+            // past the grid edge.
+            let dims = GridDims::new(40, 12);
+            let spacing = sep.saturating_sub(1) + spacing_slack;
+            let n = sites.len() as u32;
+            let requests = sites
+                .iter()
+                .enumerate()
+                .map(|(i, &(sx, sy, gx, gy, flag))| {
+                    let i = i as u32;
+                    let mut start = GridCoord::new(1 + i * spacing + sx, 1 + sy);
+                    let mut goal = GridCoord::new(1 + (n - 1 - i) * spacing + gx, 6 + gy);
+                    match flag {
+                        0 => start.x += dims.cols,
+                        1 => goal.y += dims.rows,
+                        _ => {}
+                    }
+                    RoutingRequest { id: ParticleId(u64::from(i)), start, goal }
+                })
+                .collect();
+            let mut problem = RoutingProblem::new(dims, requests);
+            problem.min_separation = sep;
+            proptest::prop_assert_eq!(problem.validate(), problem.validate_pairwise());
         }
     }
 

@@ -24,6 +24,18 @@ pub(crate) fn position_at(path: &[GridCoord], t: usize) -> GridCoord {
     path[t.min(path.len() - 1)]
 }
 
+/// The window path of a particle that starts the window on `*start`. The
+/// merged window stores an empty trajectory for a particle that stays put
+/// (frozen, or parked on its goal), so it needs no `Vec` of its own; that
+/// reads as the one-cell path `[*start]`.
+pub(crate) fn window_path<'a>(traj: &'a [GridCoord], start: &'a GridCoord) -> &'a [GridCoord] {
+    if traj.is_empty() {
+        std::slice::from_ref(start)
+    } else {
+        traj
+    }
+}
+
 /// Read access to a space–time reservation table over one window.
 pub(crate) trait ReservationView {
     /// Number of planned steps (the table covers steps `0..=window()`).

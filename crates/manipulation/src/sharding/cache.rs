@@ -61,7 +61,8 @@ struct ShardEntry {
 
 /// A window path packed to 4 bits per step where possible (the move
 /// alphabet has 5 symbols: stay + 4 directions), falling back to the full
-/// coordinate list for windows longer than 16 steps.
+/// coordinate list for windows longer than 16 steps. The empty path of a
+/// particle parked on its goal is stored as an empty, unallocated `Wide`.
 #[derive(Debug)]
 enum StoredPath {
     Packed {
@@ -74,7 +75,7 @@ enum StoredPath {
 
 impl StoredPath {
     fn encode(path: &[GridCoord]) -> Self {
-        if path.len() > 17 {
+        if path.is_empty() || path.len() > 17 {
             return Self::Wide(path.to_vec());
         }
         let mut dirs = 0u64;
@@ -367,6 +368,7 @@ mod tests {
 
         let single = coords(&[(3, 9)]);
         assert_eq!(StoredPath::encode(&single).decode(), single);
+        assert!(StoredPath::encode(&[]).decode().is_empty());
 
         let long: Vec<GridCoord> = (0..40).map(|x| GridCoord::new(x, 0)).collect();
         let encoded = StoredPath::encode(&long);

@@ -24,11 +24,17 @@
 //!   through four phases (`(0,0)`, `(s/2,0)`, `(0,s/2)`, `(s/2,s/2)`), so
 //!   every cell is interior in at least one phase and traffic ratchets
 //!   between tiles window by window.
+//! * **Parked fast path** — a particle already on its goal whose cell is
+//!   free for the whole window stays put without a search: that is the
+//!   path A\* would return, and its parked zone keeps blocking what its
+//!   reservation would have (see the tile loop of `plan`).
 //! * **Re-planning on conflict** — after the per-shard plans are merged the
-//!   window is verified with a dense occupancy scan; any violating particle
-//!   (none are expected by construction, but frozen corner cases are cheap
-//!   to guard) is demoted to wait-in-place and then re-planned serially
-//!   against the merged reservation table.
+//!   window is verified with a dense occupancy scan that re-checks only
+//!   the particles that moved after step 0; a window failing it is scanned
+//!   step by step for the violating pairs (none are expected by
+//!   construction, but frozen corner cases are cheap to guard), and one
+//!   particle of each pair is demoted to wait-in-place and then re-planned
+//!   serially against the merged reservation table.
 //! * **Warm starts** — [`IncrementalRouter::solve_cached`] memoizes each
 //!   shard's window plan in a [`RouterCache`] keyed by a content hash of
 //!   everything the shard planner reads. Re-solving an unchanged (or mostly
@@ -56,7 +62,7 @@ pub use cache::{covering_tiles, CacheStats, RouterCache};
 use crate::cage::ParticleId;
 use crate::error::ManipulationError;
 use crate::routing::{ParticlePath, RoutingOutcome, RoutingProblem};
-use astar_soa::{position_at, window_astar, Arena, ArenaPool, DenseZone};
+use astar_soa::{position_at, window_astar, Arena, ArenaPool, DenseZone, ReservationView};
 use cache::shard_key;
 use labchip_units::GridCoord;
 use partition::{stagger_phases, Partition, TileMembership};
@@ -128,7 +134,7 @@ impl IncrementalRouter {
     /// [`RoutingOutcome::unrouted`] instead.
     pub fn solve(&self, problem: &RoutingProblem) -> Result<RoutingOutcome, ManipulationError> {
         problem.validate()?;
-        Ok(self.plan(problem, None))
+        Ok(self.plan::<true>(problem, None))
     }
 
     /// Solves a routing problem, reading and populating `cache` so that
@@ -145,7 +151,7 @@ impl IncrementalRouter {
         cache: &mut RouterCache,
     ) -> Result<RoutingOutcome, ManipulationError> {
         problem.validate()?;
-        Ok(self.plan(problem, Some(cache)))
+        Ok(self.plan::<true>(problem, Some(cache)))
     }
 
     /// Benchmark probe for the per-window partition build: classifies
@@ -173,7 +179,10 @@ impl IncrementalRouter {
         (membership.occupied_tiles(), mobile)
     }
 
-    fn plan(
+    /// The planner behind [`Self::solve`] and [`Self::solve_cached`].
+    /// `FAST_PARK` enables the parked fast path of the tile loop; tests
+    /// turn it off to compare against calling A\* for every particle.
+    fn plan<const FAST_PARK: bool>(
         &self,
         problem: &RoutingProblem,
         mut cache: Option<&mut RouterCache>,
@@ -184,6 +193,9 @@ impl IncrementalRouter {
         let side = self.effective_side(problem.min_separation);
         let window = self.shards.window.max(1) as usize;
         let phases = stagger_phases(side);
+        // The parked fast path needs window starts at least `sep` apart,
+        // which a validated problem guarantees only for a separation ≥ 1.
+        let fast_park = FAST_PARK && problem.min_separation > 0;
 
         let goals: Vec<GridCoord> = problem.requests.iter().map(|r| r.goal).collect();
         let mut positions: Vec<GridCoord> = problem.requests.iter().map(|r| r.start).collect();
@@ -322,7 +334,18 @@ impl IncrementalRouter {
                     }
                     for &i in indices {
                         let i = i as usize;
-                        parked.remove(positions_ref[i], sep);
+                        let start = positions_ref[i];
+                        // Parked fast path: A* would pop the start first and
+                        // return the stay `[start]` at once. Its reservation
+                        // is left out and its parked zone kept instead; both
+                        // block the same cells at every step ≥ 1, and no
+                        // later start lies in that zone.
+                        if fast_park && start == goals_ref[i] && reservations.is_free_from(start, 0)
+                        {
+                            out.push(Vec::new());
+                            continue;
+                        }
+                        parked.remove(start, sep);
                         let parked_view = &*parked;
                         let path = window_astar(
                             lo,
@@ -333,7 +356,7 @@ impl IncrementalRouter {
                                     && !frozen_ref.blocked(c)
                                     && !parked_view.blocked(c)
                             },
-                            positions_ref[i],
+                            start,
                             goals_ref[i],
                             &*reservations,
                             scratch,
@@ -354,11 +377,12 @@ impl IncrementalRouter {
                 }
             }
 
-            // Merge into one trajectory per particle (frozen: wait).
-            let mut trajs: Vec<Vec<GridCoord>> = positions.iter().map(|p| vec![*p]).collect();
-            for (tile, paths) in shard_paths.iter().enumerate() {
+            // Merge into one trajectory per particle; frozen particles keep
+            // the empty trajectory, which waits (see `window_path`).
+            let mut trajs: Vec<Vec<GridCoord>> = vec![Vec::new(); n];
+            for (tile, paths) in shard_paths.iter_mut().enumerate() {
                 for (k, &i) in membership.members(tile).iter().enumerate() {
-                    trajs[i as usize] = paths[k].clone();
+                    trajs[i as usize] = std::mem::take(&mut paths[k]);
                 }
             }
 
@@ -369,9 +393,13 @@ impl IncrementalRouter {
             // Execute the window (truncated at the global horizon).
             let steps = window.min(problem.max_steps - elapsed);
             let mut any_moved = false;
-            for i in 0..n {
+            for (i, traj) in trajs.iter().enumerate() {
+                if traj.len() <= 1 {
+                    pending_stays[i] += steps; // waits the whole window
+                    continue;
+                }
                 for t in 1..=steps {
-                    let pos = position_at(&trajs[i], t);
+                    let pos = position_at(traj, t);
                     let last = *histories[i].last().expect("histories are never empty");
                     if pos == last {
                         pending_stays[i] += 1;
@@ -383,7 +411,7 @@ impl IncrementalRouter {
                         histories[i].push(pos);
                     }
                 }
-                positions[i] = position_at(&trajs[i], steps);
+                positions[i] = position_at(traj, steps);
             }
             elapsed += steps;
             if any_moved {
@@ -685,6 +713,107 @@ mod tests {
         let cold = router.solve(&problem).unwrap();
         assert_eq!(warm, cold);
         assert!(warm.is_conflict_free(problem.min_separation));
+    }
+
+    /// Recover-shaped problem on a lattice of pitch `sep + slack` (exactly
+    /// `sep` when the slack is 0): `occupied` lattice cells hold particles
+    /// and all but the first `movers` of them stay on their goals; each
+    /// mover heads for a distinct empty lattice cell. `seed` shuffles the
+    /// lattice.
+    fn recover_shaped(
+        side: u32,
+        sep: u32,
+        slack: (u32, u32),
+        occupied: usize,
+        movers: usize,
+        seed: u64,
+    ) -> RoutingProblem {
+        let (px, py) = (sep + slack.0, sep + slack.1);
+        let mut lattice: Vec<GridCoord> = (0..side)
+            .step_by(py as usize)
+            .flat_map(|y| {
+                (0..side)
+                    .step_by(px as usize)
+                    .map(move |x| GridCoord::new(x, y))
+            })
+            .collect();
+        let mut bits = seed;
+        for k in (1..lattice.len()).rev() {
+            bits = bits
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            lattice.swap(k, (bits >> 33) as usize % (k + 1));
+        }
+        let occupied = occupied.min(lattice.len());
+        let movers = movers.min(occupied).min(lattice.len() - occupied);
+        let requests = (0..occupied)
+            .map(|k| RoutingRequest {
+                id: ParticleId(k as u64),
+                start: lattice[k],
+                goal: if k < movers {
+                    lattice[occupied + k]
+                } else {
+                    lattice[k]
+                },
+            })
+            .collect();
+        let mut problem = RoutingProblem::new(GridDims::square(side), requests);
+        problem.min_separation = sep;
+        problem
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The parked fast path changes no plan: `solve` and cold and warm
+        /// `solve_cached` return exactly the outcome of calling A\* for
+        /// every particle, on recover-shaped problems.
+        #[test]
+        fn parked_fast_path_matches_always_astar(
+            side in 8u32..29,
+            sep in 1u32..5,
+            slack in (0u32..2, 0u32..2),
+            occupied in 0usize..60,
+            movers in 0usize..8,
+            seed in 0u64..u64::MAX,
+            shards in (4u32..13, 1u32..7),
+        ) {
+            let problem = recover_shaped(side, sep, slack, occupied, movers, seed);
+            let router = IncrementalRouter::new(ShardConfig {
+                shard_side: shards.0,
+                window: shards.1,
+                max_stagnant_windows: 4,
+            });
+            let reference = router.plan::<false>(&problem, None);
+            proptest::prop_assert_eq!(&router.solve(&problem).unwrap(), &reference);
+            let mut cache = RouterCache::new();
+            for _ in 0..2 {
+                let cached = router.solve_cached(&problem, &mut cache).unwrap();
+                proptest::prop_assert_eq!(&cached, &reference);
+            }
+        }
+    }
+
+    #[test]
+    fn parked_fast_path_is_off_without_a_separation() {
+        // Separation 0 lets two parked particles share a cell, so the
+        // second one's start lies in the first one's zone: the argument
+        // for the fast path fails, and the planner must call A* as before.
+        // A third particle on the move makes the planner run windows.
+        let mut problem = RoutingProblem::new(
+            GridDims::square(16),
+            vec![
+                request(1, (5, 5), (5, 5)),
+                request(2, (5, 5), (5, 5)),
+                request(3, (1, 1), (12, 12)),
+            ],
+        );
+        problem.min_separation = 0;
+        let router = small_shards();
+        assert_eq!(
+            router.solve(&problem).unwrap(),
+            router.plan::<false>(&problem, None)
+        );
     }
 
     #[test]

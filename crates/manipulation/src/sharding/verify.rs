@@ -1,12 +1,15 @@
 //! Merged-window verification and serial repair.
 //!
 //! After the per-shard plans are merged the window is verified with a dense
-//! per-step occupancy scan; any violating particle (none are expected by
+//! occupancy scan that checks step 0 in full and then only the particles
+//! that moved. Only a window that fails it (none are expected by
 //! construction — the margins make cross-shard conflicts impossible — but
-//! frozen corner cases are cheap to guard) is demoted to wait-in-place and
-//! then re-planned serially against the merged reservation table.
+//! frozen corner cases are cheap to guard) runs the per-step dense scan,
+//! which finds the violating pairs: one particle of each is demoted to
+//! wait-in-place and then re-planned serially against the merged
+//! reservation table.
 
-use super::astar_soa::{position_at, window_astar, Scratch, WindowReservations};
+use super::astar_soa::{position_at, window_astar, window_path, Scratch, WindowReservations};
 use super::EXPANSION_CAP;
 use crate::routing::{for_each_zone_cell, RoutingProblem};
 use labchip_units::{GridCoord, GridDims};
@@ -14,8 +17,10 @@ use labchip_units::{GridCoord, GridDims};
 /// Reusable dense occupancy scan: one `u32` occupant id and epoch stamp
 /// per cell of a box, re-stamped per step instead of rebuilding a hash map.
 /// The crate's one conflict scanner — it verifies every merged router
-/// window ([`ConflictScan::window_conflicts`]) and whole routing outcomes
-/// ([`crate::routing::RoutingOutcome::is_conflict_free`]).
+/// window ([`verify_and_repair`]), whole routing outcomes
+/// ([`crate::routing::RoutingOutcome::is_conflict_free`]) and the starts
+/// and goals of routing problems
+/// ([`crate::routing::RoutingProblem::validate`]).
 #[derive(Debug, Default)]
 pub(crate) struct ConflictScan {
     lo_x: u32,
@@ -177,33 +182,68 @@ impl ConflictScan {
     }
 
     /// All conflicting particle pairs found at the first conflicting step
-    /// of a merged window; stops there so repair can fix that step before
-    /// re-verifying.
-    pub(crate) fn window_conflicts(
+    /// of a merged window, where particle `i` starts on `positions[i]` and
+    /// follows `trajs[i]` (see [`window_path`]); stops there so repair can
+    /// fix that step before re-verifying.
+    fn window_conflicts(
         &mut self,
         dims: GridDims,
+        positions: &[GridCoord],
         trajs: &[Vec<GridCoord>],
         window: usize,
         sep: u32,
     ) -> Vec<(usize, usize)> {
-        let grid = (
-            GridCoord::new(0, 0),
-            GridCoord::new(dims.cols.saturating_sub(1), dims.rows.saturating_sub(1)),
-        );
         self.first_conflicts(
-            grid,
+            grid_box(dims),
             1..=window,
             trajs.len(),
-            |i, t| position_at(&trajs[i], t),
+            |i, t| position_at(window_path(&trajs[i], &positions[i]), t),
             sep,
         )
     }
 }
 
-/// Verifies a merged window; conflicting particles are demoted to
-/// wait-in-place until the window is clean, then re-planned serially
-/// against the merged reservations.
+/// The inclusive cell box of the whole grid.
+fn grid_box(dims: GridDims) -> (GridCoord, GridCoord) {
+    (
+        GridCoord::new(0, 0),
+        GridCoord::new(dims.cols.saturating_sub(1), dims.rows.saturating_sub(1)),
+    )
+}
+
+/// Verifies a merged window, where particle `i` starts on `positions[i]`
+/// and follows `trajs[i]` (see [`window_path`]). A clean window, the
+/// expected case, is confirmed by [`ConflictScan::stays_clear`] and left
+/// untouched; any other runs [`repair`].
 pub(crate) fn verify_and_repair(
+    problem: &RoutingProblem,
+    positions: &[GridCoord],
+    goals: &[GridCoord],
+    trajs: &mut [Vec<GridCoord>],
+    window: usize,
+    sep: u32,
+    scan: &mut ConflictScan,
+) {
+    let last: Vec<usize> = trajs
+        .iter()
+        .map(|traj| traj.len().saturating_sub(1))
+        .collect();
+    let clear = scan.stays_clear(
+        grid_box(problem.dims),
+        window,
+        &last,
+        |i, t| position_at(window_path(&trajs[i], &positions[i]), t),
+        sep,
+    );
+    if !clear {
+        repair(problem, positions, goals, trajs, window, sep, scan);
+    }
+}
+
+/// Repairs a merged window with the per-step dense scan: conflicting
+/// particles are demoted to wait-in-place until the window is clean, then
+/// re-planned serially against the merged reservations.
+fn repair(
     problem: &RoutingProblem,
     positions: &[GridCoord],
     goals: &[GridCoord],
@@ -214,7 +254,7 @@ pub(crate) fn verify_and_repair(
 ) {
     let mut demoted: Vec<usize> = Vec::new();
     loop {
-        let offenders = scan.window_conflicts(problem.dims, trajs, window, sep);
+        let offenders = scan.window_conflicts(problem.dims, positions, trajs, window, sep);
         if offenders.is_empty() {
             break;
         }
@@ -235,7 +275,7 @@ pub(crate) fn verify_and_repair(
                 a + b - preferred
             };
             if trajs[victim].len() > 1 {
-                trajs[victim] = vec![positions[victim]];
+                trajs[victim].clear();
                 demoted.push(victim);
             }
         }
@@ -250,15 +290,15 @@ pub(crate) fn verify_and_repair(
     // else's merged trajectories. This is a cold path, so the sparse
     // whole-grid reservation table is the right trade-off here.
     let mut reservations = WindowReservations::new(window, sep);
-    for traj in trajs.iter() {
-        reservations.add_path(traj);
+    for (traj, start) in trajs.iter().zip(positions) {
+        reservations.add_path(window_path(traj, start));
     }
     let dims = problem.dims;
     let lo = GridCoord::new(0, 0);
     let hi = GridCoord::new(dims.cols - 1, dims.rows - 1);
     let mut scratch = Scratch::default();
     for &i in &demoted {
-        reservations.remove_path(&trajs[i]);
+        reservations.remove_path(window_path(&trajs[i], &positions[i]));
         let path = window_astar(
             lo,
             hi,
@@ -275,18 +315,120 @@ pub(crate) fn verify_and_repair(
     // The re-planned paths respected the reservations, but run one
     // last wait-demotion sweep as a hard guarantee.
     loop {
-        let offenders = scan.window_conflicts(problem.dims, trajs, window, sep);
+        let offenders = scan.window_conflicts(problem.dims, positions, trajs, window, sep);
         if offenders.is_empty() {
             break;
         }
         for (a, b) in offenders {
             let victim = a.max(b);
             if trajs[victim].len() > 1 {
-                trajs[victim] = vec![positions[victim]];
+                trajs[victim].clear();
             } else {
-                let other = a.min(b);
-                trajs[other] = vec![positions[other]];
+                trajs[a.min(b)].clear();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const WINDOW: usize = 4;
+    const SEP: u32 = 2;
+
+    fn cells(raw: &[(u32, u32)]) -> Vec<GridCoord> {
+        raw.iter().map(|&(x, y)| GridCoord::new(x, y)).collect()
+    }
+
+    fn problem() -> RoutingProblem {
+        RoutingProblem::new(GridDims::square(16), Vec::new())
+    }
+
+    /// Window starts and goals of three particles: one heading right along
+    /// row 1, one on row 1 further right, one parked far away.
+    fn setup() -> (Vec<GridCoord>, Vec<GridCoord>) {
+        (
+            cells(&[(1, 1), (6, 1), (10, 10)]),
+            cells(&[(5, 1), (12, 1), (10, 10)]),
+        )
+    }
+
+    fn clear(positions: &[GridCoord], trajs: &[Vec<GridCoord>]) -> bool {
+        let last: Vec<usize> = trajs.iter().map(|t| t.len().saturating_sub(1)).collect();
+        ConflictScan::default().stays_clear(
+            grid_box(problem().dims),
+            WINDOW,
+            &last,
+            |i, t| position_at(window_path(&trajs[i], &positions[i]), t),
+            SEP,
+        )
+    }
+
+    #[test]
+    fn a_clean_window_is_left_untouched() {
+        let (positions, goals) = setup();
+        let mut trajs = vec![
+            cells(&[(1, 1), (2, 1), (3, 1), (4, 1)]),
+            cells(&[(6, 1), (7, 1), (8, 1)]),
+            Vec::new(),
+        ];
+        let before = trajs.clone();
+        let mut scan = ConflictScan::default();
+        verify_and_repair(
+            &problem(),
+            &positions,
+            &goals,
+            &mut trajs,
+            WINDOW,
+            SEP,
+            &mut scan,
+        );
+        assert_eq!(trajs, before);
+    }
+
+    #[test]
+    fn a_conflict_takes_the_dense_fallback_and_is_repaired() {
+        let (positions, goals) = setup();
+        // Particle 1 waits two steps, then steps left into particle 0's
+        // path: at step 3 they sit on (4, 1) and (5, 1).
+        let merged = vec![
+            cells(&[(1, 1), (2, 1), (3, 1), (4, 1)]),
+            cells(&[(6, 1), (6, 1), (6, 1), (5, 1)]),
+            Vec::new(),
+        ];
+        assert!(
+            !clear(&positions, &merged),
+            "the moved-only check must fail"
+        );
+
+        let mut verified = merged.clone();
+        let mut scan = ConflictScan::default();
+        verify_and_repair(
+            &problem(),
+            &positions,
+            &goals,
+            &mut verified,
+            WINDOW,
+            SEP,
+            &mut scan,
+        );
+        let mut repaired = merged.clone();
+        repair(
+            &problem(),
+            &positions,
+            &goals,
+            &mut repaired,
+            WINDOW,
+            SEP,
+            &mut scan,
+        );
+
+        assert_eq!(verified, repaired);
+        assert_ne!(verified, merged, "repair must change the window");
+        assert!(clear(&positions, &verified));
+        assert!(scan
+            .window_conflicts(problem().dims, &positions, &verified, WINDOW, SEP)
+            .is_empty());
     }
 }
