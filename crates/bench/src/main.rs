@@ -1,5 +1,5 @@
 //! `report` — drives the scenario engine of the DATE'05 reproduction, and
-//! emits the machine-readable field-kernel benchmark file.
+//! emits the machine-readable benchmark files.
 //!
 //! Usage:
 //!
@@ -25,18 +25,27 @@
 //! The markdown output is what `EXPERIMENTS.md` quotes; `--json` emits the
 //! same tables (plus full typed outputs, configs, seeds and wall-clock
 //! times) as one JSON document from the same source. While scenarios run,
-//! row-level progress streams to stderr so long runs never go dark. The
-//! `bench-fields` subcommand times the field-evaluation kernels and the
-//! particle-stepping loop and writes `BENCH_fields.json` (one object per
-//! kernel with ns/op, plus simulator step throughput per thread count) so
-//! successive PRs accumulate a perf trajectory.
+//! row-level progress streams to stderr so long runs never go dark.
+//!
+//! `bench-fields` times the field-evaluation kernels and the
+//! particle-stepping loop; `bench-workload` times planning, driver cycles,
+//! journal replay and the farm and fleet sweeps. Both write one document of
+//! the same shape, so successive changes accumulate a perf trajectory:
+//!
+//! ```text
+//! {"meta": {"available_parallelism": N, ...},
+//!  "benchmarks": [{"id": "...", "value": V, "unit": "ns", "threads": T}, ...]}
+//! ```
 
+use labchip::prelude::{Biochip, ChipSimulator, SimulationConfig};
 use labchip::scenario::{outcomes_to_json, Progress, ProgressEvent, RunOutcome, Runner};
-use labchip_bench::{cage_field, populated_simulator};
 use labchip_farm::full_registry;
 use labchip_physics::field::cache::FieldCache;
-use labchip_physics::field::FieldModel;
-use labchip_units::Vec3;
+use labchip_physics::field::superposition::SuperpositionField;
+use labchip_physics::field::{ElectrodePhase, ElectrodePlane, FieldModel};
+use labchip_units::{GridCoord, GridDims, Meters, Seconds, Vec3, Volts};
+use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,18 +54,13 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("bench-fields") => {
-            let out = args
-                .get(1)
-                .cloned()
-                .unwrap_or_else(|| "BENCH_fields.json".into());
-            bench_fields(&out);
+            let out = args.get(1).map_or("BENCH_fields.json", String::as_str);
+            exit_on_bench_error(write_bench(out, &[], bench_fields));
         }
         Some("bench-workload") => {
-            let out = args
-                .get(1)
-                .cloned()
-                .unwrap_or_else(|| "BENCH_workload.json".into());
-            bench_workload(&out);
+            let out = args.get(1).map_or("BENCH_workload.json", String::as_str);
+            let meta = [("cycles", CYCLES), ("reps", REPS)];
+            exit_on_bench_error(write_bench(out, &meta, bench_workload));
         }
         Some("journal-diff") => {
             if let Err(message) = journal_diff(&args[1..]) {
@@ -228,45 +232,153 @@ fn print_markdown_report(outcomes: &[RunOutcome]) {
     }
 }
 
-/// Median ns/op of `f`, adaptively batched.
-fn time_ns(mut f: impl FnMut()) -> f64 {
-    // Calibrate a batch size costing ≳1 ms.
-    let mut batch = 1u64;
-    loop {
-        let t0 = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        if t0.elapsed().as_micros() >= 1_000 {
-            break;
-        }
-        batch *= 2;
-    }
-    let mut samples = Vec::with_capacity(32);
-    for _ in 0..32 {
-        let t0 = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        samples.push(t0.elapsed().as_nanos() as f64 / batch as f64);
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
+/// One measurement in a `BENCH_*.json` file; `bench-fields` and
+/// `bench-workload` emit nothing else.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct BenchRow {
+    id: String,
+    value: f64,
+    /// `ns` (per operation), `ms`, `1/s`, `ratio`, `%` or `count`.
+    unit: String,
+    /// Worker threads the measured code ran on; 0 for a count that is not
+    /// a timing.
+    threads: usize,
 }
 
-fn bench_fields(out_path: &str) {
-    // Fail fast on an unwritable destination — the measurements below take
-    // a minute and would otherwise be thrown away at the final write.
-    if let Err(err) = std::fs::OpenOptions::new()
+impl BenchRow {
+    fn new(id: impl Into<String>, value: f64, unit: &str, threads: usize) -> Self {
+        Self {
+            id: id.into(),
+            value,
+            unit: unit.to_owned(),
+            threads,
+        }
+    }
+}
+
+/// A whole `BENCH_*.json` document.
+#[derive(Debug, Serialize, Deserialize)]
+struct BenchFile {
+    /// The machine's `available_parallelism` plus the run's size constants:
+    /// a `threads/1` vs `all_cores` comparison means nothing without knowing
+    /// how many cores "all" was.
+    meta: BTreeMap<String, usize>,
+    benchmarks: Vec<BenchRow>,
+}
+
+/// Checks that `path` is writable, runs `measure`, and writes its rows
+/// with `meta` and the machine's `available_parallelism` to `path`. The
+/// check comes first because the measurements can take a minute and would
+/// otherwise be thrown away at the final write.
+fn write_bench(
+    path: &str,
+    meta: &[(&str, usize)],
+    measure: impl FnOnce() -> Vec<BenchRow>,
+) -> Result<(), String> {
+    let unwritable = |err: std::io::Error| format!("cannot write benchmark output `{path}`: {err}");
+    std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(out_path)
-    {
-        eprintln!("cannot write benchmark output `{out_path}`: {err}");
+        .open(path)
+        .map_err(unwritable)?;
+    let benchmarks = measure();
+    let mut meta: BTreeMap<String, usize> = meta
+        .iter()
+        .map(|&(key, value)| (key.to_owned(), value))
+        .collect();
+    meta.insert("available_parallelism".into(), available_parallelism());
+    let file = BenchFile { meta, benchmarks };
+    std::fs::write(path, serde_json::to_string_pretty(&file) + "\n").map_err(unwritable)?;
+    println!("wrote {path} ({} entries)", file.benchmarks.len());
+    Ok(())
+}
+
+fn exit_on_bench_error(result: Result<(), String>) {
+    if let Err(message) = result {
+        eprintln!("{message}");
         std::process::exit(1);
     }
-    let mut entries: Vec<(String, f64)> = Vec::new();
+}
 
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Median ns per call of `f` over `samples` timed batches. Calls are
+/// batched until a batch costs ≳1 ms, so the calibration doubles as a
+/// warm-up; a call slower than that is timed one at a time.
+fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
+    let mut run_batch = |batch: u64| {
+        let t0 = Instant::now();
+        for _ in 0..batch {
+            f();
+        }
+        t0.elapsed().as_nanos() as f64
+    };
+    let mut batch = 1u64;
+    while run_batch(batch) < 1e6 {
+        batch *= 2;
+    }
+    let mut times: Vec<f64> = (0..samples)
+        .map(|_| run_batch(batch) / batch as f64)
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
+/// Reference plane (20 µm pitch, 3.3 V, 80 µm chamber) with a single cage
+/// at the array centre, in the fast field model.
+fn cage_field(side: u32) -> SuperpositionField {
+    let mut plane = ElectrodePlane::new(
+        GridDims::square(side),
+        Meters::from_micrometers(20.0),
+        Volts::new(3.3),
+        Meters::from_micrometers(80.0),
+    );
+    plane.set_phase(
+        GridCoord::new(side / 2, side / 2),
+        ElectrodePhase::CounterPhase,
+    );
+    SuperpositionField::new(plane)
+}
+
+/// The simulator benchmark workload: a 64×64 chip programmed with the
+/// standard cage lattice and `particles` cells spread deterministically
+/// (low-discrepancy additive recurrences) through the chamber.
+fn populated_simulator(threads: usize, particles: u32) -> ChipSimulator {
+    let mut chip = Biochip::small_reference(64);
+    let pattern = labchip_array::pattern::CagePattern::standard_lattice(chip.array().dims())
+        .expect("lattice fits");
+    chip.program_pattern(&pattern).expect("pattern fits");
+    let mut sim = ChipSimulator::new(
+        chip,
+        SimulationConfig {
+            dt: Seconds::from_millis(0.5),
+            brownian: true,
+            seed: 9,
+        },
+    )
+    .with_threads(threads);
+    let cell = *sim.chip().reference_particle();
+    let width = sim.chip().array().to_electrode_plane().width();
+    for i in 0..particles {
+        let fx = (i as f64 * 0.754_877_666) % 1.0;
+        let fy = (i as f64 * 0.569_840_296) % 1.0;
+        let z = 15e-6 + 50e-6 * ((i as f64 * 0.381_966_011) % 1.0);
+        sim.add_particle(
+            cell,
+            Vec3::new((0.05 + 0.9 * fx) * width, (0.05 + 0.9 * fy) * width, z),
+        )
+        .expect("inside the chamber");
+    }
+    sim
+}
+
+/// `report bench-fields` — the field kernels (ns/op, single-threaded) and
+/// simulator step throughput with 1000 particles on 1 thread and on all
+/// cores.
+fn bench_fields() -> Vec<BenchRow> {
+    let mut rows = Vec::new();
     for side in [16u32, 320] {
         let field = cage_field(side);
         let probe = Vec3::new(
@@ -274,131 +386,84 @@ fn bench_fields(out_path: &str) {
             field.plane().height() / 2.0,
             30e-6,
         );
-        entries.push((
-            format!("kernel_field_evaluation/potential/{side}"),
-            time_ns(|| {
+        let kernels: [(&str, &dyn Fn()); 4] = [
+            ("potential", &|| {
                 black_box(field.potential(black_box(probe)));
             }),
-        ));
-        entries.push((
-            format!("kernel_field_evaluation/e_squared/{side}"),
-            time_ns(|| {
+            ("e_squared", &|| {
                 black_box(field.e_squared(black_box(probe)));
             }),
-        ));
-        entries.push((
-            format!("kernel_field_evaluation/grad_e_squared/{side}"),
-            time_ns(|| {
+            ("grad_e_squared", &|| {
                 black_box(field.grad_e_squared(black_box(probe)));
             }),
-        ));
-        entries.push((
-            format!("kernel_field_evaluation/grad_e_squared_fd/{side}"),
-            time_ns(|| {
+            ("grad_e_squared_fd", &|| {
                 black_box(field.grad_e_squared_fd(black_box(probe)));
             }),
-        ));
+        ];
+        for (name, kernel) in kernels {
+            rows.push(BenchRow::new(
+                format!("kernel_field_evaluation/{name}/{side}"),
+                median_ns(32, kernel),
+                "ns",
+                1,
+            ));
+        }
     }
 
-    {
-        let field = cage_field(16);
-        let cache = FieldCache::build(&field);
-        let probe = Vec3::new(163.1e-6, 157.7e-6, 31e-6);
-        entries.push((
-            "kernel_field_evaluation/field_cache_grad_lookup".into(),
-            time_ns(|| {
-                black_box(cache.grad_e_squared(black_box(probe)));
-            }),
-        ));
-    }
+    let cache = FieldCache::build(&cage_field(16));
+    let probe = Vec3::new(163.1e-6, 157.7e-6, 31e-6);
+    rows.push(BenchRow::new(
+        "kernel_field_evaluation/field_cache_grad_lookup",
+        median_ns(32, || {
+            black_box(cache.grad_e_squared(black_box(probe)));
+        }),
+        "ns",
+        1,
+    ));
 
-    // Simulator step throughput: particle-steps per second, 1000 particles.
-    // The `threads/1` vs `threads/all_cores` comparison is meaningless
-    // without knowing how many cores "all" resolved to on the machine that
-    // ran it (a 1-core runner legitimately reports a 1.0x speedup), so the
-    // machine's parallelism is recorded alongside every row and in the
-    // document's `meta` block.
-    let available_parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let mut throughput: Vec<(String, f64, usize)> = Vec::new();
+    // `threads = 0` asks the simulator for every core; its rows name the
+    // resolved count so a 1-core runner's 1.0x speedup reads as such.
     for threads in [1usize, 0] {
         let mut sim = populated_simulator(threads, 1000);
-        let ns_per_step = time_ns(|| sim.run(1));
-        let resolved = if threads == 0 {
-            available_parallelism
+        let ns_per_step = median_ns(32, || sim.run(1));
+        let (resolved, label) = if threads == 0 {
+            let all = available_parallelism();
+            (all, format!("all_cores({all})"))
         } else {
-            threads
+            (threads, threads.to_string())
         };
-        let label = if threads == 0 {
-            format!("all_cores({resolved})")
-        } else {
-            threads.to_string()
-        };
-        throughput.push((
+        rows.push(BenchRow::new(
             format!("simulator_step_1000_particles/threads/{label}"),
             ns_per_step,
+            "ns",
             resolved,
         ));
-        throughput.push((
+        rows.push(BenchRow::new(
             format!("particle_steps_per_second/threads/{label}"),
             1000.0 / (ns_per_step * 1e-9),
+            "1/s",
             resolved,
         ));
     }
 
-    let mut json = format!(
-        "{{\n  \"meta\": {{\"available_parallelism\": {available_parallelism}}},\n  \"benchmarks\": [\n"
-    );
-    for (i, (id, ns)) in entries.iter().enumerate() {
-        let sep = if i + 1 < entries.len() || !throughput.is_empty() {
-            ","
-        } else {
-            ""
-        };
-        json.push_str(&format!(
-            "    {{\"id\": \"{id}\", \"ns_per_op\": {ns:.2}}}{sep}\n"
-        ));
-    }
-    for (i, (id, value, threads)) in throughput.iter().enumerate() {
-        let sep = if i + 1 < throughput.len() { "," } else { "" };
-        let key = if id.starts_with("particle_steps") {
-            "value"
-        } else {
-            "ns_per_op"
-        };
-        json.push_str(&format!(
-            "    {{\"id\": \"{id}\", \"{key}\": {value:.1}, \"threads\": {threads}}}{sep}\n"
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(out_path, &json).expect("write benchmark json");
-
-    let speedup = {
-        let find = |needle: &str| {
-            entries
-                .iter()
-                .find(|(id, _)| id == needle)
-                .map(|(_, ns)| *ns)
-        };
-        match (
-            find("kernel_field_evaluation/grad_e_squared_fd/320"),
-            find("kernel_field_evaluation/grad_e_squared/320"),
-        ) {
-            (Some(fd), Some(analytic)) if analytic > 0.0 => fd / analytic,
-            _ => f64::NAN,
-        }
+    let ns = |id: &str| {
+        rows.iter()
+            .find(|row| row.id == id)
+            .map_or(f64::NAN, |row| row.value)
     };
-    println!(
-        "wrote {out_path} ({} entries)",
-        entries.len() + throughput.len()
-    );
+    let speedup = ns("kernel_field_evaluation/grad_e_squared_fd/320")
+        / ns("kernel_field_evaluation/grad_e_squared/320");
     println!("analytic grad_e_squared speedup over finite differences (side 320): {speedup:.1}x");
+    rows
 }
 
-/// `report bench-workload OUT.json` — the workload-pipeline perf
-/// trajectory: incremental-router planning, full driver cycles with and
-/// without the event journal attached, and journal replay.
+/// Driver cycles per `bench-workload` repetition, and repetitions.
+const CYCLES: usize = 4;
+const REPS: usize = 3;
+
+/// `report bench-workload` — the workload-pipeline perf trajectory:
+/// incremental-router planning, full driver cycles with and without the
+/// event journal attached, journal replay, and the farm and fleet sweeps.
 ///
 /// All cycle variants run the *identical* deterministic cycle sequence
 /// (same seeds, same routing problems), so their wall-clock totals are
@@ -407,43 +472,42 @@ fn bench_fields(out_path: &str) {
 /// (< 2% of a live cycle) and requires replay to be faster than live
 /// execution — the property that makes the journal a usable crash-recovery
 /// and debugging artifact.
-fn bench_workload(out_path: &str) {
+fn bench_workload() -> Vec<BenchRow> {
+    use labchip::scenario::{Scenario, ScenarioContext};
     use labchip::workload::{sort_problem, BatchDriver, ForceEnvelope, Protocol, WorkloadConfig};
     use labchip_manipulation::journal::{replay, Journal};
     use labchip_manipulation::sharding::{IncrementalRouter, RouterCache, ShardConfig};
-    use labchip_units::GridDims;
-
-    if let Err(err) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(out_path)
-    {
-        eprintln!("cannot write benchmark output `{out_path}`: {err}");
-        std::process::exit(1);
-    }
 
     let envelope = ForceEnvelope::date05_reference();
-    let mut entries: Vec<(String, f64)> = Vec::new();
-
-    // Incremental-router planning alone (no execution, no sensing).
-    for (side, particles) in [(128u32, 500usize), (256, 1000)] {
-        let driver = BatchDriver::with_envelope(
+    let driver_at = |array_side: u32| {
+        BatchDriver::with_envelope(
             WorkloadConfig {
-                array_side: side,
+                array_side,
                 ..WorkloadConfig::default()
             },
             envelope,
-        );
-        let mut samples = Vec::with_capacity(8);
-        for _ in 0..8 {
-            let t0 = Instant::now();
-            black_box(driver.plan_only(particles, 2005));
-            samples.push(t0.elapsed().as_secs_f64() * 1e9);
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        entries.push((
+        )
+    };
+    let pinned_pool = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("thread pool construction is infallible")
+    };
+    // Rows not pinned to a pool run on the ambient one.
+    let ambient = rayon::current_num_threads();
+    let mut rows = Vec::new();
+
+    // Incremental-router planning alone (no execution, no sensing).
+    for (side, particles) in [(128u32, 500usize), (256, 1000)] {
+        let driver = driver_at(side);
+        rows.push(BenchRow::new(
             format!("workload/incremental_plan/{side}x{particles}"),
-            samples[samples.len() / 2],
+            median_ns(8, || {
+                black_box(driver.plan_only(particles, 2005));
+            }),
+            "ns",
+            ambient,
         ));
     }
 
@@ -452,112 +516,91 @@ fn bench_workload(out_path: &str) {
     // pool, then warm re-solves of the identical problem against the primed
     // plan cache. Warm output is bit-identical to cold by the cache's
     // content-key construction, so the ratio row is a pure speed figure.
-    let warm_cold_ratio = {
-        let problem = sort_problem(GridDims::square(320), 10_000, 2, 2005);
-        let router = IncrementalRouter::new(ShardConfig::default());
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .expect("thread pool construction is infallible");
-        let mut cache = RouterCache::new();
-        let t0 = Instant::now();
+    let problem = sort_problem(GridDims::square(320), 10_000, 2, 2005);
+    let router = IncrementalRouter::new(ShardConfig::default());
+    let pool = pinned_pool(1);
+    let mut cache = RouterCache::new();
+    let mut solve_cached = || {
         pool.install(|| {
             black_box(
                 router
                     .solve_cached(&problem, &mut cache)
                     .expect("generated problems are always well-formed"),
-            )
+            );
         });
-        let cold = t0.elapsed().as_secs_f64();
-        let mut samples = Vec::with_capacity(3);
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            pool.install(|| {
-                black_box(
-                    router
-                        .solve_cached(&problem, &mut cache)
-                        .expect("generated problems are always well-formed"),
-                )
-            });
-            samples.push(t0.elapsed().as_secs_f64());
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        let warm = samples[samples.len() / 2];
-        entries.push((
-            "workload/incremental_plan_cold/320x10000".into(),
-            cold * 1e9,
-        ));
-        entries.push((
-            "workload/incremental_plan_warm/320x10000".into(),
-            warm * 1e9,
-        ));
-        warm / cold
     };
+    let t0 = Instant::now();
+    solve_cached();
+    let cold = t0.elapsed().as_nanos() as f64;
+    let warm = median_ns(3, solve_cached);
+    let warm_cold_ratio = warm / cold;
+    rows.push(BenchRow::new(
+        "workload/incremental_plan_cold/320x10000",
+        cold,
+        "ns",
+        1,
+    ));
+    rows.push(BenchRow::new(
+        "workload/incremental_plan_warm/320x10000",
+        warm,
+        "ns",
+        1,
+    ));
+    rows.push(BenchRow::new(
+        "workload/plan_warm_cold_ratio",
+        warm_cold_ratio,
+        "ratio",
+        1,
+    ));
 
     // The SoA tile-membership build alone: the per-window counting sort
     // over the 320²/10k scatter (margin freezing included), isolated from
     // the A* so the partition-build lever of the cold solve is tracked.
-    {
-        let problem = sort_problem(GridDims::square(320), 10_000, 2, 2005);
-        let positions: Vec<_> = problem
-            .requests
-            .iter()
-            .map(|request| request.start)
-            .collect();
-        let router = IncrementalRouter::new(ShardConfig::default());
-        let mut samples = Vec::with_capacity(16);
-        for _ in 0..16 {
-            let t0 = Instant::now();
+    let positions: Vec<_> = problem
+        .requests
+        .iter()
+        .map(|request| request.start)
+        .collect();
+    rows.push(BenchRow::new(
+        "workload/partition_build/320x10000",
+        median_ns(16, || {
             black_box(router.partition_build_probe(GridDims::square(320), 2, &positions));
-            samples.push(t0.elapsed().as_secs_f64() * 1e9);
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        entries.push((
-            "workload/partition_build/320x10000".into(),
-            samples[samples.len() / 2],
-        ));
-    }
+        }),
+        "ns",
+        1,
+    ));
 
     // Thread-pinned planning: the same problem under explicit rayon pools,
-    // so the trajectory records a measured scaling curve (threads + speedup
-    // per row) instead of whatever pool the ambient environment happened to
-    // provide.
-    let pinned: Vec<(String, f64, usize)> = {
-        let driver = BatchDriver::with_envelope(
-            WorkloadConfig {
-                array_side: 128,
-                ..WorkloadConfig::default()
-            },
-            envelope,
-        );
-        [1usize, 2, 4, 8]
-            .iter()
-            .map(|&threads| {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("thread pool construction is infallible");
-                let mut samples = Vec::with_capacity(8);
-                for _ in 0..8 {
-                    let t0 = Instant::now();
-                    pool.install(|| black_box(driver.plan_only(500, 2005)));
-                    samples.push(t0.elapsed().as_secs_f64() * 1e9);
-                }
-                samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-                (
-                    format!("workload/incremental_plan_pinned/128x500/threads/{threads}"),
-                    samples[samples.len() / 2],
-                    threads,
-                )
-            })
-            .collect()
-    };
+    // so the trajectory records a measured scaling curve (a time row and a
+    // speedup-over-1-thread row per thread count) instead of whatever pool
+    // the ambient environment happened to provide.
+    let driver = driver_at(128);
+    let mut serial_ns = None;
+    let mut curve = Vec::new();
+    for threads in [1usize, 2, 4, 8] {
+        let pool = pinned_pool(threads);
+        let ns = median_ns(8, || {
+            pool.install(|| black_box(driver.plan_only(500, 2005)));
+        });
+        let speedup = *serial_ns.get_or_insert(ns) / ns;
+        rows.push(BenchRow::new(
+            format!("workload/incremental_plan_pinned/128x500/threads/{threads}"),
+            ns,
+            "ns",
+            threads,
+        ));
+        rows.push(BenchRow::new(
+            format!("workload/incremental_plan_pinned_speedup/128x500/threads/{threads}"),
+            speedup,
+            "ratio",
+            threads,
+        ));
+        curve.push(format!("{threads}t {speedup:.2}x"));
+    }
 
     // Full driver cycles: live (no journal) vs journaled, the same
     // deterministic cycle sequence each way, then replay of the recorded
     // journals back into chip states.
-    const CYCLES: usize = 4;
-    const REPS: usize = 3;
     let cycle_config = WorkloadConfig {
         array_side: 96,
         ..WorkloadConfig::default()
@@ -607,150 +650,105 @@ fn bench_workload(out_path: &str) {
         best
     };
     let per_cycle = |total: f64| total / CYCLES as f64 * 1e9;
-    entries.push((
-        "workload/driver_cycle_live/96x200".into(),
-        per_cycle(live_total),
+    let vs_live_pct = |total: f64| 100.0 * (total / live_total - 1.0);
+    for (id, total) in [
+        ("workload/driver_cycle_live/96x200", live_total),
+        ("workload/driver_cycle_journaled/96x200", journaled_total),
+        ("workload/cycle_replay/96x200", replay_total),
+    ] {
+        rows.push(BenchRow::new(id, per_cycle(total), "ns", ambient));
+    }
+    let journal_overhead_pct = vs_live_pct(journaled_total);
+    let replay_vs_live_pct = vs_live_pct(replay_total);
+    rows.push(BenchRow::new(
+        "workload/journal_overhead_pct",
+        journal_overhead_pct,
+        "%",
+        ambient,
     ));
-    entries.push((
-        "workload/driver_cycle_journaled/96x200".into(),
-        per_cycle(journaled_total),
+    rows.push(BenchRow::new(
+        "workload/replay_vs_live_pct",
+        replay_vs_live_pct,
+        "%",
+        ambient,
     ));
-    entries.push((
-        "workload/cycle_replay/96x200".into(),
-        per_cycle(replay_total),
-    ));
-    let journal_overhead_pct = if live_total > 0.0 {
-        100.0 * (journaled_total / live_total - 1.0)
-    } else {
-        f64::NAN
-    };
-    let replay_vs_live_pct = if live_total > 0.0 {
-        100.0 * (replay_total / live_total - 1.0)
-    } else {
-        f64::NAN
-    };
 
     // Farm fleet benchmark: the E15 scenario's worker-count sweep, folded
     // into the same trajectory file — jobs/sec and latency percentiles per
     // fleet size, plus the sweep's divergence tripwire.
-    let farm_rows: Vec<(String, f64, usize)> = {
-        use labchip::scenario::{Scenario, ScenarioContext};
-        let scenario = labchip_farm::FarmScenario;
-        let config = labchip_farm::scenario::Config::default();
-        let results = scenario.run(&config, &mut ScenarioContext::silent("E15"));
-        let mut rows = Vec::new();
-        for row in &results.fleet {
-            rows.push((
-                format!("workload/farm/jobs_per_sec/workers/{}", row.workers),
-                row.jobs_per_sec,
-                row.workers,
-            ));
-            rows.push((
-                format!("workload/farm/latency_p50_ms/workers/{}", row.workers),
-                row.latency_p50_ms,
-                row.workers,
-            ));
-            rows.push((
-                format!("workload/farm/latency_p99_ms/workers/{}", row.workers),
-                row.latency_p99_ms,
-                row.workers,
-            ));
-        }
-        rows.push((
-            "workload/farm/divergences".into(),
-            results.total_divergences as f64,
-            0,
+    let farm = labchip_farm::FarmScenario.run(
+        &labchip_farm::scenario::Config::default(),
+        &mut ScenarioContext::silent("E15"),
+    );
+    for row in &farm.fleet {
+        let workers = row.workers;
+        rows.push(BenchRow::new(
+            format!("workload/farm/jobs_per_sec/workers/{workers}"),
+            row.jobs_per_sec,
+            "1/s",
+            workers,
         ));
-        rows
-    };
+        rows.push(BenchRow::new(
+            format!("workload/farm/latency_p50_ms/workers/{workers}"),
+            row.latency_p50_ms,
+            "ms",
+            workers,
+        ));
+        rows.push(BenchRow::new(
+            format!("workload/farm/latency_p99_ms/workers/{workers}"),
+            row.latency_p99_ms,
+            "ms",
+            workers,
+        ));
+    }
+    rows.push(BenchRow::new(
+        "workload/farm/divergences",
+        farm.total_divergences as f64,
+        "count",
+        0,
+    ));
 
     // Sharded-fleet benchmark: a reduced E16 sweep (the default 320²/10k
     // sweep belongs to `report run e16`), recording wall clock and handoff
     // traffic per shard grid plus the equivalence tripwire.
-    let fleet_rows: Vec<(String, f64, usize)> = {
-        use labchip::scenario::{Scenario, ScenarioContext};
-        let scenario = labchip_farm::FleetScenario;
-        let config = labchip_farm::fleet_scenario::Config {
+    let fleet = labchip_farm::FleetScenario.run(
+        &labchip_farm::fleet_scenario::Config {
             array_side: 96,
             particles: 200,
             ..labchip_farm::fleet_scenario::Config::default()
-        };
-        let results = scenario.run(&config, &mut ScenarioContext::silent("E16"));
-        let mut rows = Vec::new();
-        for row in &results.grids {
-            rows.push((
-                format!("workload/fleet/wall_ms/grid/{}", row.grid),
-                row.wall_ms,
-                row.shards,
-            ));
-            rows.push((
-                format!("workload/fleet/handoffs/grid/{}", row.grid),
-                row.handoffs as f64,
-                row.shards,
-            ));
-        }
-        rows.push((
-            "workload/fleet/divergences".into(),
-            results.total_divergences as f64,
-            0,
-        ));
-        rows
-    };
-
-    let available_parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-
-    let mut json = format!(
-        "{{\n  \"meta\": {{\"available_parallelism\": {available_parallelism}, \"cycles\": {CYCLES}, \"reps\": {REPS}}},\n  \"benchmarks\": [\n"
+        },
+        &mut ScenarioContext::silent("E16"),
     );
-    for (id, ns) in &entries {
-        json.push_str(&format!(
-            "    {{\"id\": \"{id}\", \"ns_per_op\": {ns:.2}}},\n"
+    for row in &fleet.grids {
+        rows.push(BenchRow::new(
+            format!("workload/fleet/wall_ms/grid/{}", row.grid),
+            row.wall_ms,
+            "ms",
+            row.shards,
+        ));
+        rows.push(BenchRow::new(
+            format!("workload/fleet/handoffs/grid/{}", row.grid),
+            row.handoffs as f64,
+            "count",
+            row.shards,
         ));
     }
-    let pinned_baseline = pinned.first().map(|(_, ns, _)| *ns).unwrap_or(f64::NAN);
-    for (id, ns, threads) in &pinned {
-        let speedup = pinned_baseline / ns;
-        json.push_str(&format!(
-            "    {{\"id\": \"{id}\", \"ns_per_op\": {ns:.2}, \"threads\": {threads}, \"speedup\": {speedup:.3}}},\n"
-        ));
-    }
-    for (id, value, workers) in farm_rows.iter().chain(&fleet_rows) {
-        json.push_str(&format!(
-            "    {{\"id\": \"{id}\", \"value\": {value:.3}, \"threads\": {workers}}},\n"
-        ));
-    }
-    json.push_str(&format!(
-        "    {{\"id\": \"workload/plan_warm_cold_ratio\", \"value\": {warm_cold_ratio:.4}}},\n"
+    rows.push(BenchRow::new(
+        "workload/fleet/divergences",
+        fleet.total_divergences as f64,
+        "count",
+        0,
     ));
-    json.push_str(&format!(
-        "    {{\"id\": \"workload/journal_overhead_pct\", \"value\": {journal_overhead_pct:.3}}},\n"
-    ));
-    json.push_str(&format!(
-        "    {{\"id\": \"workload/replay_vs_live_pct\", \"value\": {replay_vs_live_pct:.3}}}\n"
-    ));
-    json.push_str("  ]\n}\n");
-    std::fs::write(out_path, &json).expect("write benchmark json");
 
-    println!(
-        "wrote {out_path} ({} entries)",
-        entries.len() + pinned.len() + farm_rows.len() + fleet_rows.len() + 3
-    );
     println!("warm/cold replan ratio (320x10000, 1 thread): {warm_cold_ratio:.4}");
-    if let Some((_, _, _)) = pinned.last() {
-        let curve: Vec<String> = pinned
-            .iter()
-            .map(|(_, ns, threads)| format!("{threads}t {:.2}x", pinned_baseline / ns))
-            .collect();
-        println!(
-            "pinned incremental-plan scaling (128x500): {}",
-            curve.join(", ")
-        );
-    }
-    for (id, value, _) in farm_rows.iter().chain(&fleet_rows) {
+    println!(
+        "pinned incremental-plan scaling (128x500): {}",
+        curve.join(", ")
+    );
+    for row in &rows {
+        let id = &row.id;
         if id.contains("jobs_per_sec") || id.contains("wall_ms") || id.ends_with("divergences") {
-            println!("{id}: {value:.2}");
+            println!("{id}: {:.2}", row.value);
         }
     }
     println!(
@@ -764,6 +762,7 @@ fn bench_workload(out_path: &str) {
          ({:.3} ms replay per cycle)",
         per_cycle(replay_total) / 1e6
     );
+    rows
 }
 
 /// `report journal-diff` — where do two chip-state journals first diverge?
@@ -1220,4 +1219,43 @@ fn run_farm_demo(
     }
     farm.shutdown();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bench_file_round_trips_through_serde_json() {
+        let rows = vec![
+            BenchRow::new("kernel/a/16", 2461.36, "ns", 1),
+            BenchRow::new(
+                "steps/threads/all_cores(2)",
+                381_349.412_345_678_9,
+                "1/s",
+                2,
+            ),
+            BenchRow::new("ratio", 0.1 + 0.2, "ratio", 8),
+            BenchRow::new("pct", -99.415, "%", 2),
+            BenchRow::new("divergences", 0.0, "count", 0),
+        ];
+        let path = std::env::temp_dir().join(format!("labchip-bench-{}.json", std::process::id()));
+        let path = path.to_str().expect("temp path is UTF-8");
+        write_bench(path, &[("cycles", 4)], || rows.clone()).expect("temp dir is writable");
+        let text = std::fs::read_to_string(path).expect("file was written");
+        std::fs::remove_file(path).expect("file was written");
+
+        let file: BenchFile = serde_json::from_str(&text).expect("writer emits valid JSON");
+        assert_eq!(file.benchmarks, rows);
+        assert_eq!(file.meta["cycles"], 4);
+        assert_eq!(file.meta["available_parallelism"], available_parallelism());
+    }
+
+    #[test]
+    fn unwritable_output_is_rejected_before_measuring() {
+        let path = "/nonexistent-labchip-dir/BENCH.json";
+        let result = write_bench(path, &[], || panic!("measured before the path check"));
+        let message = result.expect_err("path has no parent directory");
+        assert!(message.contains(path), "{message}");
+    }
 }
