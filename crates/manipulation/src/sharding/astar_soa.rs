@@ -12,6 +12,17 @@
 //! rare serial repair path, which plans against the whole grid where a dense
 //! table would be needlessly large; [`window_astar`] is generic over the
 //! [`ReservationView`] trait so both back-ends share one search.
+//!
+//! The inner loop of [`window_astar`] runs millions of times per
+//! paper-scale solve, so each expansion is kept to a few array reads: the
+//! open set is a heap of packed `u128` keys (see [`open_key`]), a
+//! neighbour is tested against the visited stamps before the costlier
+//! `allowed` and reservation predicates, the caller passes the tile
+//! *interior* as the search box so `allowed` need not re-derive tile
+//! membership and margins, and [`DenseReservations`] answers "free until
+//! the window ends" with one comparison. None of this changes a plan: the
+//! pop order is the same total order over states, and the reordered tests
+//! are pure predicates.
 
 use crate::routing::for_each_zone_cell;
 use labchip_units::GridCoord;
@@ -212,12 +223,20 @@ impl DenseZone {
     }
 }
 
-/// Dense space–time reservations over one window and one tile box: a flat
-/// `(window + 1) × bh × bw` array of zone counts, epoch-cleared in O(1).
+/// Dense space–time reservations over one window and one tile interior:
+/// a flat `(window + 1) × bh × bw` array of epoch stamps, one per reserved
+/// `(step, cell)`, cleared in O(1) by bumping the epoch. The table only
+/// ever gains reservations (repair, which removes paths, uses the sparse
+/// [`WindowReservations`]), so a stamp is all a reservation needs.
 ///
 /// Functionally equivalent to [`WindowReservations`] for queries inside the
 /// box (the only queries the per-shard A\* makes); zone cells spilling
 /// outside the box are dropped because they can never be queried.
+///
+/// Per cell it also keeps `until`: one past the last step reserved there
+/// (`0` for none). Because reservations are only ever added, a cell is
+/// free from step `t` to the end of the window exactly when `until ≤ t`,
+/// which makes [`ReservationView::is_free_from`] one comparison.
 #[derive(Debug, Default)]
 pub(crate) struct DenseReservations {
     radius: u32,
@@ -226,8 +245,9 @@ pub(crate) struct DenseReservations {
     lo_y: u32,
     bw: usize,
     bh: usize,
-    counts: Vec<u32>,
-    stamp: Vec<u32>,
+    reserved: Vec<u32>,
+    until: Vec<u32>,
+    until_stamp: Vec<u32>,
     epoch: u32,
 }
 
@@ -247,24 +267,29 @@ impl DenseReservations {
         self.lo_y = lo.y;
         self.bw = (hi.x - lo.x + 1) as usize;
         self.bh = (hi.y - lo.y + 1) as usize;
-        let cells = self.bw * self.bh * (window + 1);
-        if self.counts.len() < cells {
-            self.counts.resize(cells, 0);
-            self.stamp.resize(cells, 0);
+        let cells = self.bw * self.bh;
+        if self.reserved.len() < cells * (window + 1) {
+            self.reserved.resize(cells * (window + 1), 0);
+        }
+        if self.until.len() < cells {
+            self.until.resize(cells, 0);
+            self.until_stamp.resize(cells, 0);
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
+            self.reserved.iter_mut().for_each(|s| *s = 0);
+            self.until_stamp.iter_mut().for_each(|s| *s = 0);
             self.epoch = 1;
         }
     }
 
     pub(crate) fn add_path(&mut self, path: &[GridCoord]) {
         let (lx, ly, bw, bh, epoch) = (self.lo_x, self.lo_y, self.bw, self.bh, self.epoch);
+        let reserved = &mut self.reserved;
+        let until = &mut self.until;
+        let until_stamp = &mut self.until_stamp;
         for t in 0..=self.window {
             let pos = position_at(path, t);
-            let counts = &mut self.counts;
-            let stamp = &mut self.stamp;
             for_each_zone_cell(pos, self.radius, |c| {
                 if c.x < lx || c.y < ly {
                     return;
@@ -273,26 +298,27 @@ impl DenseReservations {
                 if x >= bw || y >= bh {
                     return;
                 }
-                let k = (t * bh + y) * bw + x;
-                if stamp[k] != epoch {
-                    stamp[k] = epoch;
-                    counts[k] = 0;
+                let cell = y * bw + x;
+                reserved[t * bh * bw + cell] = epoch;
+                if until_stamp[cell] != epoch {
+                    until_stamp[cell] = epoch;
+                    until[cell] = 0;
                 }
-                counts[k] += 1;
+                until[cell] = until[cell].max(t as u32 + 1);
             });
         }
     }
 
-    fn blocked(&self, c: GridCoord, t: usize) -> bool {
+    /// Flat index of `c` within the box, or `None` outside it.
+    fn cell(&self, c: GridCoord) -> Option<usize> {
         if c.x < self.lo_x || c.y < self.lo_y {
-            return false;
+            return None;
         }
         let (x, y) = ((c.x - self.lo_x) as usize, (c.y - self.lo_y) as usize);
         if x >= self.bw || y >= self.bh {
-            return false;
+            return None;
         }
-        let k = (t * self.bh + y) * self.bw + x;
-        self.stamp[k] == self.epoch && self.counts[k] > 0
+        Some(y * self.bw + x)
     }
 }
 
@@ -302,39 +328,35 @@ impl ReservationView for DenseReservations {
     }
 
     fn is_free(&self, c: GridCoord, t: usize) -> bool {
-        !self.blocked(c, t.min(self.window))
+        self.cell(c).is_none_or(|cell| {
+            self.reserved[t.min(self.window) * self.bh * self.bw + cell] != self.epoch
+        })
     }
 
     fn is_free_from(&self, c: GridCoord, t: usize) -> bool {
-        (t..=self.window).all(|step| !self.blocked(c, step))
+        self.cell(c).is_none_or(|cell| {
+            self.until_stamp[cell] != self.epoch || self.until[cell] as usize <= t
+        })
     }
 }
 
-/// Min-heap node of the windowed A\*. Ties break on `(t, y, x)` so the
-/// expansion order — and therefore the plan — is fully deterministic.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) struct Open {
-    f: u32,
-    t: u16,
-    y: u16,
-    x: u16,
+/// Open-set key of the windowed A\*: `(f, t, y, x)` packed high to low
+/// into one `u128` and complemented, so the max-heap pops the
+/// lexicographically smallest state first. Ties break on `(t, y, x)`, so
+/// the expansion order — and therefore the plan — is fully deterministic.
+fn open_key(f: u32, t: u32, y: u32, x: u32) -> u128 {
+    !(u128::from(f) << 96 | u128::from(t) << 64 | u128::from(y) << 32 | u128::from(x))
 }
 
-impl Ord for Open {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .f
-            .cmp(&self.f)
-            .then_with(|| other.t.cmp(&self.t))
-            .then_with(|| other.y.cmp(&self.y))
-            .then_with(|| other.x.cmp(&self.x))
-    }
-}
-
-impl PartialOrd for Open {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// The `(f, t, y, x)` an [`open_key`] was packed from.
+fn open_state(key: u128) -> (u32, u32, u32, u32) {
+    let k = !key;
+    (
+        (k >> 96) as u32,
+        (k >> 64) as u32,
+        (k >> 32) as u32,
+        k as u32,
+    )
 }
 
 /// Reusable flat-array scratch space for the windowed A\*: visited stamps
@@ -345,7 +367,7 @@ pub(crate) struct Scratch {
     visited: Vec<u32>,
     parent: Vec<u32>,
     epoch: u32,
-    open: BinaryHeap<Open>,
+    open: BinaryHeap<u128>,
 }
 
 impl Scratch {
@@ -480,12 +502,7 @@ fn search<const PRUNE: bool>(
     scratch.begin(bw * bh * (window + 1));
 
     let h = |c: GridCoord| c.manhattan(goal);
-    scratch.open.push(Open {
-        f: h(start),
-        t: 0,
-        y: start.y as u16,
-        x: start.x as u16,
-    });
+    scratch.open.push(open_key(h(start), 0, start.y, start.x));
     scratch.visited[idx(start, 0)] = scratch.epoch;
 
     // Best parking spot so far: minimise (distance-to-goal, t, y, x). The
@@ -517,7 +534,8 @@ fn search<const PRUNE: bool>(
     consider(start, 0, &mut best, &mut best_moving);
 
     let mut expansions = 0usize;
-    while let Some(Open { f, t, y, x }) = scratch.open.pop() {
+    while let Some(key) = scratch.open.pop() {
+        let (f, t, y, x) = open_state(key);
         if PRUNE {
             if let Some((d, _, _)) = best {
                 if f as usize > d as usize + window {
@@ -525,7 +543,7 @@ fn search<const PRUNE: bool>(
                 }
             }
         }
-        let c = GridCoord::new(x as u32, y as u32);
+        let c = GridCoord::new(x, y);
         let t = t as usize;
         consider(c, t, &mut best, &mut best_moving);
         if let Some((0, bt, bc)) = best {
@@ -540,6 +558,7 @@ fn search<const PRUNE: bool>(
             }
             continue;
         }
+        let here = idx(c, t) as u32;
         for (dx, dy) in [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)] {
             let Some(next) = c.offset(dx, dy) else {
                 continue;
@@ -547,21 +566,20 @@ fn search<const PRUNE: bool>(
             if next.x < lo.x || next.x > hi.x || next.y < lo.y || next.y > hi.y {
                 continue;
             }
-            if !allowed(next) || !reservations.is_free(next, t + 1) {
-                continue;
-            }
+            // Cheapest test first: all three are pure predicates.
             let slot = idx(next, t + 1);
-            if scratch.visited[slot] == scratch.epoch {
+            if scratch.visited[slot] == scratch.epoch
+                || !allowed(next)
+                || !reservations.is_free(next, t + 1)
+            {
                 continue;
             }
             scratch.visited[slot] = scratch.epoch;
-            scratch.parent[slot] = idx(c, t) as u32;
-            scratch.open.push(Open {
-                f: (t + 1) as u32 + h(next),
-                t: (t + 1) as u16,
-                y: next.y as u16,
-                x: next.x as u16,
-            });
+            scratch.parent[slot] = here;
+            let next_t = (t + 1) as u32;
+            scratch
+                .open
+                .push(open_key(next_t + h(next), next_t, next.y, next.x));
         }
     }
 
@@ -621,7 +639,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
         /// The bound-pruned search returns exactly the exhaustive search's
-        /// path, on both reservation back-ends.
+        /// path, on both reservation back-ends, and both back-ends return
+        /// the same path (which pins the dense table's O(1)
+        /// `is_free_from` to the sparse table's step loop).
         #[test]
         fn early_exit_matches_exhaustive_search(
             tile in (0u32..6, 0u32..6, 2u32..14, 2u32..14),
@@ -654,12 +674,43 @@ mod tests {
                 dense.add_path(path);
             }
             let mut scratch = Scratch::default();
-            let pruned = window_astar(lo, hi, allowed, start, goal, &sparse, &mut scratch, cap);
+            let sparse_path = window_astar(lo, hi, allowed, start, goal, &sparse, &mut scratch, cap);
             let full = window_astar_exhaustive(lo, hi, allowed, start, goal, &sparse, &mut scratch, cap);
-            prop_assert_eq!(&pruned, &full);
-            let pruned = window_astar(lo, hi, allowed, start, goal, &dense, &mut scratch, cap);
+            prop_assert_eq!(&sparse_path, &full);
+            let dense_path = window_astar(lo, hi, allowed, start, goal, &dense, &mut scratch, cap);
             let full = window_astar_exhaustive(lo, hi, allowed, start, goal, &dense, &mut scratch, cap);
-            prop_assert_eq!(&pruned, &full);
+            prop_assert_eq!(&dense_path, &full);
+            prop_assert_eq!(&sparse_path, &dense_path);
         }
+    }
+
+    /// The max-heap pops packed keys in ascending lexicographic
+    /// `(f, t, y, x)` order, ties and values past `u16::MAX` included, and
+    /// every key unpacks to the state it was packed from.
+    #[test]
+    fn packed_key_order_is_lexicographic() {
+        // Every combination, so each field ties under every prefix.
+        let values = [0u32, 1, 0xffff, 0x1_0000, 70_000, u32::MAX];
+        let mut states = Vec::new();
+        for f in values {
+            for t in values {
+                for y in values {
+                    for x in values {
+                        states.push((f, t, y, x));
+                    }
+                }
+            }
+        }
+        states.sort_unstable();
+        let mut heap: BinaryHeap<u128> = states
+            .iter()
+            .rev()
+            .map(|&(f, t, y, x)| open_key(f, t, y, x))
+            .collect();
+        let mut popped = Vec::new();
+        while let Some(key) = heap.pop() {
+            popped.push(open_state(key));
+        }
+        assert_eq!(popped, states);
     }
 }

@@ -320,7 +320,12 @@ impl IncrementalRouter {
                         return;
                     }
                     let indices = membership_ref.members(tile);
-                    let (lo, hi) = part.tile_bounds(positions_ref[indices[0] as usize]);
+                    // Every cell the tables below are asked about lies in
+                    // the tile interior: the searches stay in it and the
+                    // starts are mobile.
+                    let (lo, hi) = part
+                        .interior_bounds(positions_ref[indices[0] as usize], margin)
+                        .expect("a mobile particle lies in its tile's interior");
                     let mut arena = pool_ref.checkout();
                     let Arena {
                         scratch,
@@ -350,12 +355,7 @@ impl IncrementalRouter {
                         let path = window_astar(
                             lo,
                             hi,
-                            |c| {
-                                part.tile_of(c) == tile
-                                    && !part.in_margin(c, margin)
-                                    && !frozen_ref.blocked(c)
-                                    && !parked_view.blocked(c)
-                            },
+                            |c| !frozen_ref.blocked(c) && !parked_view.blocked(c),
                             start,
                             goals_ref[i],
                             &*reservations,
@@ -612,6 +612,24 @@ mod tests {
             .install(|| router.solve(&problem).unwrap());
         assert_eq!(one, many);
         assert!(one.is_conflict_free(problem.min_separation));
+    }
+
+    #[test]
+    fn routes_past_the_u16_coordinate_range() {
+        // Column 65 535 is the last a 16-bit coordinate can hold; the
+        // route crosses it.
+        let problem = RoutingProblem::new(
+            GridDims::new(70_000, 4),
+            vec![request(1, (65_530, 1), (65_545, 1))],
+        );
+        let outcome = IncrementalRouter::default().solve(&problem).unwrap();
+        assert!(outcome.unrouted.is_empty(), "{outcome:?}");
+        assert_eq!(
+            outcome.paths[0].positions.last(),
+            Some(&GridCoord::new(65_545, 1))
+        );
+        assert!(outcome.makespan >= 15);
+        assert!(outcome.is_conflict_free(problem.min_separation));
     }
 
     #[test]

@@ -84,17 +84,25 @@ impl Partition {
         (lo, lo + side as i64 - 1)
     }
 
-    /// Clipped, inclusive bounds of the tile containing `c`.
-    pub(crate) fn tile_bounds(&self, c: GridCoord) -> (GridCoord, GridCoord) {
-        let (lx, hx) = Self::raw_axis_bounds(c.x, self.side, self.ox);
-        let (ly, hy) = Self::raw_axis_bounds(c.y, self.side, self.oy);
-        (
-            GridCoord::new(lx.max(0) as u32, ly.max(0) as u32),
-            GridCoord::new(
-                hx.min(self.dims.cols as i64 - 1) as u32,
-                hy.min(self.dims.rows as i64 - 1) as u32,
-            ),
-        )
+    /// Inclusive bounds of the interior of the tile containing `c`: exactly
+    /// the cells `d` with `tile_of(d) == tile_of(c) && !in_margin(d, margin)`,
+    /// or `None` when the margin leaves no such cell.
+    pub(crate) fn interior_bounds(
+        &self,
+        c: GridCoord,
+        margin: u32,
+    ) -> Option<(GridCoord, GridCoord)> {
+        let axis = |v: u32, offset: u32, extent: u32| {
+            let (lo, hi) = Self::raw_axis_bounds(v, self.side, offset);
+            let last = extent as i64 - 1;
+            let m = margin as i64;
+            let lo_in = if lo > 0 { lo + m } else { 0 };
+            let hi_in = if hi < last { hi - m } else { last };
+            (lo_in <= hi_in).then_some((lo_in as u32, hi_in as u32))
+        };
+        let (lx, hx) = axis(c.x, self.ox, self.dims.cols)?;
+        let (ly, hy) = axis(c.y, self.oy, self.dims.rows)?;
+        Some((GridCoord::new(lx, ly), GridCoord::new(hx, hy)))
     }
 
     /// Whether `c` lies within `margin` cells of an *internal* tile boundary
@@ -214,6 +222,36 @@ mod tests {
             soa.occupied_tiles(),
             nested.iter().filter(|members| !members.is_empty()).count()
         );
+    }
+
+    #[test]
+    fn interior_bounds_matches_brute_force() {
+        for (cols, rows, side) in [(37, 29, 8), (16, 16, 8), (9, 5, 4), (3, 40, 6)] {
+            let dims = GridDims::new(cols, rows);
+            for (ox, oy) in stagger_phases(side) {
+                let part = Partition::new(dims, side, ox, oy);
+                for margin in 0..=3 {
+                    for c in dims.iter() {
+                        let bounds = part.interior_bounds(c, margin);
+                        let inside = |d: GridCoord| {
+                            bounds.is_some_and(|(lo, hi)| {
+                                (lo.x..=hi.x).contains(&d.x) && (lo.y..=hi.y).contains(&d.y)
+                            })
+                        };
+                        for d in dims.iter() {
+                            let interior =
+                                part.tile_of(d) == part.tile_of(c) && !part.in_margin(d, margin);
+                            assert_eq!(
+                                inside(d),
+                                interior,
+                                "{cols}x{rows} side {side} offset ({ox},{oy}) margin {margin}: \
+                                 tile of {c}, cell {d}, bounds {bounds:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
