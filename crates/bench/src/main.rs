@@ -709,20 +709,23 @@ fn bench_workload() -> Vec<BenchRow> {
     ));
 
     // Sharded-fleet benchmark: a reduced E16 sweep (the default 320²/10k
-    // sweep belongs to `report run e16`), recording wall clock and handoff
-    // traffic per shard grid plus the equivalence tripwire.
-    let fleet = labchip_farm::FleetScenario.run(
-        &labchip_farm::fleet_scenario::Config {
-            array_side: 96,
-            particles: 200,
-            ..labchip_farm::fleet_scenario::Config::default()
-        },
-        &mut ScenarioContext::silent("E16"),
-    );
-    for row in &fleet.grids {
+    // sweep belongs to `report run e16`), recording handoff traffic per
+    // shard grid plus the equivalence tripwire, and the wall clock of each
+    // grid's projection plus one uninterrupted group run.
+    let fleet_config = labchip_farm::fleet_scenario::Config {
+        array_side: 96,
+        particles: 200,
+        ..labchip_farm::fleet_scenario::Config::default()
+    };
+    let fleet = labchip_farm::FleetScenario.run(&fleet_config, &mut ScenarioContext::silent("E16"));
+    let baseline = labchip_farm::fleet_scenario::Baseline::run(&fleet_config);
+    for (row, &grid) in fleet.grids.iter().zip(&fleet_config.grids) {
+        let topology = baseline.topology(grid).expect("the default grids fit 96²");
+        let t0 = Instant::now();
+        black_box(baseline.group(&topology).run());
         rows.push(BenchRow::new(
             format!("workload/fleet/wall_ms/grid/{}", row.grid),
-            row.wall_ms,
+            t0.elapsed().as_secs_f64() * 1e3,
             "ms",
             row.shards,
         ));

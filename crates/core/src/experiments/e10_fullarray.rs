@@ -18,8 +18,9 @@
 //!   motivates.
 //!
 //! Per row: success rate, makespan (steps and seconds at the cage-step
-//! period), total cage moves, planner wall-clock and planned moves per
-//! wall-clock second.
+//! period), total cage moves and the separation check. Every figure is a
+//! pure function of `(config, seed)`; planner wall-clock is measured by
+//! `report bench-workload`, not here.
 
 use crate::experiments::ExperimentTable;
 use crate::scenario::{Scenario, ScenarioContext};
@@ -28,7 +29,6 @@ use labchip_manipulation::routing::{Router, RoutingOutcome, RoutingProblem, Rout
 use labchip_manipulation::sharding::{IncrementalRouter, RouterCache, ShardConfig};
 use labchip_units::{GridDims, Seconds};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Configuration of the full-array sort experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -42,7 +42,7 @@ pub struct Config {
     pub density_steps: Vec<f64>,
     /// Minimum cage separation.
     pub min_separation: u32,
-    /// Cage-step period (for wall-clock makespan figures).
+    /// Cage-step period (for makespan figures in seconds).
     pub step_period: Seconds,
     /// Shard tile side of the incremental planner.
     pub shard_side: u32,
@@ -97,10 +97,6 @@ pub struct FullArrayRow {
     pub makespan_seconds: f64,
     /// Total cage moves planned.
     pub total_moves: usize,
-    /// Planner wall-clock, milliseconds.
-    pub plan_wall_ms: f64,
-    /// Planned moves per second of planner wall-clock.
-    pub moves_per_second: f64,
     /// Whether the plan satisfies the separation invariant.
     pub conflict_free: bool,
 }
@@ -138,8 +134,6 @@ impl Results {
                 "makespan [steps]".into(),
                 "makespan [s]".into(),
                 "moves".into(),
-                "plan [ms]".into(),
-                "moves/s".into(),
                 "conflict-free".into(),
             ],
             self.rows
@@ -152,8 +146,6 @@ impl Results {
                         r.makespan_steps.to_string(),
                         format!("{:.0}", r.makespan_seconds),
                         r.total_moves.to_string(),
-                        format!("{:.0}", r.plan_wall_ms),
-                        format!("{:.0}", r.moves_per_second),
                         if r.conflict_free { "yes" } else { "NO" }.into(),
                     ]
                 })
@@ -173,9 +165,7 @@ fn row_from_outcome(
     problem: &RoutingProblem,
     outcome: &RoutingOutcome,
     step_period: Seconds,
-    wall: f64,
 ) -> FullArrayRow {
-    let plan_wall_ms = wall * 1e3;
     FullArrayRow {
         particles: problem.requests.len(),
         strategy,
@@ -183,12 +173,6 @@ fn row_from_outcome(
         makespan_steps: outcome.makespan,
         makespan_seconds: step_period.get() * outcome.makespan as f64,
         total_moves: outcome.total_moves,
-        plan_wall_ms,
-        moves_per_second: if wall > 0.0 {
-            outcome.total_moves as f64 / wall
-        } else {
-            0.0
-        },
         conflict_free: outcome.is_conflict_free(problem.min_separation),
     }
 }
@@ -212,17 +196,10 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
         let problem = sort_problem(dims, count, config.min_separation, config.seed);
 
         // Greedy baseline.
-        let started = Instant::now();
         let outcome = Router::new(RoutingStrategy::Greedy)
             .solve(&problem)
             .expect("generated problems are always well-formed");
-        let row = row_from_outcome(
-            "greedy".into(),
-            &problem,
-            &outcome,
-            config.step_period,
-            started.elapsed().as_secs_f64(),
-        );
+        let row = row_from_outcome("greedy".into(), &problem, &outcome, config.step_period);
         ctx.emit_row(summary(&row));
         rows.push(row);
 
@@ -232,7 +209,6 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
             let mut sub = problem.clone();
             sub.requests.truncate(cap);
             sub.max_steps = config.astar_max_steps;
-            let started = Instant::now();
             let outcome = Router::new(RoutingStrategy::PrioritizedAStar)
                 .solve(&sub)
                 .expect("sub-problems of well-formed problems are well-formed");
@@ -241,14 +217,12 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
                 &sub,
                 &outcome,
                 config.step_period,
-                started.elapsed().as_secs_f64(),
             );
             ctx.emit_row(summary(&row));
             rows.push(row);
         }
 
         // The incremental sharded planner.
-        let started = Instant::now();
         let outcome = pool.install(|| match cache.as_mut() {
             Some(cache) => incremental
                 .solve_cached(&problem, cache)
@@ -257,13 +231,7 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
                 .solve(&problem)
                 .expect("generated problems are always well-formed"),
         });
-        let row = row_from_outcome(
-            "incremental".into(),
-            &problem,
-            &outcome,
-            config.step_period,
-            started.elapsed().as_secs_f64(),
-        );
+        let row = row_from_outcome("incremental".into(), &problem, &outcome, config.step_period);
         ctx.emit_row(summary(&row));
         rows.push(row);
     }
@@ -272,12 +240,11 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
 
 fn summary(row: &FullArrayRow) -> String {
     format!(
-        "{} particles via {}: {:.0}% in {} steps ({:.0} ms plan)",
+        "{} particles via {}: {:.0}% in {} steps",
         row.particles,
         row.strategy,
         row.success_rate * 100.0,
         row.makespan_steps,
-        row.plan_wall_ms
     )
 }
 
@@ -364,21 +331,14 @@ mod tests {
             reuse_plans: true,
             ..quick_config()
         });
-        assert_eq!(cold.rows.len(), warm.rows.len());
-        for (c, w) in cold.rows.iter().zip(&warm.rows) {
-            // Wall-clock columns are the only thing the cache may change.
-            let mut w = w.clone();
-            w.plan_wall_ms = c.plan_wall_ms;
-            w.moves_per_second = c.moves_per_second;
-            assert_eq!(*c, w);
-        }
+        assert_eq!(cold, warm);
     }
 
     #[test]
     fn table_shape() {
         let results = run(&quick_config());
         let table = results.to_table();
-        assert_eq!(table.columns.len(), 9);
+        assert_eq!(table.columns.len(), 7);
         assert_eq!(table.row_count(), 6);
     }
 }

@@ -4,13 +4,11 @@
 //! The paper's working regime is not one manipulation but a *stream* of
 //! them: load a batch, sort it, read the sensors, flush, repeat. This
 //! experiment drives the [`BatchDriver`] for a configurable number of
-//! cycles and reports, per cycle: routing success, makespan, planner
-//! wall-clock, planned moves per wall-clock second, the simulated chip time
-//! by phase (fluidics / sensing / motion), and how much of the cage-step
-//! period the array's row-rewrite budget actually used. The totals row
-//! gives the sustained figures — including the planner headroom, the ratio
-//! of chip time to planner time that shows the software keeps far ahead of
-//! the hardware.
+//! cycles and reports, per cycle: routing success, makespan, planned
+//! moves, the simulated chip time by phase (fluidics / sensing / motion),
+//! and how much of the cage-step period the array's row-rewrite budget
+//! actually used. The totals row gives the sustained figures in chip time.
+//! Every figure is a pure function of `(config, seed)`.
 
 use crate::experiments::ExperimentTable;
 use crate::scenario::{Scenario, ScenarioContext};
@@ -86,10 +84,6 @@ pub struct CycleRow {
     pub makespan_steps: usize,
     /// Cage moves planned.
     pub total_moves: usize,
-    /// Planner wall-clock, milliseconds.
-    pub plan_wall_ms: f64,
-    /// Planned moves per second of planner wall-clock.
-    pub moves_per_second: f64,
     /// Cage-motion time at the step period, seconds.
     pub motion_s: f64,
     /// Detection-scan time, seconds.
@@ -106,19 +100,12 @@ impl CycleRow {
     /// Renders a driver cycle report for the table; `step_period` is the
     /// budget the programming utilization is measured against.
     pub fn from_report(report: &CycleReport, step_period: Seconds) -> Self {
-        let wall = report.planning.get();
         Self {
             cycle: report.cycle,
             particles: report.requested,
             routed: report.routed,
             makespan_steps: report.makespan_steps,
             total_moves: report.total_moves,
-            plan_wall_ms: wall * 1e3,
-            moves_per_second: if wall > 0.0 {
-                report.total_moves as f64 / wall
-            } else {
-                0.0
-            },
             motion_s: report.time.motion.get(),
             sensing_s: report.time.sensing.get(),
             fluidics_s: report.time.fluidics.get(),
@@ -139,12 +126,8 @@ pub struct Results {
     pub total_routed: usize,
     /// Cage moves across all cycles.
     pub total_moves: usize,
-    /// Sustained planned moves per second of planner wall-clock.
-    pub sustained_moves_per_second: f64,
     /// Completed particles per hour of simulated chip time.
     pub particles_per_chip_hour: f64,
-    /// Chip time over planner time (≫ 1: the software keeps ahead).
-    pub planner_headroom: f64,
     /// Maximum cage speed the force envelope permits, µm/s.
     pub envelope_max_speed_um_s: f64,
     /// Planned moves checked against the envelope across all cycles.
@@ -169,8 +152,6 @@ impl Results {
                     ),
                     r.makespan_steps.to_string(),
                     r.total_moves.to_string(),
-                    format!("{:.0}", r.plan_wall_ms),
-                    format!("{:.0}", r.moves_per_second),
                     format!("{:.0}", r.motion_s),
                     format!("{:.2}", r.sensing_s),
                     format!("{:.0}", r.fluidics_s),
@@ -188,8 +169,6 @@ impl Results {
             "-".into(),
             self.total_moves.to_string(),
             "-".into(),
-            format!("{:.0}", self.sustained_moves_per_second),
-            "-".into(),
             "-".into(),
             "-".into(),
             "-".into(),
@@ -203,8 +182,6 @@ impl Results {
                 "routed".into(),
                 "makespan [steps]".into(),
                 "moves".into(),
-                "plan [ms]".into(),
-                "moves/s".into(),
                 "motion [s]".into(),
                 "sense [s]".into(),
                 "fluidics [s]".into(),
@@ -254,13 +231,8 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
         infeasible_moves += report.infeasible_moves;
         let row = CycleRow::from_report(&report, config.step_period);
         ctx.emit_row(format!(
-            "cycle {}: {}/{} routed, {} moves in {:.0} ms ({:.0} moves/s)",
-            row.cycle,
-            row.routed,
-            row.particles,
-            row.total_moves,
-            row.plan_wall_ms,
-            row.moves_per_second
+            "cycle {}: {}/{} routed, {} moves",
+            row.cycle, row.routed, row.particles, row.total_moves
         ));
         rows.push(row);
     }
@@ -271,18 +243,14 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
         total_requested: totals.requested,
         total_routed: totals.completed,
         total_moves: totals.total_moves,
-        sustained_moves_per_second: totals.moves_per_planning_second(),
         particles_per_chip_hour: totals.particles_per_chip_second() * 3600.0,
-        planner_headroom: totals.planner_headroom(),
         envelope_max_speed_um_s: driver.envelope().max_speed.as_micrometers_per_second(),
         moves_checked,
         infeasible_moves,
     };
     ctx.emit_row(format!(
-        "sustained: {:.0} moves/s planned, {:.0} particles/chip-hour, headroom {:.0}x",
-        results.sustained_moves_per_second,
-        results.particles_per_chip_hour,
-        results.planner_headroom
+        "sustained: {} moves planned, {:.0} particles/chip-hour",
+        results.total_moves, results.particles_per_chip_hour
     ));
     results
 }
@@ -336,8 +304,8 @@ mod tests {
             "routed {}",
             results.total_routed
         );
-        assert!(results.sustained_moves_per_second > 0.0);
-        assert!(results.planner_headroom > 1.0);
+        assert!(results.total_moves > 0);
+        assert!(results.particles_per_chip_hour > 0.0);
         assert_eq!(results.infeasible_moves, 0);
         assert!(results.moves_checked >= results.total_moves);
     }
@@ -356,7 +324,7 @@ mod tests {
     fn table_has_cycle_rows_plus_totals() {
         let results = run(&quick_config());
         let table = results.to_table();
-        assert_eq!(table.columns.len(), 11);
+        assert_eq!(table.columns.len(), 9);
         assert_eq!(table.row_count(), 3);
         assert!(table.to_string().contains("total"));
     }

@@ -1,5 +1,7 @@
 //! Bulk execution of scenarios: subset selection, per-scenario seeds,
-//! `key=value` overrides, wall-clock accounting and rayon parallelism.
+//! `key=value` overrides and rayon parallelism. A run's outcome is a pure
+//! function of `(config, seed)`; wall-clock time only reaches the progress
+//! stream ([`ProgressEvent::ScenarioFinished`]).
 
 use super::registry::{DynScenario, ScenarioRegistry};
 use super::{
@@ -8,7 +10,7 @@ use super::{
 use crate::experiments::ExperimentTable;
 use serde_json::{Map, Value};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The record of one completed scenario run.
 #[derive(Debug, Clone)]
@@ -24,8 +26,6 @@ pub struct RunOutcome {
     /// given a base seed, otherwise the config's own `seed` field (0 for
     /// seedless scenarios).
     pub seed: u64,
-    /// Wall-clock duration of the run.
-    pub wall: Duration,
     /// Rows streamed through the progress sink.
     pub rows_streamed: usize,
     /// The rendered report table.
@@ -210,18 +210,16 @@ impl Runner {
             let mut ctx = ScenarioContext::new(scenario.id(), seeds[index], progress);
             let started = Instant::now();
             let run = scenario.run_value(&configs[index], &mut ctx)?;
-            let wall = started.elapsed();
             self.progress.on_event(&ProgressEvent::ScenarioFinished {
                 scenario: scenario.id().to_owned(),
                 rows: ctx.rows_emitted(),
-                wall_ms: wall.as_secs_f64() * 1e3,
+                wall_ms: started.elapsed().as_secs_f64() * 1e3,
             });
             Ok(RunOutcome {
                 id: scenario.id().to_owned(),
                 description: scenario.describe().to_owned(),
                 config: configs[index].clone(),
                 seed: seeds[index],
-                wall,
                 rows_streamed: ctx.rows_emitted(),
                 table: run.table,
                 output: run.output,
@@ -274,10 +272,6 @@ pub fn outcomes_to_json(outcomes: &[RunOutcome]) -> Value {
             entry.insert("id", Value::String(outcome.id.clone()));
             entry.insert("description", Value::String(outcome.description.clone()));
             entry.insert("seed", serde_json::to_value(&outcome.seed));
-            entry.insert(
-                "wall_ms",
-                serde_json::to_value(&(outcome.wall.as_secs_f64() * 1e3)),
-            );
             entry.insert("config", outcome.config.clone());
             entry.insert("table", outcome.table.to_json());
             entry.insert("output", outcome.output.clone());

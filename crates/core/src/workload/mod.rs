@@ -42,8 +42,8 @@
 //! prove it.
 //!
 //! Every cycle reports a [`CycleReport`] with a per-phase
-//! [`TimeBreakdown`]; the running [`SustainedThroughput`] splits *chip time*
-//! from *planner wall-clock* — the moves/sec figure of experiment E11.
+//! [`TimeBreakdown`]; the running [`SustainedThroughput`] totals the chip
+//! time and moves behind experiment E11.
 //!
 //! ## The sense phase is not an oracle
 //!
@@ -385,7 +385,6 @@ impl BatchDriver {
             report.routed,
             report.total_moves + report.recovery_moves,
             report.time.total(),
-            report.planning,
         );
         outcome
     }
@@ -460,8 +459,6 @@ mod tests {
         assert!(report.moves_checked >= report.total_moves);
         assert!(report.budget.fits_within(driver.config().step_period));
         assert!(report.time.fluidics > report.time.sensing);
-        // The planner is far faster than the chip.
-        assert!(driver.totals().planner_headroom() > 1.0);
     }
 
     #[test]
@@ -681,7 +678,8 @@ mod tests {
         let totals = driver.totals();
         assert_eq!(totals.cycles, 2);
         assert_eq!(totals.requested, 40);
-        assert!(totals.moves_per_planning_second() > 0.0);
+        assert!(totals.total_moves > 0);
+        assert!(totals.particles_per_chip_second() > 0.0);
     }
 
     #[test]

@@ -364,7 +364,7 @@ impl<'a> PhaseCtx<'a> {
 pub(crate) fn lattice(dims: GridDims, x_lo: u32, x_hi: u32, spacing: u32) -> Vec<GridCoord> {
     let mut slots = Vec::new();
     let mut y = 1;
-    while y < dims.rows - 1 {
+    while y < dims.rows.saturating_sub(1) {
         let mut x = x_lo;
         while x < x_hi {
             slots.push(GridCoord::new(x, y));
@@ -384,7 +384,12 @@ pub(crate) fn sort_lattices(
 ) -> (Vec<GridCoord>, Vec<GridCoord>) {
     let spacing = min_separation + 2;
     let left = lattice(dims, 1, dims.cols / 3, spacing);
-    let right = lattice(dims, 2 * dims.cols / 3, dims.cols - 1, spacing);
+    let right = lattice(
+        dims,
+        2 * dims.cols / 3,
+        dims.cols.saturating_sub(1),
+        spacing,
+    );
     (left, right)
 }
 
@@ -410,7 +415,7 @@ pub fn loading_sites(
 ) -> Vec<GridCoord> {
     let load_spacing = min_separation + 1;
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ particles as u64);
-    let mut starts = lattice(dims, 1, dims.cols - 1, load_spacing);
+    let mut starts = lattice(dims, 1, dims.cols.saturating_sub(1), load_spacing);
     starts.shuffle(&mut rng);
     starts.truncate(particles.min(capacity_clamp.unwrap_or(usize::MAX)));
     starts.sort_unstable_by_key(|c| (c.y, c.x));
@@ -591,7 +596,7 @@ impl RouteTarget {
                 let x_hi = (2 * dims.cols / 3).saturating_sub(sep + 1);
                 let mut anchors = Vec::new();
                 let mut y = 1;
-                while y < dims.rows - 1 {
+                while y < dims.rows.saturating_sub(1) {
                     let mut x = x_lo;
                     while x < x_hi {
                         anchors.push(GridCoord::new(x, y));
@@ -1052,6 +1057,19 @@ impl AssayPhase for Flush {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn arrays_too_small_for_a_lattice_load_and_sort_nothing() {
+        for side in [0, 1] {
+            let dims = GridDims::square(side);
+            assert!(
+                loading_sites(dims, 10, 2, 7, None).is_empty(),
+                "side {side}"
+            );
+            let problem = crate::workload::sort_problem(dims, 10, 2, 7);
+            assert!(problem.requests.is_empty(), "side {side}");
+        }
+    }
 
     #[test]
     fn pair_nearest_matches_each_stray_to_its_closest_slot() {

@@ -6,8 +6,9 @@
 //! 1. run the **monolithic baseline** once, journaled — its final state
 //!    hash is the oracle;
 //! 2. for every shard grid: [`project`] the baseline journal onto the
-//!    shards and fold them with the worker gang, measuring wall clock,
-//!    handoff counts and per-shard load imbalance;
+//!    shards and fold them with the worker gang, counting handoffs and
+//!    per-shard load imbalance (a grid that cannot partition the array
+//!    is skipped with one progress row);
 //! 3. oracles, all of which **must hold** (CI asserts zero divergences):
 //!    the shards compose back to the monolithic state hash; every shard
 //!    journal replays to its shard state; the [`ShardGroup`] worker gang
@@ -18,14 +19,15 @@
 //!    [`GroupCheckpoint`](crate::group::GroupCheckpoint) — the resumed
 //!    hashes must equal the uninterrupted run's.
 //!
-//! Wall clock per row is the projection plus one uninterrupted group run;
-//! the sweep's point is the measured equivalence at scale, not a speedup
-//! claim.
+//! Every figure is a pure function of `(config, seed)`. The wall clock of
+//! a grid's projection plus one uninterrupted group run is a benchmark
+//! row of `report bench-workload`, timed around [`Baseline::group`].
 
 use labchip::experiments::ExperimentTable;
 use labchip::scenario::{Scenario, ScenarioContext};
 use labchip::workload::{BatchDriver, Protocol, RecoveryPolicy, WorkloadConfig};
-use labchip_manipulation::fleet::{project, FleetTopology};
+use labchip_manipulation::fleet::{project, FleetGridError, FleetTopology};
+use labchip_manipulation::journal::Journal;
 use labchip_units::{GridDims, Seconds};
 use serde::{Deserialize, Serialize};
 
@@ -38,8 +40,7 @@ pub struct Config {
     pub array_side: u32,
     /// Particles loaded per cycle.
     pub particles: usize,
-    /// Shard grids swept, `[cols, rows]` each; the first is the
-    /// wall-clock reference.
+    /// Shard grids swept, `[cols, rows]` each.
     pub grids: Vec<[u32; 2]>,
     /// Minimum cage separation (the halo margin is `sep / 2`).
     pub min_separation: u32,
@@ -78,10 +79,6 @@ pub struct GridRow {
     pub grid: String,
     /// Shards in the fleet.
     pub shards: usize,
-    /// Projection plus uninterrupted group-run wall clock, milliseconds.
-    pub wall_ms: f64,
-    /// Wall-clock ratio of the sweep's first grid to this one.
-    pub speedup: f64,
     /// Cross-shard handoffs (export halves).
     pub handoffs: u64,
     /// Handoff import halves landed.
@@ -116,8 +113,6 @@ pub struct Results {
     pub baseline_hash: String,
     /// Monolithic-baseline journal length.
     pub baseline_events: usize,
-    /// Monolithic-baseline wall clock, milliseconds.
-    pub baseline_wall_ms: f64,
     /// One row per swept shard grid.
     pub grids: Vec<GridRow>,
     /// Divergences summed over the sweep — must be zero.
@@ -133,8 +128,6 @@ impl Results {
             .map(|row| {
                 vec![
                     row.grid.clone(),
-                    format!("{:.0}", row.wall_ms),
-                    format!("{:.2}", row.speedup),
                     row.handoffs.to_string(),
                     format!("{:.2}", row.imbalance),
                     row.divergences.to_string(),
@@ -152,8 +145,6 @@ impl Results {
             .collect();
         rows.push(vec![
             "-".into(),
-            format!("{:.0}", self.baseline_wall_ms),
-            "-".into(),
             "-".into(),
             "-".into(),
             self.total_divergences.to_string(),
@@ -167,8 +158,6 @@ impl Results {
             "Sharded chip fleets: cross-shard handoff and sharded-vs-monolithic equivalence",
             vec![
                 "grid".into(),
-                "wall ms".into(),
-                "speedup".into(),
                 "handoffs".into(),
                 "imbalance".into(),
                 "divergences".into(),
@@ -185,42 +174,81 @@ impl From<Results> for ExperimentTable {
     }
 }
 
-fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
-    let workload = WorkloadConfig {
-        array_side: config.array_side,
-        min_separation: config.min_separation,
-        step_period: config.step_period,
-        detection_frames: config.detection_frames,
-        noise_scale: config.noise_scale,
-        recovery: config.recovery,
-        seed: config.seed,
-        ..WorkloadConfig::default()
-    };
-    let dims = GridDims::square(workload.array_side);
-    let sep = workload.min_separation.max(1);
-    let protocol = Protocol::canned_cycle(dims, sep, config.particles);
-    let driver = BatchDriver::new(workload);
+/// The monolithic run a sweep projects every shard grid from.
+#[derive(Debug)]
+pub struct Baseline {
+    dims: GridDims,
+    sep: u32,
+    journal: Journal,
+    hash: u64,
+}
 
-    let started = std::time::Instant::now();
-    let (baseline, baseline_journal) = driver.runner().run_journaled(&protocol, 0);
-    let baseline_wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let baseline_hash = baseline.state.state_hash();
+impl Baseline {
+    /// Runs the config's canned protocol once on the monolithic chip,
+    /// journaled.
+    pub fn run(config: &Config) -> Self {
+        let workload = WorkloadConfig {
+            array_side: config.array_side,
+            min_separation: config.min_separation,
+            step_period: config.step_period,
+            detection_frames: config.detection_frames,
+            noise_scale: config.noise_scale,
+            recovery: config.recovery,
+            seed: config.seed,
+            ..WorkloadConfig::default()
+        };
+        let dims = GridDims::square(workload.array_side);
+        let sep = workload.min_separation.max(1);
+        let protocol = Protocol::canned_cycle(dims, sep, config.particles);
+        let (outcome, journal) = BatchDriver::new(workload)
+            .runner()
+            .run_journaled(&protocol, 0);
+        Self {
+            dims,
+            sep,
+            journal,
+            hash: outcome.state.state_hash(),
+        }
+    }
+
+    /// The shard topology of one `[cols, rows]` grid over the baseline's
+    /// array.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetGridError`] if the grid cannot partition the array.
+    pub fn topology(&self, [cols, rows]: [u32; 2]) -> Result<FleetTopology, FleetGridError> {
+        FleetTopology::try_new(self.dims, self.sep, cols, rows)
+    }
+
+    /// Projects the baseline journal onto `topology` as a worker gang.
+    pub fn group(&self, topology: &FleetTopology) -> ShardGroup {
+        ShardGroup::from_outcome(project(&self.journal, topology), self.hash)
+    }
+}
+
+fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
+    let baseline = Baseline::run(config);
+    let baseline_hash = baseline.hash;
     ctx.emit_row(format!(
-        "monolithic baseline: {:#018x}, {} events, {:.0} ms",
+        "monolithic baseline: {:#018x}, {} events",
         baseline_hash,
-        baseline_journal.len(),
-        baseline_wall_ms
+        baseline.journal.len()
     ));
 
     let mut rows: Vec<GridRow> = Vec::new();
     let mut total_divergences = 0usize;
     for (index, &[cols, rows_]) in config.grids.iter().enumerate() {
-        let topology = FleetTopology::new(dims, sep, cols, rows_);
+        let topology = match baseline.topology([cols, rows_]) {
+            Ok(topology) => topology,
+            Err(err) => {
+                ctx.emit_row(format!("{cols}x{rows_}: skipped, {err}"));
+                continue;
+            }
+        };
         let shards = topology.shard_count();
-        let started = std::time::Instant::now();
-        let group = ShardGroup::from_outcome(project(&baseline_journal, &topology), baseline_hash);
+        let group = baseline.group(&topology);
         let group_run = group.run();
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
         let compose_divergence = group.fleet().compose().state_hash() != baseline_hash;
         let shard_replay_divergences = group.fleet().replay_divergences();
@@ -260,14 +288,6 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
         let row = GridRow {
             grid: format!("{cols}x{rows_}"),
             shards,
-            wall_ms,
-            speedup: rows.first().map_or(1.0, |first: &GridRow| {
-                if wall_ms > 0.0 {
-                    first.wall_ms / wall_ms
-                } else {
-                    1.0
-                }
-            }),
             handoffs: stats.exports,
             imports: stats.imports,
             barriers: stats.barriers,
@@ -286,10 +306,8 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
             divergences,
         };
         ctx.emit_row(format!(
-            "{}: {:.0} ms (x{:.2}), {} handoffs, imbalance {:.2}, {} divergences{}",
+            "{}: {} handoffs, imbalance {:.2}, {} divergences{}",
             row.grid,
-            row.wall_ms,
-            row.speedup,
             row.handoffs,
             row.imbalance,
             row.divergences,
@@ -304,8 +322,7 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
 
     Results {
         baseline_hash: format!("{baseline_hash:#018x}"),
-        baseline_events: baseline_journal.len(),
-        baseline_wall_ms,
+        baseline_events: baseline.journal.len(),
         grids: rows,
         total_divergences,
     }
@@ -367,6 +384,34 @@ mod tests {
                 "sharding never loses a particle"
             );
         }
+    }
+
+    #[test]
+    fn grids_that_cannot_partition_the_array_are_skipped_with_a_row() {
+        let config = Config {
+            array_side: 16,
+            particles: 6,
+            grids: vec![[0, 1], [1, 1], [17, 1]],
+            ..Config::default()
+        };
+        let progress = std::sync::Arc::new(labchip::scenario::CollectingProgress::new());
+        let mut ctx = ScenarioContext::new("E16", config.seed, progress.clone());
+        let results = run_with(&config, &mut ctx);
+        assert_eq!(results.grids.len(), 1);
+        assert_eq!(results.grids[0].grid, "1x1");
+        assert_eq!(results.total_divergences, 0);
+        let skipped: Vec<String> = progress
+            .events_for("E16")
+            .into_iter()
+            .filter_map(|event| match event {
+                labchip::scenario::ProgressEvent::Row { summary, .. } => Some(summary),
+                _ => None,
+            })
+            .filter(|summary| summary.contains("skipped"))
+            .collect();
+        assert_eq!(skipped.len(), 2, "{skipped:?}");
+        assert!(skipped[0].starts_with("0x1: skipped"));
+        assert!(skipped[1].starts_with("17x1: skipped"));
     }
 
     #[test]

@@ -28,39 +28,6 @@ fn scale_runner() -> Runner {
     runner
 }
 
-/// Recursively zeroes the host-timing fields (planner wall-clock and the
-/// moves/sec figure derived from it) — everything else the scenarios emit
-/// is required to be bit-identical across serial/parallel execution.
-fn mask_wall_clock(value: &mut serde_json::Value) {
-    match value {
-        serde_json::Value::Object(map) => {
-            for key in [
-                "plan_wall_ms",
-                "moves_per_second",
-                "planning",
-                "sustained_moves_per_second",
-                "planner_headroom",
-            ] {
-                if map.get(key).is_some() {
-                    map.insert(key, serde_json::Value::Null);
-                }
-            }
-            let keys: Vec<String> = map.iter().map(|(k, _)| k.clone()).collect();
-            for key in keys {
-                if let Some(v) = map.get_mut(&key) {
-                    mask_wall_clock(v);
-                }
-            }
-        }
-        serde_json::Value::Array(items) => {
-            for item in items {
-                mask_wall_clock(item);
-            }
-        }
-        _ => {}
-    }
-}
-
 #[test]
 fn e10_and_e11_plans_are_bit_identical_across_serial_and_parallel_runs() {
     let ids = ["e10", "e11"];
@@ -70,11 +37,8 @@ fn e10_and_e11_plans_are_bit_identical_across_serial_and_parallel_runs() {
     let serial = serial_runner.run(&ids).expect("serial run succeeds");
     for (p, s) in parallel.iter().zip(&serial) {
         assert_eq!(p.id, s.id);
-        let mut po = p.output.clone();
-        let mut so = s.output.clone();
-        mask_wall_clock(&mut po);
-        mask_wall_clock(&mut so);
-        assert_eq!(po, so, "{} plans differ", p.id);
+        assert_eq!(p.output, s.output, "{} plans differ", p.id);
+        assert_eq!(p.table, s.table, "{} tables differ", p.id);
     }
 }
 

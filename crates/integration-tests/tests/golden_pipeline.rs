@@ -4,9 +4,8 @@
 //! captured once into `tests/golden/pipeline_e10_e11_e12.json` and asserted
 //! bit-identical forever after — the safety net under any refactor of the
 //! workload driver (the ChipState / assay-phase decomposition rode on top of
-//! exactly this lock). Only wall-clock-derived values are scrubbed before
-//! comparison: planner wall time is real time, not simulated time, and
-//! legitimately differs between runs.
+//! exactly this lock). Nothing is scrubbed: a scenario's output is a pure
+//! function of `(config, seed)`, so the raw document is the snapshot.
 //!
 //! To regenerate after an *intentional* output change:
 //!
@@ -19,64 +18,6 @@ use labchip::workload::{BatchDriver, Protocol, WorkloadConfig};
 use labchip_manipulation::journal::replay;
 use labchip_units::GridDims;
 use serde_json::Value;
-
-/// JSON keys whose values derive from wall-clock time and are therefore
-/// removed (recursively) before the snapshot comparison.
-const VOLATILE_KEYS: &[&str] = &[
-    "wall_ms",
-    "plan_wall_ms",
-    "moves_per_second",
-    "planning",
-    "sustained_moves_per_second",
-    "planner_headroom",
-];
-
-/// Rendered-table columns holding formatted wall-clock figures; their cells
-/// are blanked instead of dropped so the table shape stays locked.
-const VOLATILE_COLUMNS: &[&str] = &["plan [ms]", "moves/s"];
-
-fn scrub(value: &mut Value) {
-    match value {
-        Value::Object(map) => {
-            for key in VOLATILE_KEYS {
-                map.remove(key);
-            }
-            // A rendered ExperimentTable: blank the wall-clock columns.
-            let volatile_columns: Vec<usize> = map
-                .get("columns")
-                .and_then(Value::as_array)
-                .map(|columns| {
-                    columns
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| c.as_str().is_some_and(|c| VOLATILE_COLUMNS.contains(&c)))
-                        .map(|(i, _)| i)
-                        .collect()
-                })
-                .unwrap_or_default();
-            if !volatile_columns.is_empty() {
-                if let Some(rows) = map.get_mut("rows").and_then(Value::as_array_mut) {
-                    for row in rows.iter_mut().filter_map(Value::as_array_mut) {
-                        for &index in &volatile_columns {
-                            if let Some(cell) = row.get_mut(index) {
-                                *cell = Value::String("-".to_owned());
-                            }
-                        }
-                    }
-                }
-            }
-            for entry in map.values_mut() {
-                scrub(entry);
-            }
-        }
-        Value::Array(items) => {
-            for item in items {
-                scrub(item);
-            }
-        }
-        _ => {}
-    }
-}
 
 /// The locked run: `report run e10 e11 e12 --json --serial --seed 20050307`
 /// with size-reduction overrides (shared keys apply to every scenario that
@@ -105,9 +46,7 @@ fn locked_document_with(extra_overrides: &[&str]) -> Value {
     let outcomes = runner
         .run(&["e10", "e11", "e12"])
         .expect("locked scenarios run");
-    let mut document = outcomes_to_json(&outcomes);
-    scrub(&mut document);
-    document
+    outcomes_to_json(&outcomes)
 }
 
 fn locked_document() -> Value {
@@ -140,7 +79,7 @@ fn pipeline_json_output_is_bit_identical_to_the_golden_snapshot() {
 
 #[test]
 fn locked_document_is_itself_deterministic() {
-    // The lock is only meaningful if the scrubbed document is reproducible
+    // The lock is only meaningful if the document is reproducible
     // within one build: two runs must serialise identically.
     let a = serde_json::to_string(&locked_document());
     let b = serde_json::to_string(&locked_document());
@@ -189,7 +128,7 @@ fn warm_start_pipeline_matches_the_golden_snapshot() {
     assert_eq!(
         warm, golden,
         "reuse_plans=true changed the E10/E11/E12 output — the plan cache \
-         must be invisible outside wall-clock columns"
+         must be invisible outside the config echo"
     );
 }
 

@@ -66,32 +66,65 @@ fn band_bounds(extent: u32, bands: u32) -> Vec<u32> {
         .collect()
 }
 
+/// A shard grid that cannot partition its array: an extent is zero or
+/// exceeds the matching array extent (a shard must own at least one
+/// column and one row).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FleetGridError {
+    /// The requested shard grid, `(cols, rows)`.
+    pub grid: (u32, u32),
+    /// The array it was asked to partition.
+    pub dims: GridDims,
+}
+
+impl std::fmt::Display for FleetGridError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "fleet grid {}×{} does not fit array {}×{} (each extent must be 1..=the array's)",
+            self.grid.0, self.grid.1, self.dims.cols, self.dims.rows
+        )
+    }
+}
+
+impl std::error::Error for FleetGridError {}
+
 impl FleetTopology {
     /// Creates a `grid_cols × grid_rows` shard topology over `dims`.
     ///
     /// # Panics
     ///
-    /// Panics if either grid extent is zero or exceeds the matching array
-    /// extent (a shard must own at least one column and one row).
+    /// Panics where [`FleetTopology::try_new`] returns an error.
     pub fn new(dims: GridDims, min_separation: u32, grid_cols: u32, grid_rows: u32) -> Self {
-        assert!(
-            grid_cols >= 1 && grid_rows >= 1,
-            "fleet grid extents must be at least 1×1"
-        );
-        assert!(
-            grid_cols <= dims.cols && grid_rows <= dims.rows,
-            "fleet grid {grid_cols}×{grid_rows} exceeds array {}×{}",
-            dims.cols,
-            dims.rows
-        );
-        Self {
+        Self::try_new(dims, min_separation, grid_cols, grid_rows).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a `grid_cols × grid_rows` shard topology over `dims`.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetGridError`] if either grid extent is zero or exceeds the
+    /// matching array extent.
+    pub fn try_new(
+        dims: GridDims,
+        min_separation: u32,
+        grid_cols: u32,
+        grid_rows: u32,
+    ) -> Result<Self, FleetGridError> {
+        if !(1..=dims.cols).contains(&grid_cols) || !(1..=dims.rows).contains(&grid_rows) {
+            return Err(FleetGridError {
+                grid: (grid_cols, grid_rows),
+                dims,
+            });
+        }
+        Ok(Self {
             dims,
             min_separation,
             grid: (grid_cols, grid_rows),
             halo: min_separation / 2,
             x_bounds: band_bounds(dims.cols, grid_cols),
             y_bounds: band_bounds(dims.rows, grid_rows),
-        }
+        })
     }
 
     /// The logical (global) array dimensions.
@@ -466,6 +499,25 @@ mod tests {
         // Local/global round trip.
         let at = GridCoord::new(9, 10);
         assert_eq!(topo.to_global(3, topo.to_local(3, at)), at);
+    }
+
+    #[test]
+    fn grids_that_cannot_partition_the_array_are_typed_errors() {
+        let dims = GridDims::new(4, 3);
+        for (cols, rows) in [(0, 1), (1, 0), (5, 1), (1, 4)] {
+            assert_eq!(
+                FleetTopology::try_new(dims, 2, cols, rows),
+                Err(FleetGridError {
+                    grid: (cols, rows),
+                    dims
+                })
+            );
+        }
+        assert!(FleetTopology::try_new(GridDims::square(0), 2, 1, 1).is_err());
+        assert_eq!(
+            FleetTopology::try_new(dims, 2, 4, 3).unwrap().shard_count(),
+            12
+        );
     }
 
     #[test]

@@ -57,10 +57,10 @@ impl ThroughputReport {
 /// Accumulated figures of a sustained manipulation workload: repeated
 /// route→sense→flush cycles, as driven by the batch workload driver (E11).
 ///
-/// Distinguishes *chip time* (the simulated fluidics/sensing/motion budget)
-/// from *planner time* (host wall-clock spent computing routes) — the paper's
-/// thesis is that the chip is never the bottleneck, and this split shows
-/// whether the software keeps up.
+/// Every figure is *chip time* — the simulated fluidics/sensing/motion
+/// budget — or a count, so the totals are a pure function of the cycles
+/// folded in. Host planner wall-clock is not accumulated here; it is a
+/// benchmark measurement (`report bench-workload`), not a domain output.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct SustainedThroughput {
     /// Cycles executed.
@@ -73,26 +73,16 @@ pub struct SustainedThroughput {
     pub total_moves: usize,
     /// Simulated chip time across all cycles (fluidics + sensing + motion).
     pub chip_time: Seconds,
-    /// Host wall-clock time spent planning routes.
-    pub planning_time: Seconds,
 }
 
 impl SustainedThroughput {
     /// Folds one cycle into the running totals.
-    pub fn record(
-        &mut self,
-        requested: usize,
-        completed: usize,
-        moves: usize,
-        chip_time: Seconds,
-        planning_time: Seconds,
-    ) {
+    pub fn record(&mut self, requested: usize, completed: usize, moves: usize, chip_time: Seconds) {
         self.cycles += 1;
         self.requested += requested;
         self.completed += completed;
         self.total_moves += moves;
         self.chip_time += chip_time;
-        self.planning_time += planning_time;
     }
 
     /// Fraction of requests completed across all cycles.
@@ -104,17 +94,6 @@ impl SustainedThroughput {
         }
     }
 
-    /// Planned cage moves per second of *planner* wall-clock — the software
-    /// throughput figure ("moves/sec" in the E11 report).
-    pub fn moves_per_planning_second(&self) -> f64 {
-        let t = self.planning_time.get();
-        if t <= 0.0 {
-            0.0
-        } else {
-            self.total_moves as f64 / t
-        }
-    }
-
     /// Completed particles per second of simulated chip time.
     pub fn particles_per_chip_second(&self) -> f64 {
         let t = self.chip_time.get();
@@ -122,17 +101,6 @@ impl SustainedThroughput {
             0.0
         } else {
             self.completed as f64 / t
-        }
-    }
-
-    /// Ratio of chip time to planning time; values ≫ 1 mean the planner
-    /// keeps well ahead of the hardware.
-    pub fn planner_headroom(&self) -> f64 {
-        let p = self.planning_time.get();
-        if p <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.chip_time.get() / p
         }
     }
 }
@@ -174,24 +142,20 @@ mod tests {
     #[test]
     fn sustained_throughput_accumulates_cycles() {
         let mut s = SustainedThroughput::default();
-        s.record(100, 95, 3_000, Seconds::new(30.0), Seconds::new(0.5));
-        s.record(100, 90, 2_800, Seconds::new(30.0), Seconds::new(0.5));
+        s.record(100, 95, 3_000, Seconds::new(30.0));
+        s.record(100, 90, 2_800, Seconds::new(30.0));
         assert_eq!(s.cycles, 2);
         assert_eq!(s.requested, 200);
         assert_eq!(s.completed, 185);
         assert!((s.success_rate() - 0.925).abs() < 1e-12);
-        assert!((s.moves_per_planning_second() - 5_800.0).abs() < 1e-9);
         assert!((s.particles_per_chip_second() - 185.0 / 60.0).abs() < 1e-12);
-        assert!((s.planner_headroom() - 60.0).abs() < 1e-9);
     }
 
     #[test]
     fn sustained_throughput_degenerate_cases() {
         let s = SustainedThroughput::default();
         assert_eq!(s.success_rate(), 1.0);
-        assert_eq!(s.moves_per_planning_second(), 0.0);
         assert_eq!(s.particles_per_chip_second(), 0.0);
-        assert!(s.planner_headroom().is_infinite());
     }
 
     #[test]

@@ -50,16 +50,15 @@ fn main() -> Result<(), ScenarioError> {
     runner.set_override("initial_offsets=[0.5,2.5]")?; // E8: two mis-centrings
     let outcomes = runner.run(&["e6", "e8"])?;
 
-    // 3. Each outcome carries the rendered table, the exact config used,
-    //    the seed and the wall-clock time.
+    // 3. Each outcome carries the rendered table, the exact config used
+    //    and the seed (wall-clock time went to the progress stream above).
     println!();
     for outcome in &outcomes {
         println!("{}", outcome.table);
         println!(
-            "({} rows, seed {}, {:.1} ms)",
+            "({} rows, seed {})",
             outcome.table.row_count(),
-            outcome.seed,
-            outcome.wall.as_secs_f64() * 1e3
+            outcome.seed
         );
         println!();
     }
