@@ -2,10 +2,9 @@
 //!
 //! The event-sourced pipeline makes a hard claim: kill the chip controller
 //! after *any* journaled event and nothing is lost — the journal prefix
-//! replays to exactly the checkpointed state, and
-//! [`ProtocolRunner::resume`](crate::workload::ProtocolRunner::resume)
-//! finishes the assay to a final [`ChipState`]
-//! bit-identical to an uninterrupted run. This scenario turns that claim
+//! replays to exactly the checkpointed state, and resuming from the
+//! checkpoint ([`Start::Resume`]) finishes the assay to a final
+//! [`ChipState`] bit-identical to an uninterrupted run. This scenario turns that claim
 //! into a measured sweep:
 //!
 //! 1. run the canned cycle once with a journal attached — the *baseline*
@@ -24,13 +23,15 @@
 
 use crate::experiments::ExperimentTable;
 use crate::scenario::{Scenario, ScenarioContext};
-use crate::workload::{BatchDriver, Checkpoint, Protocol, RecoveryPolicy, WorkloadConfig};
+use crate::workload::{
+    BatchDriver, Checkpoint, Journaling, Protocol, RecoveryPolicy, RunOptions, Start,
+    WorkloadConfig,
+};
 use labchip_manipulation::journal::{replay, FaultPlan};
 use labchip_manipulation::sharding::ShardConfig;
 use labchip_manipulation::state::ChipState;
 use labchip_units::{GridDims, Seconds};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Configuration of the fault-injection sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -108,8 +109,10 @@ pub struct Results {
     pub kill_points: usize,
     /// Sweep runs the fault interrupted.
     pub interrupted: usize,
-    /// Sweep runs that completed before the kill point could fire (a kill
-    /// on the final events of a run has no later poll point to abort at).
+    /// Sweep runs that completed before the kill point could fire: only a
+    /// kill on the run's very last event (its final `PhaseFinished`
+    /// marker), since the last phase polls the fault once more before
+    /// finishing.
     pub ran_to_completion: usize,
     /// Interrupted runs whose resume reached the baseline state hash.
     pub resume_successes: usize,
@@ -228,90 +231,84 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
     let mut resume_successes = 0usize;
     let mut replay_divergences = 0usize;
     let mut checkpoint_roundtrip_failures = 0usize;
-    // Phase name -> (kills, resumed_ok), insertion-ordered by first kill.
-    let mut order: Vec<String> = Vec::new();
-    let mut coverage: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    // Per-phase coverage, in first-kill order.
+    let mut coverage: Vec<CoverageRow> = Vec::new();
 
     for fault in &sweep {
-        match pool.install(|| driver.runner().run_with_fault(&protocol, 0, *fault)) {
+        let kill = fault.kill_after_events;
+        let start = Start::Fresh {
+            protocol: &protocol,
+            cycle: 0,
+        };
+        let armed = Journaling::Armed(*fault).into();
+        let run = match pool.install(|| driver.runner().execute(start, armed)) {
             Ok((outcome, _journal)) => {
                 ran_to_completion += 1;
                 if outcome.state.state_hash() != baseline_hash {
                     replay_divergences += 1;
                     ctx.emit_row(format!(
-                        "DIVERGENCE: uninterrupted fault run at kill point {} left a different state",
-                        fault.kill_after_events
+                        "DIVERGENCE: uninterrupted fault run at kill point {kill} left a different state"
                     ));
                 }
+                continue;
             }
-            Err(run) => {
-                interrupted += 1;
-                let phase = run.error.phase().to_owned();
-                if !coverage.contains_key(&phase) {
-                    order.push(phase.clone());
-                }
-                let entry = coverage.entry(phase.clone()).or_insert((0, 0));
-                entry.0 += 1;
-
-                // Oracle (a): the journal prefix at the checkpoint offset
-                // replays to the checkpoint snapshot.
-                let prefix = run.journal.truncated(run.checkpoint.journal_offset);
-                let snapshot_hash =
-                    ChipState::from_snapshot(run.checkpoint.state.clone()).state_hash();
-                match replay(&prefix, dims, sep) {
-                    Ok(state) if state.state_hash() == snapshot_hash => {}
-                    Ok(_) => {
-                        replay_divergences += 1;
-                        ctx.emit_row(format!(
-                            "DIVERGENCE: prefix replay hash mismatch at kill point {}",
-                            fault.kill_after_events
-                        ));
-                    }
-                    Err(err) => {
-                        replay_divergences += 1;
-                        ctx.emit_row(format!(
-                            "DIVERGENCE: prefix replay failed at kill point {}: {err}",
-                            fault.kill_after_events
-                        ));
-                    }
-                }
-
-                // Oracle (b): the checkpoint survives its JSON round trip.
-                let checkpoint = match Checkpoint::from_json(&run.checkpoint.to_json()) {
-                    Ok(restored) if restored == run.checkpoint => restored,
-                    _ => {
-                        checkpoint_roundtrip_failures += 1;
-                        run.checkpoint.clone()
-                    }
-                };
-
-                // Oracle (c): resume reaches the baseline state hash.
-                let resumed = pool.install(|| driver.runner().resume(&checkpoint));
-                if resumed.state.state_hash() == baseline_hash {
-                    resume_successes += 1;
-                    entry.1 += 1;
-                } else {
-                    replay_divergences += 1;
-                    ctx.emit_row(format!(
-                        "DIVERGENCE: resume from kill point {} (phase {phase}) missed the baseline hash",
-                        fault.kill_after_events
-                    ));
-                }
+            Err(run) => run,
+        };
+        interrupted += 1;
+        let phase = run.checkpoint.protocol.phases[run.checkpoint.next_phase]
+            .build()
+            .name();
+        let row = match coverage.iter().position(|row| row.phase == phase) {
+            Some(row) => row,
+            None => {
+                coverage.push(CoverageRow {
+                    phase: phase.to_owned(),
+                    kills: 0,
+                    resumed_ok: 0,
+                });
+                coverage.len() - 1
             }
+        };
+        coverage[row].kills += 1;
+
+        // Oracle (a): the journal prefix at the checkpoint offset replays
+        // to the checkpoint snapshot.
+        let prefix = run.journal.truncated(run.checkpoint.journal_offset);
+        let snapshot_hash = ChipState::from_snapshot(run.checkpoint.state.clone()).state_hash();
+        let replayed = replay(&prefix, dims, sep).map(|state| state.state_hash());
+        if replayed != Ok(snapshot_hash) {
+            replay_divergences += 1;
+            ctx.emit_row(format!(
+                "DIVERGENCE: prefix replay at kill point {kill} gave {replayed:?}, not {snapshot_hash:#x}"
+            ));
+        }
+
+        // Oracle (b): the checkpoint survives its JSON round trip.
+        let checkpoint = match Checkpoint::from_json(&run.checkpoint.to_json()) {
+            Ok(restored) if restored == run.checkpoint => restored,
+            _ => {
+                checkpoint_roundtrip_failures += 1;
+                run.checkpoint.clone()
+            }
+        };
+
+        // Oracle (c): resume reaches the baseline state hash.
+        let resumed = pool.install(|| {
+            driver
+                .runner()
+                .execute(Start::Resume(&checkpoint), RunOptions::default())
+        });
+        if resumed.is_ok_and(|(outcome, _)| outcome.state.state_hash() == baseline_hash) {
+            resume_successes += 1;
+            coverage[row].resumed_ok += 1;
+        } else {
+            replay_divergences += 1;
+            ctx.emit_row(format!(
+                "DIVERGENCE: resume from kill point {kill} (phase {phase}) missed the baseline hash"
+            ));
         }
     }
 
-    let coverage: Vec<CoverageRow> = order
-        .into_iter()
-        .map(|phase| {
-            let (kills, resumed_ok) = coverage[&phase];
-            CoverageRow {
-                phase,
-                kills,
-                resumed_ok,
-            }
-        })
-        .collect();
     let results = Results {
         total_events,
         kill_points: sweep.len(),

@@ -31,13 +31,13 @@
 //! pipeline is **event-sourced**: every chip-state mutation is recorded as
 //! a typed [`Event`](labchip_manipulation::journal::Event) in an
 //! append-only [`Journal`](labchip_manipulation::journal::Journal) when
-//! one is attached ([`ProtocolRunner::run_journaled`]), and
+//! one is attached ([`Journaling::On`]), and
 //! [`replay`](labchip_manipulation::journal::replay) of that journal
 //! reconstructs the final [`ChipState`](labchip_manipulation::state::ChipState)
 //! bit-for-bit — the equivalence oracle that retired the old monolithic
 //! `legacy` baseline for good. A [`Checkpoint`] (state snapshot + journal
-//! offset + cycle accumulators) lets [`ProtocolRunner::resume`] continue a
-//! killed run to the same final state; scenario E14 sweeps seeded
+//! offset + cycle accumulators) lets [`Start::Resume`] continue a killed
+//! run to the same final state; scenario E14 sweeps seeded
 //! [`FaultPlan`](labchip_manipulation::journal::FaultPlan) kill points to
 //! prove it.
 //!
@@ -61,8 +61,8 @@ pub mod protocol;
 pub use envelope::ForceEnvelope;
 pub use phases::{Accumulators, AssayPhase, PhaseCtx, PhaseError, PhaseReport, RouteTarget};
 pub use protocol::{
-    Checkpoint, InterruptedRun, NeverStop, PhaseSpec, Protocol, ProtocolOutcome, ProtocolRunner,
-    RunControl, StopCause, StoppedRun,
+    Checkpoint, CheckpointError, Journaling, NeverStop, PhaseSpec, Protocol, ProtocolOutcome,
+    ProtocolRunner, RunControl, RunOptions, Start, StopCause, StoppedRun,
 };
 
 use labchip_array::addressing::ProgrammingInterface;

@@ -92,7 +92,7 @@ impl PhaseError {
         }
     }
 
-    fn interrupted(phase: &'static str) -> Self {
+    pub(super) fn interrupted(phase: &'static str) -> Self {
         PhaseError::Interrupted { phase }
     }
 

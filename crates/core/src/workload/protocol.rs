@@ -14,20 +14,21 @@
 //!
 //! ## Journal, checkpoint, resume
 //!
-//! [`ProtocolRunner::run_journaled`] attaches an event
-//! [`Journal`] to the chip state, so every mutation
-//! of the run is recorded and
+//! [`ProtocolRunner::execute`] is the one way a protocol runs. A
+//! [`Start`] says whether a fresh chip runs a protocol or a [`Checkpoint`]
+//! is continued; [`RunOptions`] pick the [`Journaling`] and the
+//! [`RunControl`] polled at every phase boundary. With a journal attached
+//! every mutation of the run is recorded, and
 //! [`replay`](labchip_manipulation::journal::replay) reconstructs the
 //! final state bit-for-bit — the equivalence oracle that replaced the
-//! retired legacy monolith. [`ProtocolRunner::run_with_fault`] arms a
-//! seeded [`FaultPlan`] kill point on top; when it
-//! trips, the run dies cooperatively and returns the [`Checkpoint`] taken
+//! retired legacy monolith. An armed [`FaultPlan`] kill point kills the
+//! run cooperatively, and the [`StoppedRun`] carries the checkpoint taken
 //! at the start of the interrupted phase (chip snapshot + ctx snapshot +
-//! journal offset). [`ProtocolRunner::resume`] restores the checkpoint
-//! and finishes the protocol; because every RNG stream is a pure function
-//! of seeds and counters captured in the checkpoint, the resumed run
-//! reaches a final state **bit-identical** to an uninterrupted execution
-//! — the property scenario E14 sweeps across ≥50 kill points.
+//! journal offset). Resuming from it finishes the protocol; because every
+//! RNG stream is a pure function of seeds and counters captured in the
+//! checkpoint, the resumed run reaches a final state **bit-identical** to
+//! an uninterrupted execution — the property scenario E14 sweeps across
+//! ≥50 kill points.
 
 use super::envelope::ForceEnvelope;
 use super::phases::{
@@ -211,23 +212,63 @@ impl Checkpoint {
     }
 }
 
-/// A run killed by an injected fault: the resume point, the journal up to
-/// the kill, and what tripped.
-#[derive(Debug)]
-pub struct InterruptedRun {
-    /// The checkpoint taken at the start of the interrupted phase.
-    pub checkpoint: Checkpoint,
-    /// The journal of everything executed before the kill (its prefix of
-    /// length [`Checkpoint::journal_offset`] replays to the checkpoint
-    /// state; the tail is the interrupted phase's partial work).
-    pub journal: Journal,
-    /// The error that stopped the run.
-    pub error: PhaseError,
+/// How [`ProtocolRunner::execute`] starts a run.
+#[derive(Debug, Clone, Copy)]
+pub enum Start<'p> {
+    /// A fresh chip running `protocol` as cycle number `cycle`, which fixes
+    /// the batch seed and the scan-pass numbering.
+    Fresh {
+        /// The protocol to run.
+        protocol: &'p Protocol,
+        /// Zero-based cycle index.
+        cycle: usize,
+    },
+    /// Continue from a [`Checkpoint`]; the interrupted phase re-runs from
+    /// its start.
+    Resume(&'p Checkpoint),
+}
+
+/// Whether a run records an event [`Journal`], and whether a fault kill
+/// point is armed on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Journaling {
+    /// No journal: the run returns an empty one.
+    Off,
+    /// Every chip-state mutation of the run is recorded.
+    On,
+    /// Recorded, with a [`FaultPlan`] kill point armed: once the journal
+    /// reaches it, the run dies at the next poll point.
+    Armed(FaultPlan),
+}
+
+/// How [`ProtocolRunner::execute`] runs: which journal it records and
+/// which [`RunControl`] it polls. The control defaults to [`NeverStop`],
+/// the journal to [`Journaling::Off`].
+#[derive(Clone, Copy)]
+pub struct RunOptions<'c> {
+    /// The journal attached to the run.
+    pub journal: Journaling,
+    /// Polled at every phase boundary.
+    pub control: &'c dyn RunControl,
+}
+
+impl From<Journaling> for RunOptions<'_> {
+    fn from(journal: Journaling) -> Self {
+        Self {
+            journal,
+            control: &NeverStop,
+        }
+    }
+}
+
+impl Default for RunOptions<'_> {
+    fn default() -> Self {
+        Journaling::Off.into()
+    }
 }
 
 /// Cooperative control over a long-running protocol execution, polled at
-/// every phase boundary by [`ProtocolRunner::run_controlled`] and
-/// [`ProtocolRunner::resume_controlled`].
+/// every phase boundary by [`ProtocolRunner::execute`].
 ///
 /// This is the hook a job service (the chip farm) hangs cancellation and
 /// per-phase progress on: `should_stop` lets an external flag end the run
@@ -257,8 +298,63 @@ impl RunControl for NeverStop {
     }
 }
 
-/// Why a controlled run stopped early.
-#[derive(Debug)]
+/// Why [`ProtocolRunner::execute`] refused to resume a [`Checkpoint`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CheckpointError {
+    /// The snapshot's grid or plan does not span the runner's array.
+    Dims {
+        /// The runner's array.
+        expected: GridDims,
+        /// The dims of the snapshot's grid or plan.
+        found: GridDims,
+    },
+    /// The snapshot's cage separation is not the runner's.
+    Separation {
+        /// The runner's (clamped) minimum separation.
+        expected: u32,
+        /// The snapshot grid's separation.
+        found: u32,
+    },
+    /// `next_phase` lies past the protocol's end.
+    NextPhase {
+        /// The checkpoint's `next_phase`.
+        next_phase: usize,
+        /// Phases in the checkpoint's protocol.
+        phases: usize,
+    },
+    /// The completed-phase reports do not account for every phase before
+    /// `next_phase`.
+    Completed {
+        /// Reports in the checkpoint.
+        completed: usize,
+        /// The checkpoint's `next_phase`.
+        next_phase: usize,
+    },
+}
+
+impl std::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("checkpoint does not fit: ")?;
+        match self {
+            Self::Dims { expected, found } => write!(f, "snapshot {found}, runner {expected}"),
+            Self::Separation { expected, found } => {
+                write!(f, "snapshot separation {found}, runner {expected}")
+            }
+            Self::NextPhase { next_phase, phases } => {
+                write!(f, "next phase {next_phase} of a {phases}-phase protocol")
+            }
+            Self::Completed {
+                completed,
+                next_phase,
+            } => write!(f, "{completed} phase reports before phase {next_phase}"),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+/// Why a run stopped early.
+#[derive(Debug, PartialEq, Eq)]
 pub enum StopCause {
     /// [`RunControl::should_stop`] returned `true` at a phase boundary —
     /// a cooperative cancellation, not a failure.
@@ -269,55 +365,31 @@ pub enum StopCause {
     /// A phase aborted mid-flight: an armed fault kill point tripped, or
     /// an internal invariant was violated.
     Phase(PhaseError),
+    /// The [`Start::Resume`] checkpoint does not fit the runner; nothing
+    /// ran.
+    Rejected(CheckpointError),
 }
 
-impl StopCause {
-    /// Whether the stop was a cooperative cancellation.
-    pub fn is_cancelled(&self) -> bool {
-        matches!(self, StopCause::Cancelled { .. })
-    }
-
-    /// Whether the stop was an injected-fault kill (the resumable case).
-    pub fn is_fault(&self) -> bool {
-        matches!(self, StopCause::Phase(PhaseError::Interrupted { .. }))
-    }
-}
-
-/// A controlled run that ended before its final phase: the resume point,
-/// the journal of everything executed, and why it stopped.
+/// A run that ended before its final phase: the resume point, the journal
+/// of everything executed, the outcome so far, and why it stopped.
 ///
 /// The journal prefix of length [`Checkpoint::journal_offset`] replays to
 /// the checkpoint state; the tail is the stopped phase's partial work,
-/// which [`ProtocolRunner::resume_controlled`] re-executes from the phase
-/// start.
+/// which a [`Start::Resume`] from the checkpoint re-executes from the
+/// phase start.
 #[derive(Debug)]
 pub struct StoppedRun {
-    /// The checkpoint taken at the boundary of the stopped phase.
+    /// The checkpoint taken at the boundary of the stopped phase (for a
+    /// [`StopCause::Rejected`] start, the rejected checkpoint itself).
     pub checkpoint: Checkpoint,
     /// The journal recorded up to the stop.
     pub journal: Journal,
     /// Why the run stopped.
     pub cause: StopCause,
-}
-
-/// Outcome of [`ProtocolRunner::execute`]: `Err` carries the interruption
-/// point when a phase stopped early.
-struct Interruption {
-    cause: StopCause,
-    checkpoint: Option<Box<Checkpoint>>,
-}
-
-impl Interruption {
-    /// The phase error of a non-cancelled interruption; uncontrolled runs
-    /// can only stop through a phase error.
-    fn expect_phase_error(self) -> PhaseError {
-        match self.cause {
-            StopCause::Phase(error) => error,
-            StopCause::Cancelled { .. } => {
-                unreachable!("cancellation requires a RunControl, none was supplied")
-            }
-        }
-    }
+    /// The outcome assembled from the work done so far (for a rejected
+    /// checkpoint, what it records). After a phase stop its last row is
+    /// the `aborted:` report of the stopped phase.
+    pub partial: ProtocolOutcome,
 }
 
 /// The thin executor: phases in, reports out.
@@ -347,14 +419,12 @@ impl<'a> ProtocolRunner<'a> {
             .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(cycle as u64 + 1))
     }
 
-    /// A fresh chip state for one run of this runner's configuration.
-    fn fresh_state(&self) -> ChipState {
-        let dims = GridDims::square(self.config.array_side);
-        // A zero separation is physically meaningless (cages would merge)
-        // and the cage grid rejects it; clamp like the routers do rather
-        // than panic on a CLI-supplied `min_separation=0` override.
-        let sep = self.config.min_separation.max(1);
-        ChipState::with_separation(dims, sep)
+    /// The chip's minimum cage separation. A zero separation is physically
+    /// meaningless (cages would merge) and the cage grid rejects it; clamp
+    /// like the routers do rather than panic on a CLI-supplied
+    /// `min_separation=0` override.
+    fn separation(&self) -> u32 {
+        self.config.min_separation.max(1)
     }
 
     /// A cycle context with the given accumulators over this runner's
@@ -372,27 +442,124 @@ impl<'a> ProtocolRunner<'a> {
         )
     }
 
-    /// The phase loop shared by every entry point: runs
-    /// `protocol.phases[start_phase..]` over the given state and ctx,
-    /// appending one report per completed phase. With `capture` on, a
-    /// [`Checkpoint`] is taken at the start of every phase and the latest
-    /// one rides along in the `Err` when a phase stops early. A `control`
-    /// is polled at every phase boundary and may stop the run there.
-    #[allow(clippy::too_many_arguments)]
-    fn execute(
+    /// Checks that `checkpoint` fits this runner and its own protocol
+    /// before anything is restored from it.
+    fn check(&self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
+        let expected = GridDims::square(self.config.array_side);
+        let snapshot = &checkpoint.state;
+        for found in [snapshot.grid.dims(), snapshot.plan.dims()] {
+            if found != expected {
+                return Err(CheckpointError::Dims { expected, found });
+            }
+        }
+        let found = snapshot.grid.min_separation();
+        if found != self.separation() {
+            return Err(CheckpointError::Separation {
+                expected: self.separation(),
+                found,
+            });
+        }
+        let next_phase = checkpoint.next_phase;
+        if next_phase > checkpoint.protocol.len() {
+            return Err(CheckpointError::NextPhase {
+                next_phase,
+                phases: checkpoint.protocol.len(),
+            });
+        }
+        if checkpoint.completed.len() != next_phase {
+            return Err(CheckpointError::Completed {
+                completed: checkpoint.completed.len(),
+                next_phase,
+            });
+        }
+        Ok(())
+    }
+
+    /// Executes a protocol — the one entry point of every run, kill and
+    /// resume. A checkpoint is taken at the start of every phase, so a
+    /// stopped run hands back the resume point of the phase it stopped in;
+    /// resuming from it reaches the uninterrupted run's final state, and
+    /// its journal continues the stopped run's committed prefix into the
+    /// uninterrupted journal.
+    ///
+    /// ```
+    /// use labchip::workload::{
+    ///     BatchDriver, Checkpoint, ForceEnvelope, Journaling, Protocol, RunOptions, Start,
+    ///     WorkloadConfig,
+    /// };
+    /// use labchip_manipulation::journal::FaultPlan;
+    /// use labchip_units::GridDims;
+    ///
+    /// let config = WorkloadConfig { array_side: 32, ..WorkloadConfig::default() };
+    /// let protocol = Protocol::canned_cycle(GridDims::square(32), 2, 20);
+    /// let driver = BatchDriver::with_envelope(config, ForceEnvelope::date05_reference());
+    /// let runner = driver.runner();
+    ///
+    /// // Arm a kill after 50 journal events — the run dies mid-protocol and
+    /// // hands back the resume point plus the journal of everything before it.
+    /// let fresh = Start::Fresh { protocol: &protocol, cycle: 0 };
+    /// let stopped = runner
+    ///     .execute(fresh, Journaling::Armed(FaultPlan::after(50)).into())
+    ///     .expect_err("the kill point lies inside the run");
+    ///
+    /// // The checkpoint is durable JSON; a chip-farm worker would persist it.
+    /// let text = stopped.checkpoint.to_json();
+    /// let checkpoint = Checkpoint::from_json(&text).unwrap();
+    ///
+    /// // Resume reaches the exact state the uninterrupted run would have.
+    /// let (resumed, _) = runner
+    ///     .execute(Start::Resume(&checkpoint), RunOptions::default())
+    ///     .expect("the checkpoint fits the runner");
+    /// let (baseline, _) = runner.execute(fresh, RunOptions::default()).unwrap();
+    /// assert_eq!(resumed.state.state_hash(), baseline.state.state_hash());
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// The [`StoppedRun`] when the run ended before its final phase; its
+    /// [`StopCause`] says why.
+    pub fn execute(
         &self,
-        protocol: &Protocol,
-        cycle: usize,
-        start_phase: usize,
-        state: &mut ChipState,
-        ctx: &mut PhaseCtx<'_>,
-        phases: &mut Vec<PhaseReport>,
-        capture: bool,
-        control: Option<&dyn RunControl>,
-    ) -> Result<(), Interruption> {
-        for (index, spec) in protocol.phases.iter().enumerate().skip(start_phase) {
-            let checkpoint = capture.then(|| {
-                Box::new(Checkpoint {
+        start: Start<'_>,
+        options: RunOptions<'_>,
+    ) -> Result<(ProtocolOutcome, Journal), Box<StoppedRun>> {
+        let (protocol, cycle, first, mut state, acc, mut phases, rejected) = match start {
+            Start::Fresh { protocol, cycle } => (
+                protocol,
+                cycle,
+                0,
+                ChipState::with_separation(
+                    GridDims::square(self.config.array_side),
+                    self.separation(),
+                ),
+                Accumulators::new(cycle, self.cycle_seed(cycle)),
+                Vec::with_capacity(protocol.len()),
+                None,
+            ),
+            Start::Resume(checkpoint) => (
+                &checkpoint.protocol,
+                checkpoint.cycle,
+                checkpoint.next_phase,
+                ChipState::from_snapshot(checkpoint.state.clone()),
+                checkpoint.ctx.clone(),
+                checkpoint.completed.clone(),
+                self.check(checkpoint)
+                    .err()
+                    .map(|error| (checkpoint.clone(), StopCause::Rejected(error))),
+            ),
+        };
+        match options.journal {
+            Journaling::Off => {}
+            Journaling::On => state.attach_journal(),
+            Journaling::Armed(fault) => state.attach_journal_with_fault(fault),
+        }
+        let mut ctx = self.ctx(acc);
+        let stop = 'run: {
+            if rejected.is_some() {
+                break 'run rejected;
+            }
+            for (index, spec) in protocol.phases.iter().enumerate().skip(first) {
+                let checkpoint = Checkpoint {
                     protocol: protocol.clone(),
                     cycle,
                     next_phase: index,
@@ -400,49 +567,64 @@ impl<'a> ProtocolRunner<'a> {
                     ctx: ctx.acc.clone(),
                     journal_offset: state.journal().map_or(0, Journal::len),
                     completed: phases.clone(),
-                })
-            });
-            if let Some(control) = control {
-                if control.should_stop(index) {
-                    return Err(Interruption {
-                        cause: StopCause::Cancelled { next_phase: index },
-                        checkpoint,
-                    });
+                };
+                if options.control.should_stop(index) {
+                    break 'run Some((checkpoint, StopCause::Cancelled { next_phase: index }));
                 }
-            }
-            let phase = spec.build();
-            if let Some(control) = control {
-                control.on_phase_started(index, phase.name());
-            }
-            state.note_phase_started(index, phase.name());
-            let ledger_before = *state.time();
-            match phase.run(state, ctx) {
-                Ok(mut report) => {
-                    report.time = state.time().delta_since(&ledger_before);
-                    state.note_phase_finished(index);
-                    if let Some(control) = control {
-                        control.on_phase_finished(index, &report);
+                let phase = spec.build();
+                options.control.on_phase_started(index, phase.name());
+                state.note_phase_started(index, phase.name());
+                let ledger_before = *state.time();
+                let result = phase.run(&mut state, &mut ctx).and_then(|report| {
+                    // The last phase has no later poll point: a kill on its
+                    // final event still stops the run before it finishes.
+                    if index + 1 == protocol.len() && state.fault_tripped() {
+                        Err(PhaseError::interrupted(phase.name()))
+                    } else {
+                        Ok(report)
                     }
-                    phases.push(report);
-                }
-                Err(error) => {
-                    state.note_phase_aborted(index, &error.to_string());
-                    return Err(Interruption {
-                        cause: StopCause::Phase(error),
-                        checkpoint,
-                    });
+                });
+                match result {
+                    Ok(mut report) => {
+                        report.time = state.time().delta_since(&ledger_before);
+                        state.note_phase_finished(index);
+                        options.control.on_phase_finished(index, &report);
+                        phases.push(report);
+                    }
+                    Err(error) => {
+                        state.note_phase_aborted(index, &error.to_string());
+                        phases.push(PhaseReport {
+                            phase: format!("aborted:{}", error.phase()),
+                            time: TimeBreakdown::default(),
+                            moves: 0,
+                            particles_after: state.particle_count(),
+                            detail: error.to_string(),
+                        });
+                        break 'run Some((checkpoint, StopCause::Phase(error)));
+                    }
                 }
             }
+            // A flush snapshots the finals itself (pre-clear); protocols that
+            // end with the batch still on-chip are snapshotted here.
+            if !matches!(protocol.phases.last(), Some(PhaseSpec::Flush)) {
+                ctx.capture_finals(&mut state);
+            }
+            None
+        };
+        let journal = state.take_journal().unwrap_or_default();
+        let outcome = self.assemble(cycle, state, ctx, phases);
+        match stop {
+            None => Ok((outcome, journal)),
+            Some((checkpoint, cause)) => Err(Box::new(StoppedRun {
+                checkpoint,
+                journal,
+                cause,
+                partial: outcome,
+            })),
         }
-        // A flush snapshots the finals itself (pre-clear); protocols that
-        // end with the batch still on-chip are snapshotted here.
-        if !matches!(protocol.phases.last(), Some(PhaseSpec::Flush)) {
-            ctx.capture_finals(state);
-        }
-        Ok(())
     }
 
-    /// Assembles the final outcome from the consumed per-run state.
+    /// Assembles the outcome from the consumed per-run state.
     fn assemble(
         &self,
         cycle: usize,
@@ -479,142 +661,28 @@ impl<'a> ProtocolRunner<'a> {
         }
     }
 
-    /// The report row appended when a phase aborted: zero work, the abort
-    /// reason as the detail.
-    fn aborted_report(error: &PhaseError, state: &ChipState) -> PhaseReport {
-        PhaseReport {
-            phase: format!("aborted:{}", error.phase()),
-            time: TimeBreakdown::default(),
-            moves: 0,
-            particles_after: state.particle_count(),
-            detail: error.to_string(),
-        }
-    }
-
-    /// Executes `protocol` as cycle number `cycle` (the cycle index fixes
-    /// the batch seed and the scan-pass numbering, exactly as the driver's
-    /// repeated cycles always did).
-    ///
-    /// A phase error (an internal invariant violation — impossible on the
-    /// canned path) aborts the remaining phases and surfaces as an
-    /// `aborted:` report row instead of a panic.
+    /// Executes `protocol` on a fresh chip, unjournaled. A phase error ends
+    /// the run with an `aborted:` report row instead of a panic.
     pub fn run(&self, protocol: &Protocol, cycle: usize) -> ProtocolOutcome {
-        let mut state = self.fresh_state();
-        let mut ctx = self.ctx(Accumulators::new(cycle, self.cycle_seed(cycle)));
-        let mut phases = Vec::with_capacity(protocol.phases.len());
-        if let Err(interruption) = self.execute(
-            protocol,
-            cycle,
-            0,
-            &mut state,
-            &mut ctx,
-            &mut phases,
-            false,
-            None,
-        ) {
-            phases.push(Self::aborted_report(
-                &interruption.expect_phase_error(),
-                &state,
-            ));
-        }
-        self.assemble(cycle, state, ctx, phases)
+        self.execute(Start::Fresh { protocol, cycle }, RunOptions::default())
+            .map_or_else(|stopped| stopped.partial, |(outcome, _)| outcome)
     }
 
-    /// Like [`run`](Self::run), with an event journal attached: every
-    /// chip-state mutation of the run is recorded, and
-    /// [`replay`](labchip_manipulation::journal::replay) of the returned
-    /// journal reconstructs `outcome.state` bit-for-bit.
+    /// Like [`run`](Self::run), with [`Journaling::On`]: [`replay`] of the
+    /// returned journal reconstructs `outcome.state` bit-for-bit.
+    ///
+    /// [`replay`]: labchip_manipulation::journal::replay
     pub fn run_journaled(&self, protocol: &Protocol, cycle: usize) -> (ProtocolOutcome, Journal) {
-        let mut state = self.fresh_state();
-        state.attach_journal();
-        let mut ctx = self.ctx(Accumulators::new(cycle, self.cycle_seed(cycle)));
-        let mut phases = Vec::with_capacity(protocol.phases.len());
-        if let Err(interruption) = self.execute(
-            protocol,
-            cycle,
-            0,
-            &mut state,
-            &mut ctx,
-            &mut phases,
-            false,
-            None,
-        ) {
-            phases.push(Self::aborted_report(
-                &interruption.expect_phase_error(),
-                &state,
-            ));
-        }
-        let journal = state.take_journal().expect("journal attached above");
-        (self.assemble(cycle, state, ctx, phases), journal)
+        self.execute(Start::Fresh { protocol, cycle }, Journaling::On.into())
+            .unwrap_or_else(|stopped| (stopped.partial, stopped.journal))
     }
 
-    /// Runs `protocol` with a journal and an armed [`FaultPlan`] kill
-    /// point. If the kill point lies beyond the run's event count the run
-    /// completes normally (`Ok`); otherwise execution dies at the fault's
-    /// poll point and the [`InterruptedRun`] carries the checkpoint to
-    /// [`resume`](Self::resume) from.
+    /// Journaled [`execute`](Self::execute) from a fresh chip, with an
+    /// optional armed `fault` and the given `control`.
     ///
     /// # Errors
     ///
-    /// `Err` is the interrupted run — the expected outcome of a fault
-    /// sweep, boxed because it carries the full resume state.
-    pub fn run_with_fault(
-        &self,
-        protocol: &Protocol,
-        cycle: usize,
-        fault: FaultPlan,
-    ) -> Result<(ProtocolOutcome, Journal), Box<InterruptedRun>> {
-        let mut state = self.fresh_state();
-        state.attach_journal_with_fault(fault);
-        let mut ctx = self.ctx(Accumulators::new(cycle, self.cycle_seed(cycle)));
-        let mut phases = Vec::with_capacity(protocol.phases.len());
-        match self.execute(
-            protocol,
-            cycle,
-            0,
-            &mut state,
-            &mut ctx,
-            &mut phases,
-            true,
-            None,
-        ) {
-            Ok(()) => {
-                let journal = state.take_journal().expect("journal attached above");
-                Ok((self.assemble(cycle, state, ctx, phases), journal))
-            }
-            Err(interruption) => {
-                let journal = state.take_journal().expect("journal attached above");
-                let Interruption { cause, checkpoint } = interruption;
-                let checkpoint = checkpoint.expect("checkpoint capture enabled for fault runs");
-                let error = match cause {
-                    StopCause::Phase(error) => error,
-                    StopCause::Cancelled { .. } => {
-                        unreachable!("cancellation requires a RunControl, none was supplied")
-                    }
-                };
-                Err(Box::new(InterruptedRun {
-                    checkpoint: *checkpoint,
-                    journal,
-                    error,
-                }))
-            }
-        }
-    }
-
-    /// Runs `protocol` journaled, with checkpoints captured at every phase
-    /// boundary, an optional armed [`FaultPlan`] kill point, and a
-    /// [`RunControl`] polled between phases — the execution mode a farm
-    /// worker drives a job in.
-    ///
-    /// On success returns the outcome plus the full journal of the run.
-    ///
-    /// # Errors
-    ///
-    /// `Err` is the stopped run: either the control requested a stop at a
-    /// phase boundary ([`StopCause::Cancelled`]) or a phase aborted
-    /// mid-flight ([`StopCause::Phase`] — an injected kill, or an internal
-    /// invariant violation). Both carry the checkpoint to
-    /// [`resume_controlled`](Self::resume_controlled) from.
+    /// As for [`execute`](Self::execute).
     pub fn run_controlled(
         &self,
         protocol: &Protocol,
@@ -622,115 +690,13 @@ impl<'a> ProtocolRunner<'a> {
         fault: Option<FaultPlan>,
         control: &dyn RunControl,
     ) -> Result<(ProtocolOutcome, Journal), Box<StoppedRun>> {
-        let mut state = self.fresh_state();
-        match fault {
-            Some(fault) => state.attach_journal_with_fault(fault),
-            None => state.attach_journal(),
-        }
-        let mut ctx = self.ctx(Accumulators::new(cycle, self.cycle_seed(cycle)));
-        let mut phases = Vec::with_capacity(protocol.phases.len());
-        let outcome = self.execute(
-            protocol,
-            cycle,
-            0,
-            &mut state,
-            &mut ctx,
-            &mut phases,
-            true,
-            Some(control),
-        );
-        self.finish_controlled(outcome, state, ctx, phases, cycle)
-    }
-
-    /// Continues a stopped controlled run from its [`Checkpoint`], with a
-    /// fresh journal attached (its events are the continuation — appending
-    /// them to the stopped run's committed prefix of length
-    /// [`Checkpoint::journal_offset`] yields a journal identical to an
-    /// uninterrupted run's) and the same boundary-polled [`RunControl`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_controlled`](Self::run_controlled): the run may be
-    /// stopped again, by the control or by a freshly armed `fault`.
-    pub fn resume_controlled(
-        &self,
-        checkpoint: &Checkpoint,
-        fault: Option<FaultPlan>,
-        control: &dyn RunControl,
-    ) -> Result<(ProtocolOutcome, Journal), Box<StoppedRun>> {
-        let mut state = ChipState::from_snapshot(checkpoint.state.clone());
-        match fault {
-            Some(fault) => state.attach_journal_with_fault(fault),
-            None => state.attach_journal(),
-        }
-        let mut ctx = self.ctx(checkpoint.ctx.clone());
-        let mut phases = checkpoint.completed.clone();
-        let outcome = self.execute(
-            &checkpoint.protocol,
-            checkpoint.cycle,
-            checkpoint.next_phase,
-            &mut state,
-            &mut ctx,
-            &mut phases,
-            true,
-            Some(control),
-        );
-        self.finish_controlled(outcome, state, ctx, phases, checkpoint.cycle)
-    }
-
-    /// Shared tail of the controlled entry points: detach the journal and
-    /// assemble either the outcome or the [`StoppedRun`].
-    fn finish_controlled(
-        &self,
-        outcome: Result<(), Interruption>,
-        mut state: ChipState,
-        ctx: PhaseCtx<'_>,
-        phases: Vec<PhaseReport>,
-        cycle: usize,
-    ) -> Result<(ProtocolOutcome, Journal), Box<StoppedRun>> {
-        let journal = state.take_journal().expect("journal attached above");
-        match outcome {
-            Ok(()) => Ok((self.assemble(cycle, state, ctx, phases), journal)),
-            Err(interruption) => {
-                let checkpoint = interruption
-                    .checkpoint
-                    .expect("checkpoint capture enabled for controlled runs");
-                Err(Box::new(StoppedRun {
-                    checkpoint: *checkpoint,
-                    journal,
-                    cause: interruption.cause,
-                }))
-            }
-        }
-    }
-
-    /// Continues an interrupted protocol from a [`Checkpoint`]: restores
-    /// the chip state and every ctx accumulator, then executes the
-    /// remaining phases (the interrupted one re-runs from its start).
-    /// Every RNG stream is a pure function of the captured seeds and
-    /// counters, so the final state is bit-identical to an uninterrupted
-    /// run of the same protocol — planner wall-clock aside, so is the
-    /// report.
-    pub fn resume(&self, checkpoint: &Checkpoint) -> ProtocolOutcome {
-        let mut state = ChipState::from_snapshot(checkpoint.state.clone());
-        let mut ctx = self.ctx(checkpoint.ctx.clone());
-        let mut phases = checkpoint.completed.clone();
-        if let Err(interruption) = self.execute(
-            &checkpoint.protocol,
-            checkpoint.cycle,
-            checkpoint.next_phase,
-            &mut state,
-            &mut ctx,
-            &mut phases,
-            false,
-            None,
-        ) {
-            phases.push(Self::aborted_report(
-                &interruption.expect_phase_error(),
-                &state,
-            ));
-        }
-        self.assemble(checkpoint.cycle, state, ctx, phases)
+        self.execute(
+            Start::Fresh { protocol, cycle },
+            RunOptions {
+                journal: fault.map_or(Journaling::On, Journaling::Armed),
+                control,
+            },
+        )
     }
 }
 
@@ -754,70 +720,6 @@ mod tests {
         assert_eq!(back, protocol);
         assert_eq!(back.len(), 8);
         assert!(!back.is_empty());
-    }
-
-    #[test]
-    fn fault_kill_and_resume_reach_the_uninterrupted_state() {
-        // One mid-protocol kill point, end to end: the interrupted run's
-        // journal prefix replays to the checkpoint state, and resume from
-        // the checkpoint lands on the exact state (and report, modulo
-        // planner wall-clock) of an uninterrupted run.
-        use crate::workload::{BatchDriver, WorkloadConfig};
-        use labchip_manipulation::journal::{replay, FaultPlan};
-
-        let config = WorkloadConfig {
-            array_side: 32,
-            noise_scale: 1.0,
-            detection_frames: 2,
-            recovery: RecoveryPolicy::date05_reference(),
-            ..WorkloadConfig::default()
-        };
-        let driver = BatchDriver::new(config);
-        let dims = GridDims::square(config.array_side);
-        let sep = config.min_separation.max(1);
-        let protocol = Protocol::canned_cycle(dims, sep, 20);
-        let (baseline, baseline_journal) = driver.runner().run_journaled(&protocol, 0);
-        let total_events = baseline_journal.len() as u64;
-        assert!(
-            total_events > 10,
-            "probe run journaled {total_events} events"
-        );
-
-        // A kill point mid-journal must interrupt...
-        let interrupted = driver
-            .runner()
-            .run_with_fault(&protocol, 0, FaultPlan::after(total_events / 2))
-            .expect_err("mid-journal kill point must interrupt the run");
-        assert!(interrupted.journal.len() as u64 >= total_events / 2);
-        let checkpoint = &interrupted.checkpoint;
-        assert!(checkpoint.next_phase < protocol.len());
-
-        // ...its journal-at-checkpoint prefix replays to the snapshot...
-        let prefix = interrupted.journal.truncated(checkpoint.journal_offset);
-        let replayed = replay(&prefix, dims, sep).expect("prefix replays cleanly");
-        assert_eq!(
-            replayed.state_hash(),
-            ChipState::from_snapshot(checkpoint.state.clone()).state_hash()
-        );
-
-        // ...the checkpoint survives its JSON round trip...
-        let restored = Checkpoint::from_json(&checkpoint.to_json()).expect("round trip");
-        assert_eq!(&restored, checkpoint);
-
-        // ...and resume finishes to the uninterrupted state and report.
-        let resumed = driver.runner().resume(&restored);
-        assert_eq!(resumed.state, baseline.state);
-        assert_eq!(resumed.state.state_hash(), baseline.state.state_hash());
-        let mut resumed_report = resumed.report.clone();
-        resumed_report.planning = baseline.report.planning;
-        assert_eq!(resumed_report, baseline.report);
-
-        // A kill point past the end never fires: the run completes.
-        let (outcome, _) = driver
-            .runner()
-            .run_with_fault(&protocol, 0, FaultPlan::after(total_events + 1))
-            .expect("kill point past the journal end must not interrupt");
-        assert_eq!(outcome.state, baseline.state);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The farm service: a bounded multi-tenant job queue drained by a fleet
-//! of worker threads, each driving a [`ProtocolRunner`] over its own
+//! of worker threads, each driving a
+//! [`ProtocolRunner`](labchip::workload::ProtocolRunner) over its own
 //! [`ChipState`](labchip_manipulation::state::ChipState).
 //!
 //! ## Execution model
@@ -8,8 +9,8 @@
 //! [`TenantQueue`] — FIFO within a tenant, round-robin across tenants,
 //! bounded depth with explicit [`SubmitError::Rejected`] backpressure.
 //! Workers claim jobs from the queue and execute them with
-//! [`ProtocolRunner::run_controlled`], which journals every chip-state
-//! event and takes a [`Checkpoint`] at every phase boundary:
+//! [`ProtocolRunner::execute`](labchip::workload::ProtocolRunner::execute),
+//! journaled, which takes a [`Checkpoint`] at every phase boundary:
 //!
 //! * an injected-fault kill ([`JobSpec::fault`]) stops the worker
 //!   mid-phase; the job is re-queued at the front of its tenant's FIFO
@@ -33,8 +34,8 @@ use std::time::Instant;
 
 use labchip::scenario::{Progress, ProgressEvent};
 use labchip::workload::{
-    BatchDriver, Checkpoint, ForceEnvelope, PhaseError, Protocol, ProtocolRunner, RunControl,
-    StopCause, StoppedRun, WorkloadConfig,
+    BatchDriver, Checkpoint, ForceEnvelope, Journaling, PhaseError, Protocol, RunControl,
+    RunOptions, Start, StopCause, StoppedRun, WorkloadConfig,
 };
 use labchip_manipulation::journal::{Event, FaultPlan, Journal};
 
@@ -493,29 +494,26 @@ fn worker_loop(shared: &Arc<FarmShared>) {
             });
         }
         let driver = BatchDriver::with_envelope(claim.config, shared.envelope);
-        let runner = driver.runner();
         let control = WorkerControl {
             shared: Arc::clone(shared),
             id: claim.id,
         };
         let started = Instant::now();
-        let run = || execute_claim(&runner, &claim, &control);
+        let fresh = Start::Fresh {
+            protocol: &claim.protocol,
+            cycle: 0,
+        };
+        let start = claim.checkpoint.as_ref().map_or(fresh, Start::Resume);
+        let options = RunOptions {
+            journal: claim.fault.map_or(Journaling::On, Journaling::Armed),
+            control: &control,
+        };
+        let run = || driver.runner().execute(start, options);
         let result = match &pool {
             Some(pool) => pool.install(run),
             None => run(),
         };
         settle(shared, claim, result, ms_since(started));
-    }
-}
-
-fn execute_claim(
-    runner: &ProtocolRunner<'_>,
-    claim: &Claim,
-    control: &WorkerControl,
-) -> Result<(labchip::workload::ProtocolOutcome, Journal), Box<StoppedRun>> {
-    match &claim.checkpoint {
-        Some(checkpoint) => runner.resume_controlled(checkpoint, claim.fault, control),
-        None => runner.run_controlled(&claim.protocol, 0, claim.fault, control),
     }
 }
 
@@ -606,6 +604,7 @@ fn settle(
                     checkpoint,
                     journal,
                     cause,
+                    ..
                 } = *stopped;
                 let committed = job.committed.get_or_insert_with(Vec::new);
                 committed.extend(
@@ -638,6 +637,12 @@ fn settle(
                             error: format!("{phase}: {reason}"),
                         };
                         job.record.detail = "invariant violation".into();
+                    }
+                    StopCause::Rejected(error) => {
+                        job.record.status = JobStatus::Failed {
+                            error: error.to_string(),
+                        };
+                        job.record.detail = "checkpoint does not fit the job".into();
                     }
                 }
             }

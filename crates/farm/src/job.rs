@@ -9,7 +9,7 @@
 //!     ▲                  │    │ cancel (mid-run, next phase boundary)
 //!     │ injected kill:   │    └──────▶ Cancelled
 //!     │ requeue w/       ├──▶ Done
-//!     │ checkpoint       └──▶ Failed (invariant violation)
+//!     │ checkpoint       └──▶ Failed (invariant violation, unfit checkpoint)
 //!     └──────────────────┘
 //! ```
 //!
@@ -106,7 +106,7 @@ pub enum JobStatus {
     },
     /// Completed every phase.
     Done,
-    /// A phase aborted on an internal invariant violation.
+    /// A phase hit an invariant violation, or the checkpoint did not fit.
     Failed {
         /// The abort reason.
         error: String,

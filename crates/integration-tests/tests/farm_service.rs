@@ -11,7 +11,8 @@
 
 use labchip::scenario::Runner;
 use labchip::workload::{
-    BatchDriver, NeverStop, Protocol, ProtocolRunner, RunControl, StopCause, WorkloadConfig,
+    BatchDriver, Journaling, Protocol, ProtocolRunner, RunControl, RunOptions, Start, StopCause,
+    WorkloadConfig,
 };
 use labchip_farm::{full_registry, Farm, FarmConfig, JobSpec, JobStatus, TenantQueue};
 use labchip_manipulation::journal::{replay, FaultPlan, Journal};
@@ -155,7 +156,10 @@ proptest! {
         };
         for boundary in 0..protocol.len() {
             let stopped = runner
-                .run_controlled(&protocol, 0, None, &StopAt { boundary })
+                .execute(
+                    Start::Fresh { protocol: &protocol, cycle: 0 },
+                    RunOptions { journal: Journaling::On, control: &StopAt { boundary } },
+                )
                 .expect_err("the scripted control stops before the final phase");
             prop_assert!(
                 matches!(stopped.cause, StopCause::Cancelled { next_phase } if next_phase == boundary)
@@ -163,7 +167,7 @@ proptest! {
             prop_assert_eq!(stopped.checkpoint.completed.len(), boundary);
             let committed = stopped.journal.truncated(stopped.checkpoint.journal_offset);
             let (outcome, continuation) = runner
-                .resume_controlled(&stopped.checkpoint, None, &NeverStop)
+                .execute(Start::Resume(&stopped.checkpoint), Journaling::On.into())
                 .expect("an uncontested resume runs to completion");
             prop_assert_eq!(
                 outcome.state.state_hash(), base_hash,

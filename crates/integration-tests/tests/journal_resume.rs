@@ -16,9 +16,11 @@
 //! format is pinned.
 
 use labchip::workload::{
-    BatchDriver, Checkpoint, ForceEnvelope, Protocol, RecoveryPolicy, WorkloadConfig,
+    BatchDriver, Checkpoint, CheckpointError, ForceEnvelope, Journaling, PhaseError, Protocol,
+    ProtocolOutcome, RecoveryPolicy, RunOptions, Start, StopCause, WorkloadConfig,
 };
-use labchip_manipulation::journal::{replay, FaultPlan};
+use labchip_manipulation::journal::{replay, FaultPlan, Journal};
+use labchip_manipulation::state::ChipState;
 use labchip_units::{GridDims, Seconds};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -49,6 +51,61 @@ fn canned(config: &WorkloadConfig, particles: usize) -> Protocol {
     )
 }
 
+/// Kills the cycle after `kill` journal events and checks the way back
+/// against the uninterrupted run and its journal. Returns whether the kill
+/// interrupted the run; one it did not must be the uninterrupted run.
+///
+/// An interrupted run's journal prefix up to the checkpoint offset replays
+/// to the checkpoint state, the checkpoint survives its JSON round trip,
+/// and a journaled resume reaches the baseline state and report (planner
+/// wall-clock aside), its journal continuing the committed prefix into
+/// exactly the baseline journal.
+fn kill_and_resume(
+    driver: &BatchDriver,
+    protocol: &Protocol,
+    kill: u64,
+    (baseline, baseline_journal): &(ProtocolOutcome, Journal),
+) -> bool {
+    let total = baseline_journal.len() as u64;
+    let start = Start::Fresh { protocol, cycle: 0 };
+    let armed = Journaling::Armed(FaultPlan::after(kill)).into();
+    let run = match driver.runner().execute(start, armed) {
+        Ok((outcome, journal)) => {
+            assert!(kill >= total, "kill {kill}/{total} must interrupt");
+            assert_eq!(outcome.state, baseline.state);
+            assert_eq!(&journal, baseline_journal);
+            return false;
+        }
+        Err(run) => run,
+    };
+    assert!(kill < total, "kill {kill}/{total} must complete");
+    assert!(matches!(
+        run.cause,
+        StopCause::Phase(PhaseError::Interrupted { .. })
+    ));
+    let checkpoint = &run.checkpoint;
+    let mut journal = run.journal.truncated(checkpoint.journal_offset);
+    let (side, sep) = (driver.config().array_side, driver.config().min_separation);
+    let replayed = replay(&journal, GridDims::square(side), sep).expect("prefix replays");
+    assert_eq!(replayed, ChipState::from_snapshot(checkpoint.state.clone()));
+    let restored = Checkpoint::from_json(&checkpoint.to_json()).expect("checkpoint parses back");
+    assert_eq!(&restored, checkpoint);
+
+    let (resumed, continuation) = driver
+        .runner()
+        .execute(Start::Resume(&restored), Journaling::On.into())
+        .expect("an unarmed resume runs to completion");
+    assert_eq!(resumed.state, baseline.state);
+    let mut report = resumed.report;
+    report.planning = baseline.report.planning;
+    assert_eq!(report, baseline.report);
+    for event in continuation.events() {
+        journal.record(event.clone());
+    }
+    assert_eq!(&journal, baseline_journal, "kill {kill}: journals diverged");
+    true
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -66,68 +123,96 @@ proptest! {
         };
         let config = workload(seed, if noisy { 8.0 } else { 0.0 }, recovery);
         let protocol = canned(&config, 20);
-        let dims = GridDims::square(config.array_side);
-        let sep = config.min_separation.max(1);
         let driver = BatchDriver::with_envelope(config, envelope());
 
-        // The oracle: the same cycle, never interrupted.
-        let (baseline, journal) = driver.runner().run_journaled(&protocol, 0);
-        let baseline_hash = baseline.state.state_hash();
-        let total = journal.len() as u64;
+        // The oracle: the same cycle, never interrupted. Replay of its full
+        // journal is the equivalence oracle.
+        let baseline = driver.runner().run_journaled(&protocol, 0);
+        let total = baseline.1.len() as u64;
         prop_assert!(total > 0, "a canned cycle always journals events");
+        let dims = GridDims::square(config.array_side);
+        let replayed = replay(&baseline.1, dims, config.min_separation).expect("journals replay");
+        prop_assert_eq!(&replayed, &baseline.0.state);
 
-        // Replay of the full journal is the equivalence oracle.
-        let replayed = replay(&journal, dims, sep).expect("recorded journals replay");
-        prop_assert_eq!(replayed.state_hash(), baseline_hash);
-
-        // Kill anywhere in [1, total + 10]: offsets past the end must let
-        // the run complete untouched.
+        // Kill anywhere in [1, total + 10]: offsets at or past the last
+        // event must let the run complete untouched.
         let kill = 1 + kill_sel % (total + 10);
-        match driver.runner().run_with_fault(&protocol, 0, FaultPlan::after(kill)) {
-            Ok((outcome, journal)) => {
-                prop_assert!(kill >= total, "in-journal kill must interrupt");
-                prop_assert_eq!(outcome.state.state_hash(), baseline_hash);
-                prop_assert_eq!(journal.len() as u64, total);
-            }
-            Err(run) => {
-                prop_assert!(kill < total, "kill past the journal end must complete");
-
-                // The journal prefix up to the checkpoint offset replays to
-                // the checkpointed state bit for bit.
-                let prefix = run.journal.truncated(run.checkpoint.journal_offset);
-                let from_prefix = replay(&prefix, dims, sep).expect("prefix replays");
-                let from_snapshot =
-                    labchip_manipulation::state::ChipState::from_snapshot(run.checkpoint.state.clone());
-                prop_assert_eq!(from_prefix.state_hash(), from_snapshot.state_hash());
-
-                // The checkpoint is durable: its JSON round trip is identity.
-                let round_tripped = Checkpoint::from_json(&run.checkpoint.to_json())
-                    .expect("checkpoint JSON parses back");
-                prop_assert_eq!(&round_tripped, &run.checkpoint);
-
-                // Resume reaches the uninterrupted final state, and the
-                // report too once the planner wall-clock is aligned.
-                let resumed = driver.runner().resume(&run.checkpoint);
-                prop_assert_eq!(resumed.state.state_hash(), baseline_hash);
-                let mut report = resumed.report;
-                report.planning = baseline.report.planning;
-                prop_assert_eq!(report, baseline.report);
-            }
-        }
+        kill_and_resume(&driver, &protocol, kill, &baseline);
     }
 }
 
-/// Grabs a real checkpoint by killing a short run early.
-fn interrupted_checkpoint(name: &str) -> Checkpoint {
+/// The kill points around the journal's end: a kill before the last event
+/// interrupts — including one on the final mutation, just before the
+/// closing `PhaseFinished` marker — and a kill on or past it completes.
+#[test]
+fn kills_at_the_journal_edges_interrupt_exactly_inside_the_run() {
+    for (seed, noise_scale) in [(2005, 8.0), (WorkloadConfig::default().seed, 1.0)] {
+        let config = workload(seed, noise_scale, RecoveryPolicy::date05_reference());
+        let protocol = canned(&config, 20);
+        let driver = BatchDriver::with_envelope(config, envelope());
+        let baseline = driver.runner().run_journaled(&protocol, 0);
+        let total = baseline.1.len() as u64;
+        let interrupted = [total / 2, total - 1, total, total + 1]
+            .map(|kill| kill_and_resume(&driver, &protocol, kill, &baseline));
+        assert_eq!(interrupted, [true, true, false, false], "seed {seed}");
+    }
+}
+
+/// Grabs a real checkpoint by killing a short run after `kill` events.
+fn interrupted_checkpoint(name: &str, kill: u64) -> Checkpoint {
     let config = workload(2005, 0.0, RecoveryPolicy::disabled());
     let mut protocol = canned(&config, 12);
     protocol.name = name.to_string();
     let driver = BatchDriver::with_envelope(config, envelope());
-    let run = driver
-        .runner()
-        .run_with_fault(&protocol, 0, FaultPlan::after(5))
-        .expect_err("an early kill point interrupts the run");
-    run.checkpoint
+    let armed = Journaling::Armed(FaultPlan::after(kill)).into();
+    let start = Start::Fresh {
+        protocol: &protocol,
+        cycle: 0,
+    };
+    let run = driver.runner().execute(start, armed);
+    run.expect_err("an early kill interrupts").checkpoint
+}
+
+/// A checkpoint that does not fit the runner is refused before anything
+/// runs — not a panic, and not a silently wrong outcome.
+#[test]
+fn resume_rejects_a_checkpoint_that_does_not_fit() {
+    use CheckpointError::{Completed, Dims, NextPhase};
+    use StopCause::Rejected;
+    let resume = |array_side: u32, checkpoint: &Checkpoint| {
+        let mut config = workload(2005, 0.0, RecoveryPolicy::disabled());
+        config.array_side = array_side;
+        let driver = BatchDriver::with_envelope(config, envelope());
+        let run = driver
+            .runner()
+            .execute(Start::Resume(checkpoint), Journaling::On.into());
+        run.err().map(|stopped| stopped.cause)
+    };
+    let checkpoint = interrupted_checkpoint("misfit", 30);
+    assert_eq!(resume(32, &checkpoint), None);
+    let (mut past_end, mut unreported) = (checkpoint.clone(), checkpoint.clone());
+    past_end.next_phase = 99;
+    unreported.completed.clear();
+    let (side, next_phase) = (GridDims::square, checkpoint.next_phase);
+    let small = Dims {
+        expected: side(16),
+        found: side(32),
+    };
+    assert_eq!(resume(16, &checkpoint), Some(Rejected(small)));
+    assert_eq!(
+        resume(32, &past_end),
+        Some(Rejected(NextPhase {
+            next_phase: 99,
+            phases: 5
+        }))
+    );
+    assert_eq!(
+        resume(32, &unreported),
+        Some(Rejected(Completed {
+            completed: 0,
+            next_phase
+        }))
+    );
 }
 
 /// Astral-plane characters in the protocol name survive the checkpoint's
@@ -136,7 +221,7 @@ fn interrupted_checkpoint(name: &str) -> Checkpoint {
 #[test]
 fn checkpoint_json_round_trips_surrogate_pair_protocol_names() {
     let name = "assay-\u{1D538}\u{1F9EB}-\"quoted\"-\u{10FFFF}";
-    let checkpoint = interrupted_checkpoint(name);
+    let checkpoint = interrupted_checkpoint(name, 5);
     let round_tripped =
         Checkpoint::from_json(&checkpoint.to_json()).expect("astral names parse back");
     assert_eq!(round_tripped.protocol.name, name);
@@ -148,7 +233,7 @@ fn checkpoint_json_round_trips_surrogate_pair_protocol_names() {
 /// panic and not a resurrected NaN).
 #[test]
 fn checkpoint_json_rejects_non_finite_ledger_floats_cleanly() {
-    let mut checkpoint = interrupted_checkpoint("nan-probe");
+    let mut checkpoint = interrupted_checkpoint("nan-probe", 5);
 
     checkpoint.ctx.planning = Seconds::new(f64::NAN);
     let text = checkpoint.to_json();
@@ -192,7 +277,10 @@ fn pinned_checkpoint_file_decodes_re_encodes_and_resumes() {
     assert_eq!(checkpoint.protocol, protocol);
     let driver = BatchDriver::with_envelope(config, envelope());
     let (baseline, _) = driver.runner().run_journaled(&protocol, 0);
-    let resumed = driver.runner().resume(&checkpoint);
+    let (resumed, _) = driver
+        .runner()
+        .execute(Start::Resume(&checkpoint), RunOptions::default())
+        .expect("the pinned checkpoint fits its runner");
     assert_eq!(resumed.state.state_hash(), baseline.state.state_hash());
     assert_eq!(baseline.state.state_hash(), 0x7940_391e_a5fb_149c);
 }
