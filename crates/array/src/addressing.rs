@@ -91,17 +91,31 @@ impl ProgrammingInterface {
     }
 
     /// Plans a partial update touching only the rows that contain changed
-    /// electrodes.
+    /// electrodes. Every listed electrode counts as changed; only the
+    /// in-range ones select rows.
     pub fn plan_update(&self, dims: GridDims, changed: &[GridCoord]) -> UpdatePlan {
         let rows: BTreeSet<u32> = changed
             .iter()
             .filter(|c| dims.contains(**c))
             .map(|c| c.y)
             .collect();
-        let cycles = self.cycles_per_row(dims.cols) * rows.len() as u64;
+        self.row_update(dims.cols, rows.len() as u32, changed.len())
+    }
+
+    /// The update that rewrites `rows_written` rows of an array with `cols`
+    /// columns to change `electrodes_changed` electrodes — the one
+    /// definition of the update arithmetic, for callers that count rows
+    /// themselves.
+    pub fn row_update(
+        &self,
+        cols: u32,
+        rows_written: u32,
+        electrodes_changed: usize,
+    ) -> UpdatePlan {
+        let cycles = self.cycles_per_row(cols) * u64::from(rows_written);
         UpdatePlan {
-            rows_written: rows.len() as u32,
-            electrodes_changed: changed.len(),
+            rows_written,
+            electrodes_changed,
             duration: Seconds::new(cycles as f64 / self.clock.get()),
         }
     }
@@ -183,6 +197,34 @@ mod tests {
         let plan2 = iface.plan_update(dims, &[GridCoord::new(400, 400)]);
         assert_eq!(plan2.rows_written, 0);
         assert_eq!(plan2.duration, Seconds::new(0.0));
+    }
+
+    #[test]
+    fn plan_update_is_row_update_over_the_rows_it_counts() {
+        let iface = ProgrammingInterface::date05_reference();
+        let dims = GridDims::new(320, 200);
+        // Two electrodes in row 5, one in row 150, one past the last row
+        // and one past the last column: both out-of-range ones count as
+        // changed electrodes but select no row.
+        let changed = [
+            GridCoord::new(10, 5),
+            GridCoord::new(200, 5),
+            GridCoord::new(17, 150),
+            GridCoord::new(3, 200),
+            GridCoord::new(320, 7),
+        ];
+        let plan = iface.plan_update(dims, &changed);
+        assert_eq!(plan, iface.row_update(dims.cols, 2, 5));
+        assert_eq!(plan.rows_written, 2);
+        assert_eq!(plan.electrodes_changed, 5);
+        assert_eq!(
+            iface.plan_update(dims, &changed[3..]),
+            iface.row_update(dims.cols, 0, 2)
+        );
+        assert_eq!(
+            iface.plan_update(dims, &[]),
+            iface.row_update(dims.cols, 0, 0)
+        );
     }
 
     #[test]

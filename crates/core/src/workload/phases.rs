@@ -304,30 +304,47 @@ impl<'a> PhaseCtx<'a> {
     /// Checks every move of a plan against the force envelope and feeds the
     /// changed electrode pairs into the row-update budget — shared by route
     /// phases and the recovery re-plans.
+    ///
+    /// One pass over each path's moves fills, per step, the number of
+    /// changed electrodes (two per move) and a bitmap of the rows they lie
+    /// in; then every step with a move records one update, in step order.
+    /// That is the per-step `plan_update` of the changed list, so the
+    /// counts and the budget — its `f64` sums included — come out the same
+    /// as stepping every path through the horizon.
     pub fn check_planned_moves(&mut self, outcome: &RoutingOutcome, dims: GridDims) {
         let speed = self.envelope.pitch / self.config.step_period;
         let feasible = self.envelope.permits(speed);
         let all_paths = || outcome.paths.iter().chain(outcome.stranded.iter());
+        // No path moves after its arrival step.
         let horizon = all_paths().map(|p| p.arrival_step()).max().unwrap_or(0);
-        let mut changed: Vec<GridCoord> = Vec::new();
-        for t in 1..=horizon {
-            changed.clear();
-            for path in all_paths() {
-                let prev = path.position_at(t - 1);
-                let cur = path.position_at(t);
-                if prev != cur {
-                    self.acc.moves_checked += 1;
-                    if !feasible {
-                        self.acc.infeasible_moves += 1;
-                    }
-                    changed.push(prev);
-                    changed.push(cur);
+        let words = dims.rows.div_ceil(64).max(1) as usize;
+        let mut changed = vec![0usize; horizon + 1];
+        let mut rows = vec![0u64; (horizon + 1) * words];
+        for path in all_paths() {
+            for (t, pair) in path.positions.windows(2).enumerate() {
+                if pair[0] == pair[1] {
+                    continue;
+                }
+                let step = t + 1;
+                changed[step] += 2;
+                for c in pair.iter().filter(|c| dims.contains(**c)) {
+                    rows[step * words + c.y as usize / 64] |= 1 << (c.y % 64);
                 }
             }
-            if !changed.is_empty() {
-                self.acc
-                    .budget
-                    .record(&self.programming.plan_update(dims, &changed));
+        }
+        let moves = changed.iter().sum::<usize>() / 2;
+        self.acc.moves_checked += moves;
+        if !feasible {
+            self.acc.infeasible_moves += moves;
+        }
+        for (step_rows, &electrodes) in rows.chunks_exact(words).zip(&changed) {
+            if electrodes > 0 {
+                let rows_written = step_rows.iter().map(|w| w.count_ones()).sum();
+                self.acc.budget.record(&self.programming.row_update(
+                    dims.cols,
+                    rows_written,
+                    electrodes,
+                ));
             }
         }
     }
@@ -1057,6 +1074,143 @@ impl AssayPhase for Flush {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use labchip_manipulation::routing::ParticlePath;
+    use labchip_units::{Meters, MetersPerSecond, Newtons};
+
+    impl PhaseCtx<'_> {
+        /// The move check as it was first written: every path stepped
+        /// through the whole horizon, one `plan_update` per step with a
+        /// move: the reference [`PhaseCtx::check_planned_moves`] must match.
+        fn check_planned_moves_reference(&mut self, outcome: &RoutingOutcome, dims: GridDims) {
+            let speed = self.envelope.pitch / self.config.step_period;
+            let feasible = self.envelope.permits(speed);
+            let all_paths = || outcome.paths.iter().chain(outcome.stranded.iter());
+            let horizon = all_paths().map(|p| p.arrival_step()).max().unwrap_or(0);
+            let mut changed: Vec<GridCoord> = Vec::new();
+            for t in 1..=horizon {
+                changed.clear();
+                for path in all_paths() {
+                    let prev = path.position_at(t - 1);
+                    let cur = path.position_at(t);
+                    if prev != cur {
+                        self.acc.moves_checked += 1;
+                        if !feasible {
+                            self.acc.infeasible_moves += 1;
+                        }
+                        changed.push(prev);
+                        changed.push(cur);
+                    }
+                }
+                if !changed.is_empty() {
+                    self.acc
+                        .budget
+                        .record(&self.programming.plan_update(dims, &changed));
+                }
+            }
+        }
+    }
+
+    /// A seeded outcome on `dims`: up to `count` paths of random walks
+    /// (some one cell long, some walking back to their start, some
+    /// stepping one cell off the array), each filed as routed or stranded.
+    fn random_outcome(dims: GridDims, count: usize, seed: u64) -> RoutingOutcome {
+        let mut bits = seed;
+        let mut next = |bound: u32| {
+            bits = bits
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((bits >> 33) % u64::from(bound.max(1))) as u32
+        };
+        let mut outcome = RoutingOutcome {
+            paths: Vec::new(),
+            unrouted: Vec::new(),
+            stranded: Vec::new(),
+            makespan: 0,
+            total_moves: 0,
+        };
+        for k in 0..next(count as u32 + 1) {
+            let mut pos = GridCoord::new(next(dims.cols + 1), next(dims.rows + 1));
+            let mut positions = vec![pos];
+            for _ in 0..next(24) {
+                let (dx, dy) = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)][next(5) as usize];
+                pos = pos.offset(dx, dy).unwrap_or(pos);
+                positions.push(pos);
+            }
+            if next(4) == 0 {
+                let back: Vec<GridCoord> = positions.iter().rev().skip(1).copied().collect();
+                positions.extend(back);
+            }
+            let path = ParticlePath {
+                id: ParticleId(u64::from(k)),
+                positions,
+            };
+            if next(3) == 0 {
+                outcome.unrouted.push(path.id);
+                outcome.stranded.push(path);
+            } else {
+                outcome.paths.push(path);
+            }
+        }
+        outcome
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// The one-pass move check counts the same moves and records the
+        /// same budget, `f64` sums bit for bit, as stepping every path
+        /// through the horizon — over two checks in a row, as a route and
+        /// a recovery re-plan run them, under a feasible and an infeasible
+        /// envelope.
+        #[test]
+        fn one_pass_move_check_matches_the_per_step_reference(
+            cols in 1u32..90,
+            rows in 1u32..150,
+            counts in (0usize..12, 0usize..12),
+            seed in 0u64..u64::MAX,
+            feasible in 0u32..2,
+        ) {
+            let dims = GridDims::new(cols, rows);
+            let config = WorkloadConfig::default();
+            let envelope = ForceEnvelope {
+                holding_force: Newtons::new(1e-12),
+                max_speed: MetersPerSecond::new(if feasible == 1 { 1.0 } else { 0.0 }),
+                pitch: Meters::new(20e-6),
+            };
+            let router = IncrementalRouter::default();
+            let programming = ProgrammingInterface::date05_reference();
+            let scan = ScanTiming::date05_reference();
+            let scanner = ArrayScanner::date05_reference(GridDims::square(1), 0.0, 1);
+            let ctx = || {
+                PhaseCtx::new(
+                    &config, &envelope, &router, &programming, &scan, &scanner, None,
+                    Accumulators::new(0, 0),
+                )
+            };
+            let (mut fast, mut reference) = (ctx(), ctx());
+            for (k, count) in [counts.0, counts.1].into_iter().enumerate() {
+                let outcome = random_outcome(dims, count, seed ^ k as u64);
+                fast.check_planned_moves(&outcome, dims);
+                reference.check_planned_moves_reference(&outcome, dims);
+            }
+            let (a, b) = (&fast.acc, &reference.acc);
+            proptest::prop_assert_eq!(a.moves_checked, b.moves_checked);
+            proptest::prop_assert_eq!(a.infeasible_moves, b.infeasible_moves);
+            proptest::prop_assert_eq!(a.infeasible_moves, if feasible == 1 { 0 } else { a.moves_checked });
+            let (x, y) = (&a.budget, &b.budget);
+            proptest::prop_assert_eq!(x.steps, y.steps);
+            proptest::prop_assert_eq!(x.rows_written, y.rows_written);
+            proptest::prop_assert_eq!(x.electrodes_changed, y.electrodes_changed);
+            proptest::prop_assert_eq!(
+                x.programming_time.get().to_bits(),
+                y.programming_time.get().to_bits()
+            );
+            proptest::prop_assert_eq!(
+                x.worst_step_time.get().to_bits(),
+                y.worst_step_time.get().to_bits()
+            );
+        }
+    }
 
     #[test]
     fn arrays_too_small_for_a_lattice_load_and_sort_nothing() {

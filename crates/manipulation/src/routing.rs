@@ -170,18 +170,12 @@ impl ParticlePath {
     /// Number of steps until the final position is first reached.
     pub fn arrival_step(&self) -> usize {
         let last = *self.positions.last().expect("paths are never empty");
-        self.positions
-            .iter()
-            .position(|p| *p == last && self.positions.iter().skip(1).all(|_| true))
-            .map(|_| {
-                // First index from which the position never changes again.
-                let mut arrival = self.positions.len() - 1;
-                while arrival > 0 && self.positions[arrival - 1] == last {
-                    arrival -= 1;
-                }
-                arrival
-            })
-            .unwrap_or(0)
+        // First index from which the position never changes again.
+        let mut arrival = self.positions.len() - 1;
+        while arrival > 0 && self.positions[arrival - 1] == last {
+            arrival -= 1;
+        }
+        arrival
     }
 }
 
@@ -1099,5 +1093,23 @@ mod tests {
         assert_eq!(path.position_at(100), GridCoord::new(5, 2));
         assert_eq!(path.arrival_step(), 3);
         assert_eq!(path.move_count(), 3);
+    }
+
+    #[test]
+    fn arrival_step_is_the_first_step_of_the_final_stay() {
+        let (a, b) = (GridCoord::new(1, 1), GridCoord::new(2, 1));
+        for (positions, arrival) in [
+            (vec![a], 0),
+            (vec![a, b], 1),
+            (vec![a, b, a], 2),
+            (vec![a, b, b, b], 1),
+            (vec![a, a, b], 2),
+        ] {
+            let path = ParticlePath {
+                id: ParticleId(0),
+                positions,
+            };
+            assert_eq!(path.arrival_step(), arrival, "{:?}", path.positions);
+        }
     }
 }

@@ -59,10 +59,37 @@ struct ShardEntry {
     paths: Vec<StoredPath>,
 }
 
-/// A window path packed to 4 bits per step where possible (the move
-/// alphabet has 5 symbols: stay + 4 directions), falling back to the full
-/// coordinate list for windows longer than 16 steps. The empty path of a
-/// particle parked on its goal is stored as an empty, unallocated `Wide`.
+/// The 4-bit code of one window step (the move alphabet has 5 symbols:
+/// stay + 4 directions), or `None` for a jump no single step makes.
+pub(super) fn step_code(from: GridCoord, to: GridCoord) -> Option<u64> {
+    let dx = to.x as i64 - from.x as i64;
+    let dy = to.y as i64 - from.y as i64;
+    match (dx, dy) {
+        (0, 0) => Some(0),
+        (1, 0) => Some(1),
+        (-1, 0) => Some(2),
+        (0, 1) => Some(3),
+        (0, -1) => Some(4),
+        _ => None,
+    }
+}
+
+/// The cell one step of `code` leads to from `pos`.
+pub(super) fn take_step(pos: GridCoord, code: u64) -> GridCoord {
+    let (dx, dy) = match code {
+        0 => (0, 0),
+        1 => (1, 0),
+        2 => (-1, 0),
+        3 => (0, 1),
+        _ => (0, -1),
+    };
+    pos.offset(dx, dy).expect("packed path stays on the grid")
+}
+
+/// A window path packed to 4 bits per step where possible (see
+/// [`step_code`]), falling back to the full coordinate list for windows
+/// longer than 16 steps. The empty path of a particle parked on its goal is
+/// stored as an empty, unallocated `Wide`.
 #[derive(Debug)]
 enum StoredPath {
     Packed {
@@ -80,15 +107,8 @@ impl StoredPath {
         }
         let mut dirs = 0u64;
         for (k, pair) in path.windows(2).enumerate() {
-            let dx = pair[1].x as i64 - pair[0].x as i64;
-            let dy = pair[1].y as i64 - pair[0].y as i64;
-            let code = match (dx, dy) {
-                (0, 0) => 0u64,
-                (1, 0) => 1,
-                (-1, 0) => 2,
-                (0, 1) => 3,
-                (0, -1) => 4,
-                _ => return Self::Wide(path.to_vec()),
+            let Some(code) = step_code(pair[0], pair[1]) else {
+                return Self::Wide(path.to_vec());
             };
             dirs |= code << (4 * k);
         }
@@ -107,14 +127,7 @@ impl StoredPath {
                 let mut pos = *start;
                 out.push(pos);
                 for k in 0..*steps {
-                    let (dx, dy) = match (dirs >> (4 * k)) & 0xF {
-                        0 => (0, 0),
-                        1 => (1, 0),
-                        2 => (-1, 0),
-                        3 => (0, 1),
-                        _ => (0, -1),
-                    };
-                    pos = pos.offset(dx, dy).expect("packed path stays on the grid");
+                    pos = take_step(pos, (dirs >> (4 * k)) & 0xF);
                     out.push(pos);
                 }
                 out

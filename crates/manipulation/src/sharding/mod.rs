@@ -41,6 +41,14 @@
 //!   unchanged) problem replays cached paths instead of searching, and
 //!   because the key covers the planner's *entire* input, a hit is
 //!   bit-identical to a recompute by construction.
+//! * **In-solve replay** — without a cache, [`IncrementalRouter::solve`]
+//!   keeps each tile's plan from the last window of the same stagger
+//!   phase, with the members and frozen neighbours it was planned from
+//!   (`replay`). A tile whose input is exactly the same, compared by value
+//!   rather than by hash, reuses that plan. Stranded particles keep a solve
+//!   running to its horizon while most tiles sit unchanged, so many tile
+//!   searches are skipped; the store holds at most one plan per tile per
+//!   phase.
 //!
 //! The hot loops are struct-of-arrays throughout (`astar_soa`): flat
 //! epoch-stamped arrays for reservations, zones, and A\* scratch, pooled in
@@ -55,6 +63,7 @@
 mod astar_soa;
 mod cache;
 mod partition;
+mod replay;
 mod verify;
 
 pub use cache::{covering_tiles, CacheStats, RouterCache};
@@ -67,6 +76,7 @@ use cache::shard_key;
 use labchip_units::GridCoord;
 use partition::{stagger_phases, Partition, TileMembership};
 use rayon::prelude::*;
+use replay::TileReplay;
 use serde::{Deserialize, Serialize};
 use verify::verify_and_repair;
 pub(crate) use verify::ConflictScan;
@@ -134,7 +144,7 @@ impl IncrementalRouter {
     /// [`RoutingOutcome::unrouted`] instead.
     pub fn solve(&self, problem: &RoutingProblem) -> Result<RoutingOutcome, ManipulationError> {
         problem.validate()?;
-        Ok(self.plan::<true>(problem, None))
+        Ok(self.plan::<true>(problem, None).0)
     }
 
     /// Solves a routing problem, reading and populating `cache` so that
@@ -151,7 +161,7 @@ impl IncrementalRouter {
         cache: &mut RouterCache,
     ) -> Result<RoutingOutcome, ManipulationError> {
         problem.validate()?;
-        Ok(self.plan::<true>(problem, Some(cache)))
+        Ok(self.plan::<true>(problem, Some(cache)).0)
     }
 
     /// Benchmark probe for the per-window partition build: classifies
@@ -180,13 +190,16 @@ impl IncrementalRouter {
     }
 
     /// The planner behind [`Self::solve`] and [`Self::solve_cached`].
-    /// `FAST_PARK` enables the parked fast path of the tile loop; tests
-    /// turn it off to compare against calling A\* for every particle.
-    fn plan<const FAST_PARK: bool>(
+    /// `SHORTCUTS` enables the parked fast path of the tile loop and, for
+    /// a solve without a cache, the in-solve replay; tests turn it off to
+    /// compare against calling A\* for every particle in every window.
+    /// Returns the outcome and the number of tiles the in-solve replay
+    /// served.
+    fn plan<const SHORTCUTS: bool>(
         &self,
         problem: &RoutingProblem,
         mut cache: Option<&mut RouterCache>,
-    ) -> RoutingOutcome {
+    ) -> (RoutingOutcome, usize) {
         let n = problem.requests.len();
         let sep = problem.min_separation.max(1);
         let margin = sep / 2;
@@ -195,7 +208,8 @@ impl IncrementalRouter {
         let phases = stagger_phases(side);
         // The parked fast path needs window starts at least `sep` apart,
         // which a validated problem guarantees only for a separation ≥ 1.
-        let fast_park = FAST_PARK && problem.min_separation > 0;
+        let fast_park = SHORTCUTS && problem.min_separation > 0;
+        let replay = SHORTCUTS && cache.is_none();
 
         let goals: Vec<GridCoord> = problem.requests.iter().map(|r| r.goal).collect();
         let mut positions: Vec<GridCoord> = problem.requests.iter().map(|r| r.start).collect();
@@ -212,6 +226,8 @@ impl IncrementalRouter {
         let mut frozen_zone = DenseZone::default();
         let mut scan = ConflictScan::default();
         let mut frozen_touch: Vec<(u32, GridCoord)> = Vec::new();
+        let mut replays: [Vec<TileReplay>; 4] = Default::default();
+        let mut replayed = 0usize;
         let grid_lo = GridCoord::new(0, 0);
         let grid_hi = GridCoord::new(problem.dims.cols - 1, problem.dims.rows - 1);
 
@@ -226,6 +242,7 @@ impl IncrementalRouter {
             }
             let (ox, oy) = phases[phase];
             let part = Partition::new(problem.dims, side, ox, oy);
+            let replay_tiles = &mut replays[phase];
             phase = (phase + 1) % phases.len();
 
             // Classify: margin dwellers freeze for this window, everyone
@@ -247,38 +264,48 @@ impl IncrementalRouter {
                 (positions[i].manhattan(goals[i]), i)
             });
 
-            // Cache lookup: a shard whose full planning input hashes to a
-            // stored key replays its paths; the rest plan fresh below.
+            // The rest of a tile's planning input: the frozen particles
+            // whose separation zone reaches into it.
+            frozen_touch.clear();
+            let reach = sep.saturating_sub(1);
+            for (i, pos) in positions.iter().enumerate() {
+                if !frozen[i] {
+                    continue;
+                }
+                let lo = GridCoord::new(pos.x.saturating_sub(reach), pos.y.saturating_sub(reach));
+                let hi = GridCoord::new(pos.x + reach, pos.y + reach);
+                for tile in part.tiles_in_box(lo, hi) {
+                    frozen_touch.push((tile as u32, *pos));
+                }
+            }
+            // Stable by tile: particle order within a tile is kept.
+            frozen_touch.sort_by_key(|&(tile, _)| tile);
+
+            // A shard whose planning input matches a stored one replays its
+            // paths instead of searching: with a cache, the entry under its
+            // content key; without one, its tile's last plan in this
+            // stagger phase. The rest plan fresh below.
             let mut shard_paths: Vec<Vec<Vec<GridCoord>>> = vec![Vec::new(); part.tile_count()];
             let mut needs_plan: Vec<bool> = vec![false; part.tile_count()];
             let mut keys: Vec<u128> = Vec::new();
-            match cache.as_deref_mut() {
-                Some(cache_ref) => {
-                    keys = vec![0u128; part.tile_count()];
-                    frozen_touch.clear();
-                    let reach = sep.saturating_sub(1);
-                    for (i, pos) in positions.iter().enumerate() {
-                        if !frozen[i] {
-                            continue;
-                        }
-                        let lo = GridCoord::new(
-                            pos.x.saturating_sub(reach),
-                            pos.y.saturating_sub(reach),
-                        );
-                        let hi = GridCoord::new(pos.x + reach, pos.y + reach);
-                        for tile in part.tiles_in_box(lo, hi) {
-                            frozen_touch.push((tile as u32, *pos));
-                        }
-                    }
-                    // Stable by tile: particle order within a tile is kept.
-                    frozen_touch.sort_by_key(|&(tile, _)| tile);
-                    for tile in 0..part.tile_count() {
-                        let indices = membership.members(tile);
-                        if indices.is_empty() {
-                            continue;
-                        }
-                        let lo_idx = frozen_touch.partition_point(|&(t, _)| (t as usize) < tile);
-                        let hi_idx = frozen_touch.partition_point(|&(t, _)| (t as usize) <= tile);
+            if cache.is_some() {
+                keys = vec![0u128; part.tile_count()];
+            } else if replay {
+                replay_tiles.resize_with(part.tile_count(), TileReplay::default);
+            }
+            for tile in 0..part.tile_count() {
+                let indices = membership.members(tile);
+                if indices.is_empty() {
+                    continue;
+                }
+                let lo_idx = frozen_touch.partition_point(|&(t, _)| (t as usize) < tile);
+                let hi_idx = frozen_touch.partition_point(|&(t, _)| (t as usize) <= tile);
+                let touch = &frozen_touch[lo_idx..hi_idx];
+                let members = indices
+                    .iter()
+                    .map(|&i| (positions[i as usize], goals[i as usize]));
+                needs_plan[tile] = match cache.as_deref_mut() {
+                    Some(cache_ref) => {
                         let key = shard_key(
                             problem.dims,
                             side,
@@ -287,20 +314,19 @@ impl IncrementalRouter {
                             tile,
                             sep,
                             window,
-                            indices
-                                .iter()
-                                .map(|&i| (positions[i as usize], goals[i as usize])),
-                            &frozen_touch[lo_idx..hi_idx],
+                            members,
+                            touch,
                         );
                         keys[tile] = key;
-                        needs_plan[tile] = !cache_ref.fetch(key, &mut shard_paths[tile]);
+                        !cache_ref.fetch(key, &mut shard_paths[tile])
                     }
-                }
-                None => {
-                    for (tile, needs) in needs_plan.iter_mut().enumerate() {
-                        *needs = !membership.members(tile).is_empty();
+                    None if replay && replay_tiles[tile].matches_or_replace(members, touch) => {
+                        replay_tiles[tile].replay(&mut shard_paths[tile]);
+                        replayed += 1;
+                        false
                     }
-                }
+                    None => true,
+                };
             }
 
             // Plan the missing shards in parallel; each plan depends only
@@ -368,12 +394,15 @@ impl IncrementalRouter {
                     pool_ref.restore(arena);
                 });
 
-            // Store the freshly planned shards under their content keys.
-            if let Some(cache_ref) = cache.as_deref_mut() {
-                for tile in 0..part.tile_count() {
-                    if !membership.members(tile).is_empty() && needs_plan[tile] {
-                        cache_ref.insert(keys[tile], ox, oy, tile, &shard_paths[tile]);
+            // Store the freshly planned shards: under their content keys,
+            // or as their tile's replay for this stagger phase.
+            for tile in (0..part.tile_count()).filter(|&tile| needs_plan[tile]) {
+                match cache.as_deref_mut() {
+                    Some(cache_ref) => {
+                        cache_ref.insert(keys[tile], ox, oy, tile, &shard_paths[tile])
                     }
+                    None if replay => replay_tiles[tile].store(&shard_paths[tile]),
+                    None => {}
                 }
             }
 
@@ -453,13 +482,14 @@ impl IncrementalRouter {
             .chain(stranded.iter())
             .map(|p| p.move_count())
             .sum();
-        RoutingOutcome {
+        let outcome = RoutingOutcome {
             paths,
             unrouted,
             stranded,
             makespan,
             total_moves,
-        }
+        };
+        (outcome, replayed)
     }
 }
 
@@ -783,9 +813,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
-        /// The parked fast path changes no plan: `solve` and cold and warm
-        /// `solve_cached` return exactly the outcome of calling A\* for
-        /// every particle, on recover-shaped problems.
+        /// The parked fast path and the in-solve replay change no plan:
+        /// `solve` and cold and warm `solve_cached` return exactly the
+        /// outcome of calling A\* for every particle in every window, on
+        /// recover-shaped problems.
         #[test]
         fn parked_fast_path_matches_always_astar(
             side in 8u32..29,
@@ -802,7 +833,7 @@ mod tests {
                 window: shards.1,
                 max_stagnant_windows: 4,
             });
-            let reference = router.plan::<false>(&problem, None);
+            let reference = router.plan::<false>(&problem, None).0;
             proptest::prop_assert_eq!(&router.solve(&problem).unwrap(), &reference);
             let mut cache = RouterCache::new();
             for _ in 0..2 {
@@ -810,6 +841,51 @@ mod tests {
                 proptest::prop_assert_eq!(&cached, &reference);
             }
         }
+    }
+
+    /// Recovery-shaped problem: stationary particles on a pitch-4 lattice,
+    /// one mover crossing the array along a free corridor, and one mover
+    /// walled in by a ring of eight stationary particles at exactly the
+    /// separation distance, so it strands and the solve runs on until the
+    /// router gives up.
+    fn walled_in_recovery() -> RoutingProblem {
+        let side = 32;
+        let wall = GridCoord::new(16, 16);
+        let mut requests = vec![
+            request(0, (3, 3), (27, 27)),
+            request(1, (wall.x, wall.y), (3, 27)),
+        ];
+        let ring = (-2i32..=2)
+            .step_by(2)
+            .flat_map(|dy| [-2, 0, 2].map(|dx| wall.offset(dx, dy).unwrap()))
+            .filter(|c| *c != wall);
+        let lattice = (1..side)
+            .step_by(4)
+            .flat_map(|y| (1..side).step_by(4).map(move |x| GridCoord::new(x, y)))
+            .filter(|c| c.chebyshev(wall) > 3);
+        for site in ring.chain(lattice) {
+            let id = requests.len() as u64;
+            requests.push(request(id, (site.x, site.y), (site.x, site.y)));
+        }
+        RoutingProblem::new(GridDims::square(side), requests)
+    }
+
+    #[test]
+    fn unchanged_tiles_replay_inside_a_cold_solve() {
+        let problem = walled_in_recovery();
+        let router = small_shards();
+        let (outcome, replayed) = router.plan::<true>(&problem, None);
+        assert_eq!(
+            outcome.unrouted,
+            vec![ParticleId(1)],
+            "only the walled-in mover strands"
+        );
+        assert!(replayed > 0, "stationary tiles recur unchanged");
+        assert_eq!(outcome, router.plan::<false>(&problem, None).0);
+        let cached = router
+            .solve_cached(&problem, &mut RouterCache::new())
+            .unwrap();
+        assert_eq!(router.solve(&problem).unwrap(), cached);
     }
 
     #[test]
@@ -830,7 +906,7 @@ mod tests {
         let router = small_shards();
         assert_eq!(
             router.solve(&problem).unwrap(),
-            router.plan::<false>(&problem, None)
+            router.plan::<false>(&problem, None).0
         );
     }
 
