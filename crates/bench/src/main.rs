@@ -516,23 +516,27 @@ fn bench_workload() -> Vec<BenchRow> {
     // pool, then warm re-solves of the identical problem against the primed
     // plan cache. Warm output is bit-identical to cold by the cache's
     // content-key construction, so the ratio row is a pure speed figure.
+    // The cache counters are exact: a warm re-solve misses nothing and
+    // keeps exactly the entries the cold solve left.
     let problem = sort_problem(GridDims::square(320), 10_000, 2, 2005);
     let router = IncrementalRouter::new(ShardConfig::default());
     let pool = pinned_pool(1);
     let mut cache = RouterCache::new();
-    let mut solve_cached = || {
+    let solve_cached = |cache: &mut RouterCache| {
         pool.install(|| {
             black_box(
                 router
-                    .solve_cached(&problem, &mut cache)
+                    .solve_cached(&problem, cache)
                     .expect("generated problems are always well-formed"),
             );
         });
     };
     let t0 = Instant::now();
-    solve_cached();
+    solve_cached(&mut cache);
     let cold = t0.elapsed().as_nanos() as f64;
-    let warm = median_ns(3, solve_cached);
+    let cold_stats = cache.stats();
+    let warm = median_ns(3, || solve_cached(&mut cache));
+    let warm_stats = cache.stats();
     let warm_cold_ratio = warm / cold;
     rows.push(BenchRow::new(
         "workload/incremental_plan_cold/320x10000",
@@ -551,6 +555,24 @@ fn bench_workload() -> Vec<BenchRow> {
         warm_cold_ratio,
         "ratio",
         1,
+    ));
+    rows.push(BenchRow::new(
+        "workload/plan_warm_misses/320x10000",
+        (warm_stats.misses - cold_stats.misses) as f64,
+        "count",
+        0,
+    ));
+    rows.push(BenchRow::new(
+        "workload/plan_cache_entries_cold/320x10000",
+        cold_stats.entries as f64,
+        "count",
+        0,
+    ));
+    rows.push(BenchRow::new(
+        "workload/plan_cache_entries/320x10000",
+        warm_stats.entries as f64,
+        "count",
+        0,
     ));
 
     // The SoA tile-membership build alone: the per-window counting sort

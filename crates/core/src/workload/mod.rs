@@ -8,8 +8,8 @@
 //! not control flow but **data**:
 //!
 //! * [`ChipState`](labchip_manipulation::state::ChipState) owns the one
-//!   copy of chip truth — the cage grid plus its cached, dirty-tracked
-//!   derivations (electrode pattern, ground-truth occupancy), the plan map
+//!   copy of chip truth — the cage grid plus its cached derivations
+//!   (electrode pattern, ground-truth occupancy), the plan map
 //!   and the per-phase time ledger — shared by router, scanner and driver
 //!   instead of each keeping a private copy stitched together by ad-hoc
 //!   converters;
@@ -152,11 +152,10 @@ pub struct WorkloadConfig {
     pub flush_time: Seconds,
     /// Base RNG seed for batch placement.
     pub seed: u64,
-    /// Route phases through the driver's warm-start
-    /// [`RouterCache`]:
-    /// per-shard window plans are memoized across solves and invalidated
-    /// from the chip state's dirty regions. Outcomes are bit-identical
-    /// either way; this knob only trades memory for planning time.
+    /// Route phases through the driver's warm-start [`RouterCache`]:
+    /// per-shard window plans are memoized across solves, keeping what the
+    /// last solve used. Outcomes are bit-identical either way; this knob
+    /// only trades memory for planning time.
     pub reuse_plans: bool,
 }
 

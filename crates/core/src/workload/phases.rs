@@ -25,7 +25,7 @@ use labchip_manipulation::cage::ParticleId;
 use labchip_manipulation::error::ManipulationError;
 use labchip_manipulation::routing::{RoutingOutcome, RoutingProblem, RoutingRequest};
 use labchip_manipulation::sharding::{IncrementalRouter, RouterCache};
-use labchip_manipulation::state::{ChipState, DirtyRegions, TimeBreakdown, TimeLedger};
+use labchip_manipulation::state::{ChipState, TimeBreakdown, TimeLedger};
 use labchip_sensing::array_scan::ArrayScanner;
 use labchip_sensing::averaging::FrameAverager;
 use labchip_sensing::detect::{DetectionStats, Occupancy, OccupancyMap};
@@ -274,31 +274,22 @@ impl<'a> PhaseCtx<'a> {
 
     /// Routes a problem through the shared router, warm-starting from the
     /// driver's [`RouterCache`] when [`WorkloadConfig::reuse_plans`] is set.
-    /// Before solving, the state's dirty regions are drained and the
-    /// affected staggered tiles invalidated, so the cache never retains
-    /// entries for shards whose cells changed. Outcomes are bit-identical
-    /// with and without the cache.
+    /// Outcomes are bit-identical with and without the cache.
     ///
     /// # Errors
     ///
     /// Propagates the router's validation error for ill-formed problems.
     pub fn solve_routing(
         &self,
-        state: &mut ChipState,
         problem: &RoutingProblem,
     ) -> Result<RoutingOutcome, ManipulationError> {
-        let Some(cache) = self.route_cache else {
-            return self.router.solve(problem);
-        };
-        let mut cache = cache.lock().expect("route cache poisoned");
-        match state.take_dirty() {
-            DirtyRegions::All => cache.invalidate_all(),
-            DirtyRegions::Cells(cells) => {
-                let side = self.router.effective_side(problem.min_separation);
-                cache.invalidate_cells(problem.dims, side, &cells);
+        match self.route_cache {
+            Some(cache) => {
+                let mut cache = cache.lock().expect("route cache poisoned");
+                self.router.solve_cached(problem, &mut cache)
             }
+            None => self.router.solve(problem),
         }
-        self.router.solve_cached(problem, &mut cache)
     }
 
     /// Checks every move of a plan against the force envelope and feeds the
@@ -704,7 +695,7 @@ impl AssayPhase for Route {
         // unreachable on the legacy-equivalent path. The solver validates
         // internally, so its error *is* the degrade signal.
         let started = Instant::now();
-        let Ok(outcome) = ctx.solve_routing(state, &problem) else {
+        let Ok(outcome) = ctx.solve_routing(&problem) else {
             return Ok(PhaseReport {
                 phase: format!("{}:{}", self.name(), self.target.label()),
                 time: TimeBreakdown::default(),
@@ -944,7 +935,7 @@ impl AssayPhase for Recover {
             // The solver validates internally: an error means a surviving
             // false positive sits too close to a real particle, and no
             // conflict-free plan exists for this reading.
-            let Ok(recovery_outcome) = ctx.solve_routing(state, &recovery_problem) else {
+            let Ok(recovery_outcome) = ctx.solve_routing(&recovery_problem) else {
                 break;
             };
             ctx.check_planned_moves(&recovery_outcome, dims);

@@ -9,16 +9,17 @@
 //!
 //! * an unchanged problem re-solved warm replays from cache (zero new
 //!   misses) and reproduces the cold outcome exactly;
-//! * after arbitrary goal mutations, the warm solve of the mutated problem
+//! * after a chain of goal mutations through one cache, each warm solve
 //!   equals its cold solve — same routed set, same paths, still
-//!   conflict-free — so reuse never costs routed fraction;
+//!   conflict-free — so reuse never costs routed fraction, and the cache
+//!   never holds more than the last two solves looked up;
 //! * the cached path is thread-invariant at 1, 2, 4 and 8 workers, warm
 //!   and cold alike.
 
 use labchip::workload::sort_problem;
 use labchip_manipulation::routing::{RoutingOutcome, RoutingProblem};
 use labchip_manipulation::sharding::{IncrementalRouter, RouterCache, ShardConfig};
-use labchip_units::{GridCoord, GridDims};
+use labchip_units::GridDims;
 use proptest::prelude::*;
 
 fn router() -> IncrementalRouter {
@@ -45,18 +46,6 @@ fn swap_goals(problem: &RoutingProblem, swaps: &[(usize, usize)]) -> RoutingProb
         mutated.requests[b].goal = goal_a;
     }
     mutated
-}
-
-/// The cells a goal permutation touched — what the workload's dirty
-/// tracking would report for this mutation.
-fn touched_cells(before: &RoutingProblem, after: &RoutingProblem) -> Vec<GridCoord> {
-    before
-        .requests
-        .iter()
-        .zip(&after.requests)
-        .filter(|(b, a)| b.goal != a.goal)
-        .flat_map(|(b, a)| [b.goal, a.goal])
-        .collect()
 }
 
 fn routed_fraction(outcome: &RoutingOutcome, requested: usize) -> f64 {
@@ -95,31 +84,42 @@ proptest! {
         side in 32u32..56,
         particles in 8usize..48,
         seed in 0u64..1000,
-        swaps in proptest::collection::vec((0usize..64, 0usize..64), 0..4),
+        mutations in proptest::collection::vec(
+            proptest::collection::vec((0usize..64, 0usize..64), 0..4),
+            3,
+        ),
     ) {
         let router = router();
-        let problem = problem_for(side, particles, seed);
+        let mut problem = problem_for(side, particles, seed);
 
-        // Prime the cache on the original problem, then mutate.
+        // Prime the cache on the original problem, then mutate it three
+        // times in a row, re-solving through the same cache each time.
         let mut cache = RouterCache::new();
         router.solve_cached(&problem, &mut cache).expect("well-formed problem");
-        let mutated = swap_goals(&problem, &swaps);
-        cache.invalidate_cells(
-            mutated.dims,
-            router.effective_side(mutated.min_separation),
-            &touched_cells(&problem, &mutated),
-        );
+        let mut lookups = [0, cache.stats().hits + cache.stats().misses];
+        for swaps in &mutations {
+            problem = swap_goals(&problem, swaps);
+            let before = cache.stats();
+            let cold = router.solve(&problem).expect("well-formed problem");
+            let warm = router.solve_cached(&problem, &mut cache).expect("well-formed problem");
 
-        let cold = router.solve(&mutated).expect("well-formed problem");
-        let warm = router.solve_cached(&mutated, &mut cache).expect("well-formed problem");
+            prop_assert_eq!(&warm, &cold);
+            prop_assert!(warm.is_conflict_free(problem.min_separation));
+            let requested = problem.requests.len();
+            prop_assert!(
+                routed_fraction(&warm, requested) >= routed_fraction(&cold, requested),
+                "plan reuse must never cost routed fraction"
+            );
 
-        prop_assert_eq!(&warm, &cold);
-        prop_assert!(warm.is_conflict_free(mutated.min_separation));
-        let requested = mutated.requests.len();
-        prop_assert!(
-            routed_fraction(&warm, requested) >= routed_fraction(&cold, requested),
-            "plan reuse must never cost routed fraction"
-        );
+            let after = cache.stats();
+            lookups = [lookups[1], after.hits + after.misses - before.hits - before.misses];
+            prop_assert!(
+                after.entries as u64 <= lookups[0] + lookups[1],
+                "{} entries outlive the last two solves' {:?} lookups",
+                after.entries,
+                lookups
+            );
+        }
     }
 }
 

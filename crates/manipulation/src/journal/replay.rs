@@ -13,6 +13,9 @@ use std::fmt;
 /// as a divergence in the E14 sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplayError {
+    /// The replay was asked for a grid with a minimum cage separation of
+    /// zero, which no chip state can have.
+    ZeroSeparation,
     /// A grid operation in the journal was rejected on replay.
     Apply {
         /// Index of the offending event in the journal.
@@ -35,6 +38,9 @@ pub enum ReplayError {
 impl fmt::Display for ReplayError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ReplayError::ZeroSeparation => {
+                write!(f, "replay needs a cage separation of at least 1")
+            }
             ReplayError::Apply { index, source } => {
                 write!(f, "journal event #{index} failed to apply: {source}")
             }
@@ -54,7 +60,7 @@ impl std::error::Error for ReplayError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ReplayError::Apply { source, .. } => Some(source),
-            ReplayError::RemovedMismatch { .. } => None,
+            ReplayError::ZeroSeparation | ReplayError::RemovedMismatch { .. } => None,
         }
     }
 }
@@ -69,18 +75,17 @@ impl std::error::Error for ReplayError {
 ///
 /// # Errors
 ///
-/// Returns a [`ReplayError`] if any event cannot be applied — a corrupt
+/// Returns [`ReplayError::ZeroSeparation`] if `min_separation` is zero,
+/// and another [`ReplayError`] if any event cannot be applied — a corrupt
 /// or internally inconsistent journal.
-///
-/// # Panics
-///
-/// Panics if `min_separation` is zero (see
-/// [`ChipState::with_separation`]).
 pub fn replay(
     journal: &Journal,
     dims: GridDims,
     min_separation: u32,
 ) -> Result<ChipState, ReplayError> {
+    if min_separation == 0 {
+        return Err(ReplayError::ZeroSeparation);
+    }
     let mut state = ChipState::with_separation(dims, min_separation);
     for (index, event) in journal.events().iter().enumerate() {
         apply_event(&mut state, event, index)?;
@@ -150,6 +155,18 @@ mod tests {
         let replayed = replay(&journal, dims, 2).unwrap();
         assert_eq!(replayed, live);
         assert_eq!(replayed.state_hash(), live.state_hash());
+    }
+
+    #[test]
+    fn replay_rejects_a_zero_separation_instead_of_panicking() {
+        let mut live = ChipState::new(GridDims::square(8));
+        live.attach_journal();
+        live.place(ParticleId(1), GridCoord::new(2, 2)).unwrap();
+        let journal = live.take_journal().expect("journal attached");
+        assert_eq!(
+            replay(&journal, GridDims::square(8), 0),
+            Err(ReplayError::ZeroSeparation)
+        );
     }
 
     #[test]

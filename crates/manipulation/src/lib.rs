@@ -13,9 +13,9 @@
 //!
 //! * the [`cage`] grid tracking which electrode hosts which particle,
 //! * the unified [`state`] model ([`state::ChipState`]): the cage grid plus
-//!   its cached, dirty-tracked derivations (electrode pattern, ground-truth
-//!   occupancy), the plan map and the per-phase time ledger — one chip-state
-//!   owner shared by simulator, router, scanner and driver,
+//!   its cached derivations (electrode pattern, ground-truth occupancy),
+//!   the plan map and the per-phase time ledger — one chip-state owner
+//!   shared by simulator, router, scanner and driver,
 //! * the event-sourced [`journal`]: every state mutation recorded as a
 //!   typed event at the `ChipState` choke points, with bit-identical
 //!   replay, journal diffing and seeded fault injection,
@@ -27,7 +27,8 @@
 //! * the incremental [`sharding`] planner that scales routing to the full
 //!   array — windowed planning over a staggered tile partition, parallel
 //!   across shards, with warm-start plan caching keyed by shard content
-//!   hashes and fed by the state's dirty-region tracking,
+//!   hashes (a key covers the shard's whole planning input, so callers
+//!   never report what changed),
 //! * high-level [`ops`] (move, merge, isolate, wash) as journaled
 //!   functions over [`state::ChipState`],
 //! * throughput [`metrics`].
@@ -75,7 +76,7 @@ pub mod prelude {
         Router, RoutingOutcome, RoutingProblem, RoutingRequest, RoutingStrategy,
     };
     pub use crate::sharding::{CacheStats, IncrementalRouter, RouterCache, ShardConfig};
-    pub use crate::state::{ChipState, DirtyRegions, TimeBreakdown, TimeLedger};
+    pub use crate::state::{ChipState, TimeBreakdown, TimeLedger};
 }
 
 pub use error::ManipulationError;

@@ -66,7 +66,7 @@ mod partition;
 mod replay;
 mod verify;
 
-pub use cache::{covering_tiles, CacheStats, RouterCache};
+pub use cache::{CacheStats, RouterCache};
 
 use crate::cage::ParticleId;
 use crate::error::ManipulationError;
@@ -128,8 +128,7 @@ impl IncrementalRouter {
     /// separation: the configured `shard_side`, clamped so a tile interior
     /// exists, there is room for the half-tile stagger, and the staggered
     /// margin strips of successive phases leave an overlap corridor for the
-    /// cross-shard handoff. Cache invalidation must use this value when
-    /// mapping dirty cells to staggered tiles (see [`covering_tiles`]).
+    /// cross-shard handoff.
     pub fn effective_side(&self, min_separation: u32) -> u32 {
         let margin = min_separation.max(1) / 2;
         self.shards.shard_side.max(4 * margin + 2).max(4)
@@ -314,11 +313,11 @@ impl IncrementalRouter {
                             tile,
                             sep,
                             window,
-                            members,
+                            members.clone(),
                             touch,
                         );
                         keys[tile] = key;
-                        !cache_ref.fetch(key, &mut shard_paths[tile])
+                        !cache_ref.fetch(key, members, &mut shard_paths[tile])
                     }
                     None if replay && replay_tiles[tile].matches_or_replace(members, touch) => {
                         replay_tiles[tile].replay(&mut shard_paths[tile]);
@@ -399,7 +398,11 @@ impl IncrementalRouter {
             for tile in (0..part.tile_count()).filter(|&tile| needs_plan[tile]) {
                 match cache.as_deref_mut() {
                     Some(cache_ref) => {
-                        cache_ref.insert(keys[tile], ox, oy, tile, &shard_paths[tile])
+                        let members = membership
+                            .members(tile)
+                            .iter()
+                            .map(|&i| (positions[i as usize], goals[i as usize]));
+                        cache_ref.insert(keys[tile], members, &shard_paths[tile])
                     }
                     None if replay => replay_tiles[tile].store(&shard_paths[tile]),
                     None => {}
@@ -755,6 +758,7 @@ mod tests {
         // Mutate one request's goal; the cached solve must match a cold
         // solve of the mutated problem exactly.
         problem.requests[5].goal = GridCoord::new(3, 27);
+        // The legacy invalidation call is a no-op and must stay harmless.
         let side = router.effective_side(problem.min_separation);
         cache.invalidate_cells(problem.dims, side, &[problem.requests[5].start]);
         let warm = router.solve_cached(&problem, &mut cache).unwrap();

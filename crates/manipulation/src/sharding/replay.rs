@@ -12,8 +12,9 @@
 //!
 //! Paths are packed into one word each, relative to the member's start, so
 //! the four phases' entries of a 320² solve stay well under a megabyte.
+//! The [`RouterCache`](super::RouterCache) stores its entries through the
+//! same codec ([`pack_plan`], [`unpack_plan`]).
 
-use super::cache::{step_code, take_step};
 use labchip_units::GridCoord;
 
 /// Longest path (in cells) a packed word holds: a 4-bit length, then
@@ -53,28 +54,44 @@ impl TileReplay {
 
     /// Appends the stored plan to `out`, one path per member in order.
     pub(super) fn replay(&self, out: &mut Vec<Vec<GridCoord>>) {
-        out.extend(
-            self.members
-                .iter()
-                .zip(&self.paths)
-                .map(|(&(start, _), &word)| unpack(start, word)),
-        );
+        unpack_plan(self.members.iter().copied(), &self.paths, out);
     }
 
     /// Stores the plan made from the input just stored by
     /// [`matches_or_replace`](Self::matches_or_replace). A plan with a path
     /// that does not pack drops the input, so the tile never replays it.
     pub(super) fn store(&mut self, paths: &[Vec<GridCoord>]) {
-        let packed = self
-            .members
-            .iter()
-            .zip(paths)
-            .map(|(&(start, _), path)| pack(start, path));
-        match packed.collect::<Option<Vec<u64>>>() {
+        match pack_plan(self.members.iter().copied(), paths) {
             Some(words) => refill(&mut self.paths, words.into_iter()),
             None => self.members.clear(),
         }
     }
+}
+
+/// Packs one shard's plan, a path per member in order, each relative to
+/// the member's start; `None` if a path does not pack.
+pub(super) fn pack_plan(
+    members: impl Iterator<Item = (GridCoord, GridCoord)>,
+    paths: &[Vec<GridCoord>],
+) -> Option<Vec<u64>> {
+    members
+        .zip(paths)
+        .map(|((start, _), path)| pack(start, path))
+        .collect()
+}
+
+/// Appends the plan packed by [`pack_plan`] for the same `members` to
+/// `out`.
+pub(super) fn unpack_plan(
+    members: impl Iterator<Item = (GridCoord, GridCoord)>,
+    words: &[u64],
+    out: &mut Vec<Vec<GridCoord>>,
+) {
+    out.extend(
+        members
+            .zip(words)
+            .map(|((start, _), &word)| unpack(start, word)),
+    );
 }
 
 /// Refills `vec` with `items`, growing its allocation to the exact length
@@ -84,6 +101,33 @@ fn refill<T>(vec: &mut Vec<T>, items: impl ExactSizeIterator<Item = T>) {
     vec.clear();
     vec.reserve_exact(items.len());
     vec.extend(items);
+}
+
+/// The 4-bit code of one window step (the move alphabet has 5 symbols:
+/// stay + 4 directions), or `None` for a jump no single step makes.
+fn step_code(from: GridCoord, to: GridCoord) -> Option<u64> {
+    let dx = to.x as i64 - from.x as i64;
+    let dy = to.y as i64 - from.y as i64;
+    match (dx, dy) {
+        (0, 0) => Some(0),
+        (1, 0) => Some(1),
+        (-1, 0) => Some(2),
+        (0, 1) => Some(3),
+        (0, -1) => Some(4),
+        _ => None,
+    }
+}
+
+/// The cell one step of `code` leads to from `pos`.
+fn take_step(pos: GridCoord, code: u64) -> GridCoord {
+    let (dx, dy) = match code {
+        0 => (0, 0),
+        1 => (1, 0),
+        2 => (-1, 0),
+        3 => (0, 1),
+        _ => (0, -1),
+    };
+    pos.offset(dx, dy).expect("packed path stays on the grid")
 }
 
 /// Packs a path that starts on `start` (or the empty path of a parked

@@ -17,8 +17,8 @@
 //!   [`place_merged`](ChipState::place_merged)) — the choke points that
 //!   invalidate the caches *and* feed the event journal;
 //! * the electrode [`CagePattern`] and the ground-truth [`OccupancyMap`] are
-//!   **cached, dirty-tracked derivations** — rebuilt lazily only after the
-//!   grid actually changed, so repeated reads inside a phase are free;
+//!   **cached derivations** — rebuilt lazily only after the grid actually
+//!   changed, so repeated reads inside a phase are free;
 //! * the *plan* map (the occupancy the current protocol intends) and the
 //!   per-phase [`TimeBreakdown`] ledger live alongside, because every
 //!   consumer of the state needs them together: the sense phase diffs
@@ -47,33 +47,6 @@ use labchip_sensing::array_scan::TruthSource;
 use labchip_sensing::detect::{Occupancy, OccupancyMap};
 use labchip_units::{GridCoord, GridDims, Seconds};
 use serde::{Deserialize, Serialize};
-
-/// The cells mutated since the last [`ChipState::take_dirty`] drain — the
-/// feed for warm-start router-cache invalidation (see
-/// [`crate::sharding::RouterCache::invalidate_cells`]).
-///
-/// Tracking is per-cell and exact at the choke points: every typed mutator
-/// marks precisely the coordinates it touched, so a consumer that
-/// invalidates the [`crate::sharding::covering_tiles`] of each cell can
-/// never serve a stale shard (no false negatives) and never drops more
-/// than the ≤ 4 staggered tiles covering each cell (bounded
-/// over-invalidation). If a single drain interval accumulates more marks
-/// than the array has cells, the tracker saturates to [`DirtyRegions::All`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DirtyRegions {
-    /// Everything may have changed; drop the whole cache.
-    All,
-    /// Exactly these cells changed (duplicates possible, order is mutation
-    /// order). Empty means no mutation since the last drain.
-    Cells(Vec<GridCoord>),
-}
-
-impl DirtyRegions {
-    /// Whether nothing was mutated since the last drain.
-    pub fn is_clean(&self) -> bool {
-        matches!(self, Self::Cells(cells) if cells.is_empty())
-    }
-}
 
 /// Where the simulated chip time of an assay went, by ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -155,10 +128,6 @@ pub struct ChipState {
     fault: Option<FaultPlan>,
     /// Latched once the journal reaches the armed kill point.
     tripped: bool,
-    /// Cells mutated since the last [`take_dirty`](Self::take_dirty) drain.
-    dirty: Vec<GridCoord>,
-    /// Set when `dirty` overflowed the per-interval cap.
-    dirty_all: bool,
 }
 
 /// Equality over the durable state — grid, plan and time ledger. The lazy
@@ -199,8 +168,6 @@ impl ChipState {
             journal: None,
             fault: None,
             tripped: false,
-            dirty: Vec::new(),
-            dirty_all: false,
         }
     }
 
@@ -221,32 +188,6 @@ impl ChipState {
     fn invalidate(&mut self) {
         self.pattern = None;
         self.occupancy = None;
-    }
-
-    /// Marks one cell dirty, saturating to "everything" when a single
-    /// drain interval touches more marks than the array has cells.
-    fn mark_dirty(&mut self, at: GridCoord) {
-        if self.dirty_all {
-            return;
-        }
-        let dims = self.grid.dims();
-        if self.dirty.len() >= dims.cols as usize * dims.rows as usize {
-            self.dirty_all = true;
-            self.dirty.clear();
-            return;
-        }
-        self.dirty.push(at);
-    }
-
-    /// Drains the cells mutated since the previous drain. Used by cached
-    /// routing to invalidate exactly the shards a mutation can have
-    /// affected; the tracker restarts clean.
-    pub fn take_dirty(&mut self) -> DirtyRegions {
-        if std::mem::take(&mut self.dirty_all) {
-            self.dirty.clear();
-            return DirtyRegions::All;
-        }
-        DirtyRegions::Cells(std::mem::take(&mut self.dirty))
     }
 
     /// Appends an event to the journal (if one is attached) and latches
@@ -275,7 +216,6 @@ impl ChipState {
     pub fn place(&mut self, id: ParticleId, at: GridCoord) -> Result<(), ManipulationError> {
         self.grid.place(id, at)?;
         self.invalidate();
-        self.mark_dirty(at);
         self.record(Event::Placed { id, at });
         Ok(())
     }
@@ -289,7 +229,6 @@ impl ChipState {
     pub fn remove(&mut self, id: ParticleId) -> Result<GridCoord, ManipulationError> {
         let from = self.grid.remove(id)?;
         self.invalidate();
-        self.mark_dirty(from);
         self.record(Event::Removed { id, from });
         Ok(from)
     }
@@ -304,7 +243,6 @@ impl ChipState {
     pub fn place_merged(&mut self, id: ParticleId, at: GridCoord) {
         self.grid.place_merged(id, at);
         self.invalidate();
-        self.mark_dirty(at);
         self.record(Event::PlacedMerged { id, at });
     }
 
@@ -326,7 +264,6 @@ impl ChipState {
     ) -> Result<GridCoord, ManipulationError> {
         let from = self.grid.remove(id)?;
         self.invalidate();
-        self.mark_dirty(from);
         self.record(Event::HandoffExported { id, from, to_shard });
         Ok(from)
     }
@@ -348,7 +285,6 @@ impl ChipState {
     ) -> Result<(), ManipulationError> {
         self.grid.place(id, at)?;
         self.invalidate();
-        self.mark_dirty(at);
         self.record(Event::HandoffImported { id, at, from_shard });
         Ok(())
     }
@@ -410,14 +346,6 @@ impl ChipState {
     /// the journaled choke point for plan changes.
     pub fn set_plan_from_goals(&mut self, goals: impl IntoIterator<Item = GridCoord>) {
         let goals: Vec<GridCoord> = goals.into_iter().collect();
-        // Both the vacated plan slots and the new goals are dirty: a cached
-        // shard keyed on either set of cells is no longer reachable.
-        for site in self.plan.occupied_sites() {
-            self.mark_dirty(site);
-        }
-        for goal in &goals {
-            self.mark_dirty(*goal);
-        }
         self.plan = Self::occupancy_from_sites(self.grid.dims(), goals.iter().copied());
         self.record(Event::PlanReplaced { goals });
     }
@@ -519,8 +447,6 @@ impl ChipState {
             journal: None,
             fault: None,
             tripped: false,
-            dirty: Vec::new(),
-            dirty_all: false,
         }
     }
 
@@ -716,89 +642,15 @@ mod tests {
         assert!(!state.fault_tripped());
     }
 
-    fn drained_cells(state: &mut ChipState) -> Vec<GridCoord> {
-        match state.take_dirty() {
-            DirtyRegions::Cells(cells) => cells,
-            DirtyRegions::All => panic!("tracker saturated unexpectedly"),
-        }
-    }
-
     #[test]
-    fn every_mutator_marks_exactly_the_touched_cells() {
-        let mut state = ChipState::new(GridDims::square(16));
-        assert!(state.take_dirty().is_clean(), "fresh states start clean");
-
-        // place: exactly the placement site.
-        state.place(ParticleId(1), GridCoord::new(4, 4)).unwrap();
-        assert_eq!(drained_cells(&mut state), vec![GridCoord::new(4, 4)]);
-
-        // remove: exactly the vacated site.
-        state.remove(ParticleId(1)).unwrap();
-        assert_eq!(drained_cells(&mut state), vec![GridCoord::new(4, 4)]);
-
-        // place_merged: exactly the merge site.
-        state.place_merged(ParticleId(2), GridCoord::new(9, 2));
-        assert_eq!(drained_cells(&mut state), vec![GridCoord::new(9, 2)]);
-
-        // set_plan_from_goals: the vacated plan slots plus the new goals.
-        state.set_plan_from_goals([GridCoord::new(1, 1)]);
-        assert_eq!(drained_cells(&mut state), vec![GridCoord::new(1, 1)]);
-        state.set_plan_from_goals([GridCoord::new(2, 2), GridCoord::new(3, 3)]);
-        assert_eq!(
-            drained_cells(&mut state),
-            vec![
-                GridCoord::new(1, 1),
-                GridCoord::new(2, 2),
-                GridCoord::new(3, 3)
-            ]
-        );
-
-        // Draining restarts the tracker clean.
-        assert!(state.take_dirty().is_clean());
-    }
-
-    #[test]
-    fn rejected_mutations_mark_nothing() {
+    fn rejected_mutations_change_nothing() {
         let mut state = ChipState::new(GridDims::square(8));
         state.place(ParticleId(0), GridCoord::new(2, 2)).unwrap();
-        state.take_dirty();
-        // Site conflict and unknown particle: no state change, no marks.
+        let before = state.state_hash();
+        // Site conflict and unknown particle: errors, and no state change.
         assert!(state.place(ParticleId(1), GridCoord::new(2, 2)).is_err());
         assert!(state.remove(ParticleId(9)).is_err());
-        assert!(state.take_dirty().is_clean());
-    }
-
-    #[test]
-    fn dirty_tracking_saturates_to_all_past_the_cell_cap() {
-        let dims = GridDims::square(4); // 16 cells
-        let mut state = ChipState::new(dims);
-        for k in 0..20u64 {
-            state.place(ParticleId(k), GridCoord::new(0, 0)).unwrap();
-            state.remove(ParticleId(k)).unwrap();
-        }
-        assert_eq!(state.take_dirty(), DirtyRegions::All);
-        assert!(state.take_dirty().is_clean(), "saturation drains too");
-    }
-
-    #[test]
-    fn dirty_cells_invalidate_at_most_four_staggered_tiles() {
-        // The invalidation contract end-to-end: a single-cell mutation's
-        // dirty report maps to exactly one tile per stagger phase (≤ 4),
-        // and those tiles always include the mutated cell — so the cache
-        // can never serve a shard whose cells changed (no false
-        // negatives) and never over-invalidates beyond the 4 phase tiles.
-        let dims = GridDims::square(64);
-        let side = 16;
-        let mut state = ChipState::new(dims);
-        state.place(ParticleId(1), GridCoord::new(37, 50)).unwrap();
-        let DirtyRegions::Cells(cells) = state.take_dirty() else {
-            panic!("single mutation cannot saturate");
-        };
-        assert_eq!(cells, vec![GridCoord::new(37, 50)]);
-        let tiles = crate::sharding::covering_tiles(dims, side, cells[0]);
-        assert!(tiles.len() <= 4);
-        let unique: std::collections::HashSet<_> = tiles.iter().collect();
-        assert_eq!(unique.len(), tiles.len(), "one tile per phase");
+        assert_eq!(state.state_hash(), before);
     }
 
     #[test]
