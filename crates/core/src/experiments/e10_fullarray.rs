@@ -23,7 +23,7 @@
 //! `report bench-workload`, not here.
 
 use crate::experiments::ExperimentTable;
-use crate::scenario::{Scenario, ScenarioContext};
+use crate::scenario::{Limit, Scenario, ScenarioContext};
 use crate::workload::sort_problem;
 use labchip_manipulation::routing::{Router, RoutingOutcome, RoutingProblem, RoutingStrategy};
 use labchip_manipulation::sharding::{IncrementalRouter, RouterCache, ShardConfig};
@@ -262,6 +262,10 @@ impl Scenario for FullArrayScenario {
 
     fn describe(&self) -> &'static str {
         "Full-array concurrent sort at thousands of particles (three planners)"
+    }
+
+    fn check_limits(&self, config: &Config) -> Result<(), Limit> {
+        Limit::threads(config.threads)
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

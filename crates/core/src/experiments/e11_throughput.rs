@@ -11,7 +11,7 @@
 //! Every figure is a pure function of `(config, seed)`.
 
 use crate::experiments::ExperimentTable;
-use crate::scenario::{Scenario, ScenarioContext};
+use crate::scenario::{Limit, Scenario, ScenarioContext};
 use crate::workload::{BatchDriver, CycleReport, RecoveryPolicy, WorkloadConfig};
 use labchip_manipulation::sharding::ShardConfig;
 use labchip_units::Seconds;
@@ -269,6 +269,10 @@ impl Scenario for ThroughputScenario {
 
     fn describe(&self) -> &'static str {
         "Sustained-throughput assay: repeated route/sense/flush cycles"
+    }
+
+    fn check_limits(&self, config: &Config) -> Result<(), Limit> {
+        Limit::threads(config.threads)
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

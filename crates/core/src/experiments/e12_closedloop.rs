@@ -22,7 +22,7 @@
 //!   detection errors, no recovery, no extra time.
 
 use crate::experiments::ExperimentTable;
-use crate::scenario::{Scenario, ScenarioContext};
+use crate::scenario::{Limit, Scenario, ScenarioContext};
 use crate::workload::{BatchDriver, CycleReport, ForceEnvelope, RecoveryPolicy, WorkloadConfig};
 use labchip_manipulation::sharding::ShardConfig;
 use labchip_units::Seconds;
@@ -287,6 +287,10 @@ impl Scenario for ClosedLoopScenario {
 
     fn describe(&self) -> &'static str {
         "Closed-loop assay under sensor noise: detect, recover, re-route"
+    }
+
+    fn check_limits(&self, config: &Config) -> Result<(), Limit> {
+        Limit::threads(config.threads)
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

@@ -19,7 +19,7 @@
 //! detected occupancy, final plan mismatches).
 
 use crate::experiments::ExperimentTable;
-use crate::scenario::{Scenario, ScenarioContext};
+use crate::scenario::{Limit, Scenario, ScenarioContext};
 use crate::workload::{
     BatchDriver, PhaseSpec, Protocol, RecoveryPolicy, RouteTarget, WorkloadConfig,
 };
@@ -297,6 +297,10 @@ impl Scenario for ProtocolsScenario {
 
     fn describe(&self) -> &'static str {
         "Programmable protocols: assays composed from phases, executed as data"
+    }
+
+    fn check_limits(&self, config: &Config) -> Result<(), Limit> {
+        Limit::threads(config.threads)
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

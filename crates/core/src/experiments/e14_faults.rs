@@ -22,7 +22,7 @@
 //! tripwire, so **any** divergence is a red result (CI asserts zero).
 
 use crate::experiments::ExperimentTable;
-use crate::scenario::{Scenario, ScenarioContext};
+use crate::scenario::{Limit, Scenario, ScenarioContext};
 use crate::workload::{
     BatchDriver, Checkpoint, Journaling, Protocol, RecoveryPolicy, RunOptions, Start,
     WorkloadConfig,
@@ -351,6 +351,10 @@ impl Scenario for FaultsScenario {
 
     fn describe(&self) -> &'static str {
         "Fault injection: kill-point sweep with replay and resume equivalence"
+    }
+
+    fn check_limits(&self, config: &Config) -> Result<(), Limit> {
+        Limit::threads(config.threads)
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

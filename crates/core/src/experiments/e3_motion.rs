@@ -10,7 +10,7 @@
 
 use crate::biochip::Biochip;
 use crate::experiments::ExperimentTable;
-use crate::scenario::{Scenario, ScenarioContext};
+use crate::scenario::{Limit, Scenario, ScenarioContext};
 use crate::simulator::{ChipSimulator, SimulationConfig};
 use labchip_array::addressing::ProgrammingInterface;
 use labchip_sensing::scan::ScanTiming;
@@ -159,6 +159,10 @@ impl Scenario for MotionScenario {
 
     fn describe(&self) -> &'static str {
         "Motion timescales: cage stepping vs electronics time budget"
+    }
+
+    fn check_limits(&self, config: &Config) -> Result<(), Limit> {
+        Limit::threads(config.threads)
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

@@ -74,9 +74,53 @@ pub trait Scenario: Send + Sync + 'static {
     /// One-line human description of what the scenario measures.
     fn describe(&self) -> &'static str;
 
+    /// Checks `config` against the scenario's resource bounds; the engine
+    /// calls it before anything runs. No bounds by default.
+    ///
+    /// # Errors
+    ///
+    /// The first [`Limit`] `config` exceeds.
+    fn check_limits(&self, _config: &Self::Config) -> Result<(), Limit> {
+        Ok(())
+    }
+
     /// Runs the scenario. Implementations should stream one
     /// [`ScenarioContext::emit_row`] per result row as it is produced.
     fn run(&self, config: &Self::Config, ctx: &mut ScenarioContext) -> Self::Output;
+}
+
+/// Largest thread count a scenario config may ask for. The rayon worker
+/// pool keeps every thread it has started, so a config must not be able to
+/// make it start thousands.
+pub const MAX_THREADS: usize = 256;
+
+/// A config value beyond the bound its scenario sets on it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Limit {
+    /// The config field.
+    pub field: &'static str,
+    /// The value asked for.
+    pub value: usize,
+    /// The largest value allowed.
+    pub max: usize,
+}
+
+impl Limit {
+    /// Checks a `threads` field against [`MAX_THREADS`].
+    ///
+    /// # Errors
+    ///
+    /// The exceeded [`Limit`] when `threads > MAX_THREADS`.
+    pub fn threads(threads: usize) -> Result<(), Limit> {
+        if threads > MAX_THREADS {
+            return Err(Limit {
+                field: "threads",
+                value: threads,
+                max: MAX_THREADS,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Per-run state handed to [`Scenario::run`]: the derived seed, the
@@ -184,6 +228,13 @@ pub enum ScenarioError {
         /// What went wrong.
         message: String,
     },
+    /// A config value exceeded the scenario's resource bound.
+    OverLimit {
+        /// The scenario whose config was rejected.
+        scenario: String,
+        /// The bound it exceeded.
+        limit: Limit,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -196,6 +247,11 @@ impl fmt::Display for ScenarioError {
                 write!(f, "invalid config for {scenario}: {message}")
             }
             ScenarioError::Override { message } => write!(f, "bad override: {message}"),
+            ScenarioError::OverLimit { scenario, limit } => write!(
+                f,
+                "invalid config for {scenario}: `{}` = {} exceeds the limit {}",
+                limit.field, limit.value, limit.max
+            ),
         }
     }
 }

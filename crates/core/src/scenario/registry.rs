@@ -28,11 +28,21 @@ pub trait DynScenario: Send + Sync {
     /// The default (paper-scenario) config, serialised.
     fn default_config(&self) -> Value;
 
-    /// Decodes `config` onto the typed config and runs the scenario.
+    /// Decodes `config` onto the typed config and checks it against the
+    /// scenario's resource bounds, without running anything.
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::Config`] when `config` does not decode.
+    /// Returns [`ScenarioError::Config`] when `config` does not decode and
+    /// [`ScenarioError::OverLimit`] when it exceeds a bound.
+    fn check_value(&self, config: &Value) -> Result<(), ScenarioError>;
+
+    /// Checks `config` as [`Self::check_value`] does, then runs the
+    /// scenario.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Self::check_value`].
     fn run_value(
         &self,
         config: &Value,
@@ -56,6 +66,24 @@ impl dyn DynScenario + '_ {
 /// Adapter implementing [`DynScenario`] for any typed [`Scenario`].
 struct Erased<S: Scenario>(S);
 
+impl<S: Scenario> Erased<S> {
+    fn decode(&self, config: &Value) -> Result<S::Config, ScenarioError> {
+        let id = self.0.id();
+        let config: S::Config =
+            serde_json::from_value(config).map_err(|err| ScenarioError::Config {
+                scenario: id.to_owned(),
+                message: err.to_string(),
+            })?;
+        self.0
+            .check_limits(&config)
+            .map_err(|limit| ScenarioError::OverLimit {
+                scenario: id.to_owned(),
+                limit,
+            })?;
+        Ok(config)
+    }
+}
+
 impl<S: Scenario> DynScenario for Erased<S> {
     fn id(&self) -> &'static str {
         self.0.id()
@@ -69,16 +97,16 @@ impl<S: Scenario> DynScenario for Erased<S> {
         serde_json::to_value(&S::Config::default())
     }
 
+    fn check_value(&self, config: &Value) -> Result<(), ScenarioError> {
+        self.decode(config).map(drop)
+    }
+
     fn run_value(
         &self,
         config: &Value,
         ctx: &mut ScenarioContext,
     ) -> Result<ScenarioRun, ScenarioError> {
-        let config: S::Config =
-            serde_json::from_value(config).map_err(|err| ScenarioError::Config {
-                scenario: self.0.id().to_owned(),
-                message: err.to_string(),
-            })?;
+        let config = self.decode(config)?;
         let output = self.0.run(&config, ctx);
         let output_value = serde_json::to_value(&output);
         Ok(ScenarioRun {
@@ -224,6 +252,43 @@ mod tests {
         let run = registry.get("E6").unwrap().run_default().unwrap();
         assert!(run.table.row_count() >= 1);
         assert!(!run.output.is_null());
+    }
+
+    #[test]
+    fn thread_counts_past_the_cap_are_rejected_before_anything_runs() {
+        // Only `check_value` is called: nothing here builds a pool or
+        // starts a thread, whatever the count.
+        use crate::scenario::{Limit, MAX_THREADS};
+        let registry = ScenarioRegistry::all();
+        for id in ["E3", "E10", "E11", "E12", "E13", "E14"] {
+            let scenario = registry.get(id).unwrap();
+            let with_threads = |threads: usize| {
+                let mut config = scenario.default_config();
+                let value = Value::Number(serde_json::Number::from(threads as u64));
+                assert!(crate::scenario::apply_override(
+                    &mut config,
+                    "threads",
+                    &value
+                ));
+                config
+            };
+            assert_eq!(scenario.check_value(&with_threads(MAX_THREADS)), Ok(()));
+            for threads in [MAX_THREADS + 1, usize::MAX] {
+                let err = scenario.check_value(&with_threads(threads)).unwrap_err();
+                assert_eq!(
+                    err,
+                    ScenarioError::OverLimit {
+                        scenario: id.to_owned(),
+                        limit: Limit {
+                            field: "threads",
+                            value: threads,
+                            max: MAX_THREADS,
+                        },
+                    }
+                );
+                assert!(err.to_string().contains("exceeds the limit 256"), "{err}");
+            }
+        }
     }
 
     #[test]

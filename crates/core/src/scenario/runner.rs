@@ -138,7 +138,9 @@ impl Runner {
     /// [`ScenarioError::UnknownScenario`] for an unmatched id,
     /// [`ScenarioError::Override`] when an override touches no selected
     /// scenario, [`ScenarioError::Config`] when an overridden config fails
-    /// to decode onto the typed config.
+    /// to decode onto the typed config, [`ScenarioError::OverLimit`] when
+    /// it exceeds a resource bound. Each is found before any scenario
+    /// runs.
     pub fn run<I: AsRef<str>>(&self, ids: &[I]) -> Result<Vec<RunOutcome>, ScenarioError> {
         let mut selected: Vec<Arc<dyn DynScenario>> = Vec::with_capacity(ids.len());
         for id in ids {
@@ -187,6 +189,11 @@ impl Runner {
                     message: format!("`{key}` matched no config field of the selected scenarios"),
                 });
             }
+        }
+        // Every config decodes and keeps its bounds before any scenario
+        // runs.
+        for (scenario, config) in selected.iter().zip(&configs) {
+            scenario.check_value(config)?;
         }
         // A `seed=…` override may have changed a config's seed after the
         // derivation above: re-read the effective value so the reported

@@ -181,9 +181,9 @@ impl ParticlePath {
 
 /// Visits every in-bounds cell within Chebyshev distance `< radius` of
 /// `center` — the "blocked zone" induced by a cage under the separation
-/// rule. The single definition of that zone shape; the conflict checker,
-/// the sharded planner's zone counters and its window verifier all walk it
-/// through this helper.
+/// rule. The single definition of that zone shape: the sharded planner's
+/// zone counters walk it through this helper, and the dense conflict scan
+/// reads the same square row by row.
 pub(crate) fn for_each_zone_cell(center: GridCoord, radius: u32, mut f: impl FnMut(GridCoord)) {
     let r = radius as i32;
     for dy in -(r - 1)..r {
@@ -230,9 +230,10 @@ impl RoutingOutcome {
     ///
     /// Runs the router's dense occupancy scan over the bounding box of all
     /// positions: step 0 in full, then each later step only for the
-    /// particles that moved into it. Validating a full-array outcome with
+    /// particles that moved into it, found by one pass over each path that
+    /// buckets its moves by step. Validating a full-array outcome with
     /// thousands of paths therefore costs about one pass over the paths
-    /// instead of `O(paths² · makespan)`. An outcome spread over more than
+    /// plus one zone probe per move, instead of `O(paths² · makespan)`. An outcome spread over more than
     /// 2²⁴ cells — no planner produces one on a real chip — is compared
     /// pairwise instead of allocating the scan grid.
     pub fn is_conflict_free(&self, min_separation: u32) -> bool {
@@ -254,12 +255,11 @@ impl RoutingOutcome {
         if !dense_scan_fits(lo, hi) {
             return pairwise_conflict_free(&all, horizon, min_separation);
         }
-        let last: Vec<usize> = all.iter().map(|path| path.positions.len() - 1).collect();
         ConflictScan::default().stays_clear(
             (lo, hi),
             horizon,
-            &last,
-            |i, t| all[i].position_at(t),
+            all.len(),
+            |i| &all[i].positions,
             min_separation,
         )
     }

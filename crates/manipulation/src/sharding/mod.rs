@@ -45,7 +45,8 @@
 //!   keeps each tile's plan from the last window of the same stagger
 //!   phase, with the members and frozen neighbours it was planned from
 //!   (`replay`). A tile whose input is exactly the same, compared by value
-//!   rather than by hash, reuses that plan. Stranded particles keep a solve
+//!   rather than by hash, reuses that plan; the comparison runs inside the
+//!   window's one parallel tile pass. Stranded particles keep a solve
 //!   running to its horizon while most tiles sit unchanged, so many tile
 //!   searches are skipped; the store holds at most one plan per tile per
 //!   phase.
@@ -106,6 +107,19 @@ impl Default for ShardConfig {
 /// Bounded node expansions per windowed A\* call; searches that exhaust the
 /// cap settle for the best stopping cell found so far.
 const EXPANSION_CAP: usize = 2048;
+
+/// One tile of a planning window: its paths, one per member in order, and
+/// how the window's parallel pass is to fill them.
+struct TileSlot<'a> {
+    paths: Vec<Vec<GridCoord>>,
+    /// Whether the pass must replay or plan the tile: it has mobile
+    /// members and no cache entry served them.
+    needs_plan: bool,
+    /// The tile's in-solve replay for this stagger phase, when on.
+    replay: Option<&'a mut TileReplay>,
+    /// Set by the pass when `replay` served the tile.
+    replayed: bool,
+}
 
 /// The incremental sharded space–time router.
 ///
@@ -282,139 +296,139 @@ impl IncrementalRouter {
 
             // A shard whose planning input matches a stored one replays its
             // paths instead of searching: with a cache, the entry under its
-            // content key; without one, its tile's last plan in this
-            // stagger phase. The rest plan fresh below.
-            let mut shard_paths: Vec<Vec<Vec<GridCoord>>> = vec![Vec::new(); part.tile_count()];
-            let mut needs_plan: Vec<bool> = vec![false; part.tile_count()];
-            let mut keys: Vec<u128> = Vec::new();
-            if cache.is_some() {
-                keys = vec![0u128; part.tile_count()];
-            } else if replay {
+            // content key, looked up here; without one, its tile's last plan
+            // in this stagger phase, compared in the parallel pass below.
+            // The rest plan fresh in that pass. `replay_tiles` stays empty
+            // unless the in-solve replay is on.
+            if replay {
                 replay_tiles.resize_with(part.tile_count(), TileReplay::default);
             }
-            for tile in 0..part.tile_count() {
-                let indices = membership.members(tile);
-                if indices.is_empty() {
-                    continue;
-                }
-                let lo_idx = frozen_touch.partition_point(|&(t, _)| (t as usize) < tile);
-                let hi_idx = frozen_touch.partition_point(|&(t, _)| (t as usize) <= tile);
-                let touch = &frozen_touch[lo_idx..hi_idx];
-                let members = indices
+            let mut stored = replay_tiles.iter_mut();
+            let mut slots: Vec<TileSlot> = (0..part.tile_count())
+                .map(|tile| TileSlot {
+                    paths: Vec::new(),
+                    needs_plan: !membership.members(tile).is_empty(),
+                    replay: stored.next(),
+                    replayed: false,
+                })
+                .collect();
+            let touch_of = |tile: usize| {
+                let lo = frozen_touch.partition_point(|&(t, _)| (t as usize) < tile);
+                let hi = frozen_touch.partition_point(|&(t, _)| (t as usize) <= tile);
+                &frozen_touch[lo..hi]
+            };
+            let members_of = |tile: usize| {
+                membership
+                    .members(tile)
                     .iter()
-                    .map(|&i| (positions[i as usize], goals[i as usize]));
-                needs_plan[tile] = match cache.as_deref_mut() {
-                    Some(cache_ref) => {
-                        let key = shard_key(
-                            problem.dims,
-                            side,
-                            ox,
-                            oy,
-                            tile,
-                            sep,
-                            window,
-                            members.clone(),
-                            touch,
-                        );
-                        keys[tile] = key;
-                        !cache_ref.fetch(key, members, &mut shard_paths[tile])
+                    .map(|&i| (positions[i as usize], goals[i as usize]))
+            };
+            let mut keys: Vec<u128> = Vec::new();
+            if let Some(cache_ref) = cache.as_deref_mut() {
+                keys = vec![0u128; part.tile_count()];
+                for (tile, slot) in slots.iter_mut().enumerate() {
+                    if !slot.needs_plan {
+                        continue;
                     }
-                    None if replay && replay_tiles[tile].matches_or_replace(members, touch) => {
-                        replay_tiles[tile].replay(&mut shard_paths[tile]);
-                        replayed += 1;
-                        false
-                    }
-                    None => true,
-                };
+                    let key = shard_key(
+                        problem.dims,
+                        side,
+                        ox,
+                        oy,
+                        tile,
+                        sep,
+                        window,
+                        members_of(tile),
+                        touch_of(tile),
+                    );
+                    keys[tile] = key;
+                    slot.needs_plan = !cache_ref.fetch(key, members_of(tile), &mut slot.paths);
+                }
             }
 
-            // Plan the missing shards in parallel; each plan depends only
-            // on the window-start state, so the merge below is
-            // deterministic regardless of the hit/miss pattern.
-            let positions_ref = &positions;
-            let goals_ref = &goals;
-            let frozen_ref = &frozen_zone;
-            let membership_ref = &membership;
-            let needs_ref = &needs_plan;
-            let pool_ref = &pool;
-            shard_paths
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(tile, out)| {
-                    if !needs_ref[tile] {
+            // Replay or plan the missing shards in parallel. Each plan
+            // depends only on the window-start state and each replay entry
+            // belongs to one tile, so the merge below is deterministic
+            // regardless of the hit/miss pattern or the thread count.
+            slots.par_iter_mut().enumerate().for_each(|(tile, slot)| {
+                if !slot.needs_plan {
+                    return;
+                }
+                if let Some(stored) = slot.replay.as_deref_mut() {
+                    if stored.matches_or_replace(members_of(tile), touch_of(tile)) {
+                        stored.replay(&mut slot.paths);
+                        slot.replayed = true;
                         return;
                     }
-                    let indices = membership_ref.members(tile);
-                    // Every cell the tables below are asked about lies in
-                    // the tile interior: the searches stay in it and the
-                    // starts are mobile.
-                    let (lo, hi) = part
-                        .interior_bounds(positions_ref[indices[0] as usize], margin)
-                        .expect("a mobile particle lies in its tile's interior");
-                    let mut arena = pool_ref.checkout();
-                    let Arena {
+                }
+                let indices = membership.members(tile);
+                let out = &mut slot.paths;
+                // Every cell the tables below are asked about lies in
+                // the tile interior: the searches stay in it and the
+                // starts are mobile.
+                let (lo, hi) = part
+                    .interior_bounds(positions[indices[0] as usize], margin)
+                    .expect("a mobile particle lies in its tile's interior");
+                let mut arena = pool.checkout();
+                let Arena {
+                    scratch,
+                    reservations,
+                    parked,
+                } = &mut arena;
+                reservations.begin(window, sep, lo, hi);
+                parked.begin(lo, hi);
+                for &i in indices {
+                    parked.add(positions[i as usize], sep);
+                }
+                for &i in indices {
+                    let i = i as usize;
+                    let start = positions[i];
+                    // Parked fast path: A* would pop the start first and
+                    // return the stay `[start]` at once. Its reservation
+                    // is left out and its parked zone kept instead; both
+                    // block the same cells at every step ≥ 1, and no
+                    // later start lies in that zone.
+                    if fast_park && start == goals[i] && reservations.is_free_from(start, 0) {
+                        out.push(Vec::new());
+                        continue;
+                    }
+                    parked.remove(start, sep);
+                    let parked_view = &*parked;
+                    let path = window_astar(
+                        lo,
+                        hi,
+                        |c| !frozen_zone.blocked(c) && !parked_view.blocked(c),
+                        start,
+                        goals[i],
+                        &*reservations,
                         scratch,
-                        reservations,
-                        parked,
-                    } = &mut arena;
-                    reservations.begin(window, sep, lo, hi);
-                    parked.begin(lo, hi);
-                    for &i in indices {
-                        parked.add(positions_ref[i as usize], sep);
-                    }
-                    for &i in indices {
-                        let i = i as usize;
-                        let start = positions_ref[i];
-                        // Parked fast path: A* would pop the start first and
-                        // return the stay `[start]` at once. Its reservation
-                        // is left out and its parked zone kept instead; both
-                        // block the same cells at every step ≥ 1, and no
-                        // later start lies in that zone.
-                        if fast_park && start == goals_ref[i] && reservations.is_free_from(start, 0)
-                        {
-                            out.push(Vec::new());
-                            continue;
-                        }
-                        parked.remove(start, sep);
-                        let parked_view = &*parked;
-                        let path = window_astar(
-                            lo,
-                            hi,
-                            |c| !frozen_ref.blocked(c) && !parked_view.blocked(c),
-                            start,
-                            goals_ref[i],
-                            &*reservations,
-                            scratch,
-                            EXPANSION_CAP,
-                        );
-                        reservations.add_path(&path);
-                        out.push(path);
-                    }
-                    pool_ref.restore(arena);
-                });
+                        EXPANSION_CAP,
+                    );
+                    reservations.add_path(&path);
+                    out.push(path);
+                }
+                pool.restore(arena);
+                if let Some(stored) = slot.replay.as_deref_mut() {
+                    stored.store(&slot.paths);
+                }
+            });
+            replayed += slots.iter().filter(|slot| slot.replayed).count();
 
-            // Store the freshly planned shards: under their content keys,
-            // or as their tile's replay for this stagger phase.
-            for tile in (0..part.tile_count()).filter(|&tile| needs_plan[tile]) {
-                match cache.as_deref_mut() {
-                    Some(cache_ref) => {
-                        let members = membership
-                            .members(tile)
-                            .iter()
-                            .map(|&i| (positions[i as usize], goals[i as usize]));
-                        cache_ref.insert(keys[tile], members, &shard_paths[tile])
+            // Store the freshly planned shards under their content keys.
+            if let Some(cache_ref) = cache.as_deref_mut() {
+                for (tile, slot) in slots.iter().enumerate() {
+                    if slot.needs_plan {
+                        cache_ref.insert(keys[tile], members_of(tile), &slot.paths);
                     }
-                    None if replay => replay_tiles[tile].store(&shard_paths[tile]),
-                    None => {}
                 }
             }
 
             // Merge into one trajectory per particle; frozen particles keep
             // the empty trajectory, which waits (see `window_path`).
             let mut trajs: Vec<Vec<GridCoord>> = vec![Vec::new(); n];
-            for (tile, paths) in shard_paths.iter_mut().enumerate() {
+            for (tile, slot) in slots.iter_mut().enumerate() {
                 for (k, &i) in membership.members(tile).iter().enumerate() {
-                    trajs[i as usize] = std::mem::take(&mut paths[k]);
+                    trajs[i as usize] = std::mem::take(&mut slot.paths[k]);
                 }
             }
 

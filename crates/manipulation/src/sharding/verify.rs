@@ -11,7 +11,7 @@
 
 use super::astar_soa::{position_at, window_astar, window_path, Scratch, WindowReservations};
 use super::EXPANSION_CAP;
-use crate::routing::{for_each_zone_cell, RoutingProblem};
+use crate::routing::RoutingProblem;
 use labchip_units::{GridCoord, GridDims};
 
 /// Reusable dense occupancy scan: one `u32` occupant id and epoch stamp
@@ -30,7 +30,17 @@ pub(crate) struct ConflictScan {
     occupant: Vec<u32>,
     stamp: Vec<u32>,
     epoch: u32,
+    /// Per step, the first particle whose next move is at that step
+    /// ([`Self::stays_clear`]); the rest of the bucket follows
+    /// `bucket_next`.
+    bucket_head: Vec<u32>,
+    bucket_next: Vec<u32>,
+    /// The particles moving at the step being checked.
+    moved: Vec<u32>,
 }
+
+/// The end of a bucket list.
+const NO_PARTICLE: u32 = u32::MAX;
 
 impl ConflictScan {
     /// Re-targets the scan to the inclusive cell box `[lo, hi]`, which
@@ -68,18 +78,25 @@ impl ConflictScan {
         self.stamp[k] = self.epoch;
     }
 
-    /// Every occupant within Chebyshev distance `< sep` of `c`.
+    /// Every occupant within Chebyshev distance `< sep` of `c`, which must
+    /// lie in the box: the cells of the zone
+    /// [`for_each_zone_cell`](crate::routing::for_each_zone_cell) walks,
+    /// read row by row from the square clipped to the box.
     fn zone_occupants(&self, c: GridCoord, sep: u32, mut f: impl FnMut(usize)) {
-        for_each_zone_cell(c, sep, |z| {
-            let (Some(x), Some(y)) = (z.x.checked_sub(self.lo_x), z.y.checked_sub(self.lo_y))
-            else {
-                return;
-            };
-            let (x, y) = (x as usize, y as usize);
-            if x < self.cols && y < self.rows && self.stamp[y * self.cols + x] == self.epoch {
-                f(self.occupant[y * self.cols + x] as usize);
+        let Some(r) = sep.checked_sub(1) else {
+            return;
+        };
+        let r = r as usize;
+        let (x, y) = ((c.x - self.lo_x) as usize, (c.y - self.lo_y) as usize);
+        let (x0, x1) = (x.saturating_sub(r), (x + r).min(self.cols - 1));
+        for row in y.saturating_sub(r)..=(y + r).min(self.rows - 1) {
+            let cells = row * self.cols + x0..=row * self.cols + x1;
+            for (&stamp, &occupant) in self.stamp[cells.clone()].iter().zip(&self.occupant[cells]) {
+                if stamp == self.epoch {
+                    f(occupant as usize);
+                }
             }
-        });
+        }
     }
 
     /// The conflicting pairs `(i, j)`, `i < j`, of the first step in
@@ -126,59 +143,112 @@ impl ConflictScan {
         pairs
     }
 
-    /// Whether particles `0..last.len()` keep `sep ≥ 1` apart at every step
-    /// `0..=horizon`, where particle `i` sits at `pos(i, t)` inside the box
-    /// `[lo, hi]` and stays put after step `last[i]`. The same answer as
-    /// an empty [`Self::first_conflicts`] over those steps, found faster:
-    /// after a full check of step 0, each step re-checks only the
-    /// particles that moved into it. Two particles that both stood still
-    /// were already checked the step before.
-    pub(crate) fn stays_clear(
+    /// Whether `n` particles keep `sep ≥ 1` apart at every step
+    /// `0..=horizon`, where particle `i` follows `path(i)` (its cell at
+    /// steps 0, 1, …, staying on the last one afterwards) inside the box
+    /// `[lo, hi]`. The same answer as an empty [`Self::first_conflicts`]
+    /// over those steps, found faster: after a full check of step 0, each
+    /// step re-checks only the particles that moved into it. Two particles
+    /// that both stood still were already checked the step before.
+    pub(crate) fn stays_clear<'p>(
         &mut self,
         (lo, hi): (GridCoord, GridCoord),
         horizon: usize,
-        last: &[usize],
-        pos: impl Fn(usize, usize) -> GridCoord,
+        n: usize,
+        path: impl Fn(usize) -> &'p [GridCoord],
         sep: u32,
     ) -> bool {
-        if !self
-            .first_conflicts((lo, hi), 0..=0, last.len(), &pos, sep)
+        self.first_conflicts((lo, hi), 0..=0, n, |i, _| path(i)[0], sep)
             .is_empty()
-        {
-            return false;
+            && self.moves_stay_clear(horizon, n, path, sep)
+    }
+
+    /// [`Self::stays_clear`] for particles whose step-0 cells are known to
+    /// keep the separation: step 0 is placed, not checked (debug builds
+    /// still check it).
+    fn stays_clear_from_clear_start<'p>(
+        &mut self,
+        (lo, hi): (GridCoord, GridCoord),
+        horizon: usize,
+        n: usize,
+        path: impl Fn(usize) -> &'p [GridCoord],
+        sep: u32,
+    ) -> bool {
+        debug_assert!(
+            self.first_conflicts((lo, hi), 0..=0, n, |i, _| path(i)[0], sep)
+                .is_empty(),
+            "step 0 keeps the separation"
+        );
+        self.begin(lo, hi);
+        self.bump();
+        for i in 0..n {
+            self.place(i, path(i)[0]);
         }
-        // The grid now holds step 0, one particle per cell.
-        let mut active: Vec<usize> = (0..last.len()).collect();
-        let mut moved = Vec::new();
-        for t in 1..=horizon {
-            active.retain(|&i| last[i] >= t);
+        self.moves_stay_clear(horizon, n, path, sep)
+    }
+
+    /// The moved-only part of [`Self::stays_clear`], on a grid that holds
+    /// step 0 with one particle per cell, clear of each other.
+    ///
+    /// Moves are bucketed by step: each particle waits in the bucket of
+    /// its next move, found by reading its path on from the last one, so
+    /// the check reads each path once and holds one bucket entry per
+    /// particle.
+    fn moves_stay_clear<'p>(
+        &mut self,
+        horizon: usize,
+        n: usize,
+        path: impl Fn(usize) -> &'p [GridCoord],
+        sep: u32,
+    ) -> bool {
+        self.bucket_head.clear();
+        self.bucket_head.resize(horizon + 1, NO_PARTICLE);
+        self.bucket_next.clear();
+        self.bucket_next.resize(n, NO_PARTICLE);
+        for i in 0..n {
+            self.file_next_move(i, path(i), 1, horizon);
+        }
+        let mut moved = std::mem::take(&mut self.moved);
+        let clear = (1..=horizon).all(|t| {
             moved.clear();
-            for &i in &active {
-                let from = pos(i, t - 1);
-                if pos(i, t) != from {
-                    moved.push(i);
-                    let k = self.slot(from);
-                    if self.occupant[k] == i as u32 {
-                        self.stamp[k] = 0;
-                    }
+            let mut i = self.bucket_head[t];
+            while i != NO_PARTICLE {
+                moved.push(i);
+                i = self.bucket_next[i as usize];
+            }
+            for &i in &moved {
+                let k = self.slot(path(i as usize)[t - 1]);
+                if self.occupant[k] == i {
+                    self.stamp[k] = 0;
                 }
             }
             for &i in &moved {
-                let to = pos(i, t);
+                let to = path(i as usize)[t];
                 if self.stamp[self.slot(to)] == self.epoch {
                     return false; // two particles in one cell
                 }
-                self.place(i, to);
+                self.place(i as usize, to);
             }
             let mut clear = true;
             for &i in &moved {
-                self.zone_occupants(pos(i, t), sep, |j| clear &= j == i);
+                let i = i as usize;
+                self.zone_occupants(path(i)[t], sep, |j| clear &= j == i);
+                self.file_next_move(i, path(i), t + 1, horizon);
             }
-            if !clear {
-                return false;
-            }
+            clear
+        });
+        self.moved = moved;
+        clear
+    }
+
+    /// Files particle `i` in the bucket of the first step in
+    /// `from..=horizon` at which `cells` changes cell, if any.
+    fn file_next_move(&mut self, i: usize, cells: &[GridCoord], from: usize, horizon: usize) {
+        let end = cells.len().min(horizon + 1);
+        if let Some(t) = (from..end).find(|&t| cells[t] != cells[t - 1]) {
+            self.bucket_next[i] = self.bucket_head[t];
+            self.bucket_head[t] = i as u32;
         }
-        true
     }
 
     /// All conflicting particle pairs found at the first conflicting step
@@ -213,8 +283,11 @@ fn grid_box(dims: GridDims) -> (GridCoord, GridCoord) {
 
 /// Verifies a merged window, where particle `i` starts on `positions[i]`
 /// and follows `trajs[i]` (see [`window_path`]). A clean window, the
-/// expected case, is confirmed by [`ConflictScan::stays_clear`] and left
-/// untouched; any other runs [`repair`].
+/// expected case, is confirmed by the moved-only scan and left untouched;
+/// any other runs [`repair`]. With a separation of at least 1 the window
+/// start is not re-checked: the first window starts on the problem's
+/// validated starts, and every later one where the window before ended,
+/// on a step that window's scan or repair left clean.
 pub(crate) fn verify_and_repair(
     problem: &RoutingProblem,
     positions: &[GridCoord],
@@ -224,17 +297,15 @@ pub(crate) fn verify_and_repair(
     sep: u32,
     scan: &mut ConflictScan,
 ) {
-    let last: Vec<usize> = trajs
-        .iter()
-        .map(|traj| traj.len().saturating_sub(1))
-        .collect();
-    let clear = scan.stays_clear(
-        grid_box(problem.dims),
-        window,
-        &last,
-        |i, t| position_at(window_path(&trajs[i], &positions[i]), t),
-        sep,
-    );
+    let path = |i: usize| window_path(&trajs[i], &positions[i]);
+    let (bounds, n) = (grid_box(problem.dims), trajs.len());
+    let clear = if problem.min_separation > 0 {
+        scan.stays_clear_from_clear_start(bounds, window, n, path, sep)
+    } else {
+        // Separation 0 lets two particles start in one cell, which the
+        // router's own separation of 1 counts as a conflict.
+        scan.stays_clear(bounds, window, n, path, sep)
+    };
     if !clear {
         repair(problem, positions, goals, trajs, window, sep, scan);
     }
@@ -355,12 +426,11 @@ mod tests {
     }
 
     fn clear(positions: &[GridCoord], trajs: &[Vec<GridCoord>]) -> bool {
-        let last: Vec<usize> = trajs.iter().map(|t| t.len().saturating_sub(1)).collect();
         ConflictScan::default().stays_clear(
             grid_box(problem().dims),
             WINDOW,
-            &last,
-            |i, t| position_at(window_path(&trajs[i], &positions[i]), t),
+            trajs.len(),
+            |i| window_path(&trajs[i], &positions[i]),
             SEP,
         )
     }
