@@ -59,7 +59,7 @@ fn main() {
         }
         Some("bench-workload") => {
             let out = args.get(1).map_or("BENCH_workload.json", String::as_str);
-            let meta = [("cycles", CYCLES), ("reps", REPS)];
+            let meta = [("cycles", CYCLES), ("pairs", PAIRS), ("reps", REPS)];
             exit_on_bench_error(write_bench(out, &meta, bench_workload));
         }
         Some("journal-diff") => {
@@ -319,11 +319,16 @@ fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
     while run_batch(batch) < 1e6 {
         batch *= 2;
     }
-    let mut times: Vec<f64> = (0..samples)
+    let times: Vec<f64> = (0..samples)
         .map(|_| run_batch(batch) / batch as f64)
         .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+    median(times)
+}
+
+/// The median (upper median for an even count) of `values`.
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 /// Reference plane (20 µm pitch, 3.3 V, 80 µm chamber) with a single cage
@@ -457,8 +462,10 @@ fn bench_fields() -> Vec<BenchRow> {
     rows
 }
 
-/// Driver cycles per `bench-workload` repetition, and repetitions.
+/// Driver cycles per `bench-workload` batch, interleaved live/journaled
+/// batch pairs, and replay repetitions.
 const CYCLES: usize = 4;
+const PAIRS: usize = 9;
 const REPS: usize = 3;
 
 /// `report bench-workload` — the workload-pipeline perf trajectory:
@@ -467,14 +474,17 @@ const REPS: usize = 3;
 ///
 /// All cycle variants run the *identical* deterministic cycle sequence
 /// (same seeds, same routing problems), so their wall-clock totals are
-/// directly comparable; the minimum over repetitions filters scheduler
-/// noise out of the overhead figures. CI bounds the journal write overhead
-/// (< 2% of a live cycle) and requires replay to be faster than live
-/// execution — the property that makes the journal a usable crash-recovery
-/// and debugging artifact.
+/// directly comparable. Live and journaled batches run as interleaved
+/// pairs and the journal overhead is the median of the per-pair ratios, so
+/// drift in the host's load hits both sides of a pair alike. CI bounds the
+/// journal write overhead (< 2% of a live cycle) and requires replay to be
+/// faster than live execution — the property that makes the journal a
+/// usable crash-recovery and debugging artifact.
 fn bench_workload() -> Vec<BenchRow> {
     use labchip::scenario::{Scenario, ScenarioContext};
-    use labchip::workload::{sort_problem, BatchDriver, ForceEnvelope, Protocol, WorkloadConfig};
+    use labchip::workload::{
+        sort_problem, BatchDriver, ForceEnvelope, Protocol, RunOptions, Start, WorkloadConfig,
+    };
     use labchip_manipulation::journal::{replay, Journal};
     use labchip_manipulation::sharding::{IncrementalRouter, RouterCache, ShardConfig};
 
@@ -630,36 +640,49 @@ fn bench_workload() -> Vec<BenchRow> {
     let dims = GridDims::square(cycle_config.array_side);
     let sep = cycle_config.min_separation.max(1);
     let protocol = Protocol::canned_cycle(dims, sep, 200);
-    let time_cycles = |journaled: bool| -> (f64, Vec<Journal>) {
-        // Minimum total over repetitions: identical work each repetition,
-        // so min is the cleanest noise filter.
-        let mut best = f64::INFINITY;
-        let mut journals = Vec::new();
-        for _ in 0..REPS {
-            let driver = BatchDriver::with_envelope(cycle_config, envelope);
-            let mut run_journals = Vec::with_capacity(CYCLES);
-            let t0 = Instant::now();
-            for cycle in 0..CYCLES {
-                if journaled {
-                    let (outcome, journal) = driver.runner().run_journaled(&protocol, cycle);
-                    black_box(outcome);
-                    run_journals.push(journal);
-                } else {
-                    black_box(driver.runner().run(&protocol, cycle));
-                }
-            }
-            let elapsed = t0.elapsed().as_secs_f64();
-            if elapsed < best {
-                best = elapsed;
-                journals = run_journals;
+    // One batch of `CYCLES` cycles on a fresh driver: its wall-clock and
+    // the journals it recorded (none when live).
+    let time_batch = |journaled: bool| -> (f64, Vec<Journal>) {
+        let driver = BatchDriver::with_envelope(cycle_config, envelope);
+        let mut journals = Vec::with_capacity(CYCLES);
+        let t0 = Instant::now();
+        for cycle in 0..CYCLES {
+            if journaled {
+                let (outcome, journal) = driver.run_journaled(&protocol, cycle);
+                black_box(outcome);
+                journals.push(journal);
+            } else {
+                let fresh = Start::Fresh {
+                    protocol: &protocol,
+                    cycle,
+                };
+                black_box(driver.execute(fresh, RunOptions::default()).ok());
             }
         }
-        (best, journals)
+        (t0.elapsed().as_secs_f64(), journals)
     };
     // Warm both paths once (field caches, allocator) before measuring.
-    time_cycles(false);
-    let (live_total, _) = time_cycles(false);
-    let (journaled_total, journals) = time_cycles(true);
+    time_batch(false);
+    time_batch(true);
+    let (mut live, mut journaled, mut overheads) = (Vec::new(), Vec::new(), Vec::new());
+    let mut journals = Vec::new();
+    for pair in 0..PAIRS {
+        // Alternate which side of the pair runs first.
+        let live_first = pair % 2 == 0;
+        let first = time_batch(!live_first);
+        let second = time_batch(live_first);
+        let ((live_s, _), (journaled_s, recorded)) = if live_first {
+            (first, second)
+        } else {
+            (second, first)
+        };
+        live.push(live_s);
+        journaled.push(journaled_s);
+        overheads.push(journaled_s / live_s - 1.0);
+        journals = recorded;
+    }
+    let live_total = median(live);
+    let journaled_total = median(journaled);
     let replay_total = {
         let mut best = f64::INFINITY;
         for _ in 0..REPS {
@@ -672,7 +695,6 @@ fn bench_workload() -> Vec<BenchRow> {
         best
     };
     let per_cycle = |total: f64| total / CYCLES as f64 * 1e9;
-    let vs_live_pct = |total: f64| 100.0 * (total / live_total - 1.0);
     for (id, total) in [
         ("workload/driver_cycle_live/96x200", live_total),
         ("workload/driver_cycle_journaled/96x200", journaled_total),
@@ -680,8 +702,8 @@ fn bench_workload() -> Vec<BenchRow> {
     ] {
         rows.push(BenchRow::new(id, per_cycle(total), "ns", ambient));
     }
-    let journal_overhead_pct = vs_live_pct(journaled_total);
-    let replay_vs_live_pct = vs_live_pct(replay_total);
+    let journal_overhead_pct = 100.0 * median(overheads);
+    let replay_vs_live_pct = 100.0 * (replay_total / live_total - 1.0);
     rows.push(BenchRow::new(
         "workload/journal_overhead_pct",
         journal_overhead_pct,
@@ -825,7 +847,7 @@ fn journal_diff(args: &[String]) -> Result<(), String> {
             .load_journal(id)
             .map_err(|err| format!("cannot load {id}'s journal from `{dir}`: {err}"))?;
         let driver = BatchDriver::new(record.config);
-        let (_, baseline) = driver.runner().run_journaled(&record.protocol, 0);
+        let (_, baseline) = driver.run_journaled(&record.protocol, 0);
         println!(
             "{id} (`{}`, tenant {}, status {}, {} resumes): committed journal vs fresh baseline\n",
             record.protocol.name,
@@ -908,7 +930,7 @@ fn journal_diff(args: &[String]) -> Result<(), String> {
     let protocol = Protocol::canned_cycle(dims, sep, particles);
     let run = |config: WorkloadConfig| {
         let driver = BatchDriver::new(config);
-        driver.runner().run_journaled(&protocol, 0).1
+        driver.run_journaled(&protocol, 0).1
     };
     let open = run(base);
     let closed = run(WorkloadConfig {
@@ -963,7 +985,7 @@ fn farm_command(args: &[String]) -> Result<(), String> {
                     rest.next().ok_or_else(|| format!("{name} needs a value"))
                 };
                 match flag.as_str() {
-                    "--workers" => workers = parse_flag(value("--workers")?, "--workers")?,
+                    "--workers" => workers = parse_workers(value("--workers")?)?,
                     "--tenants" => tenants = parse_flag(value("--tenants")?, "--tenants")?,
                     "--jobs-per-tenant" => {
                         jobs_per_tenant =
@@ -1005,7 +1027,7 @@ fn farm_command(args: &[String]) -> Result<(), String> {
                 };
                 match flag.as_str() {
                     "--tenant" => tenant = value("--tenant")?.clone(),
-                    "--workers" => workers = parse_flag(value("--workers")?, "--workers")?,
+                    "--workers" => workers = parse_workers(value("--workers")?)?,
                     "--side" => side = parse_flag(value("--side")?, "--side")?,
                     "--seed" => seed = Some(parse_flag(value("--seed")?, "--seed")?),
                     "--out" => out = Some(value("--out")?.clone()),
@@ -1101,6 +1123,14 @@ where
 {
     text.parse()
         .map_err(|err| format!("{name}: invalid value `{text}`: {err}"))
+}
+
+/// Parses `--workers`, bounded like every scenario thread count: each farm
+/// worker is an OS thread, and the check runs before any farm is built.
+fn parse_workers(text: &str) -> Result<usize, String> {
+    let workers = parse_flag(text, "--workers")?;
+    labchip::scenario::Limit::threads("--workers", workers).map_err(|limit| limit.to_string())?;
+    Ok(workers)
 }
 
 fn take_dir_flag(args: &[String]) -> Result<(Option<String>, Vec<String>), String> {
@@ -1202,9 +1232,7 @@ fn run_farm_demo(
             // demo always exercises the checkpoint-resume path.
             let mut config = workload;
             config.seed = job_seed;
-            let (_, journal) = BatchDriver::new(config)
-                .runner()
-                .run_journaled(&protocol, 0);
+            let (_, journal) = BatchDriver::new(config).run_journaled(&protocol, 0);
             spec = spec.with_fault(FaultPlan::after((journal.len() as u64 / 2).max(1)));
         }
         farm.submit(protocol, spec)
@@ -1274,6 +1302,18 @@ mod tests {
         assert_eq!(file.benchmarks, rows);
         assert_eq!(file.meta["cycles"], 4);
         assert_eq!(file.meta["available_parallelism"], available_parallelism());
+    }
+
+    #[test]
+    fn farm_worker_counts_past_the_cap_are_rejected() {
+        // The flag check only: no farm is built for any of these counts.
+        use labchip::scenario::MAX_THREADS;
+        assert_eq!(parse_workers(&MAX_THREADS.to_string()), Ok(MAX_THREADS));
+        for workers in [MAX_THREADS + 1, usize::MAX] {
+            let message = parse_workers(&workers.to_string()).unwrap_err();
+            assert!(message.contains("--workers"), "{message}");
+            assert!(message.contains("exceeds the limit 256"), "{message}");
+        }
     }
 
     #[test]

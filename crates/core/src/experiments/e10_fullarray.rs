@@ -265,7 +265,7 @@ impl Scenario for FullArrayScenario {
     }
 
     fn check_limits(&self, config: &Config) -> Result<(), Limit> {
-        Limit::threads(config.threads)
+        Limit::threads("threads", config.threads)
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

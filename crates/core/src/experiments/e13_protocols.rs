@@ -4,8 +4,8 @@
 //! load→route→sense→flush cycle; the chip's actual value proposition is
 //! that one device runs **arbitrary** assay protocols. This scenario
 //! executes a [`Protocol`] — a serde-round-trippable ordered list of
-//! [`PhaseSpec`]s with per-phase knobs — through the
-//! [`ProtocolRunner`](crate::workload::ProtocolRunner): the default is a
+//! [`PhaseSpec`]s with per-phase knobs — through
+//! [`BatchDriver::execute`](crate::workload::BatchDriver::execute): the default is a
 //! two-population merge assay
 //! (`load → route(sort) → sense → route(merge pairs) → sense → flush`)
 //! that the retired monolithic `run_cycle` literally could not express,
@@ -300,7 +300,7 @@ impl Scenario for ProtocolsScenario {
     }
 
     fn check_limits(&self, config: &Config) -> Result<(), Limit> {
-        Limit::threads(config.threads)
+        Limit::threads("threads", config.threads)
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

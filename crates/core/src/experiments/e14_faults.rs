@@ -217,7 +217,7 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
 
     // Baseline: the uninterrupted journaled run every kill point must
     // converge back to.
-    let (baseline, baseline_journal) = pool.install(|| driver.runner().run_journaled(&protocol, 0));
+    let (baseline, baseline_journal) = pool.install(|| driver.run_journaled(&protocol, 0));
     let baseline_hash = baseline.state.state_hash();
     let total_events = baseline_journal.len();
     ctx.emit_row(format!(
@@ -241,7 +241,7 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
             cycle: 0,
         };
         let armed = Journaling::Armed(*fault).into();
-        let run = match pool.install(|| driver.runner().execute(start, armed)) {
+        let run = match pool.install(|| driver.execute(start, armed)) {
             Ok((outcome, _journal)) => {
                 ran_to_completion += 1;
                 if outcome.state.state_hash() != baseline_hash {
@@ -255,9 +255,7 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
             Err(run) => run,
         };
         interrupted += 1;
-        let phase = run.checkpoint.protocol.phases[run.checkpoint.next_phase]
-            .build()
-            .name();
+        let phase = run.checkpoint.protocol.phases[run.checkpoint.next_phase].name();
         let row = match coverage.iter().position(|row| row.phase == phase) {
             Some(row) => row,
             None => {
@@ -293,11 +291,8 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
         };
 
         // Oracle (c): resume reaches the baseline state hash.
-        let resumed = pool.install(|| {
-            driver
-                .runner()
-                .execute(Start::Resume(&checkpoint), RunOptions::default())
-        });
+        let resumed =
+            pool.install(|| driver.execute(Start::Resume(&checkpoint), RunOptions::default()));
         if resumed.is_ok_and(|(outcome, _)| outcome.state.state_hash() == baseline_hash) {
             resume_successes += 1;
             coverage[row].resumed_ok += 1;
@@ -354,7 +349,7 @@ impl Scenario for FaultsScenario {
     }
 
     fn check_limits(&self, config: &Config) -> Result<(), Limit> {
-        Limit::threads(config.threads)
+        Limit::threads("threads", config.threads)
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

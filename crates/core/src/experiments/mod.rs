@@ -46,8 +46,6 @@
 //! [`e1_scale::ScaleScenario`]) and call
 //! [`Scenario::run`](crate::scenario::Scenario::run) with a
 //! [`ScenarioContext`](crate::scenario::ScenarioContext).
-//! [`Experiment`] (which delegates to the registry) deliberately still
-//! covers only the paper's E1–E9.
 
 pub mod e10_fullarray;
 pub mod e11_throughput;
@@ -218,84 +216,6 @@ impl fmt::Display for ExperimentTable {
     }
 }
 
-/// A uniform handle over every experiment, used by the `report` binary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Experiment {
-    /// E1 — array scale.
-    E1Scale,
-    /// E2 — technology/voltage sweep.
-    E2Technology,
-    /// E3 — motion timescales.
-    E3Motion,
-    /// E4 — sensor averaging.
-    E4Sensing,
-    /// E5 — design-flow comparison.
-    E5DesignFlow,
-    /// E6 — fabrication cost/turnaround.
-    E6Fabrication,
-    /// E7 — parallel routing.
-    E7Routing,
-    /// E8 — design centering.
-    E8Centering,
-    /// E9 — end-to-end assay.
-    E9Assay,
-}
-
-impl Experiment {
-    /// All experiments in order.
-    pub fn all() -> [Experiment; 9] {
-        [
-            Experiment::E1Scale,
-            Experiment::E2Technology,
-            Experiment::E3Motion,
-            Experiment::E4Sensing,
-            Experiment::E5DesignFlow,
-            Experiment::E6Fabrication,
-            Experiment::E7Routing,
-            Experiment::E8Centering,
-            Experiment::E9Assay,
-        ]
-    }
-
-    /// The experiment identifier (`"E1"` … `"E9"`).
-    pub fn id(&self) -> &'static str {
-        match self {
-            Experiment::E1Scale => "E1",
-            Experiment::E2Technology => "E2",
-            Experiment::E3Motion => "E3",
-            Experiment::E4Sensing => "E4",
-            Experiment::E5DesignFlow => "E5",
-            Experiment::E6Fabrication => "E6",
-            Experiment::E7Routing => "E7",
-            Experiment::E8Centering => "E8",
-            Experiment::E9Assay => "E9",
-        }
-    }
-
-    /// Runs the experiment with its default (paper-scenario) configuration
-    /// and returns the rendered table.
-    ///
-    /// This enum predates the scenario engine and now delegates to it; new
-    /// code should use
-    /// [`ScenarioRegistry`](crate::scenario::ScenarioRegistry) and
-    /// [`Runner`](crate::scenario::Runner) directly.
-    pub fn run_default(&self) -> ExperimentTable {
-        crate::scenario::ScenarioRegistry::all()
-            .get(self.id())
-            .expect("the registry covers E1..E9")
-            .run_default()
-            .expect("default configs always decode")
-            .table
-    }
-
-    /// Parses an identifier like `"e3"` or `"E3"`.
-    pub fn from_id(id: &str) -> Option<Experiment> {
-        Experiment::all()
-            .into_iter()
-            .find(|e| e.id().eq_ignore_ascii_case(id.trim()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,14 +282,5 @@ mod tests {
         assert_eq!(object.get("id").unwrap().as_str(), Some("E0"));
         let back: ExperimentTable = serde_json::from_value(&json).unwrap();
         assert_eq!(back.to_markdown(), table.to_markdown());
-    }
-
-    #[test]
-    fn experiment_ids_round_trip() {
-        for e in Experiment::all() {
-            assert_eq!(Experiment::from_id(e.id()), Some(e));
-            assert_eq!(Experiment::from_id(&e.id().to_lowercase()), Some(e));
-        }
-        assert_eq!(Experiment::from_id("E42"), None);
     }
 }

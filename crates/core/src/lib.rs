@@ -52,7 +52,7 @@ pub mod workload;
 pub mod prelude {
     pub use crate::biochip::{Biochip, BiochipBuilder, CageSummary};
     pub use crate::error::ChipError;
-    pub use crate::experiments::{Experiment, ExperimentTable};
+    pub use crate::experiments::ExperimentTable;
     pub use crate::scenario::{
         Progress, ProgressEvent, RunOutcome, Runner, Scenario, ScenarioContext, ScenarioError,
         ScenarioRegistry,
@@ -61,8 +61,8 @@ pub mod prelude {
         ChipSimulator, SimulatedParticle, SimulationConfig, StepInfo, StepObserver,
     };
     pub use crate::workload::{
-        AssayPhase, BatchDriver, CycleReport, ForceEnvelope, PhaseCtx, PhaseReport, PhaseSpec,
-        ProtocolOutcome, ProtocolRunner, RecoveryPolicy, RouteTarget, WorkloadConfig,
+        BatchDriver, CycleReport, ForceEnvelope, PhaseReport, PhaseSpec, ProtocolOutcome,
+        RecoveryPolicy, RouteTarget, WorkloadConfig,
     };
     pub use labchip_array::prelude::*;
     pub use labchip_designflow::prelude::*;

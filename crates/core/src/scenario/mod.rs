@@ -106,20 +106,31 @@ pub struct Limit {
 }
 
 impl Limit {
-    /// Checks a `threads` field against [`MAX_THREADS`].
+    /// Checks the thread count `threads` of `field` against
+    /// [`MAX_THREADS`].
     ///
     /// # Errors
     ///
     /// The exceeded [`Limit`] when `threads > MAX_THREADS`.
-    pub fn threads(threads: usize) -> Result<(), Limit> {
+    pub fn threads(field: &'static str, threads: usize) -> Result<(), Limit> {
         if threads > MAX_THREADS {
             return Err(Limit {
-                field: "threads",
+                field,
                 value: threads,
                 max: MAX_THREADS,
             });
         }
         Ok(())
+    }
+}
+
+impl fmt::Display for Limit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "`{}` = {} exceeds the limit {}",
+            self.field, self.value, self.max
+        )
     }
 }
 
@@ -247,11 +258,9 @@ impl fmt::Display for ScenarioError {
                 write!(f, "invalid config for {scenario}: {message}")
             }
             ScenarioError::Override { message } => write!(f, "bad override: {message}"),
-            ScenarioError::OverLimit { scenario, limit } => write!(
-                f,
-                "invalid config for {scenario}: `{}` = {} exceeds the limit {}",
-                limit.field, limit.value, limit.max
-            ),
+            ScenarioError::OverLimit { scenario, limit } => {
+                write!(f, "invalid config for {scenario}: {limit}")
+            }
         }
     }
 }

@@ -95,11 +95,9 @@ pub struct ChipSimulator {
     rngs: Vec<ChaCha8Rng>,
     field: SuperpositionField,
     elapsed: Seconds,
-    /// Worker threads for the particle loop (0 = all cores).
-    threads: usize,
-    /// Pool built once per `set_threads` call — `run` is the hot path and
-    /// must not construct a pool per invocation. `None` for 0 (ambient pool)
-    /// and 1 (plain serial loop, no parallel machinery at all).
+    /// Thread-count pin set by `set_threads`, built once so `run` (the hot
+    /// path) never constructs one per invocation. `None` for 0: the
+    /// ambient pool.
     pool: Option<rayon::ThreadPool>,
     /// Optional progress hook, notified once per `run` batch.
     observer: Option<Arc<dyn StepObserver>>,
@@ -111,7 +109,7 @@ impl fmt::Debug for ChipSimulator {
             .field("config", &self.config)
             .field("particles", &self.particles.len())
             .field("elapsed", &self.elapsed)
-            .field("threads", &self.threads)
+            .field("pool", &self.pool)
             .field("observer", &self.observer.is_some())
             .finish_non_exhaustive()
     }
@@ -129,7 +127,6 @@ impl ChipSimulator {
             rngs: Vec::new(),
             field,
             elapsed: Seconds::ZERO,
-            threads: 0,
             pool: None,
             observer: None,
         }
@@ -147,8 +144,7 @@ impl ChipSimulator {
     /// 1-thread/4-thread equality). This is the single implementation;
     /// [`ChipSimulator::with_threads`] delegates here.
     pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
-        self.pool = (threads > 1).then(|| {
+        self.pool = (threads > 0).then(|| {
             rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
@@ -299,44 +295,26 @@ impl ChipSimulator {
             .collect();
 
         let field = &self.field;
-        if self.threads == 1 {
-            // Pinned serial: no parallel machinery at all on the hot path.
-            for (index, (simulated, rng)) in self
-                .particles
-                .iter_mut()
-                .zip(self.rngs.iter_mut())
-                .enumerate()
-            {
-                let (integrator, balance) = &contexts[index];
+        let mut work: Vec<(usize, (&mut SimulatedParticle, &mut ChaCha8Rng))> = self
+            .particles
+            .iter_mut()
+            .zip(self.rngs.iter_mut())
+            .enumerate()
+            .collect();
+        // A 1-thread pin runs every item inline on this thread.
+        let step_all = |work: &mut [(usize, (&mut SimulatedParticle, &mut ChaCha8Rng))]| {
+            work.par_iter_mut().for_each(|(index, (simulated, rng))| {
+                let (integrator, balance) = &contexts[*index];
                 let mut state = simulated.state;
                 for _ in 0..steps {
-                    state = integrator.step(field, balance, &state, rng);
+                    state = integrator.step(field, balance, &state, &mut **rng);
                 }
                 simulated.state = state;
-            }
-        } else {
-            let mut work: Vec<(usize, (&mut SimulatedParticle, &mut ChaCha8Rng))> = self
-                .particles
-                .iter_mut()
-                .zip(self.rngs.iter_mut())
-                .enumerate()
-                .collect();
-            let step_all = |work: &mut [(usize, (&mut SimulatedParticle, &mut ChaCha8Rng))]| {
-                work.par_iter_mut().for_each(|(index, (simulated, rng))| {
-                    let (integrator, balance) = &contexts[*index];
-                    let mut state = simulated.state;
-                    for _ in 0..steps {
-                        state = integrator.step(field, balance, &state, &mut **rng);
-                    }
-                    simulated.state = state;
-                });
-            };
-            match &self.pool {
-                // Pool cached by `set_threads` (threads > 1).
-                Some(pool) => pool.install(|| step_all(&mut work)),
-                // threads == 0: the ambient/global pool, no construction.
-                None => step_all(&mut work),
-            }
+            });
+        };
+        match &self.pool {
+            Some(pool) => pool.install(|| step_all(&mut work)),
+            None => step_all(&mut work),
         }
         self.elapsed += Seconds::new(self.config.dt.get() * steps as f64);
         if let Some(observer) = &self.observer {

@@ -13,15 +13,13 @@
 //!   and the per-phase time ledger — shared by router, scanner and driver
 //!   instead of each keeping a private copy stitched together by ad-hoc
 //!   converters;
-//! * the five [`phases`] — [`Load`](phases::Load), [`Route`](phases::Route)
-//!   (with a pluggable [`RouteTarget`]),
-//!   [`Sense`](phases::Sense), [`Recover`](phases::Recover) and
-//!   [`Flush`](phases::Flush) — each implement
-//!   [`AssayPhase`]: one reusable unit of chip work
-//!   over the shared state;
+//! * a [`PhaseSpec`] is one phase with its knobs — load, route (with a
+//!   pluggable [`RouteTarget`]), sense, recover or flush — and runs its
+//!   body from [`phases`]: one reusable unit of chip work over the shared
+//!   state;
 //! * a [`Protocol`] is a serde-round-trippable ordered
-//!   list of phase specs with per-phase knobs, executed by the thin
-//!   [`ProtocolRunner`] — so arbitrary assays
+//!   list of phase specs, executed by [`BatchDriver::execute`] — so
+//!   arbitrary assays
 //!   (multi-route merges, repeated sense rounds, wash-free cycles;
 //!   scenario E13) compose from the same verified pieces.
 //!
@@ -59,10 +57,10 @@ pub mod phases;
 pub mod protocol;
 
 pub use envelope::ForceEnvelope;
-pub use phases::{Accumulators, AssayPhase, PhaseCtx, PhaseError, PhaseReport, RouteTarget};
+pub use phases::{Accumulators, PhaseError, PhaseReport, RouteTarget};
 pub use protocol::{
     Checkpoint, CheckpointError, Journaling, NeverStop, PhaseSpec, Protocol, ProtocolOutcome,
-    ProtocolRunner, RunControl, RunOptions, Start, StopCause, StoppedRun,
+    RunControl, RunOptions, Start, StopCause, StoppedRun,
 };
 
 use labchip_array::addressing::ProgrammingInterface;
@@ -287,7 +285,7 @@ pub struct BatchDriver {
     cycles_run: usize,
     /// Warm-start plan cache shared across this driver's cycles; consulted
     /// only when [`WorkloadConfig::reuse_plans`] is set. Behind a mutex so
-    /// the borrowed [`ProtocolRunner`] stays `Copy + Sync`.
+    /// protocols run through `&self` and the driver stays `Sync`.
     route_cache: Mutex<RouterCache>,
 }
 
@@ -348,19 +346,6 @@ impl BatchDriver {
         &self.totals
     }
 
-    /// A [`ProtocolRunner`] borrowing this driver's shared resources.
-    pub fn runner(&self) -> ProtocolRunner<'_> {
-        ProtocolRunner {
-            config: &self.config,
-            envelope: &self.envelope,
-            router: &self.router,
-            programming: &self.programming,
-            scan: &self.scan,
-            scanner: &self.scanner,
-            route_cache: self.config.reuse_plans.then_some(&self.route_cache),
-        }
-    }
-
     /// Hit/miss counters of the warm-start plan cache (all zero unless
     /// [`WorkloadConfig::reuse_plans`] is set).
     pub fn route_cache_stats(&self) -> CacheStats {
@@ -370,12 +355,15 @@ impl BatchDriver {
             .stats()
     }
 
-    /// Executes an arbitrary protocol as the next cycle, recording its
-    /// work into the running totals.
+    /// Executes an arbitrary protocol on a fresh chip as the next cycle,
+    /// unjournaled, recording its work into the running totals. A phase
+    /// error ends the run with an `aborted:` report row instead of a panic.
     pub fn run_protocol(&mut self, protocol: &Protocol) -> ProtocolOutcome {
         let cycle = self.cycles_run;
         self.cycles_run += 1;
-        let outcome = self.runner().run(protocol, cycle);
+        let outcome = self
+            .execute(Start::Fresh { protocol, cycle }, RunOptions::default())
+            .map_or_else(|stopped| stopped.partial, |(outcome, _)| outcome);
         let report = &outcome.report;
         // Recovery moves are executed on-chip and their time is in the
         // recorded total, so they belong in the throughput numerator too.
@@ -489,8 +477,12 @@ mod tests {
             let sep = config.min_separation.max(1);
             for (cycle, particles) in [40usize, 90].into_iter().enumerate() {
                 let protocol = Protocol::canned_cycle(dims, sep, particles);
-                let plain = driver.runner().run(&protocol, cycle);
-                let (journaled, journal) = driver.runner().run_journaled(&protocol, cycle);
+                let fresh = Start::Fresh {
+                    protocol: &protocol,
+                    cycle,
+                };
+                let (plain, _) = driver.execute(fresh, RunOptions::default()).unwrap();
+                let (journaled, journal) = driver.run_journaled(&protocol, cycle);
                 assert!(!journal.is_empty());
 
                 let mut plain_report = plain.report.clone();

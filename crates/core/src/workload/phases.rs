@@ -1,69 +1,38 @@
-//! The composable assay phases: `Load`, `Route`, `Sense`, `Recover`,
-//! `Flush`.
+//! The bodies of the five assay phases — load, route, sense, recover and
+//! flush — and the cycle context they share.
 //!
-//! Each phase is one reusable unit of chip work implementing [`AssayPhase`]:
-//! it mutates the shared [`ChipState`] (grid, plan, time ledger) and the
-//! cycle-scoped [`PhaseCtx`] accumulators, and returns a [`PhaseReport`].
-//! A [`Protocol`](super::protocol::Protocol) is an ordered list of phase
-//! specs; the canned `load → route(sort) → sense → recover → flush` sequence
-//! is the driver's standard cycle (its replay equivalence is locked in by
-//! the journal oracle), and arbitrary other sequences (multi-route,
-//! multi-sense — see scenario E13) compose from the same five pieces.
+//! Each body is a plain function that [`PhaseSpec::run`](super::PhaseSpec)
+//! dispatches to from its one `match`: it mutates the shared [`ChipState`]
+//! (grid, plan, time ledger) and the cycle's [`Accumulators`], and returns
+//! a [`PhaseReport`]. A [`Protocol`](super::protocol::Protocol) is an
+//! ordered list of phase specs; the canned
+//! `load → route(sort) → sense → recover → flush` sequence is the driver's
+//! standard cycle (its replay equivalence is locked in by the journal
+//! oracle), and arbitrary other sequences (multi-route, multi-sense — see
+//! scenario E13) compose from the same five pieces.
 //!
-//! Phases are **fallible and interruptible**: [`AssayPhase::run`] returns
+//! Phases are **fallible and interruptible**: a body returns
 //! `Result<PhaseReport, PhaseError>`, never panics on grid-state surprises,
 //! and polls [`ChipState::fault_tripped`] at its mutation boundaries so an
 //! armed [`FaultPlan`](labchip_manipulation::journal::FaultPlan) kills
 //! execution cooperatively — the hook the checkpoint/resume sweep (E14)
 //! injects crashes through.
 
-use super::envelope::ForceEnvelope;
-use super::{RecoveryPolicy, WorkloadConfig};
-use labchip_array::addressing::ProgrammingInterface;
+use super::{BatchDriver, RecoveryPolicy};
 use labchip_array::timing::WindowBudget;
 use labchip_manipulation::cage::ParticleId;
 use labchip_manipulation::error::ManipulationError;
 use labchip_manipulation::routing::{RoutingOutcome, RoutingProblem, RoutingRequest};
-use labchip_manipulation::sharding::{IncrementalRouter, RouterCache};
 use labchip_manipulation::state::{ChipState, TimeBreakdown, TimeLedger};
-use labchip_sensing::array_scan::ArrayScanner;
 use labchip_sensing::averaging::FrameAverager;
 use labchip_sensing::detect::{DetectionStats, Occupancy, OccupancyMap};
-use labchip_sensing::scan::ScanTiming;
 use labchip_units::{GridCoord, GridDims, Seconds};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Mutex;
 use std::time::Instant;
-
-/// One composable unit of assay work.
-///
-/// Phases communicate through two channels: the persistent [`ChipState`]
-/// (particle truth, plan, simulated-time ledger) and the cycle-scoped
-/// [`PhaseCtx`] (detection maps, envelope/budget counters, routing totals).
-/// Implementations must charge all simulated time through
-/// [`ChipState::charge`] so the per-phase ledger the runner reports stays
-/// complete.
-pub trait AssayPhase {
-    /// Short stable name of the phase (for reports and tables).
-    fn name(&self) -> &'static str;
-
-    /// Executes the phase. The returned report's `time` field is
-    /// overwritten by the runner with the measured ledger delta.
-    ///
-    /// # Errors
-    ///
-    /// [`PhaseError::Interrupted`] when an armed fault plan tripped at one
-    /// of the phase's poll points; [`PhaseError::Invariant`] when the grid
-    /// rejected an operation the phase's own bookkeeping says must succeed
-    /// (a bug or corrupted state — reported, never panicked). Either way
-    /// the runner journals a `PhaseAborted` marker and the protocol can be
-    /// resumed from the checkpoint taken before the phase.
-    fn run(&self, state: &mut ChipState, ctx: &mut PhaseCtx) -> Result<PhaseReport, PhaseError>;
-}
 
 /// Why a phase stopped without completing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,8 +93,9 @@ impl std::error::Error for PhaseError {}
 pub struct PhaseReport {
     /// Phase name (plus a target/knob annotation where relevant).
     pub phase: String,
-    /// Simulated chip time this phase charged, by ledger (filled in by the
-    /// protocol runner from [`ChipState`] snapshots around the phase).
+    /// Simulated chip time this phase charged, by ledger (filled in by
+    /// [`BatchDriver::execute`] from [`ChipState`] snapshots around the
+    /// phase).
     pub time: TimeBreakdown,
     /// Cage moves this phase commanded.
     pub moves: usize,
@@ -147,35 +117,21 @@ pub struct FinalCounts {
     pub occupancy_detected: usize,
 }
 
-/// Cycle-scoped context handed to every phase: the driver's shared
-/// resources plus the [`Accumulators`] the final
+/// Cycle-scoped context handed to every phase: the driver whose shared
+/// resources the phases use, plus the [`Accumulators`] the final
 /// [`CycleReport`](super::CycleReport) is assembled from.
-pub struct PhaseCtx<'a> {
-    /// Workload knobs in effect.
-    pub config: &'a WorkloadConfig,
-    /// The force-feasibility envelope every planned move is checked against.
-    pub envelope: &'a ForceEnvelope,
-    /// The incremental sharded router.
-    pub router: &'a IncrementalRouter,
-    /// The array's row-update programming model.
-    pub programming: &'a ProgrammingInterface,
-    /// Scan timing model.
-    pub scan: &'a ScanTiming,
-    /// The whole-array scan synthesizer.
-    pub scanner: &'a ArrayScanner,
-    /// Warm-start plan cache (`Some` iff [`WorkloadConfig::reuse_plans`]);
-    /// phases route through [`PhaseCtx::solve_routing`] so caching stays
-    /// transparent to them.
-    pub route_cache: Option<&'a Mutex<RouterCache>>,
+pub(crate) struct PhaseCtx<'a> {
+    /// The driver running the protocol.
+    pub(crate) driver: &'a BatchDriver,
     /// Every cycle accumulator — the part of the ctx a
     /// [`Checkpoint`](super::protocol::Checkpoint) stores.
-    pub acc: Accumulators,
+    pub(crate) acc: Accumulators,
 }
 
-/// Every cycle-scoped accumulator of a [`PhaseCtx`], serde-round-trippable
+/// Every cycle-scoped accumulator of a protocol run, serde-round-trippable
 /// as the second half of a [`Checkpoint`](super::protocol::Checkpoint)
 /// (the first being the [`ChipStateSnapshot`](labchip_manipulation::state::ChipStateSnapshot)).
-/// Restoring it into a fresh ctx over the same driver resources makes a
+/// Restoring it into a run on an equally configured driver makes a
 /// resumed run bit-identical to an uninterrupted one: the scan-pass
 /// counter and cycle seed pin every RNG stream, the rest pins the final
 /// [`CycleReport`](super::CycleReport) assembly.
@@ -248,47 +204,22 @@ impl Accumulators {
 }
 
 impl<'a> PhaseCtx<'a> {
-    /// Creates a cycle context over the driver's resources.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        config: &'a WorkloadConfig,
-        envelope: &'a ForceEnvelope,
-        router: &'a IncrementalRouter,
-        programming: &'a ProgrammingInterface,
-        scan: &'a ScanTiming,
-        scanner: &'a ArrayScanner,
-        route_cache: Option<&'a Mutex<RouterCache>>,
-        acc: Accumulators,
-    ) -> Self {
-        Self {
-            config,
-            envelope,
-            router,
-            programming,
-            scan,
-            scanner,
-            route_cache,
-            acc,
-        }
-    }
-
     /// Routes a problem through the shared router, warm-starting from the
-    /// driver's [`RouterCache`] when [`WorkloadConfig::reuse_plans`] is set.
+    /// driver's [`RouterCache`](labchip_manipulation::sharding::RouterCache)
+    /// when [`WorkloadConfig::reuse_plans`](super::WorkloadConfig::reuse_plans)
+    /// is set.
     /// Outcomes are bit-identical with and without the cache.
     ///
     /// # Errors
     ///
     /// Propagates the router's validation error for ill-formed problems.
-    pub fn solve_routing(
-        &self,
-        problem: &RoutingProblem,
-    ) -> Result<RoutingOutcome, ManipulationError> {
-        match self.route_cache {
-            Some(cache) => {
-                let mut cache = cache.lock().expect("route cache poisoned");
-                self.router.solve_cached(problem, &mut cache)
-            }
-            None => self.router.solve(problem),
+    fn solve_routing(&self, problem: &RoutingProblem) -> Result<RoutingOutcome, ManipulationError> {
+        let driver = self.driver;
+        if driver.config.reuse_plans {
+            let mut cache = driver.route_cache.lock().expect("route cache poisoned");
+            driver.router.solve_cached(problem, &mut cache)
+        } else {
+            driver.router.solve(problem)
         }
     }
 
@@ -302,9 +233,10 @@ impl<'a> PhaseCtx<'a> {
     /// That is the per-step `plan_update` of the changed list, so the
     /// counts and the budget — its `f64` sums included — come out the same
     /// as stepping every path through the horizon.
-    pub fn check_planned_moves(&mut self, outcome: &RoutingOutcome, dims: GridDims) {
-        let speed = self.envelope.pitch / self.config.step_period;
-        let feasible = self.envelope.permits(speed);
+    fn check_planned_moves(&mut self, outcome: &RoutingOutcome, dims: GridDims) {
+        let driver = self.driver;
+        let speed = driver.envelope.pitch / driver.config.step_period;
+        let feasible = driver.envelope.permits(speed);
         let all_paths = || outcome.paths.iter().chain(outcome.stranded.iter());
         // No path moves after its arrival step.
         let horizon = all_paths().map(|p| p.arrival_step()).max().unwrap_or(0);
@@ -331,7 +263,7 @@ impl<'a> PhaseCtx<'a> {
         for (step_rows, &electrodes) in rows.chunks_exact(words).zip(&changed) {
             if electrodes > 0 {
                 let rows_written = step_rows.iter().map(|w| w.count_ones()).sum();
-                self.acc.budget.record(&self.programming.row_update(
+                self.acc.budget.record(&driver.programming.row_update(
                     dims.cols,
                     rows_written,
                     electrodes,
@@ -492,70 +424,58 @@ pub(crate) fn pair_nearest(
 }
 
 // ---------------------------------------------------------------------------
-// The five phases.
+// The five phase bodies.
 // ---------------------------------------------------------------------------
 
-/// Loads a seeded batch onto the loading lattice (fluidics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Load {
-    /// Particles requested (the placement truncates to the lattice and the
-    /// optional capacity clamp).
-    pub particles: usize,
-    /// Optional cap on placed particles (the canned cycle clamps to the
-    /// sort targets' capacity, as the monolithic driver did).
-    pub capacity_clamp: Option<usize>,
-}
-
-impl AssayPhase for Load {
-    fn name(&self) -> &'static str {
-        "load"
-    }
-
-    fn run(&self, state: &mut ChipState, ctx: &mut PhaseCtx) -> Result<PhaseReport, PhaseError> {
+/// [`PhaseSpec::Load`](super::PhaseSpec::Load): places up to `particles`
+/// (and `capacity_clamp`) on the loading lattice.
+pub(super) fn load(
+    name: &'static str,
+    state: &mut ChipState,
+    ctx: &mut PhaseCtx,
+    particles: usize,
+    capacity_clamp: Option<usize>,
+) -> Result<PhaseReport, PhaseError> {
+    let dims = state.dims();
+    let sep = state.grid().min_separation();
+    // Ids continue after the largest already on the grid so repeated
+    // loads stay unique.
+    let first_id = state
+        .grid()
+        .iter_particles()
+        .last()
+        .map(|(id, _)| id.0 + 1)
+        .unwrap_or(0);
+    // Salt the placement stream with the id offset so a repeated load
+    // draws a *fresh* batch instead of replaying the first one (whose
+    // sites are all occupied by now). The first load of a cycle has
+    // `first_id == 0` and keeps the exact historical stream.
+    let seed = ctx.acc.cycle_seed ^ first_id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let starts = loading_sites(dims, particles, sep, seed, capacity_clamp);
+    let mut placed = 0usize;
+    for start in &starts {
+        // On an empty grid every lattice site is placeable (they are
+        // mutually separated); a repeated load skips sites an earlier
+        // batch already crowds.
+        if state
+            .place(ParticleId(first_id + placed as u64), *start)
+            .is_ok()
+        {
+            placed += 1;
+        }
         if state.fault_tripped() {
-            return Err(PhaseError::interrupted(self.name()));
+            return Err(PhaseError::interrupted(name));
         }
-        let dims = state.dims();
-        let sep = state.grid().min_separation();
-        // Ids continue after the largest already on the grid so repeated
-        // loads stay unique.
-        let first_id = state
-            .grid()
-            .iter_particles()
-            .last()
-            .map(|(id, _)| id.0 + 1)
-            .unwrap_or(0);
-        // Salt the placement stream with the id offset so a repeated load
-        // draws a *fresh* batch instead of replaying the first one (whose
-        // sites are all occupied by now). The first load of a cycle has
-        // `first_id == 0` and keeps the exact historical stream.
-        let seed = ctx.acc.cycle_seed ^ first_id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let starts = loading_sites(dims, self.particles, sep, seed, self.capacity_clamp);
-        let mut placed = 0usize;
-        for start in &starts {
-            // On an empty grid every lattice site is placeable (they are
-            // mutually separated); a repeated load skips sites an earlier
-            // batch already crowds.
-            if state
-                .place(ParticleId(first_id + placed as u64), *start)
-                .is_ok()
-            {
-                placed += 1;
-            }
-            if state.fault_tripped() {
-                return Err(PhaseError::interrupted(self.name()));
-            }
-        }
-        ctx.acc.requested += placed;
-        state.charge(TimeLedger::Fluidics, ctx.config.load_time);
-        Ok(PhaseReport {
-            phase: self.name().to_owned(),
-            time: TimeBreakdown::default(),
-            moves: 0,
-            particles_after: state.particle_count(),
-            detail: format!("{placed} particles loaded (requested {})", self.particles),
-        })
     }
+    ctx.acc.requested += placed;
+    state.charge(TimeLedger::Fluidics, ctx.driver.config.load_time);
+    Ok(PhaseReport {
+        phase: name.to_owned(),
+        time: TimeBreakdown::default(),
+        moves: 0,
+        particles_after: state.particle_count(),
+        detail: format!("{placed} particles loaded (requested {particles})"),
+    })
 }
 
 /// Where a route phase sends the current population.
@@ -653,418 +573,379 @@ impl RouteTarget {
     }
 }
 
-/// Routes the population to a [`RouteTarget`] with the incremental sharded
-/// planner, checks every planned move against the force envelope and the
-/// programming budget, executes the plan, and replaces the plan map with
-/// the target goals.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Route {
-    /// Where to send the population.
-    pub target: RouteTarget,
-}
-
-impl AssayPhase for Route {
-    fn name(&self) -> &'static str {
-        "route"
-    }
-
-    fn run(&self, state: &mut ChipState, ctx: &mut PhaseCtx) -> Result<PhaseReport, PhaseError> {
-        if state.fault_tripped() {
-            return Err(PhaseError::interrupted(self.name()));
-        }
-        let dims = state.dims();
-        let sep = state.grid().min_separation();
-        let requests = self.target.requests(state, sep);
-        if requests.is_empty() {
-            return Ok(PhaseReport {
-                phase: format!("{}:{}", self.name(), self.target.label()),
-                time: TimeBreakdown::default(),
-                moves: 0,
-                particles_after: state.particle_count(),
-                detail: "nothing to route".into(),
-            });
-        }
-        let goals: Vec<GridCoord> = requests.iter().map(|r| r.goal).collect();
-        let mut problem = RoutingProblem::new(dims, requests);
-        problem.min_separation = sep;
-
-        // Protocols are data and can demand the impossible (e.g. sorting a
-        // population larger than the target capacity): an unroutable target
-        // degrades into a skipped motion phase, never a panic. The canned
-        // cycle clamps its load to the sort capacity, so this branch is
-        // unreachable on the legacy-equivalent path. The solver validates
-        // internally, so its error *is* the degrade signal.
-        let started = Instant::now();
-        let Ok(outcome) = ctx.solve_routing(&problem) else {
-            return Ok(PhaseReport {
-                phase: format!("{}:{}", self.name(), self.target.label()),
-                time: TimeBreakdown::default(),
-                moves: 0,
-                particles_after: state.particle_count(),
-                detail: format!(
-                    "target unroutable for {} particles; routing skipped",
-                    problem.requests.len()
-                ),
-            });
-        };
-        ctx.acc.planning += Seconds::new(started.elapsed().as_secs_f64());
-        ctx.acc.conflict_free &= outcome.is_conflict_free(sep);
-        ctx.check_planned_moves(&outcome, dims);
-        state.charge(
-            TimeLedger::Motion,
-            ctx.config.step_period * outcome.makespan as f64,
-        );
-
-        // Execute: routed particles end on their targets, stranded ones
-        // wherever their best-effort trajectory stopped. Lift every moved
-        // particle first, then set the finals — applying moves one at a
-        // time would trip the separation check against particles that have
-        // not been moved yet.
-        let moved = || outcome.paths.iter().chain(outcome.stranded.iter());
-        for path in moved() {
-            state.remove(path.id).map_err(|e| {
-                PhaseError::invariant(self.name(), format!("lifting routed particle: {e}"))
-            })?;
-            if state.fault_tripped() {
-                return Err(PhaseError::interrupted(self.name()));
-            }
-        }
-        for path in moved() {
-            let last = *path.positions.last().ok_or_else(|| {
-                PhaseError::invariant(self.name(), "router produced an empty path")
-            })?;
-            state.place(path.id, last).map_err(|e| {
-                PhaseError::invariant(self.name(), format!("settling routed particle: {e}"))
-            })?;
-            if state.fault_tripped() {
-                return Err(PhaseError::interrupted(self.name()));
-            }
-        }
-        state.set_plan_from_goals(goals);
-
-        ctx.acc.routed += outcome.paths.len();
-        ctx.acc.makespan_steps += outcome.makespan;
-        ctx.acc.total_moves += outcome.total_moves;
-        Ok(PhaseReport {
-            phase: format!("{}:{}", self.name(), self.target.label()),
+/// [`PhaseSpec::Route`](super::PhaseSpec::Route): plans, checks and
+/// executes the move of the population to `target`.
+pub(super) fn route(
+    name: &'static str,
+    state: &mut ChipState,
+    ctx: &mut PhaseCtx,
+    target: &RouteTarget,
+) -> Result<PhaseReport, PhaseError> {
+    let dims = state.dims();
+    let sep = state.grid().min_separation();
+    let requests = target.requests(state, sep);
+    if requests.is_empty() {
+        return Ok(PhaseReport {
+            phase: format!("{name}:{}", target.label()),
             time: TimeBreakdown::default(),
-            moves: outcome.total_moves,
+            moves: 0,
             particles_after: state.particle_count(),
-            detail: format!(
-                "{}/{} routed in {} steps",
-                outcome.paths.len(),
-                problem.requests.len(),
-                outcome.makespan
-            ),
-        })
+            detail: "nothing to route".into(),
+        });
     }
-}
+    let goals: Vec<GridCoord> = requests.iter().map(|r| r.goal).collect();
+    let mut problem = RoutingProblem::new(dims, requests);
+    problem.min_separation = sep;
 
-/// Synthesizes one full-array detection scan through the noisy sensor chain
-/// and diffs the decisions against the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Sense {
-    /// Frames averaged (None = the workload's `detection_frames`).
-    pub frames: Option<u32>,
-}
-
-impl AssayPhase for Sense {
-    fn name(&self) -> &'static str {
-        "sense"
-    }
-
-    fn run(&self, state: &mut ChipState, ctx: &mut PhaseCtx) -> Result<PhaseReport, PhaseError> {
-        if state.fault_tripped() {
-            return Err(PhaseError::interrupted(self.name()));
-        }
-        let dims = state.dims();
-        let frames = self.frames.unwrap_or(ctx.config.detection_frames).max(1);
-        let scan_time = ctx
-            .scan
-            .averaged_scan_time(dims, &FrameAverager::new(frames));
-        state.charge(TimeLedger::Sensing, scan_time);
-        if state.fault_tripped() {
-            return Err(PhaseError::interrupted(self.name()));
-        }
-        let result = ctx.scanner.scan_source(state, frames, ctx.acc.pass);
-        ctx.acc.pass += 1;
-        ctx.acc.detection.merge(&result.stats);
-        let mismatches = result
-            .map
-            .diff_count(state.plan())
-            .map_err(|e| PhaseError::invariant(self.name(), e.to_string()))?;
-        if ctx.acc.mismatches_initial.is_none() {
-            ctx.acc.mismatches_initial = Some(mismatches);
-        }
-        let occupied = result.map.occupied_count();
-        ctx.acc.detected = Some(result.map);
-        Ok(PhaseReport {
-            phase: self.name().to_owned(),
+    // Protocols are data and can demand the impossible (e.g. sorting a
+    // population larger than the target capacity): an unroutable target
+    // degrades into a skipped motion phase, never a panic. The canned
+    // cycle clamps its load to the sort capacity, so this branch is
+    // unreachable on the legacy-equivalent path. The solver validates
+    // internally, so its error *is* the degrade signal.
+    let started = Instant::now();
+    let Ok(outcome) = ctx.solve_routing(&problem) else {
+        return Ok(PhaseReport {
+            phase: format!("{name}:{}", target.label()),
             time: TimeBreakdown::default(),
             moves: 0,
             particles_after: state.particle_count(),
             detail: format!(
-                "{occupied} occupied detected, {mismatches} mismatches vs plan ({frames} frames)"
+                "target unroutable for {} particles; routing skipped",
+                problem.requests.len()
             ),
-        })
-    }
-}
+        });
+    };
+    ctx.acc.planning += Seconds::new(started.elapsed().as_secs_f64());
+    ctx.acc.conflict_free &= outcome.is_conflict_free(sep);
+    ctx.check_planned_moves(&outcome, dims);
+    state.charge(
+        TimeLedger::Motion,
+        ctx.driver.config.step_period * outcome.makespan as f64,
+    );
 
-/// The bounded closed-loop recovery: re-scan suspect sites with heavier
-/// averaging, pair confirmed strays with vacant plan slots, re-route them
-/// with the incremental router, and verify the touched sites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Recover {
-    /// Policy override (None = the workload's configured policy).
-    pub policy: Option<RecoveryPolicy>,
-}
-
-impl AssayPhase for Recover {
-    fn name(&self) -> &'static str {
-        "recover"
-    }
-
-    fn run(&self, state: &mut ChipState, ctx: &mut PhaseCtx) -> Result<PhaseReport, PhaseError> {
+    // Execute: routed particles end on their targets, stranded ones
+    // wherever their best-effort trajectory stopped. Lift every moved
+    // particle first, then set the finals — applying moves one at a
+    // time would trip the separation check against particles that have
+    // not been moved yet.
+    let moved = || outcome.paths.iter().chain(outcome.stranded.iter());
+    for path in moved() {
+        state
+            .remove(path.id)
+            .map_err(|e| PhaseError::invariant(name, format!("lifting routed particle: {e}")))?;
         if state.fault_tripped() {
-            return Err(PhaseError::interrupted(self.name()));
+            return Err(PhaseError::interrupted(name));
         }
-        let dims = state.dims();
-        let sep = state.grid().min_separation();
-        let policy = self.policy.unwrap_or(ctx.config.recovery);
-        let scanner = ctx.scanner;
-        let scan = ctx.scan;
-        let rescan_frames = ctx
-            .config
-            .detection_frames
-            .saturating_mul(policy.rescan_factor.max(1));
-        let Some(mut detected) = ctx.acc.detected.take() else {
-            // No scan to recover against: nothing to do.
-            return Ok(PhaseReport {
-                phase: self.name().to_owned(),
-                time: TimeBreakdown::default(),
-                moves: 0,
-                particles_after: state.particle_count(),
-                detail: "no detection map (sense phase missing)".into(),
-            });
-        };
+    }
+    for path in moved() {
+        let last = *path
+            .positions
+            .last()
+            .ok_or_else(|| PhaseError::invariant(name, "router produced an empty path"))?;
+        state
+            .place(path.id, last)
+            .map_err(|e| PhaseError::invariant(name, format!("settling routed particle: {e}")))?;
+        if state.fault_tripped() {
+            return Err(PhaseError::interrupted(name));
+        }
+    }
+    state.set_plan_from_goals(goals);
 
-        let moves_before = ctx.acc.recovery_moves;
-        let rounds_before = ctx.acc.recovery_rounds;
-        for _ in 0..policy.max_rounds {
-            if state.fault_tripped() {
-                return Err(PhaseError::interrupted(self.name()));
-            }
-            let suspects: Vec<GridCoord> = dims
-                .iter()
-                .filter(|c| detected.get(*c) != state.plan().get(*c))
-                .collect();
-            if suspects.is_empty() {
-                break;
-            }
-            ctx.acc.recovery_rounds += 1;
+    ctx.acc.routed += outcome.paths.len();
+    ctx.acc.makespan_steps += outcome.makespan;
+    ctx.acc.total_moves += outcome.total_moves;
+    Ok(PhaseReport {
+        phase: format!("{name}:{}", target.label()),
+        time: TimeBreakdown::default(),
+        moves: outcome.total_moves,
+        particles_after: state.particle_count(),
+        detail: format!(
+            "{}/{} routed in {} steps",
+            outcome.paths.len(),
+            problem.requests.len(),
+            outcome.makespan
+        ),
+    })
+}
 
-            // Re-scan every suspect with heavier averaging; most detection
-            // errors dissolve here. Charge the rows actually re-read.
-            let rows: HashSet<u32> = suspects.iter().map(|c| c.y).collect();
-            state.charge(
-                TimeLedger::Recovery,
-                scan.row_time(dims.cols) * (rows.len() as f64 * rescan_frames as f64),
+/// [`PhaseSpec::Sense`](super::PhaseSpec::Sense): one full-array scan
+/// averaging `frames` (default: the workload's `detection_frames`).
+pub(super) fn sense(
+    name: &'static str,
+    state: &mut ChipState,
+    ctx: &mut PhaseCtx,
+    frames: Option<u32>,
+) -> Result<PhaseReport, PhaseError> {
+    let driver = ctx.driver;
+    let dims = state.dims();
+    let frames = frames.unwrap_or(driver.config.detection_frames).max(1);
+    let scan_time = driver
+        .scan
+        .averaged_scan_time(dims, &FrameAverager::new(frames));
+    state.charge(TimeLedger::Sensing, scan_time);
+    if state.fault_tripped() {
+        return Err(PhaseError::interrupted(name));
+    }
+    let result = driver.scanner.scan_source(state, frames, ctx.acc.pass);
+    ctx.acc.pass += 1;
+    ctx.acc.detection.merge(&result.stats);
+    let mismatches = result
+        .map
+        .diff_count(state.plan())
+        .map_err(|e| PhaseError::invariant(name, e.to_string()))?;
+    if ctx.acc.mismatches_initial.is_none() {
+        ctx.acc.mismatches_initial = Some(mismatches);
+    }
+    let occupied = result.map.occupied_count();
+    ctx.acc.detected = Some(result.map);
+    Ok(PhaseReport {
+        phase: name.to_owned(),
+        time: TimeBreakdown::default(),
+        moves: 0,
+        particles_after: state.particle_count(),
+        detail: format!(
+            "{occupied} occupied detected, {mismatches} mismatches vs plan ({frames} frames)"
+        ),
+    })
+}
+
+/// [`PhaseSpec::Recover`](super::PhaseSpec::Recover): the closed loop on
+/// detection/plan mismatches under `policy` (default: the workload's).
+pub(super) fn recover(
+    name: &'static str,
+    state: &mut ChipState,
+    ctx: &mut PhaseCtx,
+    policy: Option<RecoveryPolicy>,
+) -> Result<PhaseReport, PhaseError> {
+    let driver = ctx.driver;
+    let dims = state.dims();
+    let sep = state.grid().min_separation();
+    let policy = policy.unwrap_or(driver.config.recovery);
+    let scanner = &driver.scanner;
+    let scan = &driver.scan;
+    let rescan_frames = driver
+        .config
+        .detection_frames
+        .saturating_mul(policy.rescan_factor.max(1));
+    let Some(mut detected) = ctx.acc.detected.take() else {
+        // No scan to recover against: nothing to do.
+        return Ok(PhaseReport {
+            phase: name.to_owned(),
+            time: TimeBreakdown::default(),
+            moves: 0,
+            particles_after: state.particle_count(),
+            detail: "no detection map (sense phase missing)".into(),
+        });
+    };
+
+    let moves_before = ctx.acc.recovery_moves;
+    let rounds_before = ctx.acc.recovery_rounds;
+    for _ in 0..policy.max_rounds {
+        if state.fault_tripped() {
+            return Err(PhaseError::interrupted(name));
+        }
+        let suspects: Vec<GridCoord> = dims
+            .iter()
+            .filter(|c| detected.get(*c) != state.plan().get(*c))
+            .collect();
+        if suspects.is_empty() {
+            break;
+        }
+        ctx.acc.recovery_rounds += 1;
+
+        // Re-scan every suspect with heavier averaging; most detection
+        // errors dissolve here. Charge the rows actually re-read.
+        let rows: HashSet<u32> = suspects.iter().map(|c| c.y).collect();
+        state.charge(
+            TimeLedger::Recovery,
+            scan.row_time(dims.cols) * (rows.len() as f64 * rescan_frames as f64),
+        );
+        let truth = state.occupancy();
+        for &site in &suspects {
+            detected.set(
+                site,
+                scanner.sense_site(truth.get(site), site, rescan_frames, ctx.acc.pass),
             );
-            let truth = state.occupancy();
-            for &site in &suspects {
-                detected.set(
-                    site,
-                    scanner.sense_site(truth.get(site), site, rescan_frames, ctx.acc.pass),
-                );
-            }
-            ctx.acc.pass += 1;
+        }
+        ctx.acc.pass += 1;
 
-            // Decide: confirmed strays are detected particles off the plan;
-            // vacancies are plan slots the readout still reports empty.
-            let strays: Vec<GridCoord> = suspects
-                .iter()
-                .copied()
-                .filter(|c| {
-                    detected.get(*c) == Occupancy::Occupied
-                        && state.plan().get(*c) == Occupancy::Empty
-                })
-                .collect();
-            let vacancies: Vec<GridCoord> = suspects
-                .iter()
-                .copied()
-                .filter(|c| {
-                    detected.get(*c) == Occupancy::Empty
-                        && state.plan().get(*c) == Occupancy::Occupied
-                })
-                .collect();
-            if strays.is_empty() || vacancies.is_empty() {
-                // Nothing actionable; the re-scan may already have cleared
-                // the suspects — the next round re-checks and exits.
+        // Decide: confirmed strays are detected particles off the plan;
+        // vacancies are plan slots the readout still reports empty.
+        let strays: Vec<GridCoord> = suspects
+            .iter()
+            .copied()
+            .filter(|c| {
+                detected.get(*c) == Occupancy::Occupied && state.plan().get(*c) == Occupancy::Empty
+            })
+            .collect();
+        let vacancies: Vec<GridCoord> = suspects
+            .iter()
+            .copied()
+            .filter(|c| {
+                detected.get(*c) == Occupancy::Empty && state.plan().get(*c) == Occupancy::Occupied
+            })
+            .collect();
+        if strays.is_empty() || vacancies.is_empty() {
+            // Nothing actionable; the re-scan may already have cleared
+            // the suspects — the next round re-checks and exits.
+            continue;
+        }
+
+        // Act: pair each stray with the nearest vacancy and re-route.
+        // Every other site the scanner reports occupied — particles on
+        // plan *and* strays left unpaired when strays outnumber the
+        // vacancies — enters the problem as a stationary request, so
+        // corrective paths are planned around every known particle, not
+        // just the ones being moved.
+        let pairs = pair_nearest(&strays, &vacancies);
+        let movers = pairs.len();
+        let mut requests: Vec<RoutingRequest> = pairs
+            .iter()
+            .enumerate()
+            .map(|(k, &(from, to))| RoutingRequest {
+                id: ParticleId(k as u64),
+                start: from,
+                goal: to,
+            })
+            .collect();
+        let moving: HashSet<GridCoord> = pairs.iter().map(|&(from, _)| from).collect();
+        for site in dims.iter() {
+            if detected.get(site) == Occupancy::Occupied && !moving.contains(&site) {
+                requests.push(RoutingRequest {
+                    id: ParticleId(requests.len() as u64),
+                    start: site,
+                    goal: site,
+                });
+            }
+        }
+        let mut recovery_problem = RoutingProblem::new(dims, requests);
+        recovery_problem.min_separation = sep;
+        // The solver validates internally: an error means a surviving
+        // false positive sits too close to a real particle, and no
+        // conflict-free plan exists for this reading.
+        let Ok(recovery_outcome) = ctx.solve_routing(&recovery_problem) else {
+            break;
+        };
+        ctx.check_planned_moves(&recovery_outcome, dims);
+        state.charge(
+            TimeLedger::Recovery,
+            driver.config.step_period * recovery_outcome.makespan as f64,
+        );
+        ctx.acc.recovery_moves += recovery_outcome.total_moves;
+
+        // Execute on the particles actually present. A commanded move of
+        // a phantom detection drags an empty cage — time passes, nothing
+        // relocates, and the next verification scan still flags it.
+        let occupant: BTreeMap<GridCoord, ParticleId> = state
+            .grid()
+            .iter_particles()
+            .map(|(id, c)| (c, id))
+            .collect();
+        let mut touched: Vec<GridCoord> = Vec::new();
+        let mut moved: Vec<(ParticleId, GridCoord, GridCoord)> = Vec::new();
+        for path in recovery_outcome
+            .paths
+            .iter()
+            .chain(recovery_outcome.stranded.iter())
+        {
+            if path.id.0 >= movers as u64 {
+                continue; // stationary on-plan particle
+            }
+            let from = path.positions[0];
+            let to = *path
+                .positions
+                .last()
+                .ok_or_else(|| PhaseError::invariant(name, "router produced an empty path"))?;
+            touched.push(from);
+            touched.push(to);
+            if from == to {
                 continue;
             }
-
-            // Act: pair each stray with the nearest vacancy and re-route.
-            // Every other site the scanner reports occupied — particles on
-            // plan *and* strays left unpaired when strays outnumber the
-            // vacancies — enters the problem as a stationary request, so
-            // corrective paths are planned around every known particle, not
-            // just the ones being moved.
-            let pairs = pair_nearest(&strays, &vacancies);
-            let movers = pairs.len();
-            let mut requests: Vec<RoutingRequest> = pairs
-                .iter()
-                .enumerate()
-                .map(|(k, &(from, to))| RoutingRequest {
-                    id: ParticleId(k as u64),
-                    start: from,
-                    goal: to,
-                })
-                .collect();
-            let moving: HashSet<GridCoord> = pairs.iter().map(|&(from, _)| from).collect();
-            for site in dims.iter() {
-                if detected.get(site) == Occupancy::Occupied && !moving.contains(&site) {
-                    requests.push(RoutingRequest {
-                        id: ParticleId(requests.len() as u64),
-                        start: site,
-                        goal: site,
-                    });
-                }
+            if let Some(&id) = occupant.get(&from) {
+                moved.push((id, from, to));
             }
-            let mut recovery_problem = RoutingProblem::new(dims, requests);
-            recovery_problem.min_separation = sep;
-            // The solver validates internally: an error means a surviving
-            // false positive sits too close to a real particle, and no
-            // conflict-free plan exists for this reading.
-            let Ok(recovery_outcome) = ctx.solve_routing(&recovery_problem) else {
-                break;
-            };
-            ctx.check_planned_moves(&recovery_outcome, dims);
-            state.charge(
-                TimeLedger::Recovery,
-                ctx.config.step_period * recovery_outcome.makespan as f64,
-            );
-            ctx.acc.recovery_moves += recovery_outcome.total_moves;
-
-            // Execute on the particles actually present. A commanded move of
-            // a phantom detection drags an empty cage — time passes, nothing
-            // relocates, and the next verification scan still flags it.
-            let occupant: BTreeMap<GridCoord, ParticleId> = state
-                .grid()
-                .iter_particles()
-                .map(|(id, c)| (c, id))
-                .collect();
-            let mut touched: Vec<GridCoord> = Vec::new();
-            let mut moved: Vec<(ParticleId, GridCoord, GridCoord)> = Vec::new();
-            for path in recovery_outcome
-                .paths
-                .iter()
-                .chain(recovery_outcome.stranded.iter())
-            {
-                if path.id.0 >= movers as u64 {
-                    continue; // stationary on-plan particle
-                }
-                let from = path.positions[0];
-                let to = *path.positions.last().ok_or_else(|| {
-                    PhaseError::invariant(self.name(), "router produced an empty path")
-                })?;
-                touched.push(from);
-                touched.push(to);
-                if from == to {
-                    continue;
-                }
-                if let Some(&id) = occupant.get(&from) {
-                    moved.push((id, from, to));
-                }
-            }
-            for &(id, _, _) in &moved {
-                state.remove(id).map_err(|e| {
-                    PhaseError::invariant(self.name(), format!("lifting tracked particle: {e}"))
-                })?;
-                if state.fault_tripped() {
-                    return Err(PhaseError::interrupted(self.name()));
-                }
-            }
-            for &(id, from, to) in &moved {
-                if state.place(id, to).is_err() {
-                    // An undetected particle blocks the slot; the cell
-                    // stays where it was (its own cage is still free).
-                    if state.place(id, from).is_err() {
-                        state.place_merged(id, from);
-                    }
-                }
-                if state.fault_tripped() {
-                    return Err(PhaseError::interrupted(self.name()));
-                }
-            }
-
-            // Verify the sites the moves touched so the loop (and the final
-            // report) sees the post-move readout, not a stale map.
-            let rows: HashSet<u32> = touched.iter().map(|c| c.y).collect();
-            state.charge(
-                TimeLedger::Recovery,
-                scan.row_time(dims.cols) * (rows.len() as f64 * rescan_frames as f64),
-            );
-            let truth = state.occupancy();
-            for &site in &touched {
-                detected.set(
-                    site,
-                    scanner.sense_site(truth.get(site), site, rescan_frames, ctx.acc.pass),
-                );
-            }
-            ctx.acc.pass += 1;
         }
-        let moves = ctx.acc.recovery_moves - moves_before;
-        let rounds = ctx.acc.recovery_rounds - rounds_before;
-        ctx.acc.detected = Some(detected);
-        Ok(PhaseReport {
-            phase: self.name().to_owned(),
-            time: TimeBreakdown::default(),
-            moves,
-            particles_after: state.particle_count(),
-            detail: format!("{rounds} rounds, {moves} corrective moves"),
-        })
-    }
-}
-
-/// Flushes the batch out through the outlet (fluidics), snapshotting the
-/// final plan-vs-reality counts just before the chip empties.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Flush;
-
-impl AssayPhase for Flush {
-    fn name(&self) -> &'static str {
-        "flush"
-    }
-
-    fn run(&self, state: &mut ChipState, ctx: &mut PhaseCtx) -> Result<PhaseReport, PhaseError> {
-        if state.fault_tripped() {
-            return Err(PhaseError::interrupted(self.name()));
-        }
-        ctx.capture_finals(state);
-        let flushed = state.particle_count();
-        let ids: Vec<ParticleId> = state.grid().iter_particles().map(|(id, _)| id).collect();
-        for id in ids {
+        for &(id, _, _) in &moved {
             state.remove(id).map_err(|e| {
-                PhaseError::invariant(self.name(), format!("flushing tracked particle: {e}"))
+                PhaseError::invariant(name, format!("lifting tracked particle: {e}"))
             })?;
             if state.fault_tripped() {
-                return Err(PhaseError::interrupted(self.name()));
+                return Err(PhaseError::interrupted(name));
             }
         }
-        state.charge(TimeLedger::Fluidics, ctx.config.flush_time);
-        Ok(PhaseReport {
-            phase: self.name().to_owned(),
-            time: TimeBreakdown::default(),
-            moves: 0,
-            particles_after: 0,
-            detail: format!("{flushed} particles flushed"),
-        })
+        for &(id, from, to) in &moved {
+            if state.place(id, to).is_err() {
+                // An undetected particle blocks the slot; the cell
+                // stays where it was (its own cage is still free).
+                if state.place(id, from).is_err() {
+                    state.place_merged(id, from);
+                }
+            }
+            if state.fault_tripped() {
+                return Err(PhaseError::interrupted(name));
+            }
+        }
+
+        // Verify the sites the moves touched so the loop (and the final
+        // report) sees the post-move readout, not a stale map.
+        let rows: HashSet<u32> = touched.iter().map(|c| c.y).collect();
+        state.charge(
+            TimeLedger::Recovery,
+            scan.row_time(dims.cols) * (rows.len() as f64 * rescan_frames as f64),
+        );
+        let truth = state.occupancy();
+        for &site in &touched {
+            detected.set(
+                site,
+                scanner.sense_site(truth.get(site), site, rescan_frames, ctx.acc.pass),
+            );
+        }
+        ctx.acc.pass += 1;
     }
+    let moves = ctx.acc.recovery_moves - moves_before;
+    let rounds = ctx.acc.recovery_rounds - rounds_before;
+    ctx.acc.detected = Some(detected);
+    Ok(PhaseReport {
+        phase: name.to_owned(),
+        time: TimeBreakdown::default(),
+        moves,
+        particles_after: state.particle_count(),
+        detail: format!("{rounds} rounds, {moves} corrective moves"),
+    })
+}
+
+/// [`PhaseSpec::Flush`](super::PhaseSpec::Flush): empties the chip.
+pub(super) fn flush(
+    name: &'static str,
+    state: &mut ChipState,
+    ctx: &mut PhaseCtx,
+) -> Result<PhaseReport, PhaseError> {
+    ctx.capture_finals(state);
+    let flushed = state.particle_count();
+    let ids: Vec<ParticleId> = state.grid().iter_particles().map(|(id, _)| id).collect();
+    for id in ids {
+        state
+            .remove(id)
+            .map_err(|e| PhaseError::invariant(name, format!("flushing tracked particle: {e}")))?;
+        if state.fault_tripped() {
+            return Err(PhaseError::interrupted(name));
+        }
+    }
+    state.charge(TimeLedger::Fluidics, ctx.driver.config.flush_time);
+    Ok(PhaseReport {
+        phase: name.to_owned(),
+        time: TimeBreakdown::default(),
+        moves: 0,
+        particles_after: 0,
+        detail: format!("{flushed} particles flushed"),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::{ForceEnvelope, WorkloadConfig};
     use labchip_manipulation::routing::ParticlePath;
     use labchip_units::{Meters, MetersPerSecond, Newtons};
 
@@ -1073,8 +954,9 @@ mod tests {
         /// through the whole horizon, one `plan_update` per step with a
         /// move: the reference [`PhaseCtx::check_planned_moves`] must match.
         fn check_planned_moves_reference(&mut self, outcome: &RoutingOutcome, dims: GridDims) {
-            let speed = self.envelope.pitch / self.config.step_period;
-            let feasible = self.envelope.permits(speed);
+            let driver = self.driver;
+            let speed = driver.envelope.pitch / driver.config.step_period;
+            let feasible = driver.envelope.permits(speed);
             let all_paths = || outcome.paths.iter().chain(outcome.stranded.iter());
             let horizon = all_paths().map(|p| p.arrival_step()).max().unwrap_or(0);
             let mut changed: Vec<GridCoord> = Vec::new();
@@ -1095,7 +977,7 @@ mod tests {
                 if !changed.is_empty() {
                     self.acc
                         .budget
-                        .record(&self.programming.plan_update(dims, &changed));
+                        .record(&driver.programming.plan_update(dims, &changed));
                 }
             }
         }
@@ -1162,22 +1044,14 @@ mod tests {
             feasible in 0u32..2,
         ) {
             let dims = GridDims::new(cols, rows);
-            let config = WorkloadConfig::default();
             let envelope = ForceEnvelope {
                 holding_force: Newtons::new(1e-12),
                 max_speed: MetersPerSecond::new(if feasible == 1 { 1.0 } else { 0.0 }),
                 pitch: Meters::new(20e-6),
             };
-            let router = IncrementalRouter::default();
-            let programming = ProgrammingInterface::date05_reference();
-            let scan = ScanTiming::date05_reference();
-            let scanner = ArrayScanner::date05_reference(GridDims::square(1), 0.0, 1);
-            let ctx = || {
-                PhaseCtx::new(
-                    &config, &envelope, &router, &programming, &scan, &scanner, None,
-                    Accumulators::new(0, 0),
-                )
-            };
+            let config = WorkloadConfig { array_side: 1, ..WorkloadConfig::default() };
+            let driver = BatchDriver::with_envelope(config, envelope);
+            let ctx = || PhaseCtx { driver: &driver, acc: Accumulators::new(0, 0) };
             let (mut fast, mut reference) = (ctx(), ctx());
             for (k, count) in [counts.0, counts.1].into_iter().enumerate() {
                 let outcome = random_outcome(dims, count, seed ^ k as u64);

@@ -1,20 +1,21 @@
-//! Protocols as data: serde-round-trippable phase lists and the thin
-//! runner that executes them.
+//! Protocols as data: serde-round-trippable phase lists, and the
+//! [`BatchDriver`] methods that execute them.
 //!
 //! A [`Protocol`] is an ordered list of [`PhaseSpec`]s with per-phase knobs
-//! — the declarative form of an assay. [`ProtocolRunner`] is deliberately
-//! thin: it materialises each spec into its [`AssayPhase`], runs the phases
-//! in order over one shared [`ChipState`], snapshots the time ledger around
-//! each phase (so every [`PhaseReport`] carries exactly what that phase
-//! cost), and assembles the final [`CycleReport`] from the accumulated
-//! [`PhaseCtx`]. The canned cycle ([`Protocol::canned_cycle`]) is the
-//! driver's standard `load → route → sense → recover → flush` sequence;
-//! anything else — repeated sense/route rounds, merge assays, wash-free
-//! cycles — is just a different list.
+//! — the declarative form of an assay. A spec *is* the phase: its one
+//! `match` dispatches to the phase body in [`phases`].
+//! [`BatchDriver::execute`] runs the specs in order over one shared
+//! [`ChipState`], snapshots the time ledger around each phase (so every
+//! [`PhaseReport`] carries exactly what that phase cost), and assembles the
+//! final [`CycleReport`] from the cycle's [`Accumulators`]. The canned cycle
+//! ([`Protocol::canned_cycle`]) is the driver's standard
+//! `load → route → sense → recover → flush` sequence; anything else —
+//! repeated sense/route rounds, merge assays, wash-free cycles — is just a
+//! different list.
 //!
 //! ## Journal, checkpoint, resume
 //!
-//! [`ProtocolRunner::execute`] is the one way a protocol runs. A
+//! [`BatchDriver::execute`] is the one way a protocol runs. A
 //! [`Start`] says whether a fresh chip runs a protocol or a [`Checkpoint`]
 //! is continued; [`RunOptions`] pick the [`Journaling`] and the
 //! [`RunControl`] polled at every phase boundary. With a journal attached
@@ -23,75 +24,110 @@
 //! final state bit-for-bit — the equivalence oracle that replaced the
 //! retired legacy monolith. An armed [`FaultPlan`] kill point kills the
 //! run cooperatively, and the [`StoppedRun`] carries the checkpoint taken
-//! at the start of the interrupted phase (chip snapshot + ctx snapshot +
+//! at the start of the interrupted phase (chip snapshot + accumulators +
 //! journal offset). Resuming from it finishes the protocol; because every
 //! RNG stream is a pure function of seeds and counters captured in the
 //! checkpoint, the resumed run reaches a final state **bit-identical** to
 //! an uninterrupted execution — the property scenario E14 sweeps across
 //! ≥50 kill points.
 
-use super::envelope::ForceEnvelope;
 use super::phases::{
-    sort_capacity, Accumulators, AssayPhase, Flush, Load, PhaseCtx, PhaseError, PhaseReport,
-    Recover, Route, RouteTarget, Sense,
+    self, sort_capacity, Accumulators, PhaseCtx, PhaseError, PhaseReport, RouteTarget,
 };
-use super::{CycleReport, RecoveryPolicy, WorkloadConfig};
-use labchip_array::addressing::ProgrammingInterface;
+use super::{BatchDriver, CycleReport, RecoveryPolicy};
 use labchip_manipulation::journal::{FaultPlan, Journal};
-use labchip_manipulation::sharding::{IncrementalRouter, RouterCache};
 use labchip_manipulation::state::{ChipState, ChipStateSnapshot, TimeBreakdown};
-use labchip_sensing::array_scan::ArrayScanner;
-use labchip_sensing::scan::ScanTiming;
 use labchip_units::GridDims;
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
 
-/// One declarative phase of a [`Protocol`], with its knobs.
+/// One phase of a [`Protocol`], with its knobs: the unit of chip work a
+/// protocol is composed from.
+///
+/// Every phase mutates the shared [`ChipState`] (grid, plan, time ledger)
+/// and the cycle's [`Accumulators`], charges its simulated time through
+/// [`ChipState::charge`], and polls [`ChipState::fault_tripped`] at its
+/// mutation boundaries so an armed [`FaultPlan`] kills it cooperatively.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PhaseSpec {
-    /// Load a seeded batch (see [`Load`]).
+    /// Loads a seeded batch onto the loading lattice (fluidics).
     Load {
-        /// Particles requested.
+        /// Particles requested (the placement truncates to the lattice and
+        /// the optional capacity clamp).
         particles: usize,
-        /// Optional cap on placed particles.
+        /// Optional cap on placed particles (the canned cycle clamps to the
+        /// sort targets' capacity, as the monolithic driver did).
         capacity_clamp: Option<usize>,
     },
-    /// Route the population to a target (see [`Route`]).
+    /// Routes the population to a [`RouteTarget`] with the incremental
+    /// sharded planner, checks every planned move against the force
+    /// envelope and the programming budget, executes the plan, and replaces
+    /// the plan map with the target goals.
     Route {
         /// Where to send the population.
         target: RouteTarget,
     },
-    /// Scan the whole array (see [`Sense`]).
+    /// Synthesizes one full-array detection scan through the noisy sensor
+    /// chain and diffs the decisions against the plan.
     Sense {
         /// Frames averaged (None = the workload's `detection_frames`).
         frames: Option<u32>,
     },
-    /// Close the loop on detection/plan mismatches (see [`Recover`]).
+    /// The bounded closed-loop recovery: re-scans suspect sites with
+    /// heavier averaging, pairs confirmed strays with vacant plan slots,
+    /// re-routes them with the incremental router, and verifies the
+    /// touched sites.
     Recover {
         /// Policy override (None = the workload's configured policy).
         policy: Option<RecoveryPolicy>,
     },
-    /// Flush the batch (see [`Flush`]).
+    /// Flushes the batch out through the outlet (fluidics), snapshotting
+    /// the final plan-vs-reality counts just before the chip empties.
     Flush,
 }
 
 impl PhaseSpec {
-    /// Materialises the spec into its executable phase.
-    pub fn build(&self) -> Box<dyn AssayPhase> {
+    /// Short stable name of the phase, as journaled in `PhaseStarted`,
+    /// carried by [`PhaseError`] and prefixed to every [`PhaseReport`].
+    pub fn name(&self) -> &'static str {
+        match self {
+            PhaseSpec::Load { .. } => "load",
+            PhaseSpec::Route { .. } => "route",
+            PhaseSpec::Sense { .. } => "sense",
+            PhaseSpec::Recover { .. } => "recover",
+            PhaseSpec::Flush => "flush",
+        }
+    }
+
+    /// Executes the phase. The returned report's `time` field is
+    /// overwritten by [`BatchDriver::execute`] with the measured ledger
+    /// delta.
+    ///
+    /// # Errors
+    ///
+    /// [`PhaseError::Interrupted`] when an armed fault plan tripped at one
+    /// of the phase's poll points; [`PhaseError::Invariant`] when the grid
+    /// rejected an operation the phase's own bookkeeping says must succeed
+    /// (a bug or corrupted state — reported, never panicked). Either way
+    /// the driver journals a `PhaseAborted` marker and the protocol can be
+    /// resumed from the checkpoint taken before the phase.
+    pub(crate) fn run(
+        &self,
+        state: &mut ChipState,
+        ctx: &mut PhaseCtx,
+    ) -> Result<PhaseReport, PhaseError> {
+        let name = self.name();
+        if state.fault_tripped() {
+            return Err(PhaseError::interrupted(name));
+        }
         match self {
             PhaseSpec::Load {
                 particles,
                 capacity_clamp,
-            } => Box::new(Load {
-                particles: *particles,
-                capacity_clamp: *capacity_clamp,
-            }),
-            PhaseSpec::Route { target } => Box::new(Route {
-                target: target.clone(),
-            }),
-            PhaseSpec::Sense { frames } => Box::new(Sense { frames: *frames }),
-            PhaseSpec::Recover { policy } => Box::new(Recover { policy: *policy }),
-            PhaseSpec::Flush => Box::new(Flush),
+            } => phases::load(name, state, ctx, *particles, *capacity_clamp),
+            PhaseSpec::Route { target } => phases::route(name, state, ctx, target),
+            PhaseSpec::Sense { frames } => phases::sense(name, state, ctx, *frames),
+            PhaseSpec::Recover { policy } => phases::recover(name, state, ctx, *policy),
+            PhaseSpec::Flush => phases::flush(name, state, ctx),
         }
     }
 }
@@ -131,7 +167,7 @@ impl Protocol {
     }
 
     /// The canned `load → route(sort) → sense → recover → flush` cycle the
-    /// [`BatchDriver`](super::BatchDriver) has always run — now expressed
+    /// [`BatchDriver`] has always run — now expressed
     /// as data. `dims`/`min_separation` fix the sort-capacity load clamp
     /// exactly as the monolithic driver clamped it.
     pub fn canned_cycle(dims: GridDims, min_separation: u32, particles: usize) -> Self {
@@ -168,7 +204,7 @@ pub struct ProtocolOutcome {
 
 /// A resumable point in a protocol execution: everything needed to
 /// continue from the start of phase `next_phase` — the durable chip state,
-/// every [`PhaseCtx`] accumulator, the journal offset the run had reached,
+/// every cycle accumulator, the journal offset the run had reached,
 /// and the reports of the phases already completed.
 ///
 /// Serde-round-trippable: [`Checkpoint::to_json`] /
@@ -212,7 +248,7 @@ impl Checkpoint {
     }
 }
 
-/// How [`ProtocolRunner::execute`] starts a run.
+/// How [`BatchDriver::execute`] starts a run.
 #[derive(Debug, Clone, Copy)]
 pub enum Start<'p> {
     /// A fresh chip running `protocol` as cycle number `cycle`, which fixes
@@ -241,7 +277,7 @@ pub enum Journaling {
     Armed(FaultPlan),
 }
 
-/// How [`ProtocolRunner::execute`] runs: which journal it records and
+/// How [`BatchDriver::execute`] runs: which journal it records and
 /// which [`RunControl`] it polls. The control defaults to [`NeverStop`],
 /// the journal to [`Journaling::Off`].
 #[derive(Clone, Copy)]
@@ -268,7 +304,7 @@ impl Default for RunOptions<'_> {
 }
 
 /// Cooperative control over a long-running protocol execution, polled at
-/// every phase boundary by [`ProtocolRunner::execute`].
+/// every phase boundary by [`BatchDriver::execute`].
 ///
 /// This is the hook a job service (the chip farm) hangs cancellation and
 /// per-phase progress on: `should_stop` lets an external flag end the run
@@ -298,19 +334,19 @@ impl RunControl for NeverStop {
     }
 }
 
-/// Why [`ProtocolRunner::execute`] refused to resume a [`Checkpoint`].
+/// Why [`BatchDriver::execute`] refused to resume a [`Checkpoint`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The snapshot's grid or plan does not span the runner's array.
+    /// The snapshot's grid or plan does not span the driver's array.
     Dims {
-        /// The runner's array.
+        /// The driver's array.
         expected: GridDims,
         /// The dims of the snapshot's grid or plan.
         found: GridDims,
     },
-    /// The snapshot's cage separation is not the runner's.
+    /// The snapshot's cage separation is not the driver's.
     Separation {
-        /// The runner's (clamped) minimum separation.
+        /// The driver's (clamped) minimum separation.
         expected: u32,
         /// The snapshot grid's separation.
         found: u32,
@@ -365,7 +401,7 @@ pub enum StopCause {
     /// A phase aborted mid-flight: an armed fault kill point tripped, or
     /// an internal invariant was violated.
     Phase(PhaseError),
-    /// The [`Start::Resume`] checkpoint does not fit the runner; nothing
+    /// The [`Start::Resume`] checkpoint does not fit the driver; nothing
     /// ran.
     Rejected(CheckpointError),
 }
@@ -392,24 +428,16 @@ pub struct StoppedRun {
     pub partial: ProtocolOutcome,
 }
 
-/// The thin executor: phases in, reports out.
-///
-/// Borrows the driver's shared resources; all per-cycle state lives in the
-/// [`ChipState`] and [`PhaseCtx`] it creates per run.
-#[derive(Debug, Clone, Copy)]
-pub struct ProtocolRunner<'a> {
-    pub(super) config: &'a WorkloadConfig,
-    pub(super) envelope: &'a ForceEnvelope,
-    pub(super) router: &'a IncrementalRouter,
-    pub(super) programming: &'a ProgrammingInterface,
-    pub(super) scan: &'a ScanTiming,
-    pub(super) scanner: &'a ArrayScanner,
-    /// The driver's warm-start plan cache; `Some` iff
-    /// [`WorkloadConfig::reuse_plans`] is set.
-    pub(super) route_cache: Option<&'a Mutex<RouterCache>>,
-}
+impl BatchDriver {
+    /// Returns the driver itself. The protocol runner was once a separate
+    /// borrow of the driver; this stays only because the repository
+    /// benchmark under `chipbench/` is frozen and still calls
+    /// `driver.runner().run_journaled(..)` and `.run_controlled(..)`. New
+    /// code calls those methods on the driver directly.
+    pub fn runner(&self) -> &Self {
+        self
+    }
 
-impl<'a> ProtocolRunner<'a> {
     /// The cycle seed: a pure function of the base seed and the cycle
     /// index, unchanged across every driver generation so seeded runs stay
     /// bit-identical.
@@ -427,22 +455,7 @@ impl<'a> ProtocolRunner<'a> {
         self.config.min_separation.max(1)
     }
 
-    /// A cycle context with the given accumulators over this runner's
-    /// borrowed resources.
-    fn ctx(&self, acc: Accumulators) -> PhaseCtx<'a> {
-        PhaseCtx::new(
-            self.config,
-            self.envelope,
-            self.router,
-            self.programming,
-            self.scan,
-            self.scanner,
-            self.route_cache,
-            acc,
-        )
-    }
-
-    /// Checks that `checkpoint` fits this runner and its own protocol
+    /// Checks that `checkpoint` fits this driver and its own protocol
     /// before anything is restored from it.
     fn check(&self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
         let expected = GridDims::square(self.config.array_side);
@@ -493,12 +506,11 @@ impl<'a> ProtocolRunner<'a> {
     /// let config = WorkloadConfig { array_side: 32, ..WorkloadConfig::default() };
     /// let protocol = Protocol::canned_cycle(GridDims::square(32), 2, 20);
     /// let driver = BatchDriver::with_envelope(config, ForceEnvelope::date05_reference());
-    /// let runner = driver.runner();
     ///
     /// // Arm a kill after 50 journal events — the run dies mid-protocol and
     /// // hands back the resume point plus the journal of everything before it.
     /// let fresh = Start::Fresh { protocol: &protocol, cycle: 0 };
-    /// let stopped = runner
+    /// let stopped = driver
     ///     .execute(fresh, Journaling::Armed(FaultPlan::after(50)).into())
     ///     .expect_err("the kill point lies inside the run");
     ///
@@ -507,10 +519,10 @@ impl<'a> ProtocolRunner<'a> {
     /// let checkpoint = Checkpoint::from_json(&text).unwrap();
     ///
     /// // Resume reaches the exact state the uninterrupted run would have.
-    /// let (resumed, _) = runner
+    /// let (resumed, _) = driver
     ///     .execute(Start::Resume(&checkpoint), RunOptions::default())
-    ///     .expect("the checkpoint fits the runner");
-    /// let (baseline, _) = runner.execute(fresh, RunOptions::default()).unwrap();
+    ///     .expect("the checkpoint fits the driver");
+    /// let (baseline, _) = driver.execute(fresh, RunOptions::default()).unwrap();
     /// assert_eq!(resumed.state.state_hash(), baseline.state.state_hash());
     /// ```
     ///
@@ -553,7 +565,7 @@ impl<'a> ProtocolRunner<'a> {
             Journaling::On => state.attach_journal(),
             Journaling::Armed(fault) => state.attach_journal_with_fault(fault),
         }
-        let mut ctx = self.ctx(acc);
+        let mut ctx = PhaseCtx { driver: self, acc };
         let stop = 'run: {
             if rejected.is_some() {
                 break 'run rejected;
@@ -571,15 +583,14 @@ impl<'a> ProtocolRunner<'a> {
                 if options.control.should_stop(index) {
                     break 'run Some((checkpoint, StopCause::Cancelled { next_phase: index }));
                 }
-                let phase = spec.build();
-                options.control.on_phase_started(index, phase.name());
-                state.note_phase_started(index, phase.name());
+                options.control.on_phase_started(index, spec.name());
+                state.note_phase_started(index, spec.name());
                 let ledger_before = *state.time();
-                let result = phase.run(&mut state, &mut ctx).and_then(|report| {
+                let result = spec.run(&mut state, &mut ctx).and_then(|report| {
                     // The last phase has no later poll point: a kill on its
                     // final event still stops the run before it finishes.
                     if index + 1 == protocol.len() && state.fault_tripped() {
-                        Err(PhaseError::interrupted(phase.name()))
+                        Err(PhaseError::interrupted(spec.name()))
                     } else {
                         Ok(report)
                     }
@@ -612,7 +623,7 @@ impl<'a> ProtocolRunner<'a> {
             None
         };
         let journal = state.take_journal().unwrap_or_default();
-        let outcome = self.assemble(cycle, state, ctx, phases);
+        let outcome = self.assemble(cycle, state, ctx.acc, phases);
         match stop {
             None => Ok((outcome, journal)),
             Some((checkpoint, cause)) => Err(Box::new(StoppedRun {
@@ -629,10 +640,9 @@ impl<'a> ProtocolRunner<'a> {
         &self,
         cycle: usize,
         state: ChipState,
-        ctx: PhaseCtx<'_>,
+        acc: Accumulators,
         phases: Vec<PhaseReport>,
     ) -> ProtocolOutcome {
-        let acc = ctx.acc;
         let finals = acc.finals.unwrap_or_default();
         let report = CycleReport {
             cycle,
@@ -661,15 +671,10 @@ impl<'a> ProtocolRunner<'a> {
         }
     }
 
-    /// Executes `protocol` on a fresh chip, unjournaled. A phase error ends
-    /// the run with an `aborted:` report row instead of a panic.
-    pub fn run(&self, protocol: &Protocol, cycle: usize) -> ProtocolOutcome {
-        self.execute(Start::Fresh { protocol, cycle }, RunOptions::default())
-            .map_or_else(|stopped| stopped.partial, |(outcome, _)| outcome)
-    }
-
-    /// Like [`run`](Self::run), with [`Journaling::On`]: [`replay`] of the
-    /// returned journal reconstructs `outcome.state` bit-for-bit.
+    /// Executes `protocol` on a fresh chip with [`Journaling::On`]: [`replay`]
+    /// of the returned journal reconstructs `outcome.state` bit-for-bit. A
+    /// phase error ends the run with an `aborted:` report row instead of a
+    /// panic.
     ///
     /// [`replay`]: labchip_manipulation::journal::replay
     pub fn run_journaled(&self, protocol: &Protocol, cycle: usize) -> (ProtocolOutcome, Journal) {
@@ -742,7 +747,7 @@ mod tests {
         let dims = GridDims::square(config.array_side);
         let sep = config.min_separation.max(1);
         let protocol = Protocol::canned_cycle(dims, sep, 24);
-        let (baseline, baseline_journal) = driver.runner().run_journaled(&protocol, 0);
+        let (baseline, baseline_journal) = driver.run_journaled(&protocol, 0);
 
         for (gx, gy) in [(1u32, 1u32), (2, 1), (2, 2)] {
             let fleet = project(&baseline_journal, &FleetTopology::new(dims, sep, gx, gy));
@@ -764,6 +769,54 @@ mod tests {
             } else {
                 assert_eq!(fleet.handoffs(), 0);
             }
+        }
+    }
+
+    #[test]
+    fn every_phase_is_journaled_reported_and_interrupted_under_its_spec_name() {
+        // The canned cycle holds every `PhaseSpec` variant once. Each phase
+        // name appears three times: in the journal's `PhaseStarted`
+        // marker, as the prefix of its report row, and in the
+        // `Interrupted` error of a run killed on that marker.
+        use crate::workload::WorkloadConfig;
+        use labchip_manipulation::journal::Event;
+
+        let config = WorkloadConfig {
+            array_side: 32,
+            ..WorkloadConfig::default()
+        };
+        let driver = BatchDriver::new(config);
+        let protocol = Protocol::canned_cycle(GridDims::square(32), 2, 20);
+        let names: Vec<&str> = protocol.phases.iter().map(PhaseSpec::name).collect();
+        assert_eq!(names, ["load", "route", "sense", "recover", "flush"]);
+
+        let (outcome, journal) = driver.run_journaled(&protocol, 0);
+        let started: Vec<(usize, &str)> = journal
+            .events()
+            .iter()
+            .enumerate()
+            .filter_map(|(at, event)| match event {
+                Event::PhaseStarted { name, .. } => Some((at, name.as_str())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(started.len(), protocol.len());
+        assert_eq!(outcome.phases.len(), protocol.len());
+        for (index, spec) in protocol.phases.iter().enumerate() {
+            let (at, journaled) = started[index];
+            assert_eq!(journaled, spec.name());
+            let reported = &outcome.phases[index].phase;
+            assert_eq!(reported.split(':').next(), Some(spec.name()), "{reported}");
+
+            let fault = FaultPlan::after(at as u64 + 1);
+            let stopped = driver
+                .run_controlled(&protocol, 0, Some(fault), &NeverStop)
+                .expect_err("the kill point lies on the phase's first event");
+            assert_eq!(stopped.checkpoint.next_phase, index);
+            assert_eq!(
+                stopped.cause,
+                StopCause::Phase(PhaseError::Interrupted { phase: spec.name() })
+            );
         }
     }
 

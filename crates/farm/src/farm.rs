@@ -1,6 +1,6 @@
 //! The farm service: a bounded multi-tenant job queue drained by a fleet
 //! of worker threads, each driving a
-//! [`ProtocolRunner`](labchip::workload::ProtocolRunner) over its own
+//! [`BatchDriver`] over its own
 //! [`ChipState`](labchip_manipulation::state::ChipState).
 //!
 //! ## Execution model
@@ -9,7 +9,7 @@
 //! [`TenantQueue`] — FIFO within a tenant, round-robin across tenants,
 //! bounded depth with explicit [`SubmitError::Rejected`] backpressure.
 //! Workers claim jobs from the queue and execute them with
-//! [`ProtocolRunner::execute`](labchip::workload::ProtocolRunner::execute),
+//! [`BatchDriver::execute`](labchip::workload::BatchDriver::execute),
 //! journaled, which takes a [`Checkpoint`] at every phase boundary:
 //!
 //! * an injected-fault kill ([`JobSpec::fault`]) stops the worker
@@ -508,7 +508,7 @@ fn worker_loop(shared: &Arc<FarmShared>) {
             journal: claim.fault.map_or(Journaling::On, Journaling::Armed),
             control: &control,
         };
-        let run = || driver.runner().execute(start, options);
+        let run = || driver.execute(start, options);
         let result = match &pool {
             Some(pool) => pool.install(run),
             None => run(),
@@ -546,7 +546,7 @@ fn claim_next(shared: &Arc<FarmShared>) -> Option<Claim> {
                     .protocol
                     .phases
                     .get(next)
-                    .map_or_else(|| "start".to_owned(), |spec| spec.build().name().to_owned());
+                    .map_or_else(|| "start".to_owned(), |spec| spec.name().to_owned());
                 job.record.status = JobStatus::Running { phase };
                 let claim = Claim {
                     id,
@@ -705,7 +705,7 @@ mod tests {
     /// protocol, same effective config, cycle 0.
     fn baseline(config: &WorkloadConfig, protocol: &Protocol) -> (u64, usize) {
         let driver = BatchDriver::new(*config);
-        let (outcome, journal) = driver.runner().run_journaled(protocol, 0);
+        let (outcome, journal) = driver.run_journaled(protocol, 0);
         (outcome.state.state_hash(), journal.len())
     }
 
@@ -904,9 +904,7 @@ mod tests {
                 seed: seed as u64,
                 ..workload
             };
-            let (outcome, journal) = BatchDriver::new(config)
-                .runner()
-                .run_journaled(&protocol, 0);
+            let (outcome, journal) = BatchDriver::new(config).run_journaled(&protocol, 0);
             let record = farm.record(id).expect("records are never released");
             assert_eq!(record.status, JobStatus::Done, "{}", record.detail);
             assert_eq!(

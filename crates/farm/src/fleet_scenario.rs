@@ -6,15 +6,14 @@
 //! 1. run the **monolithic baseline** once, journaled — its final state
 //!    hash is the oracle;
 //! 2. for every shard grid: [`project`] the baseline journal onto the
-//!    shards and fold them with the worker gang, counting handoffs and
+//!    shards and fold them as a [`ShardGroup`], counting handoffs and
 //!    per-shard load imbalance (a grid that cannot partition the array
 //!    is skipped with one progress row);
 //! 3. oracles, all of which **must hold** (CI asserts zero divergences):
 //!    the shards compose back to the monolithic state hash; every shard
-//!    journal replays to its shard state; the [`ShardGroup`] worker gang
-//!    (one worker per shard, barrier rendezvous at phase boundaries)
-//!    reproduces every shard hash;
-//! 4. on every multi-shard grid, one shard worker is **killed** at an
+//!    journal replays to its shard state; the [`ShardGroup`] (one pool
+//!    pass over the shards per phase segment) reproduces every shard hash;
+//! 4. on every multi-shard grid, one shard is **killed** at an
 //!    interior phase boundary and the whole group resumed from its
 //!    [`GroupCheckpoint`](crate::group::GroupCheckpoint) — the resumed
 //!    hashes must equal the uninterrupted run's.
@@ -200,9 +199,7 @@ impl Baseline {
         let dims = GridDims::square(workload.array_side);
         let sep = workload.min_separation.max(1);
         let protocol = Protocol::canned_cycle(dims, sep, config.particles);
-        let (outcome, journal) = BatchDriver::new(workload)
-            .runner()
-            .run_journaled(&protocol, 0);
+        let (outcome, journal) = BatchDriver::new(workload).run_journaled(&protocol, 0);
         Self {
             dims,
             sep,
@@ -221,7 +218,7 @@ impl Baseline {
         FleetTopology::try_new(self.dims, self.sep, cols, rows)
     }
 
-    /// Projects the baseline journal onto `topology` as a worker gang.
+    /// Projects the baseline journal onto `topology` as a shard group.
     pub fn group(&self, topology: &FleetTopology) -> ShardGroup {
         ShardGroup::from_outcome(project(&self.journal, topology), self.hash)
     }
@@ -259,7 +256,7 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
             .zip(&expected)
             .filter(|(replica, live)| replica != live)
             .count();
-        // Kill one shard worker (rotating which, so the sweep covers
+        // Kill one shard (rotating which, so the sweep covers
         // different shards) at an interior boundary and resume the group.
         let kill_recovered = (shards > 1 && group.segment_count() > 1).then(|| {
             let kill = GroupKill {

@@ -1,59 +1,62 @@
-//! A sharded chip as a farm job group: one worker per shard, barrier
-//! rendezvous at phase-window boundaries, whole-group checkpoint/resume.
+//! A sharded chip as a farm job group: every shard folds one phase
+//! segment per pool pass, the end of the pass is the group-wide phase
+//! boundary, and the group checkpoints and resumes as a whole.
 //!
 //! The fleet layer ([`labchip_manipulation::fleet`]) projects one
 //! monolithic journal onto per-shard [`ChipState`]s and journals every
 //! shard's events — including the typed cross-shard handoffs — through
 //! the same choke points the monolithic chip uses. This module executes
 //! that decomposition the way the farm executes everything else: as a
-//! group of workers folding event streams.
+//! group of shards folding event streams.
 //!
 //! ## Execution model
 //!
 //! [`ShardGroup::plan`] runs the protocol once on the coordinator
-//! ([`ProtocolRunner::run_journaled`](labchip::workload::ProtocolRunner::run_journaled)),
+//! ([`BatchDriver::run_journaled`](labchip::workload::BatchDriver::run_journaled)),
 //! [projects](labchip_manipulation::fleet::project) the global journal
 //! onto the shard grid, and keeps the per-shard journals, split into one
 //! segment per protocol phase at the broadcast phase markers.
-//! [`ShardGroup::run`] then spawns **one worker thread per shard**; each
-//! worker folds its shard's segments through the shared [`apply_event`]
-//! replay step into a replica shard state, and all workers rendezvous on
-//! a [`Barrier`] at every phase boundary — no shard starts phase `k + 1`
-//! until every shard has finished phase `k`, mirroring how a physical
-//! multi-chip fleet must synchronise before particles cross chip edges.
+//! [`ShardGroup::run`] then folds the segments in order: for each phase
+//! segment, **one parallel pass over the shards** on the rayon pool folds
+//! every shard's events through the shared [`apply_event`] replay step
+//! into its replica shard state. The end of the pass is the group-wide
+//! phase boundary — no shard starts phase `k + 1` until every shard has
+//! finished phase `k`, mirroring how a physical multi-chip fleet must
+//! synchronise before particles cross chip edges. The pool bounds the
+//! threads a run uses, whatever the shard count.
 //!
 //! ## Kill and resume
 //!
-//! [`ShardGroup::run_killed`] kills **any one** shard worker at a chosen
-//! boundary. Because the barrier makes boundaries group-wide, the whole
-//! group stops there in a consistent state, captured as a
+//! [`ShardGroup::run_killed`] kills **any one** shard at a chosen
+//! boundary. Because boundaries are group-wide, the whole group stops
+//! there in a consistent state, captured as a
 //! JSON-serialisable [`GroupCheckpoint`] (boundary index + per-shard
 //! snapshots). [`ShardGroup::resume`] checks the checkpoint against the
 //! group, restores every shard from it and folds the remaining segments;
 //! the final per-shard hashes are **bit-identical** to an uninterrupted
 //! group run — the E16 group-recovery guarantee, extending the per-job
-//! guarantee of E14/E15 to a gang of coupled workers. A checkpoint that
+//! guarantee of E14/E15 to a gang of coupled shards. A checkpoint that
 //! does not fit the group is a typed [`ResumeError`], never a panic.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
 
 use labchip::workload::{BatchDriver, Protocol, WorkloadConfig};
 use labchip_manipulation::fleet::{project, FleetOutcome, FleetStats, FleetTopology};
 use labchip_manipulation::journal::{apply_event, Event, Journal, ReplayError};
 use labchip_manipulation::state::{ChipState, ChipStateSnapshot};
 use labchip_units::GridDims;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Kill one shard worker of a group at a phase boundary.
+/// Kill one shard of a group at a phase boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroupKill {
-    /// Which shard's worker dies.
+    /// Which shard dies.
     pub shard: usize,
-    /// The boundary it dies at: the worker folds this many phase segments
-    /// and exits at the rendezvous. Must be in `1..segment_count` — a
-    /// worker cannot die before the first barrier or after the last.
+    /// The boundary it dies at: the shard folds this many phase segments
+    /// and stops there, and the group with it. Must be in
+    /// `1..segment_count` — a shard cannot die before the first boundary
+    /// or after the last.
     pub boundary: usize,
 }
 
@@ -62,7 +65,7 @@ pub struct GroupKill {
 /// [`Checkpoint`](labchip::workload::Checkpoint).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GroupCheckpoint {
-    /// Index of the next phase segment every worker folds on resume.
+    /// Index of the next phase segment every shard folds on resume.
     pub next_segment: usize,
     /// Per-shard replica states at the boundary.
     pub shards: Vec<ChipStateSnapshot>,
@@ -163,12 +166,13 @@ impl std::error::Error for ResumeError {
 }
 
 /// The result of a (possibly resumed) group run: the replica shard states
-/// and how many phase segments every worker folded.
+/// and how many phase segments every shard folded.
 #[derive(Debug)]
 pub struct GroupOutcome {
     /// Final replica state of every shard, in shard order.
     pub states: Vec<ChipState>,
-    /// Phase segments each worker folded (group-wide, by barrier).
+    /// Phase segments each shard folded (group-wide: boundaries are
+    /// shared).
     pub segments_folded: usize,
 }
 
@@ -180,13 +184,13 @@ impl GroupOutcome {
 }
 
 /// A planned sharded run held as a farm job group: per-shard journals
-/// split at phase boundaries, ready to execute with one worker per shard.
+/// split at phase boundaries, ready to execute one pool pass per phase.
 #[derive(Debug)]
 pub struct ShardGroup {
     outcome: FleetOutcome,
     /// Per shard: segment bounds into the journal, `segments + 1` long.
     bounds: Vec<Vec<usize>>,
-    /// Phase segments between barriers (equal across shards: markers are
+    /// Phase segments between boundaries (equal across shards: markers are
     /// broadcast).
     segments: usize,
     /// State hash of the coordinator's global (monolithic) final state.
@@ -211,7 +215,7 @@ impl ShardGroup {
         let driver = BatchDriver::new(*config);
         let dims = GridDims::square(config.array_side);
         let sep = config.min_separation.max(1);
-        let (outcome, journal) = driver.runner().run_journaled(protocol, 0);
+        let (outcome, journal) = driver.run_journaled(protocol, 0);
         let topology = FleetTopology::new(dims, sep, grid_cols, grid_rows);
         Self::from_outcome(project(&journal, &topology), outcome.state.state_hash())
     }
@@ -240,12 +244,12 @@ impl ShardGroup {
         }
     }
 
-    /// Shards in the group (= workers spawned per run).
+    /// Shards in the group.
     pub fn shard_count(&self) -> usize {
         self.outcome.states.len()
     }
 
-    /// Phase segments between barriers.
+    /// Phase segments between boundaries.
     pub fn segment_count(&self) -> usize {
         self.segments
     }
@@ -281,7 +285,7 @@ impl ShardGroup {
         &self.outcome
     }
 
-    /// Executes the group uninterrupted: every worker folds all segments.
+    /// Executes the group uninterrupted: every shard folds all segments.
     ///
     /// # Panics
     ///
@@ -292,8 +296,8 @@ impl ShardGroup {
             .expect("projected shard journals fold from the empty shard")
     }
 
-    /// Executes the group with one shard worker killed at a boundary.
-    /// The barrier stops the *whole group* there; the returned
+    /// Executes the group with one shard killed at a boundary.
+    /// The *whole group* stops there; the returned
     /// [`GroupCheckpoint`] is the consistent resume point.
     ///
     /// # Panics
@@ -315,8 +319,8 @@ impl ShardGroup {
         (outcome, checkpoint)
     }
 
-    /// Resumes a stopped group from its checkpoint: replacement workers
-    /// restore every shard snapshot and fold the remaining segments.
+    /// Resumes a stopped group from its checkpoint: every shard is
+    /// restored from its snapshot and folds the remaining segments.
     ///
     /// # Errors
     ///
@@ -351,72 +355,58 @@ impl ShardGroup {
         self.execute(checkpoint.next_segment, Some(&checkpoint.shards), None)
     }
 
-    /// The worker gang: one thread per shard folding segments `start..`,
-    /// rendezvousing on a barrier at every boundary, all stopping
-    /// together at the earliest armed kill or fold failure.
+    /// Folds segments `start..`, one parallel pass over the shards per
+    /// segment, all stopping together after the pass that reaches the
+    /// armed kill or a fold failure. The first failure in shard order is
+    /// the error.
     fn execute(
         &self,
         start: usize,
         snapshots: Option<&[ChipStateSnapshot]>,
         kill: Option<GroupKill>,
     ) -> Result<GroupOutcome, ResumeError> {
-        let workers = self.shard_count();
-        let barrier = Barrier::new(workers);
-        // usize::MAX = no stop armed; a stopping worker lowers it to its
-        // boundary before the rendezvous, so every worker observes it
-        // after the same barrier generation and exits in lockstep.
-        let stop_after = AtomicUsize::new(usize::MAX);
         let sep = self.outcome.topology.min_separation().max(1);
-        let segments = self.segments;
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|shard| {
-                    let barrier = &barrier;
-                    let stop_after = &stop_after;
-                    let events = self.outcome.journals[shard].events();
+        let mut shards: Vec<(ChipState, Option<ResumeError>)> = (0..self.shard_count())
+            .map(|shard| {
+                let state = match snapshots {
+                    Some(snapshots) => ChipState::from_snapshot(snapshots[shard].clone()),
+                    None => {
+                        ChipState::with_separation(self.outcome.topology.local_dims(shard), sep)
+                    }
+                };
+                (state, None)
+            })
+            .collect();
+        let mut folded = start;
+        while folded < self.segments {
+            let seg = folded;
+            shards
+                .par_iter_mut()
+                .enumerate()
+                .for_each(|(shard, (state, failure))| {
                     let bounds = &self.bounds[shard];
-                    let mut state = match snapshots {
-                        Some(snapshots) => ChipState::from_snapshot(snapshots[shard].clone()),
-                        None => {
-                            ChipState::with_separation(self.outcome.topology.local_dims(shard), sep)
+                    let events =
+                        &self.outcome.journals[shard].events()[bounds[seg]..bounds[seg + 1]];
+                    for (offset, event) in events.iter().enumerate() {
+                        if let Err(source) = apply_event(state, event, bounds[seg] + offset) {
+                            *failure = Some(ResumeError::Fold { shard, source });
+                            break;
                         }
-                    };
-                    scope.spawn(move || {
-                        let mut failure = None;
-                        for seg in start..segments {
-                            for (offset, event) in
-                                events[bounds[seg]..bounds[seg + 1]].iter().enumerate()
-                            {
-                                let index = bounds[seg] + offset;
-                                if let Err(source) = apply_event(&mut state, event, index) {
-                                    failure = Some(ResumeError::Fold { shard, source });
-                                    break;
-                                }
-                            }
-                            let folded = seg + 1;
-                            let killed =
-                                kill.is_some_and(|k| k.shard == shard && k.boundary == folded);
-                            if killed || failure.is_some() {
-                                stop_after.fetch_min(folded, Ordering::SeqCst);
-                            }
-                            barrier.wait();
-                            if folded >= stop_after.load(Ordering::SeqCst) {
-                                break;
-                            }
-                        }
-                        failure.map_or(Ok(state), Err)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("shard worker panicked"))
-                .collect::<Result<Vec<_>, _>>()
-        });
-        let stopped = stop_after.load(Ordering::SeqCst);
+                    }
+                });
+            folded += 1;
+            let killed = kill.is_some_and(|k| k.boundary == folded);
+            if killed || shards.iter().any(|(_, failure)| failure.is_some()) {
+                break;
+            }
+        }
+        let states = shards
+            .into_iter()
+            .map(|(state, failure)| failure.map_or(Ok(state), Err))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(GroupOutcome {
-            states: results?,
-            segments_folded: stopped.min(self.segments),
+            states,
+            segments_folded: folded,
         })
     }
 }

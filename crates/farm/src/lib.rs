@@ -4,7 +4,7 @@
 //! biochip running *one* assay protocol. This crate scales that out to a
 //! production-style service: a [`Farm`] owns a bounded multi-tenant job
 //! queue and a fleet of worker threads, each driving a
-//! [`ProtocolRunner`](labchip::workload::ProtocolRunner) over its own
+//! [`BatchDriver`](labchip::workload::BatchDriver) over its own
 //! chip state. Submitted protocols run to completion, can be cancelled
 //! cooperatively at phase boundaries, and survive injected mid-run kills
 //! by resuming from phase-boundary checkpoints — bit-identically to an

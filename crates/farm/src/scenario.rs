@@ -26,7 +26,7 @@
 //! [`QueueFull`]: crate::queue::QueueFull
 
 use labchip::experiments::{e13_protocols, ExperimentTable};
-use labchip::scenario::{Scenario, ScenarioContext, ScenarioRegistry};
+use labchip::scenario::{Limit, Scenario, ScenarioContext, ScenarioRegistry};
 use labchip::workload::{
     BatchDriver, PhaseSpec, Protocol, RecoveryPolicy, RouteTarget, WorkloadConfig,
 };
@@ -311,7 +311,7 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
             let mut job_config = workload;
             job_config.seed = seed;
             let driver = BatchDriver::new(job_config);
-            let (outcome, journal) = driver.runner().run_journaled(&protocol, 0);
+            let (outcome, journal) = driver.run_journaled(&protocol, 0);
             let cancel = index >= cancel_from;
             JobDef {
                 tenant: format!("tenant-{}", index / per_tenant),
@@ -500,6 +500,14 @@ impl Scenario for FarmScenario {
         "Chip farm: multi-tenant fleet throughput, cancellation and kill recovery"
     }
 
+    /// Every farm worker is an OS thread, and so is every planner thread.
+    fn check_limits(&self, config: &Config) -> Result<(), Limit> {
+        for &workers in &config.worker_counts {
+            Limit::threads("worker_counts", workers)?;
+        }
+        Limit::threads("planner_threads", config.planner_threads)
+    }
+
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {
         run_with(config, ctx)
     }
@@ -539,6 +547,54 @@ mod tests {
             assert!(row.latency_p99_ms >= row.latency_p50_ms);
         }
         assert!((results.recovery_rate() - 1.0).abs() < f64::EPSILON);
+    }
+
+    #[test]
+    fn thread_counts_past_the_cap_are_rejected_before_a_farm_is_built() {
+        // Only `check_value` is called: nothing here builds a farm or a
+        // pool, whatever the count.
+        use labchip::scenario::{ScenarioError, MAX_THREADS};
+        let registry = full_registry();
+        let e15 = registry.get("E15").unwrap();
+        let cases = |n: usize| {
+            [
+                (
+                    "worker_counts",
+                    Config {
+                        worker_counts: vec![1, n],
+                        ..Config::default()
+                    },
+                ),
+                (
+                    "planner_threads",
+                    Config {
+                        planner_threads: n,
+                        ..Config::default()
+                    },
+                ),
+            ]
+            .map(|(field, config)| (field, serde_json::to_value(&config)))
+        };
+        for (_, config) in cases(MAX_THREADS) {
+            assert_eq!(e15.check_value(&config), Ok(()));
+        }
+        for n in [MAX_THREADS + 1, usize::MAX] {
+            for (field, config) in cases(n) {
+                let err = e15.check_value(&config).unwrap_err();
+                assert_eq!(
+                    err,
+                    ScenarioError::OverLimit {
+                        scenario: "E15".to_owned(),
+                        limit: Limit {
+                            field,
+                            value: n,
+                            max: MAX_THREADS,
+                        },
+                    }
+                );
+                assert!(err.to_string().contains(field), "{err}");
+            }
+        }
     }
 
     #[test]

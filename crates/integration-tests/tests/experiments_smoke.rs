@@ -7,9 +7,9 @@
 
 use labchip::experiments::{
     e1_scale, e2_technology, e4_sensing, e5_designflow, e6_fabrication, e7_routing, e8_centering,
-    e9_assay, Experiment,
+    e9_assay,
 };
-use labchip::scenario::{Scenario, ScenarioContext};
+use labchip::scenario::{Scenario, ScenarioContext, ScenarioRegistry};
 
 /// Runs a scenario with a silent context — the trait-based spelling of the
 /// retired `module::run(&config)` shims.
@@ -19,10 +19,11 @@ fn run<S: Scenario>(scenario: S, config: &S::Config) -> S::Output {
 
 #[test]
 fn experiment_catalogue_is_complete() {
-    let ids: Vec<&str> = Experiment::all().iter().map(|e| e.id()).collect();
     assert_eq!(
-        ids,
-        vec!["E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9"]
+        ScenarioRegistry::all().ids(),
+        vec![
+            "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14"
+        ]
     );
 }
 

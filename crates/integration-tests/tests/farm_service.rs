@@ -5,14 +5,13 @@
 //!
 //! The queue properties run against [`TenantQueue`] directly (it is a pure
 //! data structure); the cancellation boundary sweep runs against the core
-//! [`ProtocolRunner`] with a scripted [`RunControl`]; the kill/resume
+//! [`BatchDriver`] with a scripted [`RunControl`]; the kill/resume
 //! properties go through the full [`Farm`] service with `pause_on_fault`
 //! as the deterministic rendezvous.
 
 use labchip::scenario::Runner;
 use labchip::workload::{
-    BatchDriver, Journaling, Protocol, ProtocolRunner, RunControl, RunOptions, Start, StopCause,
-    WorkloadConfig,
+    BatchDriver, Journaling, Protocol, RunControl, RunOptions, Start, StopCause, WorkloadConfig,
 };
 use labchip_farm::{full_registry, Farm, FarmConfig, JobSpec, JobStatus, TenantQueue};
 use labchip_manipulation::journal::{replay, FaultPlan, Journal};
@@ -39,7 +38,7 @@ fn protocol(config: &WorkloadConfig, particles: usize) -> Protocol {
 /// Uninterrupted baseline: final state hash and full journal.
 fn baseline(config: &WorkloadConfig, protocol: &Protocol) -> (u64, Journal) {
     let driver = BatchDriver::new(*config);
-    let (outcome, journal) = driver.runner().run_journaled(protocol, 0);
+    let (outcome, journal) = driver.run_journaled(protocol, 0);
     (outcome.state.state_hash(), journal)
 }
 
@@ -149,13 +148,12 @@ proptest! {
         let config = workload(seed);
         let protocol = protocol(&config, particles);
         let driver = BatchDriver::new(config);
-        let runner: ProtocolRunner<'_> = driver.runner();
         let (base_hash, base_journal) = {
-            let (outcome, journal) = runner.run_journaled(&protocol, 0);
+            let (outcome, journal) = driver.run_journaled(&protocol, 0);
             (outcome.state.state_hash(), journal)
         };
         for boundary in 0..protocol.len() {
-            let stopped = runner
+            let stopped = driver
                 .execute(
                     Start::Fresh { protocol: &protocol, cycle: 0 },
                     RunOptions { journal: Journaling::On, control: &StopAt { boundary } },
@@ -166,7 +164,7 @@ proptest! {
             );
             prop_assert_eq!(stopped.checkpoint.completed.len(), boundary);
             let committed = stopped.journal.truncated(stopped.checkpoint.journal_offset);
-            let (outcome, continuation) = runner
+            let (outcome, continuation) = driver
                 .execute(Start::Resume(&stopped.checkpoint), Journaling::On.into())
                 .expect("an uncontested resume runs to completion");
             prop_assert_eq!(

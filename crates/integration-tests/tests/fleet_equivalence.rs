@@ -88,7 +88,7 @@ proptest! {
         let config = workload(seed, if noisy == 0 { 0.0 } else { 6.0 }, recovery_rounds);
         let protocol = canned(&config, 20);
         let driver = BatchDriver::new(config);
-        let (baseline, baseline_journal) = driver.runner().run_journaled(&protocol, 0);
+        let (baseline, baseline_journal) = driver.run_journaled(&protocol, 0);
 
         let (cols, rows) = GRIDS[grid_choice];
         let dims = GridDims::square(config.array_side);

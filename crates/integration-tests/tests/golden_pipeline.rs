@@ -153,8 +153,8 @@ fn plan_reuse_leaves_the_journal_event_stream_identical() {
     });
 
     for cycle in 0..2 {
-        let (cold, cold_journal) = cold_driver.runner().run_journaled(&protocol, cycle);
-        let (warm, warm_journal) = warm_driver.runner().run_journaled(&protocol, cycle);
+        let (cold, cold_journal) = cold_driver.run_journaled(&protocol, cycle);
+        let (warm, warm_journal) = warm_driver.run_journaled(&protocol, cycle);
         assert_eq!(
             cold_journal.events(),
             warm_journal.events(),
@@ -171,8 +171,8 @@ fn plan_reuse_leaves_the_journal_event_stream_identical() {
     // from cache (so the guard above is not vacuously passing on an idle
     // cache) and still record the exact same event stream.
     let before = warm_driver.route_cache_stats();
-    let (_, first) = warm_driver.runner().run_journaled(&protocol, 0);
-    let (_, second) = warm_driver.runner().run_journaled(&protocol, 0);
+    let (_, first) = warm_driver.run_journaled(&protocol, 0);
+    let (_, second) = warm_driver.run_journaled(&protocol, 0);
     assert_eq!(first.events(), second.events());
     let after = warm_driver.route_cache_stats();
     assert!(

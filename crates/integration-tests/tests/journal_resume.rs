@@ -69,7 +69,7 @@ fn kill_and_resume(
     let total = baseline_journal.len() as u64;
     let start = Start::Fresh { protocol, cycle: 0 };
     let armed = Journaling::Armed(FaultPlan::after(kill)).into();
-    let run = match driver.runner().execute(start, armed) {
+    let run = match driver.execute(start, armed) {
         Ok((outcome, journal)) => {
             assert!(kill >= total, "kill {kill}/{total} must interrupt");
             assert_eq!(outcome.state, baseline.state);
@@ -92,7 +92,6 @@ fn kill_and_resume(
     assert_eq!(&restored, checkpoint);
 
     let (resumed, continuation) = driver
-        .runner()
         .execute(Start::Resume(&restored), Journaling::On.into())
         .expect("an unarmed resume runs to completion");
     assert_eq!(resumed.state, baseline.state);
@@ -127,7 +126,7 @@ proptest! {
 
         // The oracle: the same cycle, never interrupted. Replay of its full
         // journal is the equivalence oracle.
-        let baseline = driver.runner().run_journaled(&protocol, 0);
+        let baseline = driver.run_journaled(&protocol, 0);
         let total = baseline.1.len() as u64;
         prop_assert!(total > 0, "a canned cycle always journals events");
         let dims = GridDims::square(config.array_side);
@@ -150,7 +149,7 @@ fn kills_at_the_journal_edges_interrupt_exactly_inside_the_run() {
         let config = workload(seed, noise_scale, RecoveryPolicy::date05_reference());
         let protocol = canned(&config, 20);
         let driver = BatchDriver::with_envelope(config, envelope());
-        let baseline = driver.runner().run_journaled(&protocol, 0);
+        let baseline = driver.run_journaled(&protocol, 0);
         let total = baseline.1.len() as u64;
         let interrupted = [total / 2, total - 1, total, total + 1]
             .map(|kill| kill_and_resume(&driver, &protocol, kill, &baseline));
@@ -169,7 +168,7 @@ fn interrupted_checkpoint(name: &str, kill: u64) -> Checkpoint {
         protocol: &protocol,
         cycle: 0,
     };
-    let run = driver.runner().execute(start, armed);
+    let run = driver.execute(start, armed);
     run.expect_err("an early kill interrupts").checkpoint
 }
 
@@ -183,9 +182,7 @@ fn resume_rejects_a_checkpoint_that_does_not_fit() {
         let mut config = workload(2005, 0.0, RecoveryPolicy::disabled());
         config.array_side = array_side;
         let driver = BatchDriver::with_envelope(config, envelope());
-        let run = driver
-            .runner()
-            .execute(Start::Resume(checkpoint), Journaling::On.into());
+        let run = driver.execute(Start::Resume(checkpoint), Journaling::On.into());
         run.err().map(|stopped| stopped.cause)
     };
     let checkpoint = interrupted_checkpoint("misfit", 30);
@@ -276,9 +273,8 @@ fn pinned_checkpoint_file_decodes_re_encodes_and_resumes() {
     let protocol = canned(&config, 6);
     assert_eq!(checkpoint.protocol, protocol);
     let driver = BatchDriver::with_envelope(config, envelope());
-    let (baseline, _) = driver.runner().run_journaled(&protocol, 0);
+    let (baseline, _) = driver.run_journaled(&protocol, 0);
     let (resumed, _) = driver
-        .runner()
         .execute(Start::Resume(&checkpoint), RunOptions::default())
         .expect("the pinned checkpoint fits its runner");
     assert_eq!(resumed.state.state_hash(), baseline.state.state_hash());

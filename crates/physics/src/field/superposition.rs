@@ -88,7 +88,7 @@
 //! values can have changed.
 
 use super::{ElectrodePlane, FieldModel};
-use labchip_units::{GridCoord, Vec3};
+use labchip_units::Vec3;
 use std::ops::{Deref, DerefMut};
 
 /// Superposition-of-patches field model over an [`ElectrodePlane`].
@@ -347,13 +347,6 @@ impl SuperpositionField {
         );
         (e2, grad)
     }
-
-    /// Legacy per-coordinate iterator over contributing cells; kept for
-    /// diagnostics and tests.
-    pub fn local_cells(&self, p: Vec3) -> impl Iterator<Item = GridCoord> + '_ {
-        let (x0, x1, y0, y1) = self.window(p.x, p.y);
-        (y0..=y1).flat_map(move |y| (x0..=x1).map(move |x| GridCoord::new(x as u32, y as u32)))
-    }
 }
 
 /// RAII guard for in-place plane edits: rebuilds the cached signed-voltage
@@ -421,7 +414,7 @@ impl FieldModel for SuperpositionField {
 mod tests {
     use super::*;
     use crate::field::ElectrodePhase;
-    use labchip_units::{GridDims, Meters, Volts};
+    use labchip_units::{GridCoord, GridDims, Meters, Volts};
 
     fn cage_plane(n: u32) -> ElectrodePlane {
         let mut plane = ElectrodePlane::new(
