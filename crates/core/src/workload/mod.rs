@@ -111,11 +111,6 @@ impl RecoveryPolicy {
             rescan_factor: 4,
         }
     }
-
-    /// Whether recovery runs at all.
-    pub fn is_enabled(&self) -> bool {
-        self.max_rounds > 0
-    }
 }
 
 impl Default for RecoveryPolicy {

@@ -9,8 +9,9 @@
 //!     ▲                  │    │ cancel (mid-run, next phase boundary)
 //!     │ injected kill:   │    └──────▶ Cancelled
 //!     │ requeue w/       ├──▶ Done
-//!     │ checkpoint       └──▶ Failed (invariant violation, unfit checkpoint)
-//!     └──────────────────┘
+//!     │ checkpoint       ├──▶ Failed (invariant violation, unfit checkpoint)
+//!     └──────────────────┤
+//!                        └──▶ Failed (panic in a phase or the progress sink)
 //! ```
 //!
 //! Every terminal state leaves a [`JobRecord`] in the farm history — the
@@ -106,7 +107,8 @@ pub enum JobStatus {
     },
     /// Completed every phase.
     Done,
-    /// A phase hit an invariant violation, or the checkpoint did not fit.
+    /// A phase hit an invariant violation, the checkpoint did not fit, or
+    /// the execution panicked (`error` starts with `panicked: `).
     Failed {
         /// The abort reason.
         error: String,

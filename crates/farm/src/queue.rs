@@ -84,11 +84,6 @@ impl<T> TenantQueue<T> {
         self.rotation.iter().map(String::as_str)
     }
 
-    /// Queued items for one tenant.
-    pub fn tenant_depth(&self, tenant: &str) -> usize {
-        self.queues.get(tenant).map_or(0, VecDeque::len)
-    }
-
     /// Appends an item to `tenant`'s FIFO.
     ///
     /// # Errors

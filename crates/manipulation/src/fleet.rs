@@ -137,11 +137,6 @@ impl FleetTopology {
         self.min_separation
     }
 
-    /// The shard grid as `(cols, rows)`.
-    pub fn shard_grid(&self) -> (u32, u32) {
-        self.grid
-    }
-
     /// Number of shards (`gx · gy`).
     pub fn shard_count(&self) -> usize {
         (self.grid.0 * self.grid.1) as usize

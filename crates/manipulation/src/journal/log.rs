@@ -55,6 +55,12 @@ impl Journal {
     }
 }
 
+impl Extend<Event> for Journal {
+    fn extend<I: IntoIterator<Item = Event>>(&mut self, events: I) {
+        self.events.extend(events);
+    }
+}
+
 /// A deterministic kill point: execution aborts after the Nth journal
 /// event.
 ///

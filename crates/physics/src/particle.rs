@@ -12,7 +12,6 @@ use crate::dielectric::{clausius_mossotti, ComplexPermittivity};
 use crate::medium::Medium;
 use labchip_units::{
     Hertz, Kilograms, KilogramsPerCubicMeter, Meters, CELL_DENSITY, POLYSTYRENE_DENSITY,
-    VACUUM_PERMITTIVITY,
 };
 use serde::{Deserialize, Serialize};
 
@@ -184,11 +183,6 @@ impl Particle {
     /// scales with).
     pub fn cm_re(&self, medium: &Medium, frequency: Hertz) -> f64 {
         self.clausius_mossotti(medium, frequency).re
-    }
-
-    /// Effective relative permittivity magnitude (useful for reporting).
-    pub fn effective_relative_permittivity(&self, omega: f64) -> f64 {
-        self.effective_permittivity(omega).value().re / VACUUM_PERMITTIVITY
     }
 }
 

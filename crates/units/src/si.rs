@@ -298,12 +298,6 @@ impl Meters {
     pub fn squared(self) -> f64 {
         self.get() * self.get()
     }
-
-    /// Cubes the length into a [`CubicMeters`] volume.
-    #[inline]
-    pub fn cubed(self) -> CubicMeters {
-        CubicMeters::new(self.get().powi(3))
-    }
 }
 
 impl MetersPerSecond {
@@ -333,22 +327,10 @@ impl Seconds {
         Self::new(us * 1e-6)
     }
 
-    /// Creates a duration expressed in nanoseconds.
-    #[inline]
-    pub fn from_nanos(ns: f64) -> Self {
-        Self::new(ns * 1e-9)
-    }
-
     /// Creates a duration expressed in minutes.
     #[inline]
     pub fn from_minutes(min: f64) -> Self {
         Self::new(min * 60.0)
-    }
-
-    /// Creates a duration expressed in hours.
-    #[inline]
-    pub fn from_hours(h: f64) -> Self {
-        Self::new(h * 3600.0)
     }
 
     /// Creates a duration expressed in days.
@@ -401,12 +383,6 @@ impl Hertz {
         Self::new(mhz * 1e6)
     }
 
-    /// Returns the frequency in megahertz.
-    #[inline]
-    pub fn as_megahertz(self) -> f64 {
-        self.get() * 1e-6
-    }
-
     /// Returns the period `1/f`.
     ///
     /// # Panics
@@ -456,18 +432,6 @@ impl Newtons {
     #[inline]
     pub fn as_piconewtons(self) -> f64 {
         self.get() * 1e12
-    }
-
-    /// Creates a force expressed in femtonewtons.
-    #[inline]
-    pub fn from_femtonewtons(fn_: f64) -> Self {
-        Self::new(fn_ * 1e-15)
-    }
-
-    /// Returns the force in femtonewtons.
-    #[inline]
-    pub fn as_femtonewtons(self) -> f64 {
-        self.get() * 1e15
     }
 }
 
@@ -521,37 +485,13 @@ impl Farads {
     pub fn as_femtofarads(self) -> f64 {
         self.get() * 1e15
     }
-
-    /// Creates a capacitance expressed in picofarads.
-    #[inline]
-    pub fn from_picofarads(pf: f64) -> Self {
-        Self::new(pf * 1e-12)
-    }
-
-    /// Returns the capacitance in picofarads.
-    #[inline]
-    pub fn as_picofarads(self) -> f64 {
-        self.get() * 1e12
-    }
 }
 
 impl Watts {
-    /// Creates a power expressed in milliwatts.
-    #[inline]
-    pub fn from_milliwatts(mw: f64) -> Self {
-        Self::new(mw * 1e-3)
-    }
-
     /// Returns the power in milliwatts.
     #[inline]
     pub fn as_milliwatts(self) -> f64 {
         self.get() * 1e3
-    }
-
-    /// Creates a power expressed in microwatts.
-    #[inline]
-    pub fn from_microwatts(uw: f64) -> Self {
-        Self::new(uw * 1e-6)
     }
 }
 
@@ -567,18 +507,6 @@ impl CubicMeters {
     #[inline]
     pub fn as_microliters(self) -> f64 {
         self.get() * 1e9
-    }
-
-    /// Creates a volume expressed in nanolitres.
-    #[inline]
-    pub fn from_nanoliters(nl: f64) -> Self {
-        Self::new(nl * 1e-12)
-    }
-
-    /// Returns the volume in nanolitres.
-    #[inline]
-    pub fn as_nanoliters(self) -> f64 {
-        self.get() * 1e12
     }
 }
 
