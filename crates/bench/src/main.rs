@@ -331,6 +331,16 @@ fn median(mut values: Vec<f64>) -> f64 {
     values[values.len() / 2]
 }
 
+/// The nearest-rank `fraction` percentile of ascending `sorted` (0 when
+/// empty).
+fn percentile(sorted: &[f64], fraction: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let position = (fraction * (sorted.len() - 1) as f64).round() as usize;
+    sorted[position.min(sorted.len() - 1)]
+}
+
 /// Reference plane (20 µm pitch, 3.3 V, 80 µm chamber) with a single cage
 /// at the array centre, in the fast field model.
 fn cage_field(side: u32) -> SuperpositionField {
@@ -483,20 +493,16 @@ const REPS: usize = 3;
 fn bench_workload() -> Vec<BenchRow> {
     use labchip::scenario::{Scenario, ScenarioContext};
     use labchip::workload::{
-        sort_problem, BatchDriver, ForceEnvelope, Protocol, RunOptions, Start, WorkloadConfig,
+        sort_problem, BatchDriver, Protocol, RunOptions, Start, WorkloadConfig,
     };
     use labchip_manipulation::journal::{replay, Journal};
     use labchip_manipulation::sharding::{IncrementalRouter, RouterCache, ShardConfig};
 
-    let envelope = ForceEnvelope::date05_reference();
     let driver_at = |array_side: u32| {
-        BatchDriver::with_envelope(
-            WorkloadConfig {
-                array_side,
-                ..WorkloadConfig::default()
-            },
-            envelope,
-        )
+        BatchDriver::new(WorkloadConfig {
+            array_side,
+            ..WorkloadConfig::default()
+        })
     };
     let pinned_pool = |threads: usize| {
         rayon::ThreadPoolBuilder::new()
@@ -643,7 +649,7 @@ fn bench_workload() -> Vec<BenchRow> {
     // One batch of `CYCLES` cycles on a fresh driver: its wall-clock and
     // the journals it recorded (none when live).
     let time_batch = |journaled: bool| -> (f64, Vec<Journal>) {
-        let driver = BatchDriver::with_envelope(cycle_config, envelope);
+        let driver = BatchDriver::new(cycle_config);
         let mut journals = Vec::with_capacity(CYCLES);
         let t0 = Instant::now();
         for cycle in 0..CYCLES {
@@ -718,36 +724,47 @@ fn bench_workload() -> Vec<BenchRow> {
     ));
 
     // Farm fleet benchmark: the E15 scenario's worker-count sweep, folded
-    // into the same trajectory file — jobs/sec and latency percentiles per
-    // fleet size, plus the sweep's divergence tripwire.
-    let farm = labchip_farm::FarmScenario.run(
-        &labchip_farm::scenario::Config::default(),
-        &mut ScenarioContext::silent("E15"),
-    );
-    for row in &farm.fleet {
-        let workers = row.workers;
-        rows.push(BenchRow::new(
-            format!("workload/farm/jobs_per_sec/workers/{workers}"),
-            row.jobs_per_sec,
-            "1/s",
-            workers,
-        ));
-        rows.push(BenchRow::new(
-            format!("workload/farm/latency_p50_ms/workers/{workers}"),
-            row.latency_p50_ms,
-            "ms",
-            workers,
-        ));
-        rows.push(BenchRow::new(
-            format!("workload/farm/latency_p99_ms/workers/{workers}"),
-            row.latency_p99_ms,
-            "ms",
-            workers,
-        ));
+    // into the same trajectory file — jobs/sec from the wall clock of each
+    // point's start → drain, latency percentiles over its Done jobs, plus
+    // the sweep's divergence tripwire.
+    let farm_config = labchip_farm::scenario::Config::default();
+    let farm_baseline = labchip_farm::scenario::Baseline::run(&farm_config);
+    let mut farm_divergences = 0;
+    for &workers in &farm_config.worker_counts {
+        let point = farm_baseline.point(workers);
+        let t0 = Instant::now();
+        point.drain();
+        let wall_s = t0.elapsed().as_secs_f64();
+        let tally = point.tally(&mut ScenarioContext::silent("E15"));
+        farm_divergences += tally.divergences;
+        let mut latencies: Vec<f64> = point
+            .records()
+            .iter()
+            .filter(|record| record.status == labchip_farm::JobStatus::Done)
+            .map(labchip_farm::JobRecord::latency_ms)
+            .collect();
+        latencies.sort_by(f64::total_cmp);
+        let jobs_per_sec = if wall_s > 0.0 {
+            tally.completed as f64 / wall_s
+        } else {
+            0.0
+        };
+        for (metric, value, unit) in [
+            ("jobs_per_sec", jobs_per_sec, "1/s"),
+            ("latency_p50_ms", percentile(&latencies, 0.50), "ms"),
+            ("latency_p99_ms", percentile(&latencies, 0.99), "ms"),
+        ] {
+            rows.push(BenchRow::new(
+                format!("workload/farm/{metric}/workers/{workers}"),
+                value,
+                unit,
+                workers,
+            ));
+        }
     }
     rows.push(BenchRow::new(
         "workload/farm/divergences",
-        farm.total_divergences as f64,
+        farm_divergences as f64,
         "count",
         0,
     ));

@@ -297,9 +297,7 @@ impl Biochip {
 
     /// Samples the current field onto a [`FieldCache`] lattice for bulk
     /// particle stepping. See the cache module docs for the direct-vs-cached
-    /// trade-off; after reprogramming, use [`FieldCache::mark_dirty`] +
-    /// [`FieldCache::refresh`] with a fresh [`Biochip::field_model`] rather
-    /// than rebuilding.
+    /// trade-off; after reprogramming, call this again for a new cache.
     pub fn field_cache(&self) -> FieldCache {
         FieldCache::build(&self.field_model())
     }

@@ -23,7 +23,7 @@
 
 use crate::experiments::ExperimentTable;
 use crate::scenario::{Limit, Scenario, ScenarioContext};
-use crate::workload::{BatchDriver, CycleReport, ForceEnvelope, RecoveryPolicy, WorkloadConfig};
+use crate::workload::{BatchDriver, CycleReport, RecoveryPolicy, WorkloadConfig};
 use labchip_manipulation::sharding::ShardConfig;
 use labchip_units::Seconds;
 use serde::{Deserialize, Serialize};
@@ -203,14 +203,12 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
         .num_threads(config.threads)
         .build()
         .expect("thread pool construction is infallible");
-    let envelope = ForceEnvelope::date05_reference();
     let closed_policy = RecoveryPolicy {
         max_rounds: config.max_recovery_rounds,
         rescan_factor: config.rescan_factor,
     };
     let cycle = |noise_scale: f64, frames: u32, recovery: RecoveryPolicy| -> CycleReport {
-        let mut driver =
-            BatchDriver::with_envelope(workload(config, noise_scale, frames, recovery), envelope);
+        let mut driver = BatchDriver::new(workload(config, noise_scale, frames, recovery));
         pool.install(|| driver.run_cycle(config.particles))
     };
 

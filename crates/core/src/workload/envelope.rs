@@ -5,6 +5,7 @@ use labchip_physics::dep::TrapAnalysis;
 use labchip_physics::drag::StokesDrag;
 use labchip_units::{GridCoord, MetersPerSecond, Newtons};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// The force-feasibility envelope of cage motion: how fast a cage may be
 /// stepped before the trapped cell falls out of the moving potential well.
@@ -59,8 +60,11 @@ impl ForceEnvelope {
     }
 
     /// The paper's reference envelope (20 µm pitch, 3.3 V, viable cell).
+    /// It is a pure function of the code, so it is derived once per
+    /// process and copied out on every later call.
     pub fn date05_reference() -> Self {
-        Self::from_reference_cage(16)
+        static REFERENCE: OnceLock<ForceEnvelope> = OnceLock::new();
+        *REFERENCE.get_or_init(|| Self::from_reference_cage(16))
     }
 
     /// Whether a cage step at `speed` keeps the cell trapped.

@@ -26,13 +26,12 @@ use labchip_manipulation::routing::{RoutingOutcome, RoutingProblem, RoutingReque
 use labchip_manipulation::state::{ChipState, TimeBreakdown, TimeLedger};
 use labchip_sensing::averaging::FrameAverager;
 use labchip_sensing::detect::{DetectionStats, Occupancy, OccupancyMap};
-use labchip_units::{GridCoord, GridDims, Seconds};
+use labchip_units::{GridCoord, GridDims};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
-use std::time::Instant;
 
 /// Why a phase stopped without completing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,9 +151,6 @@ pub struct Accumulators {
     pub makespan_steps: usize,
     /// Individual cage moves across all route phases.
     pub total_moves: usize,
-    /// Planner wall-clock across all route phases (recovery re-plans are
-    /// deliberately *not* counted, matching the legacy driver).
-    pub planning: Seconds,
     /// Whether every routed plan passed the separation invariant.
     pub conflict_free: bool,
     /// Planned moves checked against the force envelope.
@@ -188,7 +184,6 @@ impl Accumulators {
             routed: 0,
             makespan_steps: 0,
             total_moves: 0,
-            planning: Seconds::ZERO,
             conflict_free: true,
             moves_checked: 0,
             infeasible_moves: 0,
@@ -603,7 +598,6 @@ pub(super) fn route(
     // cycle clamps its load to the sort capacity, so this branch is
     // unreachable on the legacy-equivalent path. The solver validates
     // internally, so its error *is* the degrade signal.
-    let started = Instant::now();
     let Ok(outcome) = ctx.solve_routing(&problem) else {
         return Ok(PhaseReport {
             phase: format!("{name}:{}", target.label()),
@@ -616,7 +610,6 @@ pub(super) fn route(
             ),
         });
     };
-    ctx.acc.planning += Seconds::new(started.elapsed().as_secs_f64());
     ctx.acc.conflict_free &= outcome.is_conflict_free(sep);
     ctx.check_planned_moves(&outcome, dims);
     state.charge(

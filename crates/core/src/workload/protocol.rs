@@ -37,7 +37,7 @@ use super::phases::{
 use super::{BatchDriver, CycleReport, RecoveryPolicy};
 use labchip_manipulation::journal::{FaultPlan, Journal};
 use labchip_manipulation::state::{ChipState, ChipStateSnapshot, TimeBreakdown};
-use labchip_units::GridDims;
+use labchip_units::{GridDims, Seconds};
 use serde::{Deserialize, Serialize};
 
 /// One phase of a [`Protocol`], with its knobs: the unit of chip work a
@@ -497,15 +497,14 @@ impl BatchDriver {
     ///
     /// ```
     /// use labchip::workload::{
-    ///     BatchDriver, Checkpoint, ForceEnvelope, Journaling, Protocol, RunOptions, Start,
-    ///     WorkloadConfig,
+    ///     BatchDriver, Checkpoint, Journaling, Protocol, RunOptions, Start, WorkloadConfig,
     /// };
     /// use labchip_manipulation::journal::FaultPlan;
     /// use labchip_units::GridDims;
     ///
     /// let config = WorkloadConfig { array_side: 32, ..WorkloadConfig::default() };
     /// let protocol = Protocol::canned_cycle(GridDims::square(32), 2, 20);
-    /// let driver = BatchDriver::with_envelope(config, ForceEnvelope::date05_reference());
+    /// let driver = BatchDriver::new(config);
     ///
     /// // Arm a kill after 50 journal events — the run dies mid-protocol and
     /// // hands back the resume point plus the journal of everything before it.
@@ -650,7 +649,7 @@ impl BatchDriver {
             routed: acc.routed,
             makespan_steps: acc.makespan_steps,
             total_moves: acc.total_moves,
-            planning: acc.planning,
+            planning: Seconds::ZERO,
             time: *state.time(),
             moves_checked: acc.moves_checked,
             infeasible_moves: acc.infeasible_moves,

@@ -44,8 +44,8 @@ use std::time::Instant;
 
 use labchip::scenario::{Progress, ProgressEvent};
 use labchip::workload::{
-    BatchDriver, Checkpoint, ForceEnvelope, Journaling, PhaseError, PhaseReport, Protocol,
-    ProtocolOutcome, RunControl, RunOptions, Start, StopCause, StoppedRun, WorkloadConfig,
+    BatchDriver, Checkpoint, Journaling, PhaseError, PhaseReport, Protocol, ProtocolOutcome,
+    RunControl, RunOptions, Start, StopCause, StoppedRun, WorkloadConfig,
 };
 use labchip_manipulation::journal::{FaultPlan, Journal};
 
@@ -135,8 +135,8 @@ struct Claim {
 impl Claim {
     /// Runs the claimed execution under `control`: journaled, resumed from
     /// the checkpoint if there is one, with the armed fault if any.
-    fn execute(&self, envelope: ForceEnvelope, control: &dyn RunControl) -> RunResult {
-        let driver = BatchDriver::with_envelope(self.config, envelope);
+    fn execute(&self, control: &dyn RunControl) -> RunResult {
+        let driver = BatchDriver::new(self.config);
         let fresh = Start::Fresh {
             protocol: &self.protocol,
             cycle: 0,
@@ -442,8 +442,6 @@ struct FarmShared {
     /// `wait_paused` all wait here.
     changed: Condvar,
     progress: Arc<dyn Progress>,
-    /// Derived once at farm startup and shared by every per-job driver.
-    envelope: ForceEnvelope,
     planner_threads: usize,
 }
 
@@ -496,7 +494,6 @@ impl Farm {
             state: Mutex::new(FarmState::new(&config)),
             changed: Condvar::new(),
             progress,
-            envelope: ForceEnvelope::date05_reference(),
             planner_threads: config.planner_threads,
         });
         let workers = config.workers.max(1);
@@ -665,7 +662,7 @@ fn worker_loop(shared: &FarmShared) {
         let run = || {
             shared.emit(claim.started.take());
             let control = WorkerControl { shared, id };
-            let execute = || claim.execute(shared.envelope, &control);
+            let execute = || claim.execute(&control);
             match &pool {
                 Some(pool) => pool.install(execute),
                 None => execute(),
@@ -1217,9 +1214,7 @@ mod tests {
                 ending,
                 rowed: Default::default(),
             };
-            static ENVELOPE: OnceLock<ForceEnvelope> = OnceLock::new();
-            let envelope = *ENVELOPE.get_or_init(ForceEnvelope::date05_reference);
-            let execution = catch_unwind(AssertUnwindSafe(|| claim.execute(envelope, &control)))
+            let execution = catch_unwind(AssertUnwindSafe(|| claim.execute(&control)))
                 .map_err(|panic| panic_message(&*panic));
             let event = self
                 .state

@@ -1,17 +1,16 @@
-//! E15 — chip-farm fleet benchmark: multi-tenant throughput, job-control
-//! latency and kill-recovery of the [`Farm`].
+//! E15 — chip-farm fleet benchmark: multi-tenant scheduling, cancellation
+//! and kill-recovery of the [`Farm`].
 //!
 //! The scenario drives a heterogeneous protocol mix (the canned sort
 //! cycle, the E13 two-population merge, and a sense-heavy QC protocol)
 //! across several tenants, then sweeps the worker-fleet size:
 //!
 //! 1. compute each job's *uninterrupted baseline* (final state hash +
-//!    journal event count) with a plain journaled run;
+//!    journal event count) with a plain journaled run ([`Baseline::run`]);
 //! 2. for every worker count in the sweep: build a paused farm, submit
-//!    every tenant's jobs, cancel a deterministic subset before start,
-//!    arm injected mid-run kills on another subset, then start the fleet
-//!    and drain it — measuring wall clock, jobs/sec and latency
-//!    percentiles from the job records;
+//!    every tenant's jobs, cancel a deterministic subset before start and
+//!    arm injected mid-run kills on another subset ([`Baseline::point`]),
+//!    then start the fleet, drain it and tally the job records;
 //! 3. oracle: every completed job (killed-and-resumed or not) must land
 //!    exactly on its baseline state hash with the baseline journal length
 //!    — any miss counts as a divergence and **must be zero** (CI asserts
@@ -19,9 +18,9 @@
 //! 4. a deliberately tiny queue measures explicit [`QueueFull`]
 //!    backpressure.
 //!
-//! Jobs/sec scaling with workers is bounded by the protocol mix's
-//! planning cost; the point of the sweep is the measured curve, not a
-//! scaling claim.
+//! Every figure is a pure function of `(config, seed)`. The fleet's wall
+//! clock, jobs/sec and latency percentiles are rows of `report
+//! bench-workload`, timed around [`SweepPoint::drain`].
 //!
 //! [`QueueFull`]: crate::queue::QueueFull
 
@@ -35,7 +34,7 @@ use labchip_units::{GridDims, Seconds};
 use serde::{Deserialize, Serialize};
 
 use crate::farm::{Farm, FarmConfig};
-use crate::job::{HistoryFilter, JobId, JobSpec, JobStatus, SubmitError};
+use crate::job::{HistoryFilter, JobId, JobRecord, JobSpec, JobStatus, SubmitError};
 
 /// The complete scenario registry, E1 through E16.
 ///
@@ -153,14 +152,6 @@ pub struct FleetRow {
     /// Killed jobs that resumed from their checkpoint to the baseline
     /// state hash.
     pub recovered: usize,
-    /// Wall clock from fleet start to drain, milliseconds.
-    pub wall_ms: f64,
-    /// Completed jobs per wall-clock second.
-    pub jobs_per_sec: f64,
-    /// Median submit-to-done latency over completed jobs, milliseconds.
-    pub latency_p50_ms: f64,
-    /// 99th-percentile latency over completed jobs, milliseconds.
-    pub latency_p99_ms: f64,
     /// Completed jobs whose final hash or journal length missed their
     /// uninterrupted baseline — must be zero.
     pub divergences: usize,
@@ -201,26 +192,15 @@ impl Results {
             .map(|row| {
                 vec![
                     row.workers.to_string(),
-                    format!("{:.1}", row.jobs_per_sec),
-                    format!("{:.1}", row.latency_p50_ms),
-                    format!("{:.1}", row.latency_p99_ms),
                     row.divergences.to_string(),
                     format!(
-                        "{}/{} done, {} cancelled, {}/{} kills recovered in {:.0} ms",
-                        row.completed,
-                        row.submitted,
-                        row.cancelled,
-                        row.recovered,
-                        row.killed,
-                        row.wall_ms
+                        "{}/{} done, {} cancelled, {}/{} kills recovered",
+                        row.completed, row.submitted, row.cancelled, row.recovered, row.killed
                     ),
                 ]
             })
             .collect();
         rows.push(vec![
-            "-".into(),
-            "-".into(),
-            "-".into(),
             "-".into(),
             self.total_divergences.to_string(),
             format!(
@@ -234,14 +214,7 @@ impl Results {
         ExperimentTable::new(
             "E15",
             "Chip farm: multi-tenant fleet throughput, cancellation and kill recovery",
-            vec![
-                "workers".into(),
-                "jobs/s".into(),
-                "p50 ms".into(),
-                "p99 ms".into(),
-                "divergences".into(),
-                "detail".into(),
-            ],
+            vec!["workers".into(), "divergences".into(), "detail".into()],
             rows,
         )
     }
@@ -255,6 +228,7 @@ impl From<Results> for ExperimentTable {
 
 /// One job definition, fixed across the whole worker-count sweep so the
 /// fleet rows compare identical workloads.
+#[derive(Debug)]
 struct JobDef {
     tenant: String,
     protocol: Protocol,
@@ -270,117 +244,158 @@ struct JobDef {
     cancel: bool,
 }
 
-fn percentile(sorted: &[f64], fraction: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let position = (fraction * (sorted.len() - 1) as f64).round() as usize;
-    sorted[position.min(sorted.len() - 1)]
+/// The job definitions a sweep submits at every worker count, each with
+/// its uninterrupted baseline.
+#[derive(Debug)]
+pub struct Baseline {
+    workload: WorkloadConfig,
+    queue_depth: usize,
+    planner_threads: usize,
+    protocols: Vec<String>,
+    defs: Vec<JobDef>,
 }
 
-fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
-    let workload = WorkloadConfig {
-        array_side: config.array_side,
-        min_separation: config.min_separation,
-        step_period: config.step_period,
-        detection_frames: config.detection_frames,
-        noise_scale: config.noise_scale,
-        recovery: config.recovery,
-        load_time: config.load_time,
-        flush_time: config.flush_time,
-        seed: config.seed,
-        ..WorkloadConfig::default()
-    };
-    let dims = GridDims::square(workload.array_side);
-    let sep = workload.min_separation.max(1);
-    let mix = protocol_mix(dims, sep, config.particles);
-    let tenants = config.tenants.max(1);
-    let per_tenant = config.jobs_per_tenant.max(1);
-    let total = tenants * per_tenant;
+impl Baseline {
+    /// Runs every job definition of `config` once, journaled and
+    /// uninterrupted.
+    pub fn run(config: &Config) -> Self {
+        let workload = WorkloadConfig {
+            array_side: config.array_side,
+            min_separation: config.min_separation,
+            step_period: config.step_period,
+            detection_frames: config.detection_frames,
+            noise_scale: config.noise_scale,
+            recovery: config.recovery,
+            load_time: config.load_time,
+            flush_time: config.flush_time,
+            seed: config.seed,
+            ..WorkloadConfig::default()
+        };
+        let dims = GridDims::square(workload.array_side);
+        let sep = workload.min_separation.max(1);
+        let mix = protocol_mix(dims, sep, config.particles);
+        let per_tenant = config.jobs_per_tenant.max(1);
+        let total = config.tenants.max(1) * per_tenant;
 
-    // Fixed job definitions with their uninterrupted baselines: the
-    // oracle every fleet run must reproduce. Cancelled jobs are drawn
-    // from the tail, killed jobs from the head, and the two subsets never
-    // overlap (a cancelled job never runs, so a kill on it would be
-    // unobservable).
-    let cancel_from = total - config.cancel_jobs.min(total);
-    let defs: Vec<JobDef> = (0..total)
-        .map(|index| {
-            let protocol = mix[index % mix.len()].clone();
-            let seed = config.seed + index as u64;
-            let mut job_config = workload;
-            job_config.seed = seed;
-            let driver = BatchDriver::new(job_config);
-            let (outcome, journal) = driver.run_journaled(&protocol, 0);
-            let cancel = index >= cancel_from;
-            JobDef {
-                tenant: format!("tenant-{}", index / per_tenant),
-                protocol,
-                seed,
-                baseline_hash: format!("{:#018x}", outcome.state.state_hash()),
-                baseline_events: journal.len(),
-                kill: (!cancel && index < config.kill_jobs)
-                    .then(|| FaultPlan::after((journal.len() as u64 / 2).max(1))),
-                cancel,
-            }
-        })
-        .collect();
-    ctx.emit_row(format!(
-        "{} job definitions across {} tenants ({} baselines computed)",
-        total,
-        tenants,
-        defs.len()
-    ));
-
-    let mut fleet = Vec::new();
-    let mut total_divergences = 0usize;
-    for &workers in &config.worker_counts {
-        let farm = Farm::new(FarmConfig {
-            workers: workers.max(1),
+        // Cancelled jobs are drawn from the tail, killed jobs from the
+        // head, and the two subsets never overlap (a cancelled job never
+        // runs, so a kill on it would be unobservable).
+        let cancel_from = total - config.cancel_jobs.min(total);
+        let defs = (0..total)
+            .map(|index| {
+                let protocol = mix[index % mix.len()].clone();
+                let seed = config.seed + index as u64;
+                let driver = BatchDriver::new(WorkloadConfig { seed, ..workload });
+                let (outcome, journal) = driver.run_journaled(&protocol, 0);
+                let cancel = index >= cancel_from;
+                JobDef {
+                    tenant: format!("tenant-{}", index / per_tenant),
+                    protocol,
+                    seed,
+                    baseline_hash: format!("{:#018x}", outcome.state.state_hash()),
+                    baseline_events: journal.len(),
+                    kill: (!cancel && index < config.kill_jobs)
+                        .then(|| FaultPlan::after((journal.len() as u64 / 2).max(1))),
+                    cancel,
+                }
+            })
+            .collect();
+        Self {
+            workload,
             queue_depth: config.queue_depth.max(total),
             planner_threads: config.planner_threads,
-            workload,
-            start_paused: true,
-            pause_on_fault: false,
-        });
-        let ids: Vec<JobId> = defs
+            protocols: mix.iter().map(|protocol| protocol.name.clone()).collect(),
+            defs,
+        }
+    }
+
+    /// A paused farm of `workers` workers holding every job, with the
+    /// cancelled subset already cancelled and the killed subset armed.
+    pub fn point(&self, workers: usize) -> SweepPoint<'_> {
+        let farm = self.farm(workers.max(1), self.queue_depth);
+        let ids = self
+            .defs
             .iter()
             .map(|def| {
                 let mut spec = JobSpec::tenant(&def.tenant).with_seed(def.seed);
                 if let Some(kill) = def.kill {
                     spec = spec.with_fault(kill);
                 }
-                farm.submit(def.protocol.clone(), spec)
-                    .expect("benchmark queue is sized to hold every job")
+                let id = farm
+                    .submit(def.protocol.clone(), spec)
+                    .expect("benchmark queue is sized to hold every job");
+                if def.cancel {
+                    assert!(farm.cancel(id), "cancelling a queued job succeeds");
+                }
+                id
             })
             .collect();
-        for (id, def) in ids.iter().zip(&defs) {
-            if def.cancel {
-                assert!(farm.cancel(*id), "cancelling a queued job succeeds");
-            }
+        SweepPoint {
+            baseline: self,
+            workers,
+            farm,
+            ids,
         }
-        let started = std::time::Instant::now();
-        farm.start();
-        farm.wait_idle();
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    }
 
-        let mut completed = 0usize;
-        let mut cancelled = 0usize;
-        let mut killed = 0usize;
-        let mut recovered = 0usize;
-        let mut divergences = 0usize;
-        let mut latencies = Vec::new();
-        for (id, def) in ids.iter().zip(&defs) {
-            let record = farm.record(*id).expect("submitted jobs have records");
+    /// A paused farm running the baseline's workload.
+    fn farm(&self, workers: usize, queue_depth: usize) -> Farm {
+        Farm::new(FarmConfig {
+            workers,
+            queue_depth,
+            planner_threads: self.planner_threads,
+            workload: self.workload,
+            start_paused: true,
+            pause_on_fault: false,
+        })
+    }
+}
+
+/// One sweep point: a paused farm holding every job of a [`Baseline`].
+pub struct SweepPoint<'a> {
+    baseline: &'a Baseline,
+    workers: usize,
+    /// The farm; it runs nothing until [`SweepPoint::drain`].
+    pub farm: Farm,
+    ids: Vec<JobId>,
+}
+
+impl SweepPoint<'_> {
+    /// Starts the farm and waits until every job is terminal.
+    pub fn drain(&self) {
+        self.farm.start();
+        self.farm.wait_idle();
+    }
+
+    /// The current record of every submitted job, in submission order.
+    pub fn records(&self) -> Vec<JobRecord> {
+        self.ids
+            .iter()
+            .map(|&id| self.farm.record(id).expect("submitted jobs have records"))
+            .collect()
+    }
+
+    /// Tallies the drained farm's records against the baselines, emitting
+    /// one progress row per divergence.
+    pub fn tally(&self, ctx: &mut ScenarioContext) -> FleetRow {
+        let mut row = FleetRow {
+            workers: self.workers,
+            submitted: self.ids.len(),
+            completed: 0,
+            cancelled: 0,
+            killed: 0,
+            recovered: 0,
+            divergences: 0,
+        };
+        for (record, def) in self.records().iter().zip(&self.baseline.defs) {
             match record.status {
                 JobStatus::Done => {
-                    completed += 1;
-                    latencies.push(record.latency_ms());
+                    row.completed += 1;
                     let on_baseline = record.state_hash.as_deref()
                         == Some(def.baseline_hash.as_str())
                         && record.journal_events == def.baseline_events;
                     if !on_baseline {
-                        divergences += 1;
+                        row.divergences += 1;
                         ctx.emit_row(format!(
                             "DIVERGENCE: {} ({}) missed its baseline ({:?} vs {}, {} vs {} events)",
                             record.id,
@@ -392,15 +407,15 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
                         ));
                     }
                     if def.kill.is_some() {
-                        killed += 1;
+                        row.killed += 1;
                         if record.resumes >= 1 && on_baseline {
-                            recovered += 1;
+                            row.recovered += 1;
                         }
                     }
                 }
-                JobStatus::Cancelled => cancelled += 1,
+                JobStatus::Cancelled => row.cancelled += 1,
                 ref status => {
-                    divergences += 1;
+                    row.divergences += 1;
                     ctx.emit_row(format!(
                         "DIVERGENCE: {} ended {} ({})",
                         record.id,
@@ -410,58 +425,40 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
                 }
             }
         }
-        total_divergences += divergences;
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let row = FleetRow {
-            workers,
-            submitted: ids.len(),
-            completed,
-            cancelled,
-            killed,
-            recovered,
-            wall_ms,
-            jobs_per_sec: if wall_ms > 0.0 {
-                completed as f64 / (wall_ms / 1e3)
-            } else {
-                0.0
-            },
-            latency_p50_ms: percentile(&latencies, 0.50),
-            latency_p99_ms: percentile(&latencies, 0.99),
-            divergences,
-        };
+        row
+    }
+}
+
+fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
+    let baseline = Baseline::run(config);
+    let total = baseline.defs.len();
+    ctx.emit_row(format!(
+        "{} job definitions across {} tenants ({} baselines computed)",
+        total,
+        config.tenants.max(1),
+        total
+    ));
+
+    let mut fleet = Vec::new();
+    for &workers in &config.worker_counts {
+        let point = baseline.point(workers);
+        point.drain();
+        let row = point.tally(ctx);
         ctx.emit_row(format!(
-            "workers {}: {:.1} jobs/s, p50 {:.1} ms, p99 {:.1} ms, {}/{} kills recovered, {} divergences",
-            row.workers,
-            row.jobs_per_sec,
-            row.latency_p50_ms,
-            row.latency_p99_ms,
-            row.recovered,
-            row.killed,
-            row.divergences
+            "workers {}: {}/{} done, {}/{} kills recovered, {} divergences",
+            row.workers, row.completed, row.submitted, row.recovered, row.killed, row.divergences
         ));
-        fleet.push(row);
         // History sanity under load: every record is terminal and visible.
-        let records = farm.history(&HistoryFilter::terminal(), 0);
-        assert_eq!(
-            records.len(),
-            ids.len(),
-            "every job reached a terminal state"
-        );
-        farm.shutdown();
+        let records = point.farm.history(&HistoryFilter::terminal(), 0);
+        assert_eq!(records.len(), total, "every job reached a terminal state");
+        fleet.push(row);
     }
 
     // Backpressure: a deliberately tiny queue must reject the overflow
     // explicitly rather than grow or block.
-    let tiny = Farm::new(FarmConfig {
-        workers: 1,
-        queue_depth: 2,
-        planner_threads: config.planner_threads,
-        workload,
-        start_paused: true,
-        pause_on_fault: false,
-    });
+    let tiny = baseline.farm(1, 2);
     let mut queue_full_rejections = 0usize;
-    for def in defs.iter().take(4) {
+    for def in baseline.defs.iter().take(4) {
         match tiny.submit(def.protocol.clone(), JobSpec::tenant(&def.tenant)) {
             Ok(_) => {}
             Err(SubmitError::Rejected(_)) => queue_full_rejections += 1,
@@ -477,10 +474,10 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
 
     Results {
         jobs_per_fleet: total,
-        protocols: mix.iter().map(|protocol| protocol.name.clone()).collect(),
+        protocols: baseline.protocols.clone(),
+        total_divergences: fleet.iter().map(|row| row.divergences).sum(),
         fleet,
         queue_full_rejections,
-        total_divergences,
     }
 }
 
@@ -543,10 +540,18 @@ mod tests {
             assert_eq!(row.cancelled, 1);
             assert_eq!(row.killed, 1);
             assert_eq!(row.recovered, 1, "{row:?}");
-            assert!(row.jobs_per_sec > 0.0);
-            assert!(row.latency_p99_ms >= row.latency_p50_ms);
         }
         assert!((results.recovery_rate() - 1.0).abs() < f64::EPSILON);
+    }
+
+    #[test]
+    fn the_same_config_and_seed_give_the_same_results() {
+        let config = quick_config();
+        let run = || {
+            let results = run_with(&config, &mut ScenarioContext::silent("E15"));
+            serde_json::to_string(&results)
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]
@@ -618,10 +623,6 @@ mod tests {
                 cancelled: 1,
                 killed: 1,
                 recovered: 1,
-                wall_ms: 100.0,
-                jobs_per_sec: 30.0,
-                latency_p50_ms: 40.0,
-                latency_p99_ms: 90.0,
                 divergences: 0,
             }],
             queue_full_rejections: 2,

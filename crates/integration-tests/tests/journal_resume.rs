@@ -2,8 +2,8 @@
 //! run at *any* journal offset, and the checkpoint + journal pair is enough
 //! to get back — the truncated prefix replays to the checkpoint state bit
 //! for bit, the checkpoint survives its JSON round trip, and resuming
-//! reaches the same final chip state (and report, planner wall-clock
-//! aside) as the run that was never interrupted.
+//! reaches the same final chip state and report as the run that was never
+//! interrupted.
 //!
 //! The sweep crosses seeds × sensor noise × recovery policy so the killable
 //! surface includes the closed-loop recovery path, not just the happy path.
@@ -16,21 +16,13 @@
 //! format is pinned.
 
 use labchip::workload::{
-    BatchDriver, Checkpoint, CheckpointError, ForceEnvelope, Journaling, PhaseError, Protocol,
-    ProtocolOutcome, RecoveryPolicy, RunOptions, Start, StopCause, WorkloadConfig,
+    BatchDriver, Checkpoint, CheckpointError, Journaling, PhaseError, Protocol, ProtocolOutcome,
+    RecoveryPolicy, RunOptions, Start, StopCause, WorkloadConfig,
 };
 use labchip_manipulation::journal::{replay, FaultPlan, Journal};
 use labchip_manipulation::state::ChipState;
 use labchip_units::{GridDims, Seconds};
 use proptest::prelude::*;
-use std::sync::OnceLock;
-
-/// The force envelope is derived from the cached field engine once for the
-/// whole suite — it is config-independent and costs a field probe.
-fn envelope() -> ForceEnvelope {
-    static ENVELOPE: OnceLock<ForceEnvelope> = OnceLock::new();
-    *ENVELOPE.get_or_init(ForceEnvelope::date05_reference)
-}
 
 fn workload(seed: u64, noise_scale: f64, recovery: RecoveryPolicy) -> WorkloadConfig {
     WorkloadConfig {
@@ -57,9 +49,9 @@ fn canned(config: &WorkloadConfig, particles: usize) -> Protocol {
 ///
 /// An interrupted run's journal prefix up to the checkpoint offset replays
 /// to the checkpoint state, the checkpoint survives its JSON round trip,
-/// and a journaled resume reaches the baseline state and report (planner
-/// wall-clock aside), its journal continuing the committed prefix into
-/// exactly the baseline journal.
+/// and a journaled resume reaches the baseline state and report, its
+/// journal continuing the committed prefix into exactly the baseline
+/// journal.
 fn kill_and_resume(
     driver: &BatchDriver,
     protocol: &Protocol,
@@ -95,9 +87,7 @@ fn kill_and_resume(
         .execute(Start::Resume(&restored), Journaling::On.into())
         .expect("an unarmed resume runs to completion");
     assert_eq!(resumed.state, baseline.state);
-    let mut report = resumed.report;
-    report.planning = baseline.report.planning;
-    assert_eq!(report, baseline.report);
+    assert_eq!(resumed.report, baseline.report);
     for event in continuation.events() {
         journal.record(event.clone());
     }
@@ -122,7 +112,7 @@ proptest! {
         };
         let config = workload(seed, if noisy { 8.0 } else { 0.0 }, recovery);
         let protocol = canned(&config, 20);
-        let driver = BatchDriver::with_envelope(config, envelope());
+        let driver = BatchDriver::new(config);
 
         // The oracle: the same cycle, never interrupted. Replay of its full
         // journal is the equivalence oracle.
@@ -148,7 +138,7 @@ fn kills_at_the_journal_edges_interrupt_exactly_inside_the_run() {
     for (seed, noise_scale) in [(2005, 8.0), (WorkloadConfig::default().seed, 1.0)] {
         let config = workload(seed, noise_scale, RecoveryPolicy::date05_reference());
         let protocol = canned(&config, 20);
-        let driver = BatchDriver::with_envelope(config, envelope());
+        let driver = BatchDriver::new(config);
         let baseline = driver.run_journaled(&protocol, 0);
         let total = baseline.1.len() as u64;
         let interrupted = [total / 2, total - 1, total, total + 1]
@@ -162,7 +152,7 @@ fn interrupted_checkpoint(name: &str, kill: u64) -> Checkpoint {
     let config = workload(2005, 0.0, RecoveryPolicy::disabled());
     let mut protocol = canned(&config, 12);
     protocol.name = name.to_string();
-    let driver = BatchDriver::with_envelope(config, envelope());
+    let driver = BatchDriver::new(config);
     let armed = Journaling::Armed(FaultPlan::after(kill)).into();
     let start = Start::Fresh {
         protocol: &protocol,
@@ -181,7 +171,7 @@ fn resume_rejects_a_checkpoint_that_does_not_fit() {
     let resume = |array_side: u32, checkpoint: &Checkpoint| {
         let mut config = workload(2005, 0.0, RecoveryPolicy::disabled());
         config.array_side = array_side;
-        let driver = BatchDriver::with_envelope(config, envelope());
+        let driver = BatchDriver::new(config);
         let run = driver.execute(Start::Resume(checkpoint), Journaling::On.into());
         run.err().map(|stopped| stopped.cause)
     };
@@ -232,12 +222,13 @@ fn checkpoint_json_round_trips_surrogate_pair_protocol_names() {
 fn checkpoint_json_rejects_non_finite_ledger_floats_cleanly() {
     let mut checkpoint = interrupted_checkpoint("nan-probe", 5);
 
-    checkpoint.ctx.planning = Seconds::new(f64::NAN);
+    let programming_time = checkpoint.ctx.budget.programming_time;
+    checkpoint.ctx.budget.programming_time = Seconds::new(f64::NAN);
     let text = checkpoint.to_json();
     assert!(text.contains("null"), "non-finite floats encode as null");
     assert!(Checkpoint::from_json(&text).is_err());
 
-    checkpoint.ctx.planning = Seconds::new(0.0);
+    checkpoint.ctx.budget.programming_time = programming_time;
     checkpoint.state.time.motion = Seconds::new(f64::INFINITY);
     assert!(Checkpoint::from_json(&checkpoint.to_json()).is_err());
 }
@@ -272,7 +263,7 @@ fn pinned_checkpoint_file_decodes_re_encodes_and_resumes() {
     };
     let protocol = canned(&config, 6);
     assert_eq!(checkpoint.protocol, protocol);
-    let driver = BatchDriver::with_envelope(config, envelope());
+    let driver = BatchDriver::new(config);
     let (baseline, _) = driver.run_journaled(&protocol, 0);
     let (resumed, _) = driver
         .execute(Start::Resume(&checkpoint), RunOptions::default())

@@ -12,19 +12,11 @@
 //!   run bit for bit (protocols are *data*, and data is the whole truth).
 
 use labchip::workload::{
-    BatchDriver, ForceEnvelope, PhaseSpec, Protocol, RecoveryPolicy, RouteTarget, WorkloadConfig,
+    BatchDriver, PhaseSpec, Protocol, RecoveryPolicy, RouteTarget, WorkloadConfig,
 };
 use labchip_manipulation::state::TimeBreakdown;
 use labchip_units::Seconds;
 use proptest::prelude::*;
-use std::sync::OnceLock;
-
-/// The force envelope is derived from the cached field engine once for the
-/// whole suite — it is config-independent and costs a field probe.
-fn envelope() -> ForceEnvelope {
-    static ENVELOPE: OnceLock<ForceEnvelope> = OnceLock::new();
-    *ENVELOPE.get_or_init(ForceEnvelope::date05_reference)
-}
 
 /// Decodes one proptest-chosen `(kind, knob)` pair into a phase spec.
 fn phase_from(kind: u8, knob: usize) -> PhaseSpec {
@@ -93,7 +85,7 @@ proptest! {
 
         let noise_scale = if noisy == 0 { 0.0 } else { 4.0 };
         let config = workload(seed, noise_scale);
-        let outcome = BatchDriver::with_envelope(config, envelope()).run_protocol(&protocol);
+        let outcome = BatchDriver::new(config).run_protocol(&protocol);
 
         // Invariant: phases other than load/flush conserve the population.
         let mut population = 0usize;
@@ -139,10 +131,8 @@ proptest! {
         prop_assert_eq!(outcome.report.time.total(), Seconds::new(total));
 
         // Executing the round-tripped protocol reproduces the run
-        // bit-for-bit (planner wall-clock is real time and is aligned).
-        let replay = BatchDriver::with_envelope(config, envelope()).run_protocol(&round_tripped);
-        let mut replay_report = replay.report;
-        replay_report.planning = outcome.report.planning;
-        prop_assert_eq!(replay_report, outcome.report);
+        // bit-for-bit.
+        let replay = BatchDriver::new(config).run_protocol(&round_tripped);
+        prop_assert_eq!(replay.report, outcome.report);
     }
 }

@@ -7,12 +7,8 @@
 //! thousand-particle runs cheap: the kernel sweep is paid once per lattice
 //! node instead of once per particle per step.
 //!
-//! The cache tracks a **dirty region** in electrode coordinates: after a
-//! reprogram, call [`FieldCache::mark_dirty`] with the changed electrodes
-//! (or [`FieldCache::mark_all_dirty`]) and then [`FieldCache::refresh`].
-//! Only lattice nodes within the superposition cutoff of the dirty
-//! electrodes are recomputed — shifting one cage on a 320×320 array
-//! re-samples a few thousand nodes, not millions.
+//! The lattice is sampled once, when the cache is built; a reprogrammed
+//! array needs a new cache.
 //!
 //! Accuracy: values are exact (w.r.t. the analytic model) on lattice nodes
 //! and trilinear between them, so the interpolation error is second order in
@@ -24,7 +20,7 @@
 
 use super::superposition::SuperpositionField;
 use super::FieldModel;
-use labchip_units::{GridRect, Vec3};
+use labchip_units::Vec3;
 use rayon::prelude::*;
 
 /// Trilinearly interpolated samples of a [`SuperpositionField`].
@@ -44,12 +40,6 @@ pub struct FieldCache {
     e2: Vec<f64>,
     /// Sampled `∇|E|²`.
     grad: Vec<Vec3>,
-    /// Electrode-coordinate region whose nodes need resampling.
-    dirty: Option<GridRect>,
-    /// Influence radius of one electrode in lattice nodes (cutoff + 1 pitch).
-    influence_nodes: usize,
-    /// Electrode pitch (metres), for dirty-region conversion.
-    pitch: f64,
 }
 
 impl FieldCache {
@@ -90,12 +80,8 @@ impl FieldCache {
             pot: vec![0.0; node_count],
             e2: vec![0.0; node_count],
             grad: vec![Vec3::ZERO; node_count],
-            dirty: None,
-            influence_nodes: ((field.cutoff_cells() as f64 + 1.0) * pitch / spacing_xy).ceil()
-                as usize,
-            pitch,
         };
-        cache.resample(field, 0, nx, 0, ny);
+        cache.resample(field);
         cache
     }
 
@@ -104,114 +90,35 @@ impl FieldCache {
         (self.nx, self.ny, self.nz)
     }
 
-    /// Marks an electrode-coordinate region (inclusive) as stale. Regions
-    /// accumulate (as their bounding box) until [`FieldCache::refresh`].
-    pub fn mark_dirty(&mut self, region: GridRect) {
-        self.dirty = Some(match self.dirty {
-            None => region,
-            Some(old) => GridRect {
-                min: labchip_units::GridCoord::new(
-                    old.min.x.min(region.min.x),
-                    old.min.y.min(region.min.y),
-                ),
-                max: labchip_units::GridCoord::new(
-                    old.max.x.max(region.max.x),
-                    old.max.y.max(region.max.y),
-                ),
-            },
-        });
-    }
-
-    /// Marks the whole lattice stale.
-    pub fn mark_all_dirty(&mut self) {
-        self.dirty = Some(GridRect::new(
-            labchip_units::GridCoord::new(0, 0),
-            labchip_units::GridCoord::new(u32::MAX, u32::MAX),
-        ));
-    }
-
-    /// Whether a refresh is pending.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty.is_some()
-    }
-
-    /// Re-samples the nodes affected by the accumulated dirty region from
-    /// `field` (which should reflect the *new* programmed state). Returns the
-    /// number of lattice nodes recomputed.
-    pub fn refresh(&mut self, field: &SuperpositionField) -> usize {
-        let Some(region) = self.dirty.take() else {
-            return 0;
-        };
-        // Convert the electrode region to node indices, inflated by the
-        // superposition influence radius.
-        let to_node = |cells: f64| (cells * self.pitch / self.spacing_xy) as isize;
-        let x0 = (to_node(region.min.x as f64) - self.influence_nodes as isize).max(0) as usize;
-        let y0 = (to_node(region.min.y as f64) - self.influence_nodes as isize).max(0) as usize;
-        let x1 = (to_node(region.max.x.saturating_add(1) as f64) + self.influence_nodes as isize)
-            .min(self.nx as isize - 1) as usize
-            + 1;
-        let y1 = (to_node(region.max.y.saturating_add(1) as f64) + self.influence_nodes as isize)
-            .min(self.ny as isize - 1) as usize
-            + 1;
-        self.resample(field, x0, x1, y0, y1);
-        (x1 - x0) * (y1 - y0) * self.nz
-    }
-
-    /// Recomputes the nodes with `x0 <= xi < x1`, `y0 <= yi < y1` (all z),
-    /// in parallel over rows.
-    fn resample(&mut self, field: &SuperpositionField, x0: usize, x1: usize, y0: usize, y1: usize) {
+    /// Samples every lattice node from `field`, in parallel over rows.
+    fn resample(&mut self, field: &SuperpositionField) {
         let (nx, ny) = (self.nx, self.ny);
         let (sxy, sz) = (self.spacing_xy, self.spacing_z);
-        // One work item per (z, y) row so the rayon chunks stay balanced.
+        // One work item per (z, y) row so the rayon chunks stay balanced;
+        // row `r` holds the nodes `x + nx*r` with `r = y + ny*z`.
         struct Row<'a> {
-            zi: usize,
-            yi: usize,
+            r: usize,
             pot: &'a mut [f64],
             e2: &'a mut [f64],
             grad: &'a mut [Vec3],
         }
-        let mut rows: Vec<Row<'_>> = Vec::with_capacity(self.nz * (y1 - y0));
-        {
-            let mut pot_rest: &mut [f64] = &mut self.pot;
-            let mut e2_rest: &mut [f64] = &mut self.e2;
-            let mut grad_rest: &mut [Vec3] = &mut self.grad;
-            let mut offset = 0usize;
-            for zi in 0..self.nz {
-                for yi in 0..ny {
-                    let row_start = nx * (yi + ny * zi);
-                    let keep = yi >= y0 && yi < y1;
-                    let skip = row_start - offset;
-                    let (_, p1) = pot_rest.split_at_mut(skip);
-                    let (row_p, p2) = p1.split_at_mut(nx);
-                    pot_rest = p2;
-                    let (_, e1) = e2_rest.split_at_mut(skip);
-                    let (row_e, e2_tail) = e1.split_at_mut(nx);
-                    e2_rest = e2_tail;
-                    let (_, g1) = grad_rest.split_at_mut(skip);
-                    let (row_g, g2) = g1.split_at_mut(nx);
-                    grad_rest = g2;
-                    offset = row_start + nx;
-                    if keep {
-                        rows.push(Row {
-                            zi,
-                            yi,
-                            pot: &mut row_p[x0..x1],
-                            e2: &mut row_e[x0..x1],
-                            grad: &mut row_g[x0..x1],
-                        });
-                    }
-                }
-            }
-        }
+        let mut rows: Vec<Row<'_>> = self
+            .pot
+            .chunks_mut(nx)
+            .zip(self.e2.chunks_mut(nx))
+            .zip(self.grad.chunks_mut(nx))
+            .enumerate()
+            .map(|(r, ((pot, e2), grad))| Row { r, pot, e2, grad })
+            .collect();
         rows.par_iter_mut().for_each(|row| {
-            let y = row.yi as f64 * sxy;
-            let z = row.zi as f64 * sz;
-            for (i, xi) in (x0..x1).enumerate() {
+            let y = (row.r % ny) as f64 * sxy;
+            let z = (row.r / ny) as f64 * sz;
+            for xi in 0..nx {
                 let p = Vec3::new(xi as f64 * sxy, y, z);
                 let (e2, grad) = field.e_squared_with_gradient(p);
-                row.pot[i] = field.potential(p);
-                row.e2[i] = e2;
-                row.grad[i] = grad;
+                row.pot[xi] = field.potential(p);
+                row.e2[xi] = e2;
+                row.grad[xi] = grad;
             }
         });
     }
@@ -365,43 +272,6 @@ mod tests {
         let c = field.plane().electrode_center(GridCoord::new(4, 4));
         let p = Vec3::new(c.x + 6e-6, c.y, 30e-6);
         assert!(cache.grad_e_squared(p).x > 0.0);
-    }
-
-    #[test]
-    fn dirty_refresh_matches_full_rebuild() {
-        let mut field = cage_field(9, GridCoord::new(2, 2));
-        let mut cache = FieldCache::build_with(&field, 2, 5);
-        // Move the cage from (2,2) to (6,6).
-        {
-            let mut plane = field.plane_mut();
-            plane.set_phase(GridCoord::new(2, 2), ElectrodePhase::InPhase);
-            plane.set_phase(GridCoord::new(6, 6), ElectrodePhase::CounterPhase);
-        }
-        cache.mark_dirty(GridRect::new(GridCoord::new(2, 2), GridCoord::new(2, 2)));
-        cache.mark_dirty(GridRect::new(GridCoord::new(6, 6), GridCoord::new(6, 6)));
-        let recomputed = cache.refresh(&field);
-        assert!(recomputed > 0);
-        assert!(!cache.is_dirty());
-
-        let fresh = FieldCache::build_with(&field, 2, 5);
-        for zi in 0..5usize {
-            for yi in (0..cache.ny).step_by(3) {
-                for xi in (0..cache.nx).step_by(3) {
-                    let i = cache.node_index(xi, yi, zi);
-                    assert!(
-                        (cache.e2[i] - fresh.e2[i]).abs() <= 1e-9 * fresh.e2[i].abs().max(1.0),
-                        "stale node at ({xi},{yi},{zi})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn refresh_without_dirty_region_is_a_no_op() {
-        let field = cage_field(7, GridCoord::new(3, 3));
-        let mut cache = FieldCache::build_with(&field, 2, 4);
-        assert_eq!(cache.refresh(&field), 0);
     }
 
     #[test]

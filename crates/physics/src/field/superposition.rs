@@ -84,8 +84,7 @@
 //! the pattern changes every few steps. For whole-array runs with thousands
 //! of particles stepping many times between reprograms, sample the field
 //! once into a `FieldCache` lattice and pay one trilinear lookup per query;
-//! after a reprogram, `mark_dirty` + `refresh` rebuilds only the nodes whose
-//! values can have changed.
+//! after a reprogram, build a new cache.
 
 use super::{ElectrodePlane, FieldModel};
 use labchip_units::Vec3;

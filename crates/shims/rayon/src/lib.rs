@@ -56,17 +56,22 @@ pub fn current_num_threads() -> usize {
 }
 
 /// Runs `f` with the thread count pinned to `threads` (0 leaves it as is).
+/// The previous count comes back when `f` returns or unwinds.
 fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    let previous = POOL_OVERRIDE.with(|c| {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            POOL_OVERRIDE.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(POOL_OVERRIDE.with(|c| {
         let prev = c.get();
         if threads > 0 {
             c.set(threads);
         }
         prev
-    });
-    let result = f();
-    POOL_OVERRIDE.with(|c| c.set(previous));
-    result
+    }));
+    f()
 }
 
 /// Error returned by [`ThreadPoolBuilder::build`] (never produced by the
@@ -430,8 +435,8 @@ mod tests {
     use super::prelude::*;
     use super::*;
 
-    // Every test pins at most 3 threads, so the shared pool of this test
-    // binary never holds more than 2 workers.
+    // Every parallel call in these tests pins at most 3 threads, so the
+    // shared pool of this test binary never holds more than 2 workers.
     fn pinned_3() -> ThreadPool {
         ThreadPoolBuilder::new().num_threads(3).build().unwrap()
     }
@@ -483,6 +488,21 @@ mod tests {
         assert!(message.contains("item 100 fails"), "{message}");
         pinned.install(|| v.par_iter_mut().for_each(|x| *x += 1));
         assert!(v.iter().all(|&x| x == 1));
+    }
+
+    #[test]
+    fn a_panic_out_of_install_restores_the_earlier_count() {
+        // The closure makes no parallel call, so no worker starts.
+        let before = current_num_threads();
+        let pinned = ThreadPoolBuilder::new().num_threads(7).build().unwrap();
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            pinned.install(|| {
+                assert_eq!(current_num_threads(), 7);
+                panic!("install body fails")
+            })
+        }));
+        assert!(caught.is_err());
+        assert_eq!(current_num_threads(), before);
     }
 
     #[test]
