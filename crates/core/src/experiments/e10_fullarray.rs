@@ -182,7 +182,6 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
     let incremental = IncrementalRouter::new(ShardConfig {
         shard_side: config.shard_side,
         window: config.window,
-        ..ShardConfig::default()
     });
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(config.threads)
@@ -265,6 +264,7 @@ impl Scenario for FullArrayScenario {
     }
 
     fn check_limits(&self, config: &Config) -> Result<(), Limit> {
+        Limit::array_side(config.array_side)?;
         Limit::threads("threads", config.threads)
     }
 

@@ -204,7 +204,6 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
         shards: ShardConfig {
             shard_side: config.shard_side,
             window: config.window,
-            ..ShardConfig::default()
         },
         min_separation: config.min_separation,
         step_period: config.step_period,
@@ -272,6 +271,7 @@ impl Scenario for ThroughputScenario {
     }
 
     fn check_limits(&self, config: &Config) -> Result<(), Limit> {
+        Limit::array_side(config.array_side)?;
         Limit::threads("threads", config.threads)
     }
 

@@ -184,7 +184,6 @@ fn workload(
         shards: ShardConfig {
             shard_side: config.shard_side,
             window: config.window,
-            ..ShardConfig::default()
         },
         min_separation: config.min_separation,
         step_period: config.step_period,
@@ -288,6 +287,7 @@ impl Scenario for ClosedLoopScenario {
     }
 
     fn check_limits(&self, config: &Config) -> Result<(), Limit> {
+        Limit::array_side(config.array_side)?;
         Limit::threads("threads", config.threads)
     }
 

@@ -10,7 +10,7 @@
 
 use crate::biochip::{Biochip, BiochipBuilder};
 use crate::experiments::ExperimentTable;
-use crate::scenario::{Scenario, ScenarioContext};
+use crate::scenario::{Limit, Scenario, ScenarioContext};
 use labchip_array::technology::TechnologyNode;
 use labchip_units::{GridCoord, GridDims};
 use serde::{Deserialize, Serialize};
@@ -108,6 +108,10 @@ impl Scenario for TechnologyScenario {
 
     fn describe(&self) -> &'static str {
         "Technology sweep: DEP holding force vs supply voltage and node cost"
+    }
+
+    fn check_limits(&self, config: &Config) -> Result<(), Limit> {
+        Limit::array_side(config.array_side)
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

@@ -162,6 +162,7 @@ impl Scenario for MotionScenario {
     }
 
     fn check_limits(&self, config: &Config) -> Result<(), Limit> {
+        Limit::array_side(config.array_side)?;
         Limit::threads("threads", config.threads)
     }
 

@@ -9,7 +9,7 @@
 //! wall-clock time at 50 µm/s), and total cage moves.
 
 use crate::experiments::ExperimentTable;
-use crate::scenario::{Scenario, ScenarioContext};
+use crate::scenario::{Limit, Scenario, ScenarioContext};
 use labchip_manipulation::cage::ParticleId;
 use labchip_manipulation::routing::{Router, RoutingProblem, RoutingRequest, RoutingStrategy};
 use labchip_units::{GridCoord, GridDims, Seconds};
@@ -176,6 +176,10 @@ impl Scenario for RoutingScenario {
 
     fn describe(&self) -> &'static str {
         "Parallel cage routing: space-time A* vs greedy baseline"
+    }
+
+    fn check_limits(&self, config: &Config) -> Result<(), Limit> {
+        Limit::array_side(config.array_side)
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

@@ -12,7 +12,7 @@
 //! recover are skipped when there is no target.
 
 use crate::experiments::ExperimentTable;
-use crate::scenario::{Scenario, ScenarioContext};
+use crate::scenario::{Limit, Scenario, ScenarioContext};
 use labchip_fluidics::fabrication::{FabricationProcess, ProcessKind};
 use labchip_fluidics::packaging::PackagingStack;
 use labchip_manipulation::cage::ParticleId;
@@ -86,6 +86,10 @@ impl Scenario for AssayScenario {
 
     fn describe(&self) -> &'static str {
         "End-to-end single-cell isolation assay on the packaged device"
+    }
+
+    fn check_limits(&self, config: &Config) -> Result<(), Limit> {
+        Limit::array_side(config.array_side)
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

@@ -94,6 +94,12 @@ pub trait Scenario: Send + Sync + 'static {
 /// make it start thousands.
 pub const MAX_THREADS: usize = 256;
 
+/// Largest array side a scenario config may ask for: the 4096² grid of
+/// 2²⁴ cells, the largest the routers' dense conflict scan spans. Far
+/// larger sides abort the process when the array's buffers are allocated,
+/// so the bound is checked before anything is built.
+pub const MAX_ARRAY_SIDE: u32 = 4096;
+
 /// A config value beyond the bound its scenario sets on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Limit {
@@ -118,6 +124,23 @@ impl Limit {
                 field,
                 value: threads,
                 max: MAX_THREADS,
+            });
+        }
+        Ok(())
+    }
+
+    /// Checks the array side `side` of the `array_side` field against
+    /// [`MAX_ARRAY_SIDE`].
+    ///
+    /// # Errors
+    ///
+    /// The exceeded [`Limit`] when `side > MAX_ARRAY_SIDE`.
+    pub fn array_side(side: u32) -> Result<(), Limit> {
+        if side > MAX_ARRAY_SIDE {
+            return Err(Limit {
+                field: "array_side",
+                value: side as usize,
+                max: MAX_ARRAY_SIDE as usize,
             });
         }
         Ok(())

@@ -35,9 +35,10 @@ use super::phases::{
     self, sort_capacity, Accumulators, PhaseCtx, PhaseError, PhaseReport, RouteTarget,
 };
 use super::{BatchDriver, CycleReport, RecoveryPolicy};
+use labchip_manipulation::cage::ParticleId;
 use labchip_manipulation::journal::{FaultPlan, Journal};
 use labchip_manipulation::state::{ChipState, ChipStateSnapshot, TimeBreakdown};
-use labchip_units::{GridDims, Seconds};
+use labchip_units::{GridCoord, GridDims, Seconds};
 use serde::{Deserialize, Serialize};
 
 /// One phase of a [`Protocol`], with its knobs: the unit of chip work a
@@ -344,6 +345,15 @@ pub enum CheckpointError {
         /// The dims of the snapshot's grid or plan.
         found: GridDims,
     },
+    /// A particle of the snapshot lies outside its grid.
+    OffGrid {
+        /// The particle.
+        particle: ParticleId,
+        /// Its cell.
+        at: GridCoord,
+        /// The snapshot grid's dims.
+        dims: GridDims,
+    },
     /// The snapshot's cage separation is not the driver's.
     Separation {
         /// The driver's (clamped) minimum separation.
@@ -373,6 +383,13 @@ impl std::fmt::Display for CheckpointError {
         f.write_str("checkpoint does not fit: ")?;
         match self {
             Self::Dims { expected, found } => write!(f, "snapshot {found}, runner {expected}"),
+            Self::OffGrid { particle, at, dims } => {
+                write!(
+                    f,
+                    "particle {} at {at} lies outside grid {dims}",
+                    particle.0
+                )
+            }
             Self::Separation { expected, found } => {
                 write!(f, "snapshot separation {found}, runner {expected}")
             }
@@ -464,6 +481,13 @@ impl BatchDriver {
             if found != expected {
                 return Err(CheckpointError::Dims { expected, found });
             }
+        }
+        if let Some((particle, at)) = snapshot.particle_off_grid() {
+            return Err(CheckpointError::OffGrid {
+                particle,
+                at,
+                dims: expected,
+            });
         }
         let found = snapshot.grid.min_separation();
         if found != self.separation() {

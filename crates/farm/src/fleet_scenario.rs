@@ -23,7 +23,7 @@
 //! row of `report bench-workload`, timed around [`Baseline::group`].
 
 use labchip::experiments::ExperimentTable;
-use labchip::scenario::{Scenario, ScenarioContext};
+use labchip::scenario::{Limit, Scenario, ScenarioContext};
 use labchip::workload::{BatchDriver, Protocol, RecoveryPolicy, WorkloadConfig};
 use labchip_manipulation::fleet::{project, FleetGridError, FleetTopology};
 use labchip_manipulation::journal::Journal;
@@ -41,7 +41,7 @@ pub struct Config {
     pub particles: usize,
     /// Shard grids swept, `[cols, rows]` each.
     pub grids: Vec<[u32; 2]>,
-    /// Minimum cage separation (the halo margin is `sep / 2`).
+    /// Minimum cage separation of every shard's cage grid.
     pub min_separation: u32,
     /// Cage-step period.
     pub step_period: Seconds,
@@ -339,6 +339,10 @@ impl Scenario for FleetScenario {
 
     fn describe(&self) -> &'static str {
         "Sharded chip fleets: cross-shard handoff and sharded-vs-monolithic equivalence"
+    }
+
+    fn check_limits(&self, config: &Config) -> Result<(), Limit> {
+        Limit::array_side(config.array_side)
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

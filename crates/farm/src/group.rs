@@ -41,10 +41,11 @@
 use std::fmt;
 
 use labchip::workload::{BatchDriver, Protocol, WorkloadConfig};
+use labchip_manipulation::cage::ParticleId;
 use labchip_manipulation::fleet::{project, FleetOutcome, FleetStats, FleetTopology};
 use labchip_manipulation::journal::{apply_event, Event, Journal, ReplayError};
 use labchip_manipulation::state::{ChipState, ChipStateSnapshot};
-use labchip_units::GridDims;
+use labchip_units::{GridCoord, GridDims};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -113,6 +114,15 @@ pub enum ResumeError {
         /// The dims of the snapshot's grid or plan.
         found: GridDims,
     },
+    /// A particle of a shard snapshot lies outside that snapshot's grid.
+    OffGrid {
+        /// The offending shard.
+        shard: usize,
+        /// The particle.
+        particle: ParticleId,
+        /// Its cell.
+        at: GridCoord,
+    },
     /// A shard's remaining journal segments do not fold onto its
     /// snapshot.
     Fold {
@@ -145,6 +155,15 @@ impl fmt::Display for ResumeError {
                 f,
                 "shard {shard} snapshot spans {}x{}, the shard frame is {}x{}",
                 found.cols, found.rows, expected.cols, expected.rows
+            ),
+            ResumeError::OffGrid {
+                shard,
+                particle,
+                at,
+            } => write!(
+                f,
+                "shard {shard} snapshot holds particle {} at {at}, outside its grid",
+                particle.0
             ),
             ResumeError::Fold { shard, source } => {
                 write!(
@@ -351,6 +370,13 @@ impl ShardGroup {
                     });
                 }
             }
+            if let Some((particle, at)) = snapshot.particle_off_grid() {
+                return Err(ResumeError::OffGrid {
+                    shard,
+                    particle,
+                    at,
+                });
+            }
         }
         self.execute(checkpoint.next_segment, Some(&checkpoint.shards), None)
     }
@@ -435,8 +461,6 @@ fn segment_bounds(journal: &Journal) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use labchip_manipulation::cage::ParticleId;
-    use labchip_units::GridCoord;
 
     fn group(grid: (u32, u32)) -> ShardGroup {
         let config = WorkloadConfig {
@@ -569,6 +593,33 @@ mod tests {
         // re-places particles the snapshots already hold.
         let error = tampered(&|c| c.next_segment = 0);
         assert!(matches!(error, ResumeError::Fold { .. }), "{error:?}");
+
+        // One edit to the JSON: the first particle's `x` set to 99, off
+        // its shard's grid.
+        let (shard, (particle, at)) = checkpoint
+            .shards
+            .iter()
+            .enumerate()
+            .find_map(|(shard, s)| Some((shard, s.grid.iter_particles().next()?)))
+            .expect("some shard holds a particle");
+        let json = checkpoint.to_json();
+        let x = json
+            .find("\"particles\":{\"")
+            .expect("a non-empty particle map");
+        let x = x + json[x..].find("\"x\":").expect("a particle cell") + 4;
+        let end = x + json[x..]
+            .find(|c: char| !c.is_ascii_digit())
+            .expect("a number");
+        let edited = format!("{}99{}", &json[..x], &json[end..]);
+        let restored = GroupCheckpoint::from_json(&edited).expect("still a checkpoint");
+        assert_eq!(
+            group.resume(&restored).expect_err("off-grid particle"),
+            ResumeError::OffGrid {
+                shard,
+                particle,
+                at: GridCoord::new(99, at.y),
+            }
+        );
     }
 
     /// A journal with no phase markers is one segment, not an empty one.

@@ -499,6 +499,7 @@ impl Scenario for FarmScenario {
 
     /// Every farm worker is an OS thread, and so is every planner thread.
     fn check_limits(&self, config: &Config) -> Result<(), Limit> {
+        Limit::array_side(config.array_side)?;
         for &workers in &config.worker_counts {
             Limit::threads("worker_counts", workers)?;
         }
@@ -598,6 +599,41 @@ mod tests {
                     }
                 );
                 assert!(err.to_string().contains(field), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn array_sides_past_the_bound_are_rejected_before_anything_runs() {
+        // Only `check_value` is called: no array of any side is built.
+        use labchip::scenario::{ScenarioError, MAX_ARRAY_SIDE};
+        let registry = full_registry();
+        let ids = [
+            "E2", "E3", "E7", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16",
+        ];
+        for id in ids {
+            let scenario = registry.get(id).unwrap();
+            let with_side = |side: u32| {
+                let mut config = scenario.default_config();
+                let map = config.as_object_mut().expect("configs are objects");
+                assert!(map.contains_key("array_side"), "{id} has an array side");
+                map.insert("array_side", serde_json::to_value(&side));
+                config
+            };
+            assert_eq!(scenario.check_value(&with_side(MAX_ARRAY_SIDE)), Ok(()));
+            for side in [MAX_ARRAY_SIDE + 1, u32::MAX] {
+                let err = scenario.check_value(&with_side(side)).unwrap_err();
+                assert_eq!(
+                    err,
+                    ScenarioError::OverLimit {
+                        scenario: id.to_owned(),
+                        limit: Limit {
+                            field: "array_side",
+                            value: side as usize,
+                            max: 4096,
+                        },
+                    }
+                );
             }
         }
     }

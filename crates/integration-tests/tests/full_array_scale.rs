@@ -48,7 +48,6 @@ fn incremental_planner_is_deterministic_across_thread_counts_at_scale() {
     let router = IncrementalRouter::new(ShardConfig {
         shard_side: 24,
         window: 6,
-        ..ShardConfig::default()
     });
     let solve_with = |threads: usize| {
         rayon::ThreadPoolBuilder::new()

@@ -19,9 +19,10 @@ use labchip::workload::{
     BatchDriver, Checkpoint, CheckpointError, Journaling, PhaseError, Protocol, ProtocolOutcome,
     RecoveryPolicy, RunOptions, Start, StopCause, WorkloadConfig,
 };
+use labchip_manipulation::cage::ParticleId;
 use labchip_manipulation::journal::{replay, FaultPlan, Journal};
 use labchip_manipulation::state::ChipState;
-use labchip_units::{GridDims, Seconds};
+use labchip_units::{GridCoord, GridDims, Seconds};
 use proptest::prelude::*;
 
 fn workload(seed: u64, noise_scale: f64, recovery: RecoveryPolicy) -> WorkloadConfig {
@@ -270,4 +271,28 @@ fn pinned_checkpoint_file_decodes_re_encodes_and_resumes() {
         .expect("the pinned checkpoint fits its runner");
     assert_eq!(resumed.state.state_hash(), baseline.state.state_hash());
     assert_eq!(baseline.state.state_hash(), 0x7940_391e_a5fb_149c);
+}
+
+/// The pinned checkpoint with one edit, particle 0 moved to `x = 99` on
+/// its 16² grid, is refused as a typed error instead of panicking when
+/// the snapshot is restored.
+#[test]
+fn a_checkpoint_particle_off_its_grid_is_rejected() {
+    let edited = PINNED_CHECKPOINT.replacen("\"0\":{\"x\":1,", "\"0\":{\"x\":99,", 1);
+    assert_ne!(edited, PINNED_CHECKPOINT, "the edit applies");
+    let checkpoint = Checkpoint::from_json(&edited).expect("the edited checkpoint decodes");
+    let config = WorkloadConfig {
+        array_side: 16,
+        ..workload(2005, 8.0, RecoveryPolicy::date05_reference())
+    };
+    let run = BatchDriver::new(config).execute(Start::Resume(&checkpoint), RunOptions::default());
+    let off_grid = CheckpointError::OffGrid {
+        particle: ParticleId(0),
+        at: GridCoord::new(99, 1),
+        dims: GridDims::square(16),
+    };
+    assert_eq!(
+        run.err().map(|stopped| stopped.cause),
+        Some(StopCause::Rejected(off_grid))
+    );
 }

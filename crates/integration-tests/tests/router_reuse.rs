@@ -26,7 +26,6 @@ fn router() -> IncrementalRouter {
     IncrementalRouter::new(ShardConfig {
         shard_side: 16,
         window: 8,
-        ..ShardConfig::default()
     })
 }
 

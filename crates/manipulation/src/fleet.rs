@@ -8,10 +8,9 @@
 //! state-layer half of that story:
 //!
 //! * [`FleetTopology`] — partitions a logical `dims` into a `gx × gy`
-//!   grid of shard rectangles. Each shard owns its *core* rect and
-//!   carries a halo (ghost) margin of `min_separation / 2` cells, so a
-//!   shard's local coordinate frame has the same boundary context the
-//!   staggered-tile planner assumes (see [`crate::sharding`]).
+//!   grid of shard rectangles. Each shard owns its *core* rect, which is
+//!   also its local coordinate frame: every event lands in the shard
+//!   owning its cell, and no shard plans, so none needs ghost cells.
 //! * [`project`] — the fleet as a pure function of the monolithic
 //!   journal: every global event is folded into the shard that owns its
 //!   cell, through the same [`ChipState`] choke points the monolithic
@@ -39,21 +38,18 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Partition of a logical array into a `gx × gy` grid of shard
-/// rectangles with halo (ghost) margins.
+/// rectangles.
 ///
 /// Shards are indexed row-major: shard `sy * gx + sx` owns the cells
 /// with `x` in the `sx`-th column band and `y` in the `sy`-th row band.
 /// Bands split the array as evenly as possible (`⌊i·cols/gx⌋`
-/// boundaries). Every global cell has exactly one owner; the halo rect
-/// extends a shard's core by `min_separation / 2` cells in each
-/// direction (clipped to the array), giving the shard's local frame the
-/// ghost margin a boundary-adjacent routing window needs.
+/// boundaries). Every global cell has exactly one owner, and a shard's
+/// local frame is the core rect it owns.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetTopology {
     dims: GridDims,
     min_separation: u32,
     grid: (u32, u32),
-    halo: u32,
     /// `gx + 1` column-band boundaries (`x_bounds[i]..x_bounds[i+1]`).
     x_bounds: Vec<u32>,
     /// `gy + 1` row-band boundaries.
@@ -121,7 +117,6 @@ impl FleetTopology {
             dims,
             min_separation,
             grid: (grid_cols, grid_rows),
-            halo: min_separation / 2,
             x_bounds: band_bounds(dims.cols, grid_cols),
             y_bounds: band_bounds(dims.rows, grid_rows),
         })
@@ -142,11 +137,6 @@ impl FleetTopology {
         (self.grid.0 * self.grid.1) as usize
     }
 
-    /// The halo (ghost) margin in cells: `min_separation / 2`.
-    pub fn halo(&self) -> u32 {
-        self.halo
-    }
-
     /// The core rectangle a shard owns (inclusive corners).
     ///
     /// # Panics
@@ -162,25 +152,9 @@ impl FleetTopology {
         )
     }
 
-    /// The shard's core expanded by the halo margin, clipped to the array
-    /// — the rectangle the shard's local [`ChipState`] spans.
-    pub fn halo_rect(&self, shard: usize) -> GridRect {
-        let core = self.core(shard);
-        GridRect::new(
-            GridCoord::new(
-                core.min.x.saturating_sub(self.halo),
-                core.min.y.saturating_sub(self.halo),
-            ),
-            GridCoord::new(
-                (core.max.x + self.halo).min(self.dims.cols - 1),
-                (core.max.y + self.halo).min(self.dims.rows - 1),
-            ),
-        )
-    }
-
-    /// Dimensions of the shard's local frame (its halo rect).
+    /// Dimensions of the shard's local frame (its core rect).
     pub fn local_dims(&self, shard: usize) -> GridDims {
-        let rect = self.halo_rect(shard);
+        let rect = self.core(shard);
         GridDims::new(rect.max.x - rect.min.x + 1, rect.max.y - rect.min.y + 1)
     }
 
@@ -205,19 +179,19 @@ impl FleetTopology {
     ///
     /// # Panics
     ///
-    /// Panics if `at` lies outside the shard's halo rect.
+    /// Panics if `at` lies outside the shard's core rect.
     pub fn to_local(&self, shard: usize, at: GridCoord) -> GridCoord {
-        let rect = self.halo_rect(shard);
+        let rect = self.core(shard);
         assert!(
             rect.contains(at),
-            "coordinate {at} outside shard {shard} halo rect"
+            "coordinate {at} outside shard {shard} core rect"
         );
         GridCoord::new(at.x - rect.min.x, at.y - rect.min.y)
     }
 
     /// Converts a shard-local coordinate back into the global frame.
     pub fn to_global(&self, shard: usize, local: GridCoord) -> GridCoord {
-        let rect = self.halo_rect(shard);
+        let rect = self.core(shard);
         GridCoord::new(local.x + rect.min.x, local.y + rect.min.y)
     }
 }
@@ -474,26 +448,10 @@ mod tests {
                 .count();
             assert_eq!(owners, 1, "cell {cell} owned once");
             assert!(topo.core(owner).contains(cell));
+            assert_eq!(topo.to_global(owner, topo.to_local(owner, cell)), cell);
         }
         let total: u64 = (0..topo.shard_count()).map(|s| topo.core(s).count()).sum();
         assert_eq!(total, u64::from(dims.cols) * u64::from(dims.rows));
-    }
-
-    #[test]
-    fn halo_rects_extend_cores_by_half_the_separation() {
-        let topo = FleetTopology::new(GridDims::square(16), 4, 2, 2);
-        assert_eq!(topo.halo(), 2);
-        // Interior shard corner: the halo reaches into the neighbour.
-        let core = topo.core(3);
-        let halo = topo.halo_rect(3);
-        assert_eq!(halo.min.x, core.min.x - 2);
-        assert_eq!(halo.min.y, core.min.y - 2);
-        // Array edge: clipped.
-        assert_eq!(halo.max.x, 15);
-        assert_eq!(halo.max.y, 15);
-        // Local/global round trip.
-        let at = GridCoord::new(9, 10);
-        assert_eq!(topo.to_global(3, topo.to_local(3, at)), at);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   typed event at the `ChipState` choke points, with bit-identical
 //!   replay, journal diffing and seeded fault injection,
 //! * the sharded [`fleet`]: one logical array decomposed over many
-//!   `ChipState`s with halo margins and a typed cross-shard handoff
+//!   `ChipState`s, one per owned core rect, with a typed cross-shard handoff
 //!   event family, composing back to the monolithic state bit-for-bit,
 //! * conflict-free multi-particle [`routing`] (space–time A* with reservation
 //!   tables, plus a greedy baseline),

@@ -8,10 +8,10 @@
 //! and bundled into an [`Arena`] that an [`ArenaPool`] recycles across
 //! shards, windows, and (through [`super::RouterCache`]) whole solves.
 //!
-//! The sparse [`ZoneCounter`] / [`WindowReservations`] pair is kept for the
-//! rare serial repair path, which plans against the whole grid where a dense
-//! table would be needlessly large; [`window_astar`] is generic over the
-//! [`ReservationView`] trait so both back-ends share one search.
+//! [`DenseReservations`] is the one reservation table: every tile search
+//! plans against one over its tile interior, and the rare serial repair
+//! re-plans each demoted particle against one over the whole grid, the
+//! same box its A\* scratch already spans.
 //!
 //! The inner loop of [`window_astar`] runs millions of times per
 //! paper-scale solve, so each expansion is kept to a few array reads: the
@@ -26,7 +26,7 @@
 
 use crate::routing::for_each_zone_cell;
 use labchip_units::GridCoord;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Mutex;
 
 /// The position of a window path at step `t` (paths park on their last
@@ -44,93 +44,6 @@ pub(crate) fn window_path<'a>(traj: &'a [GridCoord], start: &'a GridCoord) -> &'
         std::slice::from_ref(start)
     } else {
         traj
-    }
-}
-
-/// Read access to a space–time reservation table over one window.
-pub(crate) trait ReservationView {
-    /// Number of planned steps (the table covers steps `0..=window()`).
-    fn window(&self) -> usize;
-    /// Whether `c` is unreserved at step `t` (clamped to the window end).
-    fn is_free(&self, c: GridCoord, t: usize) -> bool;
-    /// Whether a particle parked at `c` from step `t` to the end of the
-    /// window stays clear of every reservation.
-    fn is_free_from(&self, c: GridCoord, t: usize) -> bool;
-}
-
-/// Counting map of blocked cells: every `add` blocks the Chebyshev-<`radius`
-/// zone around a centre, and `remove` unblocks it exactly (overlapping zones
-/// stay blocked until their last owner is removed).
-#[derive(Debug, Default)]
-pub(crate) struct ZoneCounter {
-    counts: HashMap<GridCoord, u32>,
-}
-
-impl ZoneCounter {
-    pub(crate) fn add(&mut self, center: GridCoord, radius: u32) {
-        for_each_zone_cell(center, radius, |c| {
-            *self.counts.entry(c).or_insert(0) += 1;
-        });
-    }
-
-    pub(crate) fn remove(&mut self, center: GridCoord, radius: u32) {
-        for_each_zone_cell(center, radius, |c| {
-            if let Some(n) = self.counts.get_mut(&c) {
-                *n -= 1;
-                if *n == 0 {
-                    self.counts.remove(&c);
-                }
-            }
-        });
-    }
-
-    pub(crate) fn blocked(&self, c: GridCoord) -> bool {
-        self.counts.contains_key(&c)
-    }
-}
-
-/// Sparse space–time reservations over one window (`window + 1` steps),
-/// counting overlaps so paths can be removed again during repair.
-#[derive(Debug)]
-pub(crate) struct WindowReservations {
-    radius: u32,
-    steps: Vec<ZoneCounter>,
-}
-
-impl WindowReservations {
-    pub(crate) fn new(window: usize, min_separation: u32) -> Self {
-        Self {
-            radius: min_separation,
-            steps: (0..=window).map(|_| ZoneCounter::default()).collect(),
-        }
-    }
-
-    pub(crate) fn add_path(&mut self, path: &[GridCoord]) {
-        for t in 0..self.steps.len() {
-            let pos = position_at(path, t);
-            self.steps[t].add(pos, self.radius);
-        }
-    }
-
-    pub(crate) fn remove_path(&mut self, path: &[GridCoord]) {
-        for t in 0..self.steps.len() {
-            let pos = position_at(path, t);
-            self.steps[t].remove(pos, self.radius);
-        }
-    }
-}
-
-impl ReservationView for WindowReservations {
-    fn window(&self) -> usize {
-        self.steps.len() - 1
-    }
-
-    fn is_free(&self, c: GridCoord, t: usize) -> bool {
-        !self.steps[t.min(self.steps.len() - 1)].blocked(c)
-    }
-
-    fn is_free_from(&self, c: GridCoord, t: usize) -> bool {
-        (t..self.steps.len()).all(|step| !self.steps[step].blocked(c))
     }
 }
 
@@ -223,20 +136,21 @@ impl DenseZone {
     }
 }
 
-/// Dense space–time reservations over one window and one tile interior:
-/// a flat `(window + 1) × bh × bw` array of epoch stamps, one per reserved
+/// Dense space–time reservations over one window and one cell box (a tile
+/// interior, or the whole grid for repair): a flat
+/// `(window + 1) × bh × bw` array of epoch stamps, one per reserved
 /// `(step, cell)`, cleared in O(1) by bumping the epoch. The table only
-/// ever gains reservations (repair, which removes paths, uses the sparse
-/// [`WindowReservations`]), so a stamp is all a reservation needs.
+/// ever gains reservations (repair rebuilds it rather than remove a
+/// path), so a stamp is all a reservation needs.
 ///
-/// Functionally equivalent to [`WindowReservations`] for queries inside the
-/// box (the only queries the per-shard A\* makes); zone cells spilling
-/// outside the box are dropped because they can never be queried.
+/// Zone cells spilling outside the box are dropped: every query the A\*
+/// makes is for a cell inside the box it searches, which is the box the
+/// table was begun with.
 ///
 /// Per cell it also keeps `until`: one past the last step reserved there
 /// (`0` for none). Because reservations are only ever added, a cell is
 /// free from step `t` to the end of the window exactly when `until ≤ t`,
-/// which makes [`ReservationView::is_free_from`] one comparison.
+/// which makes [`Self::is_free_from`] one comparison.
 #[derive(Debug, Default)]
 pub(crate) struct DenseReservations {
     radius: u32,
@@ -320,20 +234,22 @@ impl DenseReservations {
         }
         Some(y * self.bw + x)
     }
-}
 
-impl ReservationView for DenseReservations {
-    fn window(&self) -> usize {
+    /// Number of planned steps (the table covers steps `0..=window()`).
+    pub(crate) fn window(&self) -> usize {
         self.window
     }
 
-    fn is_free(&self, c: GridCoord, t: usize) -> bool {
+    /// Whether `c` is unreserved at step `t` (clamped to the window end).
+    pub(crate) fn is_free(&self, c: GridCoord, t: usize) -> bool {
         self.cell(c).is_none_or(|cell| {
             self.reserved[t.min(self.window) * self.bh * self.bw + cell] != self.epoch
         })
     }
 
-    fn is_free_from(&self, c: GridCoord, t: usize) -> bool {
+    /// Whether a particle parked at `c` from step `t` to the end of the
+    /// window stays clear of every reservation.
+    pub(crate) fn is_free_from(&self, c: GridCoord, t: usize) -> bool {
         self.cell(c).is_none_or(|cell| {
             self.until_stamp[cell] != self.epoch || self.until[cell] as usize <= t
         })
@@ -441,7 +357,7 @@ pub(crate) fn window_astar(
     allowed: impl Fn(GridCoord) -> bool,
     start: GridCoord,
     goal: GridCoord,
-    reservations: &impl ReservationView,
+    reservations: &DenseReservations,
     scratch: &mut Scratch,
     cap: usize,
 ) -> Vec<GridCoord> {
@@ -458,7 +374,7 @@ fn window_astar_exhaustive(
     allowed: impl Fn(GridCoord) -> bool,
     start: GridCoord,
     goal: GridCoord,
-    reservations: &impl ReservationView,
+    reservations: &DenseReservations,
     scratch: &mut Scratch,
     cap: usize,
 ) -> Vec<GridCoord> {
@@ -481,7 +397,7 @@ fn search<const PRUNE: bool>(
     allowed: impl Fn(GridCoord) -> bool,
     start: GridCoord,
     goal: GridCoord,
-    reservations: &impl ReservationView,
+    reservations: &DenseReservations,
     scratch: &mut Scratch,
     cap: usize,
 ) -> Vec<GridCoord> {
@@ -639,9 +555,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
         /// The bound-pruned search returns exactly the exhaustive search's
-        /// path, on both reservation back-ends, and both back-ends return
-        /// the same path (which pins the dense table's O(1)
-        /// `is_free_from` to the sparse table's step loop).
+        /// path, and the dense table's O(1) `is_free_from` agrees with
+        /// `is_free` at every remaining step, on every cell of the box.
         #[test]
         fn early_exit_matches_exhaustive_search(
             tile in (0u32..6, 0u32..6, 2u32..14, 2u32..14),
@@ -666,21 +581,27 @@ mod tests {
             let walks: Vec<Vec<GridCoord>> =
                 walk_seeds.iter().map(|&s| walk(s, lo, hi, window)).collect();
 
-            let mut sparse = WindowReservations::new(window, sep);
             let mut dense = DenseReservations::default();
             dense.begin(window, sep, lo, hi);
             for path in &walks {
-                sparse.add_path(path);
                 dense.add_path(path);
             }
+            for y in lo.y..=hi.y {
+                for x in lo.x..=hi.x {
+                    let c = GridCoord::new(x, y);
+                    for t in 0..=window {
+                        prop_assert_eq!(
+                            dense.is_free_from(c, t),
+                            (t..=window).all(|s| dense.is_free(c, s)),
+                            "cell {} at step {}", c, t
+                        );
+                    }
+                }
+            }
             let mut scratch = Scratch::default();
-            let sparse_path = window_astar(lo, hi, allowed, start, goal, &sparse, &mut scratch, cap);
-            let full = window_astar_exhaustive(lo, hi, allowed, start, goal, &sparse, &mut scratch, cap);
-            prop_assert_eq!(&sparse_path, &full);
             let dense_path = window_astar(lo, hi, allowed, start, goal, &dense, &mut scratch, cap);
             let full = window_astar_exhaustive(lo, hi, allowed, start, goal, &dense, &mut scratch, cap);
             prop_assert_eq!(&dense_path, &full);
-            prop_assert_eq!(&sparse_path, &dense_path);
         }
     }
 

@@ -72,7 +72,7 @@ pub use cache::{CacheStats, RouterCache};
 use crate::cage::ParticleId;
 use crate::error::ManipulationError;
 use crate::routing::{ParticlePath, RoutingOutcome, RoutingProblem};
-use astar_soa::{position_at, window_astar, Arena, ArenaPool, DenseZone, ReservationView};
+use astar_soa::{position_at, window_astar, Arena, ArenaPool, DenseZone};
 use cache::shard_key;
 use labchip_units::GridCoord;
 use partition::{stagger_phases, Partition, TileMembership};
@@ -89,9 +89,6 @@ pub struct ShardConfig {
     pub shard_side: u32,
     /// Cage steps planned per window.
     pub window: u32,
-    /// Give up after this many consecutive windows with no movement (at
-    /// least 4, so every stagger phase gets a chance).
-    pub max_stagnant_windows: u32,
 }
 
 impl Default for ShardConfig {
@@ -99,10 +96,13 @@ impl Default for ShardConfig {
         Self {
             shard_side: 32,
             window: 8,
-            max_stagnant_windows: 4,
         }
     }
 }
+
+/// The router gives up after this many consecutive windows with no
+/// movement: one per stagger phase, so every phase gets a chance.
+const MAX_STAGNANT_WINDOWS: u32 = 4;
 
 /// Bounded node expansions per windowed A\* call; searches that exhaust the
 /// cap settle for the best stopping cell found so far.
@@ -246,7 +246,6 @@ impl IncrementalRouter {
 
         let mut elapsed = 0usize;
         let mut stagnant = 0u32;
-        let max_stagnant = self.shards.max_stagnant_windows.max(4);
         let mut phase = 0usize;
 
         while elapsed < problem.max_steps && n > 0 {
@@ -464,7 +463,7 @@ impl IncrementalRouter {
                 stagnant = 0;
             } else {
                 stagnant += 1;
-                if stagnant >= max_stagnant {
+                if stagnant >= MAX_STAGNANT_WINDOWS {
                     break;
                 }
             }
@@ -512,7 +511,7 @@ impl IncrementalRouter {
 
 #[cfg(test)]
 mod tests {
-    use super::astar_soa::{Scratch, WindowReservations};
+    use super::astar_soa::{DenseReservations, Scratch};
     use super::*;
     use crate::routing::{Router, RoutingRequest, RoutingStrategy};
     use labchip_units::GridDims;
@@ -529,7 +528,6 @@ mod tests {
         IncrementalRouter::new(ShardConfig {
             shard_side: 8,
             window: 4,
-            max_stagnant_windows: 4,
         })
     }
 
@@ -681,11 +679,13 @@ mod tests {
 
     #[test]
     fn window_astar_advances_toward_a_far_goal() {
-        let reservations = WindowReservations::new(4, 2);
+        let (lo, hi) = (GridCoord::new(0, 9), GridCoord::new(6, 14));
+        let mut reservations = DenseReservations::default();
+        reservations.begin(4, 2, lo, hi);
         let mut scratch = Scratch::default();
         let path = window_astar(
-            GridCoord::new(0, 9),
-            GridCoord::new(6, 14),
+            lo,
+            hi,
             |_| true,
             GridCoord::new(1, 10),
             GridCoord::new(22, 10),
@@ -849,7 +849,6 @@ mod tests {
             let router = IncrementalRouter::new(ShardConfig {
                 shard_side: shards.0,
                 window: shards.1,
-                max_stagnant_windows: 4,
             });
             let reference = router.plan::<false>(&problem, None).0;
             proptest::prop_assert_eq!(&router.solve(&problem).unwrap(), &reference);

@@ -9,7 +9,7 @@
 //! wait-in-place and then re-planned serially against the merged
 //! reservation table.
 
-use super::astar_soa::{position_at, window_astar, window_path, Scratch, WindowReservations};
+use super::astar_soa::{position_at, window_astar, window_path, DenseReservations, Scratch};
 use super::EXPANSION_CAP;
 use crate::routing::RoutingProblem;
 use labchip_units::{GridCoord, GridDims};
@@ -358,18 +358,19 @@ fn repair(
     demoted.dedup();
 
     // Re-plan the demoted particles one at a time against everyone
-    // else's merged trajectories. This is a cold path, so the sparse
-    // whole-grid reservation table is the right trade-off here.
-    let mut reservations = WindowReservations::new(window, sep);
-    for (traj, start) in trajs.iter().zip(positions) {
-        reservations.add_path(window_path(traj, start));
-    }
-    let dims = problem.dims;
-    let lo = GridCoord::new(0, 0);
-    let hi = GridCoord::new(dims.cols - 1, dims.rows - 1);
+    // else's current trajectories: the merged ones, the re-planned ones
+    // and the stays of those still waiting. The dense table cannot drop a
+    // path, so it is rebuilt per particle; this is a cold path.
+    let (lo, hi) = grid_box(problem.dims);
+    let mut reservations = DenseReservations::default();
     let mut scratch = Scratch::default();
     for &i in &demoted {
-        reservations.remove_path(window_path(&trajs[i], &positions[i]));
+        reservations.begin(window, sep, lo, hi);
+        for (j, (traj, start)) in trajs.iter().zip(positions).enumerate() {
+            if j != i {
+                reservations.add_path(window_path(traj, start));
+            }
+        }
         let path = window_astar(
             lo,
             hi,
@@ -380,7 +381,6 @@ fn repair(
             &mut scratch,
             EXPANSION_CAP,
         );
-        reservations.add_path(&path);
         trajs[i] = path;
     }
     // The re-planned paths respected the reservations, but run one
@@ -500,5 +500,120 @@ mod tests {
         assert!(scan
             .window_conflicts(problem().dims, &positions, &verified, WINDOW, SEP)
             .is_empty());
+    }
+
+    /// SplitMix64: a tiny deterministic stream for deriving test inputs.
+    fn mix(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// One seeded merged window with injected conflicts: up to 14
+    /// particles start clear of each other on a small grid, and each
+    /// either stays put or follows a random walk that ignores everyone
+    /// else. Returns the problem, the window length, the starts, goals
+    /// and merged trajectories.
+    #[allow(clippy::type_complexity)]
+    fn conflicting_window(
+        seed: u64,
+    ) -> (
+        RoutingProblem,
+        usize,
+        Vec<GridCoord>,
+        Vec<GridCoord>,
+        Vec<Vec<GridCoord>>,
+    ) {
+        let mut state = mix(seed);
+        let mut next = |bound: u64| {
+            state = mix(state);
+            state % bound
+        };
+        let side = 10 + next(11) as u32;
+        let mut problem = RoutingProblem::new(GridDims::square(side), Vec::new());
+        problem.min_separation = next(4) as u32;
+        let sep = problem.min_separation.max(1);
+        let window = 2 + next(7) as usize;
+        let mut positions: Vec<GridCoord> = Vec::new();
+        for _ in 0..40 {
+            let c = GridCoord::new(next(u64::from(side)) as u32, next(u64::from(side)) as u32);
+            if positions.len() < 14 && positions.iter().all(|p| p.chebyshev(c) >= sep) {
+                positions.push(c);
+            }
+        }
+        let goals = positions
+            .iter()
+            .map(|_| GridCoord::new(next(u64::from(side)) as u32, next(u64::from(side)) as u32))
+            .collect();
+        let trajs = positions
+            .iter()
+            .map(|&start| {
+                if next(4) == 0 {
+                    return Vec::new();
+                }
+                let mut c = start;
+                let mut path = vec![c];
+                for _ in 0..1 + next(window as u64) {
+                    let (dx, dy) = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)][next(5) as usize];
+                    c = c
+                        .offset(dx, dy)
+                        .filter(|n| n.x < side && n.y < side)
+                        .unwrap_or(c);
+                    path.push(c);
+                }
+                path
+            })
+            .collect();
+        (problem, window, positions, goals, trajs)
+    }
+
+    /// Repair of seeded conflicting windows: every repaired window is
+    /// clean, and the repaired trajectories hash (FNV-1a over each
+    /// trajectory's length and cells, case by case) to a pinned digest,
+    /// so a change to how repair re-plans shows up here.
+    #[test]
+    fn seeded_conflicting_windows_repair_to_a_pinned_digest() {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut fnv = |word: u32| {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let mut scan = ConflictScan::default();
+        let mut conflicting = 0;
+        for seed in 0..96 {
+            let (problem, window, positions, goals, mut trajs) = conflicting_window(seed);
+            let sep = problem.min_separation.max(1);
+            let clean = |scan: &mut ConflictScan, trajs: &[Vec<GridCoord>]| {
+                scan.stays_clear(
+                    grid_box(problem.dims),
+                    window,
+                    trajs.len(),
+                    |i| window_path(&trajs[i], &positions[i]),
+                    sep,
+                )
+            };
+            if !clean(&mut scan, &trajs) {
+                conflicting += 1;
+            }
+            verify_and_repair(
+                &problem, &positions, &goals, &mut trajs, window, sep, &mut scan,
+            );
+            assert!(
+                clean(&mut scan, &trajs),
+                "seed {seed}: the repaired window must be clean"
+            );
+            for traj in &trajs {
+                fnv(traj.len() as u32);
+                for c in traj {
+                    fnv(c.x);
+                    fnv(c.y);
+                }
+            }
+        }
+        assert!(conflicting >= 48, "only {conflicting} of 96 cases conflict");
+        assert_eq!(hash, 0x2356_1359_f0a1_43e9);
     }
 }

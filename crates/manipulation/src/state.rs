@@ -109,6 +109,20 @@ pub struct ChipStateSnapshot {
     pub time: TimeBreakdown,
 }
 
+impl ChipStateSnapshot {
+    /// The first particle, in id order, that lies outside the grid's own
+    /// dims, with its cell; `None` when every particle is on the grid.
+    /// A decoded snapshot is not checked for this, and restoring one
+    /// that fails it would index past the array, so resume paths call
+    /// this first.
+    pub fn particle_off_grid(&self) -> Option<(ParticleId, GridCoord)> {
+        let dims = self.grid.dims();
+        self.grid
+            .iter_particles()
+            .find(|&(_, at)| !dims.contains(at))
+    }
+}
+
 /// One chip-state model shared by the simulator, router, scanner and driver:
 /// the cage grid plus cached derivations, the plan map and the time ledger.
 ///

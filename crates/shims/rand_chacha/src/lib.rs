@@ -78,11 +78,6 @@ impl ChaCha8Rng {
         self.index += 1;
         w
     }
-
-    /// Current 64-bit block counter (diagnostic; counts generated blocks).
-    pub fn block_counter(&self) -> u64 {
-        self.state[12] as u64 | ((self.state[13] as u64) << 32)
-    }
 }
 
 impl RngCore for ChaCha8Rng {

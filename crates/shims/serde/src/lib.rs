@@ -103,11 +103,6 @@ impl Number {
             N::Float(_) => None,
         }
     }
-
-    /// Whether the number is stored as a float.
-    pub fn is_f64(&self) -> bool {
-        matches!(self.n, N::Float(_))
-    }
 }
 
 impl PartialEq for Number {
@@ -297,14 +292,6 @@ impl Value {
 
     /// The value as an array, if it is one.
     pub fn as_array(&self) -> Option<&Vec<Value>> {
-        match self {
-            Value::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// The value as a mutable array, if it is one.
-    pub fn as_array_mut(&mut self) -> Option<&mut Vec<Value>> {
         match self {
             Value::Array(a) => Some(a),
             _ => None,
