@@ -590,6 +590,24 @@ fn bench_workload() -> Vec<BenchRow> {
         "count",
         0,
     ));
+    // Exact counts of the same problem's uncached solve: the windows it
+    // ran, and how many of them repeated the recorded period of its
+    // periodic tail instead of planning.
+    let (_, solve_stats) = pool
+        .install(|| router.solve_with_stats(&problem))
+        .expect("generated problems are always well-formed");
+    rows.push(BenchRow::new(
+        "workload/plan_windows/320x10000",
+        solve_stats.windows as f64,
+        "count",
+        0,
+    ));
+    rows.push(BenchRow::new(
+        "workload/plan_windows_repeated/320x10000",
+        solve_stats.windows_repeated as f64,
+        "count",
+        0,
+    ));
 
     // The SoA tile-membership build alone: the per-window counting sort
     // over the 320²/10k scatter (margin freezing included), isolated from

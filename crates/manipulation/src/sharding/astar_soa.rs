@@ -15,18 +15,17 @@
 //!
 //! The inner loop of [`window_astar`] runs millions of times per
 //! paper-scale solve, so each expansion is kept to a few array reads: the
-//! open set is a heap of packed `u128` keys (see [`open_key`]), a
+//! open set is a [`BucketQueue`] of `(f, t)` buckets instead of a heap, a
 //! neighbour is tested against the visited stamps before the costlier
 //! `allowed` and reservation predicates, the caller passes the tile
 //! *interior* as the search box so `allowed` need not re-derive tile
-//! membership and margins, and [`DenseReservations`] answers "free until
-//! the window ends" with one comparison. None of this changes a plan: the
-//! pop order is the same total order over states, and the reordered tests
-//! are pure predicates.
+//! membership and margins (it reads one [`DenseZone`] counter), and
+//! [`DenseReservations`] answers "free until the window ends" with one
+//! comparison. None of this changes a plan: the pop order is the same
+//! total order over states, and the reordered tests are pure predicates.
 
 use crate::routing::for_each_zone_cell;
 use labchip_units::GridCoord;
-use std::collections::BinaryHeap;
 use std::sync::Mutex;
 
 /// The position of a window path at step `t` (paths park on their last
@@ -47,11 +46,14 @@ pub(crate) fn window_path<'a>(traj: &'a [GridCoord], start: &'a GridCoord) -> &'
     }
 }
 
-/// Dense zone counter over a fixed cell box, epoch-cleared in O(1).
+/// Dense zone counter over a fixed cell box, epoch-cleared in O(1). A
+/// tile's `parked` counter holds the zones of its members and of the
+/// frozen particles that reach into it: the one blocked mask its searches
+/// read.
 ///
 /// Writes outside the box are dropped; that is sound because every query
 /// the router makes is for a cell inside the box the structure was begun
-/// with (tile interiors for `parked`, the whole grid for the frozen zone).
+/// with (the tile interior).
 #[derive(Debug, Default)]
 pub(crate) struct DenseZone {
     lo_x: u32,
@@ -256,34 +258,94 @@ impl DenseReservations {
     }
 }
 
-/// Open-set key of the windowed A\*: `(f, t, y, x)` packed high to low
-/// into one `u128` and complemented, so the max-heap pops the
-/// lexicographically smallest state first. Ties break on `(t, y, x)`, so
-/// the expansion order — and therefore the plan — is fully deterministic.
-fn open_key(f: u32, t: u32, y: u32, x: u32) -> u128 {
-    !(u128::from(f) << 96 | u128::from(t) << 64 | u128::from(y) << 32 | u128::from(x))
+/// The open set of the windowed A\*. It pops states in ascending
+/// `(f, t, y, x)` order, so ties break on `(t, y, x)` and the expansion
+/// order, and therefore the plan, is fully deterministic.
+trait OpenSet {
+    /// Empties the set for a search from a start with heuristic `f0`
+    /// over a window of `window` steps.
+    fn begin(&mut self, f0: u32, window: usize);
+    fn push(&mut self, f: u32, t: u32, c: GridCoord);
+    fn pop(&mut self) -> Option<(u32, u32, GridCoord)>;
 }
 
-/// The `(f, t, y, x)` an [`open_key`] was packed from.
-fn open_state(key: u128) -> (u32, u32, u32, u32) {
-    let k = !key;
-    (
-        (k >> 96) as u32,
-        (k >> 64) as u32,
-        (k >> 32) as u32,
-        k as u32,
-    )
+/// The open set [`window_astar`] uses: one bucket of packed `y << 32 | x`
+/// per `(f, t)`, walked in `(f, t)` order and sorted when first reached.
+///
+/// A search from `start` only pushes states with `f − h(start)` in
+/// `0..=2·window` and `t` in `0..=window`: each step changes the
+/// Manhattan heuristic by at most 1. A push lands on step `t + 1` and
+/// comes from a pop at `(f', t)` with `f' ≤ f` (the heuristic is
+/// consistent), which is before its bucket in `(f, t)` order. So a
+/// bucket is complete when it is first reached, and popping it in sorted
+/// order yields exactly the `(f, t, y, x)` sequence of a binary heap.
+#[derive(Debug, Default)]
+struct BucketQueue {
+    /// Bucket `(f − f0) · steps + t`.
+    buckets: Vec<Vec<u64>>,
+    f0: u32,
+    /// `window + 1`: the bucket count per `f`.
+    steps: usize,
+    /// One past the highest bucket pushed to since `begin`.
+    end: usize,
+    /// The bucket being popped, and the next entry in it.
+    cur: usize,
+    next: usize,
+}
+
+impl OpenSet for BucketQueue {
+    fn begin(&mut self, f0: u32, window: usize) {
+        for bucket in &mut self.buckets[..self.end] {
+            bucket.clear();
+        }
+        self.steps = window + 1;
+        let count = (2 * window + 1) * self.steps;
+        if self.buckets.len() < count {
+            self.buckets.resize_with(count, Vec::new);
+        }
+        self.f0 = f0;
+        (self.end, self.cur, self.next) = (0, 0, 0);
+    }
+
+    fn push(&mut self, f: u32, t: u32, c: GridCoord) {
+        let b = (f - self.f0) as usize * self.steps + t as usize;
+        debug_assert!(
+            b > self.cur || (b == 0 && self.end == 0),
+            "push behind the walk"
+        );
+        self.buckets[b].push(u64::from(c.y) << 32 | u64::from(c.x));
+        self.end = self.end.max(b + 1);
+    }
+
+    fn pop(&mut self) -> Option<(u32, u32, GridCoord)> {
+        while self.cur < self.end {
+            let bucket = &mut self.buckets[self.cur];
+            if self.next < bucket.len() {
+                if self.next == 0 {
+                    bucket.sort_unstable();
+                }
+                let key = bucket[self.next];
+                self.next += 1;
+                let f = self.f0 + (self.cur / self.steps) as u32;
+                let t = (self.cur % self.steps) as u32;
+                return Some((f, t, GridCoord::new(key as u32, (key >> 32) as u32)));
+            }
+            self.cur += 1;
+            self.next = 0;
+        }
+        None
+    }
 }
 
 /// Reusable flat-array scratch space for the windowed A\*: visited stamps
 /// and parent links indexed by `(cell, t)` — cleared in O(1) via an epoch
-/// stamp — plus the open heap, whose allocation is reused across calls.
+/// stamp — plus the open set, whose allocations are reused across calls.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     visited: Vec<u32>,
     parent: Vec<u32>,
     epoch: u32,
-    open: BinaryHeap<u128>,
+    open: BucketQueue,
 }
 
 impl Scratch {
@@ -297,7 +359,6 @@ impl Scratch {
             self.visited.iter_mut().for_each(|v| *v = 0);
             self.epoch = 1;
         }
-        self.open.clear();
     }
 }
 
@@ -361,7 +422,20 @@ pub(crate) fn window_astar(
     scratch: &mut Scratch,
     cap: usize,
 ) -> Vec<GridCoord> {
-    search::<true>(lo, hi, allowed, start, goal, reservations, scratch, cap)
+    let mut open = std::mem::take(&mut scratch.open);
+    let path = search::<true>(
+        lo,
+        hi,
+        allowed,
+        start,
+        goal,
+        reservations,
+        scratch,
+        &mut open,
+        cap,
+    );
+    scratch.open = open;
+    path
 }
 
 /// [`window_astar`] without the bound-pruned stop: pops every reachable
@@ -378,7 +452,18 @@ fn window_astar_exhaustive(
     scratch: &mut Scratch,
     cap: usize,
 ) -> Vec<GridCoord> {
-    search::<false>(lo, hi, allowed, start, goal, reservations, scratch, cap)
+    let mut open = BucketQueue::default();
+    search::<false>(
+        lo,
+        hi,
+        allowed,
+        start,
+        goal,
+        reservations,
+        scratch,
+        &mut open,
+        cap,
+    )
 }
 
 /// The windowed A\* behind [`window_astar`]. With `PRUNE`, the loop breaks
@@ -399,6 +484,7 @@ fn search<const PRUNE: bool>(
     goal: GridCoord,
     reservations: &DenseReservations,
     scratch: &mut Scratch,
+    open: &mut impl OpenSet,
     cap: usize,
 ) -> Vec<GridCoord> {
     let window = reservations.window();
@@ -418,7 +504,8 @@ fn search<const PRUNE: bool>(
     scratch.begin(bw * bh * (window + 1));
 
     let h = |c: GridCoord| c.manhattan(goal);
-    scratch.open.push(open_key(h(start), 0, start.y, start.x));
+    open.begin(h(start), window);
+    open.push(h(start), 0, start);
     scratch.visited[idx(start, 0)] = scratch.epoch;
 
     // Best parking spot so far: minimise (distance-to-goal, t, y, x). The
@@ -450,8 +537,7 @@ fn search<const PRUNE: bool>(
     consider(start, 0, &mut best, &mut best_moving);
 
     let mut expansions = 0usize;
-    while let Some(key) = scratch.open.pop() {
-        let (f, t, y, x) = open_state(key);
+    while let Some((f, t, c)) = open.pop() {
         if PRUNE {
             if let Some((d, _, _)) = best {
                 if f as usize > d as usize + window {
@@ -459,7 +545,6 @@ fn search<const PRUNE: bool>(
                 }
             }
         }
-        let c = GridCoord::new(x, y);
         let t = t as usize;
         consider(c, t, &mut best, &mut best_moving);
         if let Some((0, bt, bc)) = best {
@@ -493,9 +578,7 @@ fn search<const PRUNE: bool>(
             scratch.visited[slot] = scratch.epoch;
             scratch.parent[slot] = here;
             let next_t = (t + 1) as u32;
-            scratch
-                .open
-                .push(open_key(next_t + h(next), next_t, next.y, next.x));
+            open.push(next_t + h(next), next_t, next);
         }
     }
 
@@ -524,6 +607,8 @@ fn search<const PRUNE: bool>(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     /// SplitMix64: a tiny deterministic stream for deriving test inputs.
     fn mix(mut z: u64) -> u64 {
@@ -551,6 +636,102 @@ mod tests {
         path
     }
 
+    /// One windowed search problem: a box, a start in it, a goal that may
+    /// lie outside it, a blocked-cell mask and random-walk reservations.
+    struct Case {
+        lo: GridCoord,
+        hi: GridCoord,
+        start: GridCoord,
+        goal: GridCoord,
+        mask_seed: u64,
+        blocked_fifths: usize,
+        reservations: DenseReservations,
+    }
+
+    impl Case {
+        fn new(
+            (lx, ly, bw, bh): (u32, u32, u32, u32),
+            (window, sep, blocked_fifths): (usize, u32, usize),
+            ends: (u64, u64),
+            walk_seeds: &[u64],
+            mask_seed: u64,
+        ) -> Self {
+            let lo = GridCoord::new(lx, ly);
+            let hi = GridCoord::new(lx + bw - 1, ly + bh - 1);
+            let start = GridCoord::new(
+                lx + (mix(ends.0) % u64::from(bw)) as u32,
+                ly + (mix(ends.0 ^ 1) % u64::from(bh)) as u32,
+            );
+            // Goals may lie outside the box, as they do for tile-confined
+            // searches of particles bound elsewhere.
+            let goal = GridCoord::new(
+                (mix(ends.1) % u64::from(lx + bw + 8)) as u32,
+                (mix(ends.1 ^ 1) % u64::from(ly + bh + 8)) as u32,
+            );
+            let mut reservations = DenseReservations::default();
+            reservations.begin(window, sep, lo, hi);
+            for &seed in walk_seeds {
+                reservations.add_path(&walk(seed, lo, hi, window));
+            }
+            Self {
+                lo,
+                hi,
+                start,
+                goal,
+                mask_seed,
+                blocked_fifths,
+                reservations,
+            }
+        }
+
+        fn allowed(&self, c: GridCoord) -> bool {
+            c == self.start
+                || mix(self.mask_seed ^ (u64::from(c.x) << 32 | u64::from(c.y))) % 5
+                    >= self.blocked_fifths as u64
+        }
+
+        fn search(
+            &self,
+            scratch: &mut Scratch,
+            open: &mut impl OpenSet,
+            cap: usize,
+        ) -> Vec<GridCoord> {
+            let allowed = |c| self.allowed(c);
+            search::<true>(
+                self.lo,
+                self.hi,
+                allowed,
+                self.start,
+                self.goal,
+                &self.reservations,
+                scratch,
+                open,
+                cap,
+            )
+        }
+    }
+
+    /// The open set of a plain binary heap: the reference order the
+    /// bucket queue must reproduce.
+    #[derive(Default)]
+    struct HeapOpen(BinaryHeap<Reverse<(u32, u32, u32, u32)>>);
+
+    impl OpenSet for HeapOpen {
+        fn begin(&mut self, _f0: u32, _window: usize) {
+            self.0.clear();
+        }
+
+        fn push(&mut self, f: u32, t: u32, c: GridCoord) {
+            self.0.push(Reverse((f, t, c.y, c.x)));
+        }
+
+        fn pop(&mut self) -> Option<(u32, u32, GridCoord)> {
+            self.0
+                .pop()
+                .map(|Reverse((f, t, y, x))| (f, t, GridCoord::new(x, y)))
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
@@ -566,26 +747,9 @@ mod tests {
             mask_seed in 0u64..u64::MAX,
             cap in prop_oneof![Just(super::super::EXPANSION_CAP), 1usize..400],
         ) {
-            let (lx, ly, bw, bh) = tile;
-            let (window, sep, blocked_fifths) = shape;
-            let lo = GridCoord::new(lx, ly);
-            let hi = GridCoord::new(lx + bw - 1, ly + bh - 1);
-            let start = GridCoord::new(lx + (mix(ends.0) % u64::from(bw)) as u32, ly + (mix(ends.0 ^ 1) % u64::from(bh)) as u32);
-            // Goals may lie outside the box, as they do for tile-confined
-            // searches of particles bound elsewhere.
-            let goal = GridCoord::new((mix(ends.1) % u64::from(lx + bw + 8)) as u32, (mix(ends.1 ^ 1) % u64::from(ly + bh + 8)) as u32);
-            let allowed = |c: GridCoord| {
-                c == start
-                    || mix(mask_seed ^ (u64::from(c.x) << 32 | u64::from(c.y))) % 5 >= blocked_fifths as u64
-            };
-            let walks: Vec<Vec<GridCoord>> =
-                walk_seeds.iter().map(|&s| walk(s, lo, hi, window)).collect();
-
-            let mut dense = DenseReservations::default();
-            dense.begin(window, sep, lo, hi);
-            for path in &walks {
-                dense.add_path(path);
-            }
+            let case = Case::new(tile, shape, ends, &walk_seeds, mask_seed);
+            let (lo, hi, window) = (case.lo, case.hi, shape.0);
+            let dense = &case.reservations;
             for y in lo.y..=hi.y {
                 for x in lo.x..=hi.x {
                     let c = GridCoord::new(x, y);
@@ -598,40 +762,36 @@ mod tests {
                     }
                 }
             }
+            let allowed = |c| case.allowed(c);
             let mut scratch = Scratch::default();
-            let dense_path = window_astar(lo, hi, allowed, start, goal, &dense, &mut scratch, cap);
-            let full = window_astar_exhaustive(lo, hi, allowed, start, goal, &dense, &mut scratch, cap);
+            let dense_path = window_astar(lo, hi, allowed, case.start, case.goal, dense, &mut scratch, cap);
+            let full = window_astar_exhaustive(lo, hi, allowed, case.start, case.goal, dense, &mut scratch, cap);
             prop_assert_eq!(&dense_path, &full);
         }
-    }
 
-    /// The max-heap pops packed keys in ascending lexicographic
-    /// `(f, t, y, x)` order, ties and values past `u16::MAX` included, and
-    /// every key unpacks to the state it was packed from.
-    #[test]
-    fn packed_key_order_is_lexicographic() {
-        // Every combination, so each field ties under every prefix.
-        let values = [0u32, 1, 0xffff, 0x1_0000, 70_000, u32::MAX];
-        let mut states = Vec::new();
-        for f in values {
-            for t in values {
-                for y in values {
-                    for x in values {
-                        states.push((f, t, y, x));
-                    }
-                }
+        /// The bucket queue pops states in exactly a binary heap's
+        /// `(f, t, y, x)` order: the search returns the same path with
+        /// either open set, early exit and expansion cap included. One
+        /// scratch serves every search, as in a tile.
+        #[test]
+        fn bucket_queue_matches_a_binary_heap(
+            tile in (0u32..6, 0u32..6, 2u32..14, 2u32..14),
+            shape in (1usize..14, 1u32..4, 0usize..6),
+            ends in (0u64..u64::MAX, 0u64..u64::MAX),
+            walk_seeds in collection::vec(0u64..u64::MAX, 0..6),
+            mask_seed in 0u64..u64::MAX,
+            cap in prop_oneof![Just(super::super::EXPANSION_CAP), 1usize..400],
+        ) {
+            let mut case = Case::new(tile, shape, ends, &walk_seeds, mask_seed);
+            let mut scratch = Scratch::default();
+            let mut buckets = BucketQueue::default();
+            let mut heap = HeapOpen::default();
+            for goal in [case.goal, case.start, case.lo, case.hi] {
+                case.goal = goal;
+                let bucketed = case.search(&mut scratch, &mut buckets, cap);
+                let reference = case.search(&mut scratch, &mut heap, cap);
+                prop_assert_eq!(&bucketed, &reference, "goal {}", goal);
             }
         }
-        states.sort_unstable();
-        let mut heap: BinaryHeap<u128> = states
-            .iter()
-            .rev()
-            .map(|&(f, t, y, x)| open_key(f, t, y, x))
-            .collect();
-        let mut popped = Vec::new();
-        while let Some(key) = heap.pop() {
-            popped.push(open_state(key));
-        }
-        assert_eq!(popped, states);
     }
 }

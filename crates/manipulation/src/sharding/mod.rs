@@ -50,11 +50,20 @@
 //!   running to its horizon while most tiles sit unchanged, so many tile
 //!   searches are skipped; the store holds at most one plan per tile per
 //!   phase.
+//! * **Periodic tail** — behind stranded particles the window-start
+//!   positions of a solve often become exactly periodic. Once window `w`
+//!   starts where window `w − P` did (`P` a multiple of the four stagger
+//!   phases; nominated by hash, confirmed by value `P` windows later),
+//!   the solve repeats the recorded period instead of planning it
+//!   (`tail`). A window's trajectories depend only on its start positions,
+//!   the goals and its phase, so the repeat is exact.
 //!
 //! The hot loops are struct-of-arrays throughout (`astar_soa`): flat
 //! epoch-stamped arrays for reservations, zones, and A\* scratch, pooled in
 //! reusable arenas instead of being allocated per shard inside the rayon
-//! closure.
+//! closure. The A\* pops from exact-order `(f, t)` buckets, and a tile's
+//! searches read one tile-local blocked mask: its members' zones and those
+//! of the frozen particles that reach into it.
 //!
 //! The outcome is deterministic — per-shard plans depend only on the
 //! window-start state and are merged in shard order — so results are
@@ -65,6 +74,7 @@ mod astar_soa;
 mod cache;
 mod partition;
 mod replay;
+mod tail;
 mod verify;
 
 pub use cache::{CacheStats, RouterCache};
@@ -72,13 +82,14 @@ pub use cache::{CacheStats, RouterCache};
 use crate::cage::ParticleId;
 use crate::error::ManipulationError;
 use crate::routing::{ParticlePath, RoutingOutcome, RoutingProblem};
-use astar_soa::{position_at, window_astar, Arena, ArenaPool, DenseZone};
+use astar_soa::{position_at, window_astar, Arena, ArenaPool};
 use cache::shard_key;
 use labchip_units::GridCoord;
 use partition::{stagger_phases, Partition, TileMembership};
 use rayon::prelude::*;
 use replay::TileReplay;
 use serde::{Deserialize, Serialize};
+use tail::{positions_hash, PeriodicTail};
 use verify::verify_and_repair;
 pub(crate) use verify::ConflictScan;
 
@@ -107,6 +118,19 @@ const MAX_STAGNANT_WINDOWS: u32 = 4;
 /// Bounded node expansions per windowed A\* call; searches that exhaust the
 /// cap settle for the best stopping cell found so far.
 const EXPANSION_CAP: usize = 2048;
+
+/// Exact counts of what one solve did (see
+/// [`IncrementalRouter::solve_with_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolveStats {
+    /// Windows the solve ran.
+    pub windows: usize,
+    /// Windows of the periodic tail: their trajectories repeat a recorded
+    /// window instead of being planned.
+    pub windows_repeated: usize,
+    /// Tiles the in-solve replay served instead of searching.
+    pub tiles_replayed: usize,
+}
 
 /// One tile of a planning window: its paths, one per member in order, and
 /// how the window's parallel pass is to fill them.
@@ -156,8 +180,7 @@ impl IncrementalRouter {
     /// but well-formed problem is reported through
     /// [`RoutingOutcome::unrouted`] instead.
     pub fn solve(&self, problem: &RoutingProblem) -> Result<RoutingOutcome, ManipulationError> {
-        problem.validate()?;
-        Ok(self.plan::<true>(problem, None).0)
+        self.solve_with_stats(problem).map(|(outcome, _)| outcome)
     }
 
     /// Solves a routing problem, reading and populating `cache` so that
@@ -175,6 +198,19 @@ impl IncrementalRouter {
     ) -> Result<RoutingOutcome, ManipulationError> {
         problem.validate()?;
         Ok(self.plan::<true>(problem, Some(cache)).0)
+    }
+
+    /// [`Self::solve`], also returning the [`SolveStats`] of the solve.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Self::solve`].
+    pub fn solve_with_stats(
+        &self,
+        problem: &RoutingProblem,
+    ) -> Result<(RoutingOutcome, SolveStats), ManipulationError> {
+        problem.validate()?;
+        Ok(self.plan::<true>(problem, None))
     }
 
     /// Benchmark probe for the per-window partition build: classifies
@@ -203,16 +239,15 @@ impl IncrementalRouter {
     }
 
     /// The planner behind [`Self::solve`] and [`Self::solve_cached`].
-    /// `SHORTCUTS` enables the parked fast path of the tile loop and, for
-    /// a solve without a cache, the in-solve replay; tests turn it off to
-    /// compare against calling A\* for every particle in every window.
-    /// Returns the outcome and the number of tiles the in-solve replay
-    /// served.
+    /// `SHORTCUTS` enables the parked fast path of the tile loop, the
+    /// periodic tail and, for a solve without a cache, the in-solve
+    /// replay; tests turn it off to compare against calling A\* for every
+    /// particle in every window.
     fn plan<const SHORTCUTS: bool>(
         &self,
         problem: &RoutingProblem,
         mut cache: Option<&mut RouterCache>,
-    ) -> (RoutingOutcome, usize) {
+    ) -> (RoutingOutcome, SolveStats) {
         let n = problem.requests.len();
         let sep = problem.min_separation.max(1);
         let margin = sep / 2;
@@ -236,204 +271,219 @@ impl IncrementalRouter {
             .as_mut()
             .map(|c| std::mem::take(&mut c.arenas))
             .unwrap_or_default();
-        let mut frozen_zone = DenseZone::default();
         let mut scan = ConflictScan::default();
         let mut frozen_touch: Vec<(u32, GridCoord)> = Vec::new();
         let mut replays: [Vec<TileReplay>; 4] = Default::default();
-        let mut replayed = 0usize;
-        let grid_lo = GridCoord::new(0, 0);
-        let grid_hi = GridCoord::new(problem.dims.cols - 1, problem.dims.rows - 1);
 
         let mut elapsed = 0usize;
         let mut stagnant = 0u32;
         let mut phase = 0usize;
+        let mut tail = PeriodicTail::default();
+        let horizon = problem.max_steps.div_ceil(window);
+        let mut stats = SolveStats::default();
 
         while elapsed < problem.max_steps && n > 0 {
             if positions.iter().zip(&goals).all(|(p, g)| p == g) {
                 break;
             }
             let (ox, oy) = phases[phase];
-            let part = Partition::new(problem.dims, side, ox, oy);
             let replay_tiles = &mut replays[phase];
             phase = (phase + 1) % phases.len();
+            stats.windows += 1;
 
-            // Classify: margin dwellers freeze for this window, everyone
-            // else plans within their tile.
-            frozen_zone.begin(grid_lo, grid_hi);
-            let mut frozen = vec![false; n];
-            for (i, pos) in positions.iter().enumerate() {
-                if part.in_margin(*pos, margin) {
-                    frozen[i] = true;
-                    frozen_zone.add(*pos, sep);
-                }
-            }
-            let mut membership = TileMembership::build(&part, &positions, &frozen);
+            // A window of the periodic tail repeats its recorded
+            // trajectories; any other window is planned.
+            let mut trajs: Vec<Vec<GridCoord>> = vec![Vec::new(); n];
+            if SHORTCUTS
+                && tail.begin_window(positions_hash(&positions), &positions, horizon, &mut trajs)
+            {
+                stats.windows_repeated += 1;
+            } else {
+                let part = Partition::new(problem.dims, side, ox, oy);
 
-            // Front-runners first: particles closest to their goals plan
-            // first so convoys flow instead of blocking on their leaders.
-            membership.sort_each_tile_by_key(|i| {
-                let i = i as usize;
-                (positions[i].manhattan(goals[i]), i)
-            });
-
-            // The rest of a tile's planning input: the frozen particles
-            // whose separation zone reaches into it.
-            frozen_touch.clear();
-            let reach = sep.saturating_sub(1);
-            for (i, pos) in positions.iter().enumerate() {
-                if !frozen[i] {
-                    continue;
-                }
-                let lo = GridCoord::new(pos.x.saturating_sub(reach), pos.y.saturating_sub(reach));
-                let hi = GridCoord::new(pos.x + reach, pos.y + reach);
-                for tile in part.tiles_in_box(lo, hi) {
-                    frozen_touch.push((tile as u32, *pos));
-                }
-            }
-            // Stable by tile: particle order within a tile is kept.
-            frozen_touch.sort_by_key(|&(tile, _)| tile);
-
-            // A shard whose planning input matches a stored one replays its
-            // paths instead of searching: with a cache, the entry under its
-            // content key, looked up here; without one, its tile's last plan
-            // in this stagger phase, compared in the parallel pass below.
-            // The rest plan fresh in that pass. `replay_tiles` stays empty
-            // unless the in-solve replay is on.
-            if replay {
-                replay_tiles.resize_with(part.tile_count(), TileReplay::default);
-            }
-            let mut stored = replay_tiles.iter_mut();
-            let mut slots: Vec<TileSlot> = (0..part.tile_count())
-                .map(|tile| TileSlot {
-                    paths: Vec::new(),
-                    needs_plan: !membership.members(tile).is_empty(),
-                    replay: stored.next(),
-                    replayed: false,
-                })
-                .collect();
-            let touch_of = |tile: usize| {
-                let lo = frozen_touch.partition_point(|&(t, _)| (t as usize) < tile);
-                let hi = frozen_touch.partition_point(|&(t, _)| (t as usize) <= tile);
-                &frozen_touch[lo..hi]
-            };
-            let members_of = |tile: usize| {
-                membership
-                    .members(tile)
+                // Classify: margin dwellers freeze for this window, everyone
+                // else plans within their tile.
+                let frozen: Vec<bool> = positions
                     .iter()
-                    .map(|&i| (positions[i as usize], goals[i as usize]))
-            };
-            let mut keys: Vec<u128> = Vec::new();
-            if let Some(cache_ref) = cache.as_deref_mut() {
-                keys = vec![0u128; part.tile_count()];
-                for (tile, slot) in slots.iter_mut().enumerate() {
-                    if !slot.needs_plan {
+                    .map(|pos| part.in_margin(*pos, margin))
+                    .collect();
+                let mut membership = TileMembership::build(&part, &positions, &frozen);
+
+                // Front-runners first: particles closest to their goals plan
+                // first so convoys flow instead of blocking on their leaders.
+                membership.sort_each_tile_by_key(|i| {
+                    let i = i as usize;
+                    (positions[i].manhattan(goals[i]), i)
+                });
+
+                // The rest of a tile's planning input: the frozen particles
+                // whose separation zone reaches into it.
+                frozen_touch.clear();
+                let reach = sep.saturating_sub(1);
+                for (i, pos) in positions.iter().enumerate() {
+                    if !frozen[i] {
                         continue;
                     }
-                    let key = shard_key(
-                        problem.dims,
-                        side,
-                        ox,
-                        oy,
-                        tile,
-                        sep,
-                        window,
-                        members_of(tile),
-                        touch_of(tile),
-                    );
-                    keys[tile] = key;
-                    slot.needs_plan = !cache_ref.fetch(key, members_of(tile), &mut slot.paths);
+                    let lo =
+                        GridCoord::new(pos.x.saturating_sub(reach), pos.y.saturating_sub(reach));
+                    let hi = GridCoord::new(pos.x + reach, pos.y + reach);
+                    for tile in part.tiles_in_box(lo, hi) {
+                        frozen_touch.push((tile as u32, *pos));
+                    }
                 }
-            }
+                // Stable by tile: particle order within a tile is kept.
+                frozen_touch.sort_by_key(|&(tile, _)| tile);
 
-            // Replay or plan the missing shards in parallel. Each plan
-            // depends only on the window-start state and each replay entry
-            // belongs to one tile, so the merge below is deterministic
-            // regardless of the hit/miss pattern or the thread count.
-            slots.par_iter_mut().enumerate().for_each(|(tile, slot)| {
-                if !slot.needs_plan {
-                    return;
+                // A shard whose planning input matches a stored one replays its
+                // paths instead of searching: with a cache, the entry under its
+                // content key, looked up here; without one, its tile's last plan
+                // in this stagger phase, compared in the parallel pass below.
+                // The rest plan fresh in that pass. `replay_tiles` stays empty
+                // unless the in-solve replay is on.
+                if replay {
+                    replay_tiles.resize_with(part.tile_count(), TileReplay::default);
                 }
-                if let Some(stored) = slot.replay.as_deref_mut() {
-                    if stored.matches_or_replace(members_of(tile), touch_of(tile)) {
-                        stored.replay(&mut slot.paths);
-                        slot.replayed = true;
+                let mut stored = replay_tiles.iter_mut();
+                let mut slots: Vec<TileSlot> = (0..part.tile_count())
+                    .map(|tile| TileSlot {
+                        paths: Vec::new(),
+                        needs_plan: !membership.members(tile).is_empty(),
+                        replay: stored.next(),
+                        replayed: false,
+                    })
+                    .collect();
+                let touch_of = |tile: usize| {
+                    let lo = frozen_touch.partition_point(|&(t, _)| (t as usize) < tile);
+                    let hi = frozen_touch.partition_point(|&(t, _)| (t as usize) <= tile);
+                    &frozen_touch[lo..hi]
+                };
+                let members_of = |tile: usize| {
+                    membership
+                        .members(tile)
+                        .iter()
+                        .map(|&i| (positions[i as usize], goals[i as usize]))
+                };
+                let mut keys: Vec<u128> = Vec::new();
+                if let Some(cache_ref) = cache.as_deref_mut() {
+                    keys = vec![0u128; part.tile_count()];
+                    for (tile, slot) in slots.iter_mut().enumerate() {
+                        if !slot.needs_plan {
+                            continue;
+                        }
+                        let key = shard_key(
+                            problem.dims,
+                            side,
+                            ox,
+                            oy,
+                            tile,
+                            sep,
+                            window,
+                            members_of(tile),
+                            touch_of(tile),
+                        );
+                        keys[tile] = key;
+                        slot.needs_plan = !cache_ref.fetch(key, members_of(tile), &mut slot.paths);
+                    }
+                }
+
+                // Replay or plan the missing shards in parallel. Each plan
+                // depends only on the window-start state and each replay entry
+                // belongs to one tile, so the merge below is deterministic
+                // regardless of the hit/miss pattern or the thread count.
+                slots.par_iter_mut().enumerate().for_each(|(tile, slot)| {
+                    if !slot.needs_plan {
                         return;
                     }
-                }
-                let indices = membership.members(tile);
-                let out = &mut slot.paths;
-                // Every cell the tables below are asked about lies in
-                // the tile interior: the searches stay in it and the
-                // starts are mobile.
-                let (lo, hi) = part
-                    .interior_bounds(positions[indices[0] as usize], margin)
-                    .expect("a mobile particle lies in its tile's interior");
-                let mut arena = pool.checkout();
-                let Arena {
-                    scratch,
-                    reservations,
-                    parked,
-                } = &mut arena;
-                reservations.begin(window, sep, lo, hi);
-                parked.begin(lo, hi);
-                for &i in indices {
-                    parked.add(positions[i as usize], sep);
-                }
-                for &i in indices {
-                    let i = i as usize;
-                    let start = positions[i];
-                    // Parked fast path: A* would pop the start first and
-                    // return the stay `[start]` at once. Its reservation
-                    // is left out and its parked zone kept instead; both
-                    // block the same cells at every step ≥ 1, and no
-                    // later start lies in that zone.
-                    if fast_park && start == goals[i] && reservations.is_free_from(start, 0) {
-                        out.push(Vec::new());
-                        continue;
+                    if let Some(stored) = slot.replay.as_deref_mut() {
+                        if stored.matches_or_replace(members_of(tile), touch_of(tile)) {
+                            stored.replay(&mut slot.paths);
+                            slot.replayed = true;
+                            return;
+                        }
                     }
-                    parked.remove(start, sep);
-                    let parked_view = &*parked;
-                    let path = window_astar(
-                        lo,
-                        hi,
-                        |c| !frozen_zone.blocked(c) && !parked_view.blocked(c),
-                        start,
-                        goals[i],
-                        &*reservations,
+                    let indices = membership.members(tile);
+                    let out = &mut slot.paths;
+                    // Every cell the tables below are asked about lies in
+                    // the tile interior: the searches stay in it and the
+                    // starts are mobile.
+                    let (lo, hi) = part
+                        .interior_bounds(positions[indices[0] as usize], margin)
+                        .expect("a mobile particle lies in its tile's interior");
+                    let mut arena = pool.checkout();
+                    let Arena {
                         scratch,
-                        EXPANSION_CAP,
-                    );
-                    reservations.add_path(&path);
-                    out.push(path);
-                }
-                pool.restore(arena);
-                if let Some(stored) = slot.replay.as_deref_mut() {
-                    stored.store(&slot.paths);
-                }
-            });
-            replayed += slots.iter().filter(|slot| slot.replayed).count();
+                        reservations,
+                        parked,
+                    } = &mut arena;
+                    reservations.begin(window, sep, lo, hi);
+                    // One blocked mask for the search: the zones of the
+                    // tile's members and of the frozen particles that reach
+                    // into it (no other frozen zone reaches the interior).
+                    parked.begin(lo, hi);
+                    for &i in indices {
+                        parked.add(positions[i as usize], sep);
+                    }
+                    for &(_, pos) in touch_of(tile) {
+                        parked.add(pos, sep);
+                    }
+                    for &i in indices {
+                        let i = i as usize;
+                        let start = positions[i];
+                        // Parked fast path: A* would pop the start first and
+                        // return the stay `[start]` at once. Its reservation
+                        // is left out and its parked zone kept instead; both
+                        // block the same cells at every step ≥ 1, and no
+                        // later start lies in that zone.
+                        if fast_park && start == goals[i] && reservations.is_free_from(start, 0) {
+                            out.push(Vec::new());
+                            continue;
+                        }
+                        parked.remove(start, sep);
+                        let parked_view = &*parked;
+                        let path = window_astar(
+                            lo,
+                            hi,
+                            |c| !parked_view.blocked(c),
+                            start,
+                            goals[i],
+                            &*reservations,
+                            scratch,
+                            EXPANSION_CAP,
+                        );
+                        reservations.add_path(&path);
+                        out.push(path);
+                    }
+                    pool.restore(arena);
+                    if let Some(stored) = slot.replay.as_deref_mut() {
+                        stored.store(&slot.paths);
+                    }
+                });
+                stats.tiles_replayed += slots.iter().filter(|slot| slot.replayed).count();
 
-            // Store the freshly planned shards under their content keys.
-            if let Some(cache_ref) = cache.as_deref_mut() {
-                for (tile, slot) in slots.iter().enumerate() {
-                    if slot.needs_plan {
-                        cache_ref.insert(keys[tile], members_of(tile), &slot.paths);
+                // Store the freshly planned shards under their content keys.
+                if let Some(cache_ref) = cache.as_deref_mut() {
+                    for (tile, slot) in slots.iter().enumerate() {
+                        if slot.needs_plan {
+                            cache_ref.insert(keys[tile], members_of(tile), &slot.paths);
+                        }
                     }
                 }
-            }
 
-            // Merge into one trajectory per particle; frozen particles keep
-            // the empty trajectory, which waits (see `window_path`).
-            let mut trajs: Vec<Vec<GridCoord>> = vec![Vec::new(); n];
-            for (tile, slot) in slots.iter_mut().enumerate() {
-                for (k, &i) in membership.members(tile).iter().enumerate() {
-                    trajs[i as usize] = std::mem::take(&mut slot.paths[k]);
+                // Merge into one trajectory per particle; frozen particles keep
+                // the empty trajectory, which waits (see `window_path`).
+                for (tile, slot) in slots.iter_mut().enumerate() {
+                    for (k, &i) in membership.members(tile).iter().enumerate() {
+                        trajs[i as usize] = std::mem::take(&mut slot.paths[k]);
+                    }
+                }
+
+                verify_and_repair(
+                    problem, &positions, &goals, &mut trajs, window, sep, &mut scan,
+                );
+                if SHORTCUTS {
+                    tail.end_window(&positions, &trajs);
                 }
             }
-
-            verify_and_repair(
-                problem, &positions, &goals, &mut trajs, window, sep, &mut scan,
-            );
 
             // Execute the window (truncated at the global horizon).
             let steps = window.min(problem.max_steps - elapsed);
@@ -505,7 +555,7 @@ impl IncrementalRouter {
             makespan,
             total_moves,
         };
-        (outcome, replayed)
+        (outcome, stats)
     }
 }
 
@@ -781,20 +831,9 @@ mod tests {
         assert!(warm.is_conflict_free(problem.min_separation));
     }
 
-    /// Recover-shaped problem on a lattice of pitch `sep + slack` (exactly
-    /// `sep` when the slack is 0): `occupied` lattice cells hold particles
-    /// and all but the first `movers` of them stay on their goals; each
-    /// mover heads for a distinct empty lattice cell. `seed` shuffles the
-    /// lattice.
-    fn recover_shaped(
-        side: u32,
-        sep: u32,
-        slack: (u32, u32),
-        occupied: usize,
-        movers: usize,
-        seed: u64,
-    ) -> RoutingProblem {
-        let (px, py) = (sep + slack.0, sep + slack.1);
+    /// The cells of a `(px, py)`-pitch lattice on a `side²` grid, shuffled
+    /// by `seed`.
+    fn shuffled_lattice(side: u32, (px, py): (u32, u32), seed: u64) -> Vec<GridCoord> {
         let mut lattice: Vec<GridCoord> = (0..side)
             .step_by(py as usize)
             .flat_map(|y| {
@@ -810,6 +849,23 @@ mod tests {
                 .wrapping_add(1_442_695_040_888_963_407);
             lattice.swap(k, (bits >> 33) as usize % (k + 1));
         }
+        lattice
+    }
+
+    /// Recover-shaped problem on a lattice of pitch `sep + slack` (exactly
+    /// `sep` when the slack is 0): `occupied` lattice cells hold particles
+    /// and all but the first `movers` of them stay on their goals; each
+    /// mover heads for a distinct empty lattice cell. `seed` shuffles the
+    /// lattice.
+    fn recover_shaped(
+        side: u32,
+        sep: u32,
+        slack: (u32, u32),
+        occupied: usize,
+        movers: usize,
+        seed: u64,
+    ) -> RoutingProblem {
+        let lattice = shuffled_lattice(side, (sep + slack.0, sep + slack.1), seed);
         let occupied = occupied.min(lattice.len());
         let movers = movers.min(occupied).min(lattice.len() - occupied);
         let requests = (0..occupied)
@@ -891,18 +947,60 @@ mod tests {
     fn unchanged_tiles_replay_inside_a_cold_solve() {
         let problem = walled_in_recovery();
         let router = small_shards();
-        let (outcome, replayed) = router.plan::<true>(&problem, None);
+        let (outcome, stats) = router.plan::<true>(&problem, None);
         assert_eq!(
             outcome.unrouted,
             vec![ParticleId(1)],
             "only the walled-in mover strands"
         );
-        assert!(replayed > 0, "stationary tiles recur unchanged");
+        assert!(stats.tiles_replayed > 0, "stationary tiles recur unchanged");
         assert_eq!(outcome, router.plan::<false>(&problem, None).0);
         let cached = router
             .solve_cached(&problem, &mut RouterCache::new())
             .unwrap();
         assert_eq!(router.solve(&problem).unwrap(), cached);
+    }
+
+    /// `count` particles on a shuffled pitch-2 lattice, each bound for the
+    /// next one's start, with a horizon of 400 steps: a crowded rotation
+    /// in which some movers strand and circle for the rest of the solve.
+    fn rotation(side: u32, count: usize, seed: u64) -> RoutingProblem {
+        let lattice = shuffled_lattice(side, (2, 2), seed);
+        let requests = (0..count)
+            .map(|k| RoutingRequest {
+                id: ParticleId(k as u64),
+                start: lattice[k],
+                goal: lattice[(k + 1) % count],
+            })
+            .collect();
+        let mut problem = RoutingProblem::new(GridDims::square(side), requests);
+        problem.max_steps = 400;
+        problem
+    }
+
+    #[test]
+    fn periodic_tail_repeats_without_changing_the_plan() {
+        let problem = rotation(12, 8, 4);
+        let router = small_shards();
+        let (outcome, stats) = router.plan::<true>(&problem, None);
+        assert!(
+            !outcome.unrouted.is_empty(),
+            "stranded movers run the solve on"
+        );
+        assert_eq!(stats.windows, 100, "the solve runs to its horizon");
+        assert!(stats.windows_repeated > 0, "{stats:?}");
+        let (reference, reference_stats) = router.plan::<false>(&problem, None);
+        assert_eq!(outcome, reference);
+        assert_eq!(reference_stats.windows_repeated, 0);
+        assert_eq!(
+            router.solve_with_stats(&problem).unwrap(),
+            (outcome.clone(), stats)
+        );
+        let mut cache = RouterCache::new();
+        for _ in 0..2 {
+            assert_eq!(router.solve_cached(&problem, &mut cache).unwrap(), outcome);
+        }
+        assert_eq!(cache.stats().misses, cache.stats().entries as u64);
     }
 
     #[test]

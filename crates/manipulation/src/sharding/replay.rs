@@ -13,7 +13,8 @@
 //! Paths are packed into one word each, relative to the member's start, so
 //! the four phases' entries of a 320² solve stay well under a megabyte.
 //! The [`RouterCache`](super::RouterCache) stores its entries through the
-//! same codec ([`pack_plan`], [`unpack_plan`]).
+//! same codec ([`pack_plan`], [`unpack_plan`]), and the periodic tail
+//! (`tail`) its recorded windows ([`pack`], [`unpack`]).
 
 use labchip_units::GridCoord;
 
@@ -131,8 +132,9 @@ fn take_step(pos: GridCoord, code: u64) -> GridCoord {
 }
 
 /// Packs a path that starts on `start` (or the empty path of a parked
-/// particle) into its length and step codes.
-fn pack(start: GridCoord, path: &[GridCoord]) -> Option<u64> {
+/// particle) into its length and step codes; `None` if it is longer than
+/// a word holds or does not move one step at a time from `start`.
+pub(super) fn pack(start: GridCoord, path: &[GridCoord]) -> Option<u64> {
     if path.len() > MAX_PACKED_CELLS || path.first().is_some_and(|c| *c != start) {
         return None;
     }
@@ -143,7 +145,8 @@ fn pack(start: GridCoord, path: &[GridCoord]) -> Option<u64> {
     Some(word)
 }
 
-fn unpack(start: GridCoord, word: u64) -> Vec<GridCoord> {
+/// The path [`pack`] packed from `start`.
+pub(super) fn unpack(start: GridCoord, word: u64) -> Vec<GridCoord> {
     let len = (word & 0xF) as usize;
     let mut out = Vec::with_capacity(len);
     let mut pos = start;
