@@ -590,9 +590,45 @@ fn bench_workload() -> Vec<BenchRow> {
         "count",
         0,
     ));
-    // Exact counts of the same problem's uncached solve: the windows it
-    // ran, and how many of them repeated the recorded period of its
-    // periodic tail instead of planning.
+    // One warm replan on the primed cache after re-targeting a fixed,
+    // seeded 1% of the requests (their goals swapped in pairs): the exact
+    // shard lookups it hit and missed.
+    let mut retargeted = problem.clone();
+    let n = retargeted.requests.len();
+    let mut chosen: Vec<usize> = Vec::new();
+    let mut bits = 2005u64;
+    while chosen.len() < 2 * (n / 200).max(1) {
+        bits = bits
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let i = (bits >> 33) as usize % n;
+        if !chosen.contains(&i) {
+            chosen.push(i);
+        }
+    }
+    for pair in chosen.chunks(2) {
+        let goal = retargeted.requests[pair[0]].goal;
+        retargeted.requests[pair[0]].goal = retargeted.requests[pair[1]].goal;
+        retargeted.requests[pair[1]].goal = goal;
+    }
+    pool.install(|| router.solve_cached(&retargeted, &mut cache))
+        .expect("re-targeted problems stay well-formed");
+    let replan_stats = cache.stats();
+    rows.push(BenchRow::new(
+        "workload/replan_hits/320x10000",
+        (replan_stats.hits - warm_stats.hits) as f64,
+        "count",
+        0,
+    ));
+    rows.push(BenchRow::new(
+        "workload/replan_misses/320x10000",
+        (replan_stats.misses - warm_stats.misses) as f64,
+        "count",
+        0,
+    ));
+    // Exact counts of the same problem's cold solve: the windows it ran,
+    // how many of them repeated the recorded period of its periodic tail
+    // instead of planning, and the tiles its own cache served.
     let (_, solve_stats) = pool
         .install(|| router.solve_with_stats(&problem))
         .expect("generated problems are always well-formed");
@@ -605,6 +641,12 @@ fn bench_workload() -> Vec<BenchRow> {
     rows.push(BenchRow::new(
         "workload/plan_windows_repeated/320x10000",
         solve_stats.windows_repeated as f64,
+        "count",
+        0,
+    ));
+    rows.push(BenchRow::new(
+        "workload/plan_tiles_replayed/320x10000",
+        solve_stats.tiles_replayed as f64,
         "count",
         0,
     ));

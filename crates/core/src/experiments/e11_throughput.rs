@@ -272,7 +272,8 @@ impl Scenario for ThroughputScenario {
 
     fn check_limits(&self, config: &Config) -> Result<(), Limit> {
         Limit::array_side(config.array_side)?;
-        Limit::threads("threads", config.threads)
+        Limit::threads("threads", config.threads)?;
+        Limit::frames("detection_frames", config.detection_frames.into())
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

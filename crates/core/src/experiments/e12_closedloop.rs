@@ -288,7 +288,16 @@ impl Scenario for ClosedLoopScenario {
 
     fn check_limits(&self, config: &Config) -> Result<(), Limit> {
         Limit::array_side(config.array_side)?;
-        Limit::threads("threads", config.threads)
+        Limit::threads("threads", config.threads)?;
+        let rescan_factor = u64::from(config.rescan_factor.max(1));
+        for &frames in &config.frame_counts {
+            Limit::frames("frame_counts", frames.into())?;
+            Limit::frames(
+                "frame_counts × rescan_factor",
+                u64::from(frames) * rescan_factor,
+            )?;
+        }
+        Ok(())
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

@@ -349,7 +349,8 @@ impl Scenario for FaultsScenario {
 
     fn check_limits(&self, config: &Config) -> Result<(), Limit> {
         Limit::array_side(config.array_side)?;
-        Limit::threads("threads", config.threads)
+        Limit::threads("threads", config.threads)?;
+        Limit::scans(config.detection_frames, &config.recovery)
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

@@ -89,7 +89,8 @@ impl Scenario for AssayScenario {
     }
 
     fn check_limits(&self, config: &Config) -> Result<(), Limit> {
-        Limit::array_side(config.array_side)
+        Limit::array_side(config.array_side)?;
+        Limit::frames("detection_frames", config.detection_frames.into())
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

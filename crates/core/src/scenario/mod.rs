@@ -45,6 +45,7 @@ pub use runner::{outcomes_to_json, RunOutcome, Runner};
 
 use crate::experiments::ExperimentTable;
 use crate::simulator::StepObserver;
+use crate::workload::RecoveryPolicy;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use serde_json::Value;
@@ -100,6 +101,12 @@ pub const MAX_THREADS: usize = 256;
 /// so the bound is checked before anything is built.
 pub const MAX_ARRAY_SIDE: u32 = 4096;
 
+/// Largest number of sensor frames one scan may average. A scan draws
+/// every frame of every site, so four billion frames run for hours even
+/// on a 16² array, while 4096 take a tenth of a second there; the bound is
+/// checked before anything runs.
+pub const MAX_FRAMES: u32 = 4096;
+
 /// A config value beyond the bound its scenario sets on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Limit {
@@ -144,6 +151,40 @@ impl Limit {
             });
         }
         Ok(())
+    }
+
+    /// Checks the frames one scan averages, `frames` of `field`, against
+    /// [`MAX_FRAMES`]. A `u64` holds the product of two `u32` counts, so a
+    /// re-scan's `frames × rescan_factor` is checked without overflow.
+    ///
+    /// # Errors
+    ///
+    /// The exceeded [`Limit`] when `frames > MAX_FRAMES`.
+    pub fn frames(field: &'static str, frames: u64) -> Result<(), Limit> {
+        if frames > u64::from(MAX_FRAMES) {
+            return Err(Limit {
+                field,
+                value: usize::try_from(frames).unwrap_or(usize::MAX),
+                max: MAX_FRAMES as usize,
+            });
+        }
+        Ok(())
+    }
+
+    /// Checks the scans of a cycle that averages `frames` per detection
+    /// scan under `recovery`: the scan itself, and the recovery re-scan of
+    /// `frames × rescan_factor` (the factor clamped to at least 1, as the
+    /// Recover phase does).
+    ///
+    /// # Errors
+    ///
+    /// The first exceeded [`Limit`].
+    pub fn scans(frames: u32, recovery: &RecoveryPolicy) -> Result<(), Limit> {
+        Limit::frames("detection_frames", frames.into())?;
+        Limit::frames(
+            "detection_frames × rescan_factor",
+            u64::from(frames) * u64::from(recovery.rescan_factor.max(1)),
+        )
     }
 }
 

@@ -342,7 +342,8 @@ impl Scenario for FleetScenario {
     }
 
     fn check_limits(&self, config: &Config) -> Result<(), Limit> {
-        Limit::array_side(config.array_side)
+        Limit::array_side(config.array_side)?;
+        Limit::scans(config.detection_frames, &config.recovery)
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

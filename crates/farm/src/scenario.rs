@@ -503,7 +503,8 @@ impl Scenario for FarmScenario {
         for &workers in &config.worker_counts {
             Limit::threads("worker_counts", workers)?;
         }
-        Limit::threads("planner_threads", config.planner_threads)
+        Limit::threads("planner_threads", config.planner_threads)?;
+        Limit::scans(config.detection_frames, &config.recovery)
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {
@@ -636,6 +637,104 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn frame_counts_past_the_bound_are_rejected_before_anything_runs() {
+        // Only `check_value` is called: no scan averages any of these
+        // counts.
+        use labchip::scenario::{ScenarioError, MAX_FRAMES};
+        use serde_json::Value;
+        let registry = full_registry();
+        let check = |id: &str, fields: Vec<(&str, Value)>| {
+            let scenario = registry.get(id).unwrap();
+            let mut config = scenario.default_config();
+            let map = config.as_object_mut().expect("configs are objects");
+            for (field, value) in fields {
+                assert!(map.contains_key(field), "{id} has `{field}`");
+                map.insert(field, value);
+            }
+            scenario.check_value(&config)
+        };
+        let over = |id: &str, field: &'static str, value: u64| {
+            Err(ScenarioError::OverLimit {
+                scenario: id.to_owned(),
+                limit: Limit {
+                    field,
+                    value: value as usize,
+                    max: 4096,
+                },
+            })
+        };
+        let frames = |n: u64| serde_json::to_value(&n);
+        let max = u64::from(MAX_FRAMES);
+        let huge = u64::from(u32::MAX);
+
+        // Every detection scan. With no re-scan, the bound itself passes.
+        for id in ["E9", "E11"] {
+            assert_eq!(check(id, vec![("detection_frames", frames(max))]), Ok(()));
+        }
+        for id in ["E9", "E11", "E13", "E14", "E15", "E16"] {
+            for n in [max + 1, huge] {
+                let err = check(id, vec![("detection_frames", frames(n))]);
+                assert_eq!(err, over(id, "detection_frames", n));
+            }
+        }
+
+        // A recovery re-scan averages `detection_frames × rescan_factor`.
+        let recovery = |rescan_factor: u32| {
+            serde_json::to_value(&RecoveryPolicy {
+                max_rounds: 2,
+                rescan_factor,
+            })
+        };
+        for id in ["E13", "E14", "E15", "E16"] {
+            let at_bound = vec![
+                ("detection_frames", frames(max / 4)),
+                ("recovery", recovery(4)),
+            ];
+            assert_eq!(check(id, at_bound), Ok(()));
+            let err = check(
+                id,
+                vec![
+                    ("detection_frames", frames(2)),
+                    ("recovery", recovery(u32::MAX)),
+                ],
+            );
+            assert_eq!(err, over(id, "detection_frames × rescan_factor", 2 * huge));
+        }
+
+        // E12 sweeps frame counts, each with its re-scan.
+        let sweep = |counts: &[u64], rescan_factor: u64| {
+            check(
+                "E12",
+                vec![
+                    ("frame_counts", serde_json::to_value(&counts.to_vec())),
+                    ("rescan_factor", frames(rescan_factor)),
+                ],
+            )
+        };
+        assert_eq!(sweep(&[2, max], 1), Ok(()));
+        assert_eq!(sweep(&[2, huge], 1), over("E12", "frame_counts", huge));
+        assert_eq!(
+            sweep(&[2, max], huge),
+            over("E12", "frame_counts × rescan_factor", 2 * huge)
+        );
+
+        // E13's protocol override: each `Sense` phase's own frame count.
+        let protocol = |n: u32| {
+            let protocol =
+                e13_protocols::default_protocol(8).with_phase(PhaseSpec::Sense { frames: Some(n) });
+            serde_json::to_value(&Some(protocol))
+        };
+        assert_eq!(
+            check("E13", vec![("protocol", protocol(MAX_FRAMES))]),
+            Ok(())
+        );
+        assert_eq!(
+            check("E13", vec![("protocol", protocol(u32::MAX))]),
+            over("E13", "Sense.frames", huge)
+        );
     }
 
     #[test]

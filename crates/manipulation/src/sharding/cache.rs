@@ -1,4 +1,5 @@
-//! Cross-window, cross-solve plan cache for warm-start replanning.
+//! The router's one tile-reuse store: a cross-window plan cache, carried
+//! across solves for warm-start replanning.
 //!
 //! One cache entry holds the A\* output of one shard of one window, keyed
 //! by a 128-bit hash of *everything the per-shard planner reads*: grid
@@ -20,13 +21,18 @@
 //! the chip did in between; content it no longer reached is dropped, so
 //! between solves the cache holds at most one solve's lookups.
 //!
-//! Paths are stored one `u64` word per member through the in-solve
-//! replay's codec (`replay::pack_plan`), relative to the member's start,
-//! which the key fixes. A word holds 15 cells, so a plan with a longer
-//! path (possible only with a window over 14 steps) is not stored.
+//! Every solve plans through a cache: [`super::IncrementalRouter::solve`]
+//! on a fresh one that it drops at the end, so a tile whose input recurs
+//! within a cold solve is served from the windows before it, and
+//! [`super::IncrementalRouter::solve_cached`] on one the caller keeps.
+//!
+//! Paths are stored one `u64` word per member through the path codec
+//! (`codec::pack_plan`), relative to the member's start, which the key
+//! fixes. A word holds 15 cells, so a plan with a longer path (possible
+//! only with a window over 14 steps) is not stored.
 
 use super::astar_soa::ArenaPool;
-use super::replay::{pack_plan, unpack_plan};
+use super::codec::{pack_plan, unpack_plan};
 use labchip_units::{GridCoord, GridDims};
 use std::collections::HashMap;
 

@@ -1,19 +1,9 @@
-//! In-solve shard replay of a cold solve.
+//! The path codec of the router's plan stores.
 //!
-//! A solve without a [`RouterCache`](super::RouterCache) keeps one
-//! [`TileReplay`] per (stagger phase, tile): the tile's plan from the last
-//! window of that phase that planned it, and the input it was planned
-//! from. Within one solve, dims, tile side, stagger offset, tile index,
-//! separation and window are fixed, so the rest of the shard planner's
-//! input is the ordered `(start, goal)` list of the tile's mobile members
-//! and the frozen positions whose zone reaches into it. A tile whose input
-//! equals the stored one, compared exactly rather than by hash, gets the
-//! stored paths back, bit-identical to searching again.
-//!
-//! Paths are packed into one word each, relative to the member's start, so
-//! the four phases' entries of a 320² solve stay well under a megabyte.
-//! The [`RouterCache`](super::RouterCache) stores its entries through the
-//! same codec ([`pack_plan`], [`unpack_plan`]), and the periodic tail
+//! A window path moves at most one cell per step, so it packs into one
+//! `u64` relative to its start: a 4-bit length, then 4 bits per step. The
+//! [`RouterCache`](super::RouterCache) stores each shard's plan as one word
+//! per member ([`pack_plan`], [`unpack_plan`]), and the periodic tail
 //! (`tail`) its recorded windows ([`pack`], [`unpack`]).
 
 use labchip_units::GridCoord;
@@ -21,53 +11,6 @@ use labchip_units::GridCoord;
 /// Longest path (in cells) a packed word holds: a 4-bit length, then
 /// 4 bits per step.
 const MAX_PACKED_CELLS: usize = 15;
-
-/// One tile's stored input and plan.
-#[derive(Debug, Default)]
-pub(super) struct TileReplay {
-    members: Vec<(GridCoord, GridCoord)>,
-    touch: Vec<GridCoord>,
-    paths: Vec<u64>,
-}
-
-impl TileReplay {
-    /// Whether `members` and the positions in `touch` are exactly the
-    /// stored input. If not, they replace it, as the input of the plan the
-    /// caller is about to make and [`store`](Self::store).
-    pub(super) fn matches_or_replace(
-        &mut self,
-        members: impl ExactSizeIterator<Item = (GridCoord, GridCoord)> + Clone,
-        touch: &[(u32, GridCoord)],
-    ) -> bool {
-        let touch = touch.iter().map(|&(_, pos)| pos);
-        if self.members.len() == members.len()
-            && self.touch.len() == touch.len()
-            && self.members.iter().copied().eq(members.clone())
-            && self.touch.iter().copied().eq(touch.clone())
-        {
-            return true;
-        }
-        refill(&mut self.members, members);
-        refill(&mut self.touch, touch);
-        self.paths.clear();
-        false
-    }
-
-    /// Appends the stored plan to `out`, one path per member in order.
-    pub(super) fn replay(&self, out: &mut Vec<Vec<GridCoord>>) {
-        unpack_plan(self.members.iter().copied(), &self.paths, out);
-    }
-
-    /// Stores the plan made from the input just stored by
-    /// [`matches_or_replace`](Self::matches_or_replace). A plan with a path
-    /// that does not pack drops the input, so the tile never replays it.
-    pub(super) fn store(&mut self, paths: &[Vec<GridCoord>]) {
-        match pack_plan(self.members.iter().copied(), paths) {
-            Some(words) => refill(&mut self.paths, words.into_iter()),
-            None => self.members.clear(),
-        }
-    }
-}
 
 /// Packs one shard's plan, a path per member in order, each relative to
 /// the member's start; `None` if a path does not pack.
@@ -93,15 +36,6 @@ pub(super) fn unpack_plan(
             .zip(words)
             .map(|((start, _), &word)| unpack(start, word)),
     );
-}
-
-/// Refills `vec` with `items`, growing its allocation to the exact length
-/// only: an entry is rewritten every few windows and must not keep
-/// doubling slack.
-fn refill<T>(vec: &mut Vec<T>, items: impl ExactSizeIterator<Item = T>) {
-    vec.clear();
-    vec.reserve_exact(items.len());
-    vec.extend(items);
 }
 
 /// The 4-bit code of one window step (the move alphabet has 5 symbols:

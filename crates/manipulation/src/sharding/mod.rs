@@ -35,21 +35,16 @@
 //!   construction, but frozen corner cases are cheap to guard), and one
 //!   particle of each pair is demoted to wait-in-place and then re-planned
 //!   serially against the merged reservation table.
-//! * **Warm starts** — [`IncrementalRouter::solve_cached`] memoizes each
-//!   shard's window plan in a [`RouterCache`] keyed by a content hash of
-//!   everything the shard planner reads. Re-solving an unchanged (or mostly
-//!   unchanged) problem replays cached paths instead of searching, and
-//!   because the key covers the planner's *entire* input, a hit is
-//!   bit-identical to a recompute by construction.
-//! * **In-solve replay** — without a cache, [`IncrementalRouter::solve`]
-//!   keeps each tile's plan from the last window of the same stagger
-//!   phase, with the members and frozen neighbours it was planned from
-//!   (`replay`). A tile whose input is exactly the same, compared by value
-//!   rather than by hash, reuses that plan; the comparison runs inside the
-//!   window's one parallel tile pass. Stranded particles keep a solve
-//!   running to its horizon while most tiles sit unchanged, so many tile
-//!   searches are skipped; the store holds at most one plan per tile per
-//!   phase.
+//! * **Warm starts** — every solve memoizes each shard's window plan in a
+//!   [`RouterCache`] keyed by a content hash of everything the shard
+//!   planner reads, and replays a hit instead of searching. Because the
+//!   key covers the planner's *entire* input, a hit is bit-identical to a
+//!   recompute by construction. [`IncrementalRouter::solve`] plans on a
+//!   fresh cache: stranded particles keep a solve running to its horizon
+//!   while most tiles see the same input again, so many tile searches of
+//!   one cold solve are skipped. [`IncrementalRouter::solve_cached`] plans
+//!   on a cache the caller keeps, so re-solving an unchanged (or mostly
+//!   unchanged) problem also hits the windows of the solve before.
 //! * **Periodic tail** — behind stranded particles the window-start
 //!   positions of a solve often become exactly periodic. Once window `w`
 //!   starts where window `w − P` did (`P` a multiple of the four stagger
@@ -72,8 +67,8 @@
 
 mod astar_soa;
 mod cache;
+mod codec;
 mod partition;
-mod replay;
 mod tail;
 mod verify;
 
@@ -87,7 +82,6 @@ use cache::shard_key;
 use labchip_units::GridCoord;
 use partition::{stagger_phases, Partition, TileMembership};
 use rayon::prelude::*;
-use replay::TileReplay;
 use serde::{Deserialize, Serialize};
 use tail::{positions_hash, PeriodicTail};
 use verify::verify_and_repair;
@@ -128,21 +122,19 @@ pub struct SolveStats {
     /// Windows of the periodic tail: their trajectories repeat a recorded
     /// window instead of being planned.
     pub windows_repeated: usize,
-    /// Tiles the in-solve replay served instead of searching.
+    /// Tiles the solve's [`RouterCache`] served instead of searching.
     pub tiles_replayed: usize,
 }
 
 /// One tile of a planning window: its paths, one per member in order, and
-/// how the window's parallel pass is to fill them.
-struct TileSlot<'a> {
+/// whether the window's parallel pass is to plan them.
+struct TileSlot {
     paths: Vec<Vec<GridCoord>>,
-    /// Whether the pass must replay or plan the tile: it has mobile
-    /// members and no cache entry served them.
+    /// The content key of the tile's planning input (0 when not keyed).
+    key: u128,
+    /// Whether the pass must plan the tile: it has mobile members and no
+    /// cache entry served them.
     needs_plan: bool,
-    /// The tile's in-solve replay for this stagger phase, when on.
-    replay: Option<&'a mut TileReplay>,
-    /// Set by the pass when `replay` served the tile.
-    replayed: bool,
 }
 
 /// The incremental sharded space–time router.
@@ -172,7 +164,8 @@ impl IncrementalRouter {
         self.shards.shard_side.max(4 * margin + 2).max(4)
     }
 
-    /// Solves a routing problem incrementally, from a cold start.
+    /// Solves a routing problem incrementally, from a cold start: the
+    /// cached planner on a fresh [`RouterCache`], dropped at the end.
     ///
     /// # Errors
     ///
@@ -197,7 +190,7 @@ impl IncrementalRouter {
         cache: &mut RouterCache,
     ) -> Result<RoutingOutcome, ManipulationError> {
         problem.validate()?;
-        Ok(self.plan::<true>(problem, Some(cache)).0)
+        Ok(self.plan::<true>(problem, cache).0)
     }
 
     /// [`Self::solve`], also returning the [`SolveStats`] of the solve.
@@ -210,7 +203,7 @@ impl IncrementalRouter {
         problem: &RoutingProblem,
     ) -> Result<(RoutingOutcome, SolveStats), ManipulationError> {
         problem.validate()?;
-        Ok(self.plan::<true>(problem, None))
+        Ok(self.plan::<true>(problem, &mut RouterCache::new()))
     }
 
     /// Benchmark probe for the per-window partition build: classifies
@@ -240,13 +233,12 @@ impl IncrementalRouter {
 
     /// The planner behind [`Self::solve`] and [`Self::solve_cached`].
     /// `SHORTCUTS` enables the parked fast path of the tile loop, the
-    /// periodic tail and, for a solve without a cache, the in-solve
-    /// replay; tests turn it off to compare against calling A\* for every
-    /// particle in every window.
+    /// periodic tail and the `cache` lookups and inserts; tests turn it off
+    /// to compare against calling A\* for every particle in every window.
     fn plan<const SHORTCUTS: bool>(
         &self,
         problem: &RoutingProblem,
-        mut cache: Option<&mut RouterCache>,
+        cache: &mut RouterCache,
     ) -> (RoutingOutcome, SolveStats) {
         let n = problem.requests.len();
         let sep = problem.min_separation.max(1);
@@ -257,23 +249,18 @@ impl IncrementalRouter {
         // The parked fast path needs window starts at least `sep` apart,
         // which a validated problem guarantees only for a separation ≥ 1.
         let fast_park = SHORTCUTS && problem.min_separation > 0;
-        let replay = SHORTCUTS && cache.is_none();
 
         let goals: Vec<GridCoord> = problem.requests.iter().map(|r| r.goal).collect();
         let mut positions: Vec<GridCoord> = problem.requests.iter().map(|r| r.start).collect();
         let mut histories: Vec<Vec<GridCoord>> = positions.iter().map(|p| vec![*p]).collect();
         let mut pending_stays = vec![0usize; n];
 
-        // Per-window scratch, reused across windows — and, when a cache is
-        // supplied, across whole solves (the pool lives in the cache and is
-        // swapped in here for the duration of the plan).
-        let pool: ArenaPool = cache
-            .as_mut()
-            .map(|c| std::mem::take(&mut c.arenas))
-            .unwrap_or_default();
+        // Per-window scratch, reused across windows — and, with a cache the
+        // caller keeps, across whole solves (the pool lives in the cache and
+        // is swapped in here for the duration of the plan).
+        let pool: ArenaPool = std::mem::take(&mut cache.arenas);
         let mut scan = ConflictScan::default();
         let mut frozen_touch: Vec<(u32, GridCoord)> = Vec::new();
-        let mut replays: [Vec<TileReplay>; 4] = Default::default();
 
         let mut elapsed = 0usize;
         let mut stagnant = 0u32;
@@ -287,7 +274,6 @@ impl IncrementalRouter {
                 break;
             }
             let (ox, oy) = phases[phase];
-            let replay_tiles = &mut replays[phase];
             phase = (phase + 1) % phases.len();
             stats.windows += 1;
 
@@ -334,24 +320,6 @@ impl IncrementalRouter {
                 // Stable by tile: particle order within a tile is kept.
                 frozen_touch.sort_by_key(|&(tile, _)| tile);
 
-                // A shard whose planning input matches a stored one replays its
-                // paths instead of searching: with a cache, the entry under its
-                // content key, looked up here; without one, its tile's last plan
-                // in this stagger phase, compared in the parallel pass below.
-                // The rest plan fresh in that pass. `replay_tiles` stays empty
-                // unless the in-solve replay is on.
-                if replay {
-                    replay_tiles.resize_with(part.tile_count(), TileReplay::default);
-                }
-                let mut stored = replay_tiles.iter_mut();
-                let mut slots: Vec<TileSlot> = (0..part.tile_count())
-                    .map(|tile| TileSlot {
-                        paths: Vec::new(),
-                        needs_plan: !membership.members(tile).is_empty(),
-                        replay: stored.next(),
-                        replayed: false,
-                    })
-                    .collect();
                 let touch_of = |tile: usize| {
                     let lo = frozen_touch.partition_point(|&(t, _)| (t as usize) < tile);
                     let hi = frozen_touch.partition_point(|&(t, _)| (t as usize) <= tile);
@@ -363,43 +331,43 @@ impl IncrementalRouter {
                         .iter()
                         .map(|&i| (positions[i as usize], goals[i as usize]))
                 };
-                let mut keys: Vec<u128> = Vec::new();
-                if let Some(cache_ref) = cache.as_deref_mut() {
-                    keys = vec![0u128; part.tile_count()];
-                    for (tile, slot) in slots.iter_mut().enumerate() {
-                        if !slot.needs_plan {
-                            continue;
+                // A shard whose content key the cache holds replays its
+                // paths instead of searching; the rest plan fresh in the
+                // parallel pass below.
+                let mut slots: Vec<TileSlot> = (0..part.tile_count())
+                    .map(|tile| {
+                        let mut slot = TileSlot {
+                            paths: Vec::new(),
+                            key: 0,
+                            needs_plan: !membership.members(tile).is_empty(),
+                        };
+                        if SHORTCUTS && slot.needs_plan {
+                            slot.key = shard_key(
+                                problem.dims,
+                                side,
+                                ox,
+                                oy,
+                                tile,
+                                sep,
+                                window,
+                                members_of(tile),
+                                touch_of(tile),
+                            );
+                            slot.needs_plan =
+                                !cache.fetch(slot.key, members_of(tile), &mut slot.paths);
+                            stats.tiles_replayed += usize::from(!slot.needs_plan);
                         }
-                        let key = shard_key(
-                            problem.dims,
-                            side,
-                            ox,
-                            oy,
-                            tile,
-                            sep,
-                            window,
-                            members_of(tile),
-                            touch_of(tile),
-                        );
-                        keys[tile] = key;
-                        slot.needs_plan = !cache_ref.fetch(key, members_of(tile), &mut slot.paths);
-                    }
-                }
+                        slot
+                    })
+                    .collect();
 
-                // Replay or plan the missing shards in parallel. Each plan
-                // depends only on the window-start state and each replay entry
-                // belongs to one tile, so the merge below is deterministic
-                // regardless of the hit/miss pattern or the thread count.
+                // Plan the missing shards in parallel. Each plan depends only
+                // on the window-start state, so the merge below is
+                // deterministic regardless of the hit/miss pattern or the
+                // thread count.
                 slots.par_iter_mut().enumerate().for_each(|(tile, slot)| {
                     if !slot.needs_plan {
                         return;
-                    }
-                    if let Some(stored) = slot.replay.as_deref_mut() {
-                        if stored.matches_or_replace(members_of(tile), touch_of(tile)) {
-                            stored.replay(&mut slot.paths);
-                            slot.replayed = true;
-                            return;
-                        }
                     }
                     let indices = membership.members(tile);
                     let out = &mut slot.paths;
@@ -454,17 +422,13 @@ impl IncrementalRouter {
                         out.push(path);
                     }
                     pool.restore(arena);
-                    if let Some(stored) = slot.replay.as_deref_mut() {
-                        stored.store(&slot.paths);
-                    }
                 });
-                stats.tiles_replayed += slots.iter().filter(|slot| slot.replayed).count();
 
                 // Store the freshly planned shards under their content keys.
-                if let Some(cache_ref) = cache.as_deref_mut() {
+                if SHORTCUTS {
                     for (tile, slot) in slots.iter().enumerate() {
                         if slot.needs_plan {
-                            cache_ref.insert(keys[tile], members_of(tile), &slot.paths);
+                            cache.insert(slot.key, members_of(tile), &slot.paths);
                         }
                     }
                 }
@@ -519,10 +483,8 @@ impl IncrementalRouter {
             }
         }
 
-        if let Some(cache_ref) = cache.as_mut() {
-            cache_ref.arenas = pool;
-            cache_ref.end_solve();
-        }
+        cache.arenas = pool;
+        cache.end_solve();
 
         let mut paths = Vec::new();
         let mut unrouted: Vec<ParticleId> = Vec::new();
@@ -887,10 +849,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
-        /// The parked fast path and the in-solve replay change no plan:
-        /// `solve` and cold and warm `solve_cached` return exactly the
-        /// outcome of calling A\* for every particle in every window, on
-        /// recover-shaped problems.
+        /// The parked fast path, the periodic tail and the plan cache
+        /// change no plan: `solve` and cold and warm `solve_cached` return
+        /// exactly the outcome of calling A\* for every particle in every
+        /// window, on recover-shaped problems.
         #[test]
         fn parked_fast_path_matches_always_astar(
             side in 8u32..29,
@@ -906,7 +868,7 @@ mod tests {
                 shard_side: shards.0,
                 window: shards.1,
             });
-            let reference = router.plan::<false>(&problem, None).0;
+            let reference = router.plan::<false>(&problem, &mut RouterCache::new()).0;
             proptest::prop_assert_eq!(&router.solve(&problem).unwrap(), &reference);
             let mut cache = RouterCache::new();
             for _ in 0..2 {
@@ -944,21 +906,24 @@ mod tests {
     }
 
     #[test]
-    fn unchanged_tiles_replay_inside_a_cold_solve() {
+    fn a_cold_solve_serves_unchanged_tiles_from_its_own_cache() {
         let problem = walled_in_recovery();
         let router = small_shards();
-        let (outcome, stats) = router.plan::<true>(&problem, None);
+        let (outcome, stats) = router.solve_with_stats(&problem).unwrap();
         assert_eq!(
             outcome.unrouted,
             vec![ParticleId(1)],
             "only the walled-in mover strands"
         );
         assert!(stats.tiles_replayed > 0, "stationary tiles recur unchanged");
-        assert_eq!(outcome, router.plan::<false>(&problem, None).0);
-        let cached = router
-            .solve_cached(&problem, &mut RouterCache::new())
-            .unwrap();
-        assert_eq!(router.solve(&problem).unwrap(), cached);
+        let mut cache = RouterCache::new();
+        let cached = router.solve_cached(&problem, &mut cache).unwrap();
+        assert_eq!(stats.tiles_replayed as u64, cache.stats().hits);
+        assert_eq!(cached, outcome);
+        assert_eq!(
+            outcome,
+            router.plan::<false>(&problem, &mut RouterCache::new()).0
+        );
     }
 
     /// `count` particles on a shuffled pitch-2 lattice, each bound for the
@@ -982,14 +947,14 @@ mod tests {
     fn periodic_tail_repeats_without_changing_the_plan() {
         let problem = rotation(12, 8, 4);
         let router = small_shards();
-        let (outcome, stats) = router.plan::<true>(&problem, None);
+        let (outcome, stats) = router.plan::<true>(&problem, &mut RouterCache::new());
         assert!(
             !outcome.unrouted.is_empty(),
             "stranded movers run the solve on"
         );
         assert_eq!(stats.windows, 100, "the solve runs to its horizon");
         assert!(stats.windows_repeated > 0, "{stats:?}");
-        let (reference, reference_stats) = router.plan::<false>(&problem, None);
+        let (reference, reference_stats) = router.plan::<false>(&problem, &mut RouterCache::new());
         assert_eq!(outcome, reference);
         assert_eq!(reference_stats.windows_repeated, 0);
         assert_eq!(
@@ -1021,7 +986,7 @@ mod tests {
         let router = small_shards();
         assert_eq!(
             router.solve(&problem).unwrap(),
-            router.plan::<false>(&problem, None).0
+            router.plan::<false>(&problem, &mut RouterCache::new()).0
         );
     }
 

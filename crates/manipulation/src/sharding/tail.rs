@@ -5,7 +5,7 @@
 //! the movers that are left shuffle through a fixed cycle of windows. A
 //! window's merged, verified trajectories depend only on its start
 //! positions, the goals, its stagger phase and constants of the solve
-//! (the caches and replays change only speed). So once
+//! (the plan cache changes only speed). So once
 //! `positions(w + P) == positions(w)` with `P` a multiple of the four
 //! stagger phases, window `w + P + k` has the trajectories of window
 //! `w + k` for every `k ≥ 0`, and the rest of the solve can repeat the
@@ -18,7 +18,7 @@
 //! so a hash collision can cost a recording but never repeat a wrong
 //! window.
 
-use super::replay::{pack, unpack};
+use super::codec::{pack, unpack};
 use labchip_units::GridCoord;
 
 /// The stagger phases a period must be a multiple of.
