@@ -979,11 +979,7 @@ fn journal_diff(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("--noise: {e}"))?;
             }
-            "--side" => {
-                side = value("--side")?
-                    .parse()
-                    .map_err(|e| format!("--side: {e}"))?
-            }
+            "--side" => side = parse_side(value("--side")?)?,
             "--particles" => {
                 particles = value("--particles")?
                     .parse()
@@ -1069,7 +1065,7 @@ fn farm_command(args: &[String]) -> Result<(), String> {
                             parse_flag(value("--jobs-per-tenant")?, "--jobs-per-tenant")?;
                     }
                     "--kill" => kill = parse_flag(value("--kill")?, "--kill")?,
-                    "--side" => side = parse_flag(value("--side")?, "--side")?,
+                    "--side" => side = parse_side(value("--side")?)?,
                     "--particles" => particles = parse_flag(value("--particles")?, "--particles")?,
                     "--seed" => seed = parse_flag(value("--seed")?, "--seed")?,
                     "--out" => out = Some(value("--out")?.clone()),
@@ -1105,7 +1101,7 @@ fn farm_command(args: &[String]) -> Result<(), String> {
                 match flag.as_str() {
                     "--tenant" => tenant = value("--tenant")?.clone(),
                     "--workers" => workers = parse_workers(value("--workers")?)?,
-                    "--side" => side = parse_flag(value("--side")?, "--side")?,
+                    "--side" => side = parse_side(value("--side")?)?,
                     "--seed" => seed = Some(parse_flag(value("--seed")?, "--seed")?),
                     "--out" => out = Some(value("--out")?.clone()),
                     other => return Err(format!("unknown farm submit flag `{other}`\n{usage}")),
@@ -1208,6 +1204,15 @@ fn parse_workers(text: &str) -> Result<usize, String> {
     let workers = parse_flag(text, "--workers")?;
     labchip::scenario::Limit::threads("--workers", workers).map_err(|limit| limit.to_string())?;
     Ok(workers)
+}
+
+/// Parses `--side`, bounded like every scenario's `array_side`: the farm
+/// and the journal-diff demo size each chip from it, and the check runs
+/// before any chip is built.
+fn parse_side(text: &str) -> Result<u32, String> {
+    let side = parse_flag(text, "--side")?;
+    labchip::scenario::Limit::array_side(side).map_err(|limit| limit.to_string())?;
+    Ok(side)
 }
 
 fn take_dir_flag(args: &[String]) -> Result<(Option<String>, Vec<String>), String> {
@@ -1391,6 +1396,19 @@ mod tests {
             assert!(message.contains("--workers"), "{message}");
             assert!(message.contains("exceeds the limit 256"), "{message}");
         }
+    }
+
+    #[test]
+    fn chip_sides_past_the_cap_are_rejected() {
+        // The flag check only: no chip is built for any of these sides.
+        use labchip::scenario::MAX_ARRAY_SIDE;
+        assert_eq!(parse_side(&MAX_ARRAY_SIDE.to_string()), Ok(MAX_ARRAY_SIDE));
+        for side in [MAX_ARRAY_SIDE + 1, 100_000, u32::MAX] {
+            let message = parse_side(&side.to_string()).unwrap_err();
+            assert!(message.contains("array_side"), "{message}");
+            assert!(message.contains("exceeds the limit 4096"), "{message}");
+        }
+        assert!(parse_side("-1").is_err());
     }
 
     #[test]

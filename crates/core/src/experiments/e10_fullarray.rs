@@ -8,10 +8,12 @@
 //! * the **greedy** baseline — fast, but it livelocks as opposing traffic
 //!   meets;
 //! * the **monolithic space–time A\*** of E7 — exact at moderate scale, but
-//!   its single global reservation table stops being usable at thousands of
-//!   particles, so it runs on a *capped subsample* of the problem (the cap
+//!   it plans one particle at a time over the whole grid and horizon, and a
+//!   search stuck in traffic expands up to 96 states per horizon step before
+//!   it gives up. So it runs on a *capped subsample* of the problem (the cap
 //!   and its shorter horizon are config knobs, and the strategy column says
-//!   exactly what it ran);
+//!   exactly what it ran): at the defaults its three rows take ~20 s of the
+//!   experiment's ~24 s, and a cap of 192 takes ~46 s (2-vCPU VM);
 //! * the **incremental sharded planner**
 //!   ([`IncrementalRouter`]) — windowed,
 //!   partitioned, parallel across shards; the planner this experiment
@@ -49,8 +51,9 @@ pub struct Config {
     /// Steps per planning window of the incremental planner.
     pub window: u32,
     /// The monolithic A\* runs on at most this many particles of each sweep
-    /// point (0 disables the A\* rows entirely); beyond it the planner is
-    /// minutes-per-row slow — which is the point of this experiment.
+    /// point (0 disables the A\* rows entirely). Its cost grows faster than
+    /// the cap: the three rows take ~20 s at 96 and ~46 s at 192 (2-vCPU VM),
+    /// which is the point of this experiment.
     pub astar_cap: usize,
     /// Horizon (max steps) of the capped A\* sub-problems.
     pub astar_max_steps: usize,

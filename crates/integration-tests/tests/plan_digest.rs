@@ -1,18 +1,22 @@
 //! Plan digests: the incremental router's full outcome on seeded sort and
-//! recovery problems, pinned as 64-bit FNV-1a digests.
+//! recovery problems, and the prioritized space-time A\*'s on E7's and
+//! E10's problems, pinned as 64-bit FNV-1a digests.
 //!
-//! Speed work on the router must change no plan, so these constants must
-//! never move with it. The 96² problems run in every test pass; the
-//! paper-scale 320² twins are `#[ignore]`d and run in release:
+//! Speed work on either planner must change no plan, so these constants
+//! must never move with it. The small problems run in every test pass;
+//! the paper-scale twins are `#[ignore]`d and run in release:
 //!
 //! ```text
 //! cargo test --release -p labchip-integration-tests --test plan_digest -- --ignored plan_digest
 //! ```
 
+use labchip::experiments::{e10_fullarray, e7_routing};
 use labchip::workload::phases::loading_sites;
 use labchip::workload::sort_problem;
 use labchip_manipulation::cage::ParticleId;
-use labchip_manipulation::routing::{RoutingOutcome, RoutingProblem, RoutingRequest};
+use labchip_manipulation::routing::{
+    Router, RoutingOutcome, RoutingProblem, RoutingRequest, RoutingStrategy,
+};
 use labchip_manipulation::sharding::IncrementalRouter;
 use labchip_units::{GridCoord, GridDims};
 use std::collections::HashSet;
@@ -160,5 +164,89 @@ fn plan_digest_320x_recovery() {
         recovery_digest(320, 4320, 40, 7),
         0x7bc6_5e31_5fe9_0188,
         "320²/4320 recovery seed 7 plans changed"
+    );
+}
+
+fn prioritized_digest(problem: &RoutingProblem) -> u64 {
+    let outcome = Router::new(RoutingStrategy::PrioritizedAStar)
+        .solve(problem)
+        .expect("generated problems are always well-formed");
+    digest(&outcome)
+}
+
+/// E7's seeded problem: `particles` cross a `side`² array left to right.
+fn e7_digest(side: u32, particles: usize) -> u64 {
+    let config = e7_routing::Config {
+        array_side: side,
+        ..e7_routing::Config::default()
+    };
+    prioritized_digest(&e7_routing::generate_problem(&config, particles))
+}
+
+/// E10's first "space-time A\* (first N)" row at defaults: the first
+/// `astar_cap` requests of the sparsest sort, at `astar_max_steps`.
+fn e10_first_digest() -> u64 {
+    let config = e10_fullarray::Config::default();
+    let count = (config.particles as f64 * config.density_steps[0]).round() as usize;
+    let mut problem = sort_problem(
+        GridDims::square(config.array_side),
+        count,
+        config.min_separation,
+        config.seed,
+    );
+    problem.requests.truncate(config.astar_cap);
+    problem.max_steps = config.astar_max_steps;
+    prioritized_digest(&problem)
+}
+
+#[test]
+fn plan_digest_prioritized_e7_32x24() {
+    assert_eq!(
+        e7_digest(32, 24),
+        0xdace_8f14_3c63_8e28,
+        "E7 32²/24 prioritized plans changed"
+    );
+}
+
+/// Four head-on pairs in a 24 × 11 strip: every pair must swap ends.
+#[test]
+fn plan_digest_prioritized_head_on() {
+    let requests = (0..4u32)
+        .flat_map(|k| {
+            let y = 1 + 3 * k;
+            let (left, right) = (GridCoord::new(1, y), GridCoord::new(22, y));
+            [(2 * k, left, right), (2 * k + 1, right, left)]
+        })
+        .map(|(id, start, goal)| RoutingRequest {
+            id: ParticleId(u64::from(id)),
+            start,
+            goal,
+        })
+        .collect();
+    let problem = RoutingProblem::new(GridDims::new(24, 11), requests);
+    assert_eq!(
+        prioritized_digest(&problem),
+        0x7f55_cc7b_1dcd_b1ca,
+        "head-on prioritized plans changed"
+    );
+}
+
+#[test]
+#[ignore = "paper scale; run in release with --ignored"]
+fn plan_digest_prioritized_e7_64x140() {
+    assert_eq!(
+        e7_digest(64, 140),
+        0x551b_8c8d_7884_50d8,
+        "E7 64²/140 prioritized plans changed"
+    );
+}
+
+#[test]
+#[ignore = "paper scale; run in release with --ignored"]
+fn plan_digest_prioritized_e10_first_96() {
+    assert_eq!(
+        e10_first_digest(),
+        0xa9a2_72bc_774a_6a87,
+        "E10 first-96 prioritized plans changed"
     );
 }

@@ -19,6 +19,12 @@ pub enum ManipulationError {
         /// Explanation.
         reason: String,
     },
+    /// A particle was named twice where each must appear once (two
+    /// routing requests for one particle).
+    DuplicateParticle {
+        /// The repeated particle's identifier.
+        id: u64,
+    },
     /// A referenced particle does not exist.
     UnknownParticle {
         /// The missing particle's identifier.
@@ -41,6 +47,9 @@ impl fmt::Display for ManipulationError {
             }
             ManipulationError::SiteConflict { coord, reason } => {
                 write!(f, "site conflict at {coord}: {reason}")
+            }
+            ManipulationError::DuplicateParticle { id } => {
+                write!(f, "particle #{id} is requested twice")
             }
             ManipulationError::UnknownParticle { id } => write!(f, "unknown particle #{id}"),
             ManipulationError::RoutingFailed { unrouted, reason } => {
@@ -66,6 +75,9 @@ mod tests {
         assert!(ManipulationError::UnknownParticle { id: 7 }
             .to_string()
             .contains("#7"));
+        assert!(ManipulationError::DuplicateParticle { id: 4 }
+            .to_string()
+            .contains("#4"));
         assert!(ManipulationError::RoutingFailed {
             unrouted: 3,
             reason: "horizon exceeded".into()

@@ -1,13 +1,16 @@
 //! Conflict-free multi-particle routing.
 //!
 //! Moving one cage is trivial; moving thousands of cages concurrently without
-//! letting any two traps merge is a path-planning problem. Two planners are
+//! letting any two traps merge is a path-planning problem. Three planners are
 //! provided:
 //!
-//! * [`RoutingStrategy::PrioritizedAStar`] — space–time A\* with reservation
-//!   tables: particles are planned one at a time (longest distance first),
-//!   each treating the already-planned particles as moving obstacles and the
-//!   not-yet-planned ones as static obstacles at their start positions;
+//! * [`RoutingStrategy::PrioritizedAStar`] — space–time A\* with a
+//!   reservation table (Silver's Cooperative A\*): particles are planned one
+//!   at a time (longest distance first), each treating the already-planned
+//!   particles as moving obstacles and the not-yet-planned ones as static
+//!   obstacles at their start positions. The moving obstacles live in a
+//!   reservation table and the static ones in a zone counter: the sharded
+//!   router's dense tables, begun over the whole grid;
 //! * [`RoutingStrategy::Greedy`] — the obvious baseline: every step, every
 //!   particle moves towards its goal if the next cage is free, otherwise it
 //!   waits. Cheap, but it livelocks as density grows — which is exactly the
@@ -19,10 +22,12 @@
 
 use crate::cage::ParticleId;
 use crate::error::ManipulationError;
-use crate::sharding::ConflictScan;
+use crate::sharding::{grid_box, ConflictScan, DenseReservations, DenseZone};
 use labchip_units::{GridCoord, GridDims};
 use serde::{Deserialize, Serialize};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap};
 
 /// One routing request: take a particle from `start` to `goal`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,24 +66,28 @@ impl RoutingProblem {
     }
 
     /// Validates that starts and goals are in bounds and mutually compatible
-    /// with the separation rule.
+    /// with the separation rule, and that no particle is requested twice.
     ///
-    /// A well-formed problem is confirmed in linear time by the dense
-    /// occupancy scan, one pass over the starts and one over the goals.
-    /// Only an ill-formed one (or one spread over more cells than the scan
-    /// allocates) runs the pairwise comparison, which names the first
-    /// offending pair.
+    /// A well-formed problem is confirmed in near-linear time: one sort of
+    /// the ids, and the dense occupancy scan, one pass over the starts and
+    /// one over the goals. Only an ill-formed one (or one spread over more
+    /// cells than the scan allocates) runs the pairwise comparison, which
+    /// names the first offending pair.
     ///
     /// # Errors
     ///
-    /// Returns [`ManipulationError::OutOfBounds`] or
+    /// Returns [`ManipulationError::OutOfBounds`],
+    /// [`ManipulationError::DuplicateParticle`] or
     /// [`ManipulationError::SiteConflict`] describing the first problem.
     pub fn validate(&self) -> Result<(), ManipulationError> {
         let in_bounds = self
             .requests
             .iter()
             .all(|r| self.dims.contains(r.start) && self.dims.contains(r.goal));
-        if in_bounds && self.sites_clear(|r| r.start) && self.sites_clear(|r| r.goal) {
+        let mut ids: Vec<ParticleId> = self.requests.iter().map(|r| r.id).collect();
+        ids.sort_unstable();
+        let unique = ids.windows(2).all(|w| w[0] != w[1]);
+        if in_bounds && unique && self.sites_clear(|r| r.start) && self.sites_clear(|r| r.goal) {
             return Ok(());
         }
         self.validate_pairwise()
@@ -115,6 +124,9 @@ impl RoutingProblem {
         }
         for (i, a) in self.requests.iter().enumerate() {
             for b in &self.requests[i + 1..] {
+                if a.id == b.id {
+                    return Err(ManipulationError::DuplicateParticle { id: a.id.0 });
+                }
                 if a.start.chebyshev(b.start) < self.min_separation {
                     return Err(ManipulationError::SiteConflict {
                         coord: b.start,
@@ -355,115 +367,62 @@ fn finalize(
 // Prioritized space-time A*
 // ---------------------------------------------------------------------------
 
-#[derive(PartialEq, Eq)]
-struct OpenNode {
-    f: usize,
-    t: usize,
-    coord: GridCoord,
-}
-
-impl Ord for OpenNode {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap: invert to get smallest f first.
-        other
-            .f
-            .cmp(&self.f)
-            .then_with(|| other.t.cmp(&self.t))
-            .then_with(|| other.coord.cmp(&self.coord))
-    }
-}
-
-impl PartialOrd for OpenNode {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Reservation table of already-planned particles (space–time blocked zones).
-struct Reservations {
-    min_separation: i32,
-    /// Blocked cells per time step.
-    dynamic: Vec<HashSet<GridCoord>>,
-}
-
-impl Reservations {
-    fn new(horizon: usize, min_separation: u32) -> Self {
-        Self {
-            min_separation: min_separation as i32,
-            dynamic: vec![HashSet::new(); horizon + 2],
-        }
-    }
-
-    fn block_zone(set: &mut HashSet<GridCoord>, center: GridCoord, radius: i32) {
-        for dy in -(radius - 1)..radius {
-            for dx in -(radius - 1)..radius {
-                if let Some(c) = center.offset(dx, dy) {
-                    set.insert(c);
-                }
-            }
-        }
-    }
-
-    fn add_path(&mut self, path: &ParticlePath) {
-        let horizon = self.dynamic.len();
-        for t in 0..horizon {
-            let pos = path.position_at(t);
-            Self::block_zone(&mut self.dynamic[t], pos, self.min_separation);
-        }
-    }
-
-    fn is_free(&self, coord: GridCoord, t: usize) -> bool {
-        let t = t.min(self.dynamic.len() - 1);
-        !self.dynamic[t].contains(&coord)
-    }
-
-    /// Whether a particle parked at `coord` from step `t` onwards stays clear
-    /// of every later reservation.
-    fn is_free_forever(&self, coord: GridCoord, t: usize) -> bool {
-        (t..self.dynamic.len()).all(|step| self.is_free(coord, step))
-    }
+/// The prioritized planner's two whole-grid tables: the reservations of
+/// the routed paths, and the zones of the particles parked at their starts.
+#[derive(Default)]
+struct Tables {
+    reservations: DenseReservations,
+    parked: DenseZone,
 }
 
 /// Attempts to plan every pending request in priority order against the
-/// reservations of the already-routed paths; when `treat_pending_as_static`
-/// is set, the starts of the *other* still-pending particles are treated as
-/// permanent obstacles (conservative), otherwise they are ignored
-/// (optimistic). Returns the requests that remain unplanned.
+/// reservations of the already-routed paths, and reserves each new path;
+/// when `treat_pending_as_static` is set, the starts of the *other*
+/// still-pending particles are treated as permanent obstacles
+/// (conservative), otherwise they are ignored (optimistic). Returns the
+/// requests that remain unplanned.
 fn plan_round<'a>(
     problem: &RoutingProblem,
     paths: &mut Vec<ParticlePath>,
+    tables: &mut Tables,
     pending: Vec<&'a RoutingRequest>,
     treat_pending_as_static: bool,
 ) -> Vec<&'a RoutingRequest> {
+    let sep = problem.min_separation;
     let mut queue = pending;
-    queue.sort_by_key(|r| std::cmp::Reverse(r.start.manhattan(r.goal)));
+    queue.sort_by_key(|r| Reverse(r.start.manhattan(r.goal)));
 
-    let mut reservations = Reservations::new(problem.max_steps, problem.min_separation);
-    for path in paths.iter() {
-        reservations.add_path(path);
-    }
     // Particles of this round that have not been planned yet sit parked at
-    // their starts; they shrink away as planning progresses.
-    let mut parked: Vec<(ParticleId, GridCoord)> = if treat_pending_as_static {
-        queue.iter().map(|r| (r.id, r.start)).collect()
+    // their starts. Each one's own zone is lifted while it plans, and stays
+    // lifted once it has a path; ids are unique, so that is exactly the
+    // zone of every *other* parked particle.
+    let (lo, hi) = grid_box(problem.dims);
+    tables.parked.begin(lo, hi);
+    let parked = if treat_pending_as_static {
+        &queue[..]
     } else {
-        Vec::new()
+        &[]
     };
+    for request in parked {
+        tables.parked.add(request.start, sep);
+    }
 
     let mut remaining: Vec<&RoutingRequest> = Vec::new();
     for request in queue {
-        let others: Vec<GridCoord> = parked
-            .iter()
-            .filter(|(id, _)| *id != request.id)
-            .map(|(_, c)| *c)
-            .collect();
-        match space_time_astar(problem, request, &reservations, &others) {
+        if treat_pending_as_static {
+            tables.parked.remove(request.start, sep);
+        }
+        match space_time_astar(problem, request, tables) {
             Some(path) => {
-                reservations.add_path(&path);
-                parked.retain(|(id, _)| *id != request.id);
+                tables.reservations.add_path(&path.positions);
                 paths.push(path);
             }
-            None => remaining.push(request),
+            None => {
+                if treat_pending_as_static {
+                    tables.parked.add(request.start, sep);
+                }
+                remaining.push(request);
+            }
         }
     }
     remaining
@@ -471,33 +430,37 @@ fn plan_round<'a>(
 
 /// Demotes routed (moving) paths that pass too close to a particle that is
 /// still parked at its start, returning the demoted requests to the pending
-/// pool so the plan stays physically executable.
+/// pool so the plan stays physically executable. Returns whether any path
+/// was demoted.
 fn repair_demote<'a>(
     problem: &'a RoutingProblem,
     paths: &mut Vec<ParticlePath>,
+    parked: &mut DenseZone,
     pending: &mut Vec<&'a RoutingRequest>,
-) {
+) -> bool {
+    let (lo, hi) = grid_box(problem.dims);
+    let mut any = false;
     loop {
-        let parked: Vec<GridCoord> = pending.iter().map(|r| r.start).collect();
+        parked.begin(lo, hi);
+        for request in pending.iter() {
+            parked.add(request.start, problem.min_separation);
+        }
+        // A path ends within the horizon, so it passes too close to a
+        // parked particle at some step exactly when one of its cells lies
+        // in that particle's zone.
         let mut demoted = Vec::new();
         paths.retain(|path| {
-            if path.positions.len() == 1 {
-                return true;
-            }
-            let conflicts = parked.iter().any(|obstacle| {
-                (0..=problem.max_steps)
-                    .any(|t| path.position_at(t).chebyshev(*obstacle) < problem.min_separation)
-            });
+            let conflicts =
+                path.positions.len() > 1 && path.positions.iter().any(|&c| parked.blocked(c));
             if conflicts {
                 demoted.push(path.id);
-                false
-            } else {
-                true
             }
+            !conflicts
         });
         if demoted.is_empty() {
-            break;
+            return any;
         }
+        any = true;
         for id in demoted {
             let request = problem
                 .requests
@@ -529,20 +492,34 @@ fn prioritized_astar(problem: &RoutingProblem) -> RoutingOutcome {
     // treating the rest as parked; every round the planned paths vacate space
     // for the next layer. When a round makes no progress, fall back to one
     // optimistic round (needed for mutual exchanges) followed by a repair
-    // pass, and keep going while something improves.
+    // pass, and keep going while something improves. The reservations span
+    // steps `0..=max_steps + 1`, one past the last step A* reaches, and
+    // carry over from round to round; the table cannot drop a path, so it
+    // is rebuilt only after a repair demoted one.
+    let (lo, hi) = grid_box(problem.dims);
+    let mut tables = Tables::default();
+    let mut stale = true;
     const MAX_ROUNDS: usize = 16;
     for _ in 0..MAX_ROUNDS {
         if pending.is_empty() {
             break;
         }
+        if stale {
+            let (window, sep) = (problem.max_steps + 1, problem.min_separation);
+            tables.reservations.begin(window, sep, lo, hi);
+            for path in &paths {
+                tables.reservations.add_path(&path.positions);
+            }
+            stale = false;
+        }
         let before = pending.len();
-        pending = plan_round(problem, &mut paths, pending, true);
+        pending = plan_round(problem, &mut paths, &mut tables, pending, true);
         if pending.len() < before {
             continue;
         }
         // Stuck: optimistic round + repair.
-        pending = plan_round(problem, &mut paths, pending, false);
-        repair_demote(problem, &mut paths, &mut pending);
+        pending = plan_round(problem, &mut paths, &mut tables, pending, false);
+        stale = repair_demote(problem, &mut paths, &mut tables.parked, &mut pending);
         if pending.len() >= before {
             break;
         }
@@ -567,50 +544,41 @@ fn prioritized_astar(problem: &RoutingProblem) -> RoutingOutcome {
 /// otherwise take minutes for one particle.
 const ASTAR_EXPANSIONS_PER_STEP: usize = 96;
 
+/// Plans `request` against the reservations and the parked zones, or
+/// `None` when the goal is blocked or the search runs out of horizon or
+/// budget.
+///
+/// Every state's cost is its step (`g == t`), so a state is pushed at most
+/// once, the first time it is reached, and `parent` is the visited set.
+/// The heap pops states in ascending `(f, t, x, y)` order: `GridCoord`
+/// orders by `(x, y)`.
 fn space_time_astar(
     problem: &RoutingProblem,
     request: &RoutingRequest,
-    reservations: &Reservations,
-    parked_obstacles: &[GridCoord],
+    tables: &Tables,
 ) -> Option<ParticlePath> {
     let horizon = problem.max_steps;
     let expansion_cap = horizon.saturating_mul(ASTAR_EXPANSIONS_PER_STEP);
-    let dims = problem.dims;
-    let start = request.start;
-    let goal = request.goal;
-    let sep = problem.min_separation;
-
-    let clear_of_parked = |c: GridCoord| parked_obstacles.iter().all(|p| p.chebyshev(c) >= sep);
-    if !clear_of_parked(goal) {
+    let (start, goal) = (request.start, request.goal);
+    if tables.parked.blocked(goal) {
         return None;
     }
 
     let heuristic = |c: GridCoord| c.manhattan(goal) as usize;
-
-    let mut open = BinaryHeap::new();
-    let mut best_g: HashMap<(GridCoord, usize), usize> = HashMap::new();
-    let mut parent: HashMap<(GridCoord, usize), (GridCoord, usize)> = HashMap::new();
-
-    open.push(OpenNode {
-        f: heuristic(start),
-        t: 0,
-        coord: start,
-    });
-    best_g.insert((start, 0), 0);
+    let mut open = BinaryHeap::from([Reverse((heuristic(start), 0, start))]);
+    // The cell each state at step `t ≥ 1` was reached from at `t - 1`.
+    let mut parent: HashMap<(GridCoord, usize), GridCoord> = HashMap::new();
 
     let mut expansions = 0usize;
-    while let Some(OpenNode { t, coord, .. }) = open.pop() {
+    while let Some(Reverse((_, t, coord))) = open.pop() {
         expansions += 1;
         if expansions > expansion_cap {
             return None;
         }
-        if coord == goal && reservations.is_free_forever(goal, t) {
-            // Reconstruct.
+        if coord == goal && tables.reservations.is_free_from(goal, t) {
             let mut positions = vec![coord];
-            let mut key = (coord, t);
-            while let Some(prev) = parent.get(&key) {
-                positions.push(prev.0);
-                key = *prev;
+            for step in (1..=t).rev() {
+                positions.push(parent[&(positions[positions.len() - 1], step)]);
             }
             positions.reverse();
             return Some(ParticlePath {
@@ -621,27 +589,19 @@ fn space_time_astar(
         if t >= horizon {
             continue;
         }
-        let candidates = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)];
-        for (dx, dy) in candidates {
+        for (dx, dy) in [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)] {
             let Some(next) = coord.offset(dx, dy) else {
                 continue;
             };
-            if !dims.contains(next) {
+            if !problem.dims.contains(next)
+                || !tables.reservations.is_free(next, t + 1)
+                || tables.parked.blocked(next)
+            {
                 continue;
             }
-            if !reservations.is_free(next, t + 1) || !clear_of_parked(next) {
-                continue;
-            }
-            let g = t + 1;
-            let key = (next, g);
-            if best_g.get(&key).is_none_or(|&existing| g < existing) {
-                best_g.insert(key, g);
-                parent.insert(key, (coord, t));
-                open.push(OpenNode {
-                    f: g + heuristic(next),
-                    t: g,
-                    coord: next,
-                });
+            if let Entry::Vacant(slot) = parent.entry((next, t + 1)) {
+                slot.insert(coord);
+                open.push(Reverse((t + 1 + heuristic(next), t + 1, next)));
             }
         }
     }
@@ -832,6 +792,16 @@ mod tests {
             vec![request(1, (1, 1), (6, 6)), request(2, (2, 1), (6, 1))],
         );
         assert!(Router::default().solve(&p).is_err());
+        // One particle requested twice, well-formed otherwise: repair would
+        // re-queue the first request with the demoted id.
+        let p = RoutingProblem::new(
+            GridDims::square(8),
+            vec![request(1, (1, 1), (6, 1)), request(1, (1, 5), (6, 5))],
+        );
+        assert_eq!(
+            Router::default().solve(&p),
+            Err(ManipulationError::DuplicateParticle { id: 1 })
+        );
     }
 
     #[test]
@@ -1010,7 +980,7 @@ mod tests {
         /// The dense `validate` returns exactly the pairwise reference's
         /// result, first error included: crowded requests with shared
         /// cells, near misses at every separation, and out-of-bounds
-        /// coordinates mixed in.
+        /// coordinates and repeated ids mixed in.
         #[test]
         fn dense_validate_matches_pairwise(
             sep in 0u32..5,
@@ -1020,7 +990,7 @@ mod tests {
             // Starts along one row and goals along another, both spaced just
             // below, at or just above the separation and jittered by up to
             // two cells; goals run in reverse order. A few coordinates land
-            // past the grid edge.
+            // past the grid edge, and a few requests repeat the previous id.
             let dims = GridDims::new(40, 12);
             let spacing = sep.saturating_sub(1) + spacing_slack;
             let n = sites.len() as u32;
@@ -1031,12 +1001,14 @@ mod tests {
                     let i = i as u32;
                     let mut start = GridCoord::new(1 + i * spacing + sx, 1 + sy);
                     let mut goal = GridCoord::new(1 + (n - 1 - i) * spacing + gx, 6 + gy);
+                    let mut id = u64::from(i);
                     match flag {
                         0 => start.x += dims.cols,
                         1 => goal.y += dims.rows,
+                        2 => id = id.saturating_sub(1),
                         _ => {}
                     }
-                    RoutingRequest { id: ParticleId(u64::from(i)), start, goal }
+                    RoutingRequest { id: ParticleId(id), start, goal }
                 })
                 .collect();
             let mut problem = RoutingProblem::new(dims, requests);

@@ -4,14 +4,17 @@
 //! reservation table and scratch buffer inside the rayon closure for every
 //! shard of every window — the allocation traffic was what made the pinned
 //! thread-scaling curve go *backwards*. Everything here is flat arrays over
-//! a dense `(cell, step)` index space, cleared in O(1) with an epoch stamp,
-//! and bundled into an [`Arena`] that an [`ArenaPool`] recycles across
-//! shards, windows, and (through [`super::RouterCache`]) whole solves.
+//! a dense cell or `(cell, step)` index space, cleared without freeing (by
+//! an epoch stamp, or for the reservation bits by emptying one plane), and
+//! bundled into an [`Arena`] that an [`ArenaPool`] recycles across shards,
+//! windows, and (through [`super::RouterCache`]) whole solves.
 //!
-//! [`DenseReservations`] is the one reservation table: every tile search
-//! plans against one over its tile interior, and the rare serial repair
-//! re-plans each demoted particle against one over the whole grid, the
-//! same box its A\* scratch already spans.
+//! [`DenseReservations`] is the crate's one reservation table, and
+//! [`DenseZone`] its one parked-zone counter: every tile search plans
+//! against them over its tile interior, the rare serial repair re-plans
+//! each demoted particle against a whole-grid table, and the prioritized
+//! planner of [`crate::routing`] plans against a whole-grid table over its
+//! whole horizon.
 //!
 //! The inner loop of [`window_astar`] runs millions of times per
 //! paper-scale solve, so each expansion is kept to a few array reads: the
@@ -46,20 +49,46 @@ pub(crate) fn window_path<'a>(traj: &'a [GridCoord], start: &'a GridCoord) -> &'
     }
 }
 
+/// The inclusive cell box `[lo, hi]` a dense table is begun over, indexed
+/// row-major. Zone cells spilling outside it are dropped on write and read
+/// as clear: every query the router makes is for a cell inside the box the
+/// table was begun with (a tile interior, or the whole grid).
+#[derive(Debug, Default, Clone, Copy)]
+struct CellBox {
+    lo: GridCoord,
+    bw: usize,
+    bh: usize,
+}
+
+impl CellBox {
+    fn new(lo: GridCoord, hi: GridCoord) -> Self {
+        Self {
+            lo,
+            bw: (hi.x - lo.x + 1) as usize,
+            bh: (hi.y - lo.y + 1) as usize,
+        }
+    }
+
+    fn cells(self) -> usize {
+        self.bw * self.bh
+    }
+
+    /// Flat index of `c` within the box, or `None` outside it.
+    fn index(self, c: GridCoord) -> Option<usize> {
+        let x = c.x.checked_sub(self.lo.x)? as usize;
+        let y = c.y.checked_sub(self.lo.y)? as usize;
+        (x < self.bw && y < self.bh).then_some(y * self.bw + x)
+    }
+}
+
 /// Dense zone counter over a fixed cell box, epoch-cleared in O(1). A
 /// tile's `parked` counter holds the zones of its members and of the
 /// frozen particles that reach into it: the one blocked mask its searches
-/// read.
-///
-/// Writes outside the box are dropped; that is sound because every query
-/// the router makes is for a cell inside the box the structure was begun
-/// with (the tile interior).
+/// read. The prioritized planner keeps the zones of its parked starts in
+/// one over the whole grid.
 #[derive(Debug, Default)]
 pub(crate) struct DenseZone {
-    lo_x: u32,
-    lo_y: u32,
-    bw: usize,
-    bh: usize,
+    cells: CellBox,
     counts: Vec<u32>,
     stamp: Vec<u32>,
     epoch: u32,
@@ -69,11 +98,8 @@ impl DenseZone {
     /// Re-targets the counter to the inclusive cell box `[lo, hi]` and
     /// clears it (lazily, via the epoch stamp).
     pub(crate) fn begin(&mut self, lo: GridCoord, hi: GridCoord) {
-        self.lo_x = lo.x;
-        self.lo_y = lo.y;
-        self.bw = (hi.x - lo.x + 1) as usize;
-        self.bh = (hi.y - lo.y + 1) as usize;
-        let cells = self.bw * self.bh;
+        self.cells = CellBox::new(lo, hi);
+        let cells = self.cells.cells();
         if self.counts.len() < cells {
             self.counts.resize(cells, 0);
             self.stamp.resize(cells, 0);
@@ -86,82 +112,68 @@ impl DenseZone {
     }
 
     pub(crate) fn add(&mut self, center: GridCoord, radius: u32) {
-        let (lx, ly, bw, bh, epoch) = (self.lo_x, self.lo_y, self.bw, self.bh, self.epoch);
-        let counts = &mut self.counts;
-        let stamp = &mut self.stamp;
+        let (cells, epoch) = (self.cells, self.epoch);
+        let (counts, stamp) = (&mut self.counts, &mut self.stamp);
         for_each_zone_cell(center, radius, |c| {
-            if c.x < lx || c.y < ly {
-                return;
+            if let Some(k) = cells.index(c) {
+                if stamp[k] != epoch {
+                    stamp[k] = epoch;
+                    counts[k] = 0;
+                }
+                counts[k] += 1;
             }
-            let (x, y) = ((c.x - lx) as usize, (c.y - ly) as usize);
-            if x >= bw || y >= bh {
-                return;
-            }
-            let k = y * bw + x;
-            if stamp[k] != epoch {
-                stamp[k] = epoch;
-                counts[k] = 0;
-            }
-            counts[k] += 1;
         });
     }
 
     pub(crate) fn remove(&mut self, center: GridCoord, radius: u32) {
-        let (lx, ly, bw, bh, epoch) = (self.lo_x, self.lo_y, self.bw, self.bh, self.epoch);
-        let counts = &mut self.counts;
-        let stamp = &mut self.stamp;
+        let (cells, epoch) = (self.cells, self.epoch);
+        let (counts, stamp) = (&mut self.counts, &mut self.stamp);
         for_each_zone_cell(center, radius, |c| {
-            if c.x < lx || c.y < ly {
-                return;
-            }
-            let (x, y) = ((c.x - lx) as usize, (c.y - ly) as usize);
-            if x >= bw || y >= bh {
-                return;
-            }
-            let k = y * bw + x;
-            if stamp[k] == epoch && counts[k] > 0 {
-                counts[k] -= 1;
+            if let Some(k) = cells.index(c) {
+                if stamp[k] == epoch && counts[k] > 0 {
+                    counts[k] -= 1;
+                }
             }
         });
     }
 
     pub(crate) fn blocked(&self, c: GridCoord) -> bool {
-        if c.x < self.lo_x || c.y < self.lo_y {
-            return false;
-        }
-        let (x, y) = ((c.x - self.lo_x) as usize, (c.y - self.lo_y) as usize);
-        if x >= self.bw || y >= self.bh {
-            return false;
-        }
-        let k = y * self.bw + x;
-        self.stamp[k] == self.epoch && self.counts[k] > 0
+        self.cells
+            .index(c)
+            .is_some_and(|k| self.stamp[k] == self.epoch && self.counts[k] > 0)
     }
 }
 
 /// Dense space–time reservations over one window and one cell box (a tile
-/// interior, or the whole grid for repair): a flat
-/// `(window + 1) × bh × bw` array of epoch stamps, one per reserved
-/// `(step, cell)`, cleared in O(1) by bumping the epoch. The table only
-/// ever gains reservations (repair rebuilds it rather than remove a
-/// path), so a stamp is all a reservation needs.
+/// interior, or the whole grid for repair and for the prioritized
+/// planner): one bitset plane per step, one bit per reserved cell. The
+/// table only ever gains reservations (its users rebuild it rather than
+/// remove a path), so a bit is all a reservation needs.
 ///
-/// Zone cells spilling outside the box are dropped: every query the A\*
-/// makes is for a cell inside the box it searches, which is the box the
-/// table was begun with.
+/// A path parks on its last cell for the rest of the window, so once every
+/// reserved path has ended, all later steps look alike. The table keeps
+/// planes only up to the longest path reserved (at most `window + 1`) and
+/// reads a later step from the last plane. Its size follows the paths, not
+/// the horizon: the prioritized planner's whole-grid table at E10's 320²
+/// and 770 steps is at most about 10 MB.
 ///
 /// Per cell it also keeps `until`: one past the last step reserved there
-/// (`0` for none). Because reservations are only ever added, a cell is
-/// free from step `t` to the end of the window exactly when `until ≤ t`,
-/// which makes [`Self::is_free_from`] one comparison.
+/// (`0` for none), epoch-stamped so that `begin` leaves it in O(1).
+/// Because reservations are only ever added, a cell is free from step `t`
+/// to the end of the window exactly when `until ≤ t`, which makes
+/// [`Self::is_free_from`] one comparison.
 #[derive(Debug, Default)]
 pub(crate) struct DenseReservations {
     radius: u32,
     window: usize,
-    lo_x: u32,
-    lo_y: u32,
-    bw: usize,
-    bh: usize,
-    reserved: Vec<u32>,
+    cells: CellBox,
+    /// Words per plane: each plane starts on a word.
+    plane_words: usize,
+    /// Planes held, at least 1 once begun.
+    planes: usize,
+    /// Bit `cell % 64` of word `t · plane_words + cell / 64` is set when
+    /// that `(step, cell)` is reserved.
+    reserved: Vec<u64>,
     until: Vec<u32>,
     until_stamp: Vec<u32>,
     epoch: u32,
@@ -169,7 +181,8 @@ pub(crate) struct DenseReservations {
 
 impl DenseReservations {
     /// Re-targets the table to `window` steps over the inclusive box
-    /// `[lo, hi]` and clears it.
+    /// `[lo, hi]` and clears it: one empty plane is left, and `until` is
+    /// dropped by bumping its epoch.
     pub(crate) fn begin(
         &mut self,
         window: usize,
@@ -179,62 +192,55 @@ impl DenseReservations {
     ) {
         self.radius = min_separation;
         self.window = window;
-        self.lo_x = lo.x;
-        self.lo_y = lo.y;
-        self.bw = (hi.x - lo.x + 1) as usize;
-        self.bh = (hi.y - lo.y + 1) as usize;
-        let cells = self.bw * self.bh;
-        if self.reserved.len() < cells * (window + 1) {
-            self.reserved.resize(cells * (window + 1), 0);
+        self.cells = CellBox::new(lo, hi);
+        let cells = self.cells.cells();
+        self.plane_words = cells.div_ceil(64);
+        if self.reserved.len() < self.plane_words {
+            self.reserved.resize(self.plane_words, 0);
         }
+        self.reserved[..self.plane_words].fill(0);
+        self.planes = 1;
         if self.until.len() < cells {
             self.until.resize(cells, 0);
             self.until_stamp.resize(cells, 0);
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.reserved.iter_mut().for_each(|s| *s = 0);
             self.until_stamp.iter_mut().for_each(|s| *s = 0);
             self.epoch = 1;
         }
     }
 
     pub(crate) fn add_path(&mut self, path: &[GridCoord]) {
-        let (lx, ly, bw, bh, epoch) = (self.lo_x, self.lo_y, self.bw, self.bh, self.epoch);
-        let reserved = &mut self.reserved;
-        let until = &mut self.until;
-        let until_stamp = &mut self.until_stamp;
-        for t in 0..=self.window {
-            let pos = position_at(path, t);
-            for_each_zone_cell(pos, self.radius, |c| {
-                if c.x < lx || c.y < ly {
-                    return;
+        // New planes copy the last one: every path reserved so far is
+        // parked there.
+        let (w, planes) = (self.plane_words, path.len().min(self.window + 1));
+        if self.reserved.len() < planes * w {
+            self.reserved.resize(planes * w, 0);
+        }
+        for t in self.planes..planes {
+            self.reserved.copy_within((t - 1) * w..t * w, t * w);
+        }
+        self.planes = self.planes.max(planes);
+
+        let (cells, epoch, last) = (self.cells, self.epoch, self.planes - 1);
+        let end = self.window as u32 + 1;
+        let (reserved, until, until_stamp) =
+            (&mut self.reserved, &mut self.until, &mut self.until_stamp);
+        for t in 0..=last {
+            for_each_zone_cell(position_at(path, t), self.radius, |c| {
+                if let Some(cell) = cells.index(c) {
+                    reserved[t * w + cell / 64] |= 1 << (cell % 64);
+                    if until_stamp[cell] != epoch {
+                        until_stamp[cell] = epoch;
+                        until[cell] = 0;
+                    }
+                    // The last plane stands for every step to the window's end.
+                    let reach = if t == last { end } else { t as u32 + 1 };
+                    until[cell] = until[cell].max(reach);
                 }
-                let (x, y) = ((c.x - lx) as usize, (c.y - ly) as usize);
-                if x >= bw || y >= bh {
-                    return;
-                }
-                let cell = y * bw + x;
-                reserved[t * bh * bw + cell] = epoch;
-                if until_stamp[cell] != epoch {
-                    until_stamp[cell] = epoch;
-                    until[cell] = 0;
-                }
-                until[cell] = until[cell].max(t as u32 + 1);
             });
         }
-    }
-
-    /// Flat index of `c` within the box, or `None` outside it.
-    fn cell(&self, c: GridCoord) -> Option<usize> {
-        if c.x < self.lo_x || c.y < self.lo_y {
-            return None;
-        }
-        let (x, y) = ((c.x - self.lo_x) as usize, (c.y - self.lo_y) as usize);
-        if x >= self.bw || y >= self.bh {
-            return None;
-        }
-        Some(y * self.bw + x)
     }
 
     /// Number of planned steps (the table covers steps `0..=window()`).
@@ -244,15 +250,16 @@ impl DenseReservations {
 
     /// Whether `c` is unreserved at step `t` (clamped to the window end).
     pub(crate) fn is_free(&self, c: GridCoord, t: usize) -> bool {
-        self.cell(c).is_none_or(|cell| {
-            self.reserved[t.min(self.window) * self.bh * self.bw + cell] != self.epoch
+        self.cells.index(c).is_none_or(|cell| {
+            let word = self.reserved[t.min(self.planes - 1) * self.plane_words + cell / 64];
+            word >> (cell % 64) & 1 == 0
         })
     }
 
     /// Whether a particle parked at `c` from step `t` to the end of the
     /// window stays clear of every reservation.
     pub(crate) fn is_free_from(&self, c: GridCoord, t: usize) -> bool {
-        self.cell(c).is_none_or(|cell| {
+        self.cells.index(c).is_none_or(|cell| {
             self.until_stamp[cell] != self.epoch || self.until[cell] as usize <= t
         })
     }
@@ -618,7 +625,8 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// A random walk of `window` steps from a cell of the box `[lo, hi]`.
+    /// A random walk of up to `window` steps from a cell of the box
+    /// `[lo, hi]`; shorter walks park on their last cell.
     fn walk(seed: u64, lo: GridCoord, hi: GridCoord, window: usize) -> Vec<GridCoord> {
         let (bw, bh) = (u64::from(hi.x - lo.x + 1), u64::from(hi.y - lo.y + 1));
         let mut c = GridCoord::new(
@@ -627,7 +635,7 @@ mod tests {
         );
         let mut path = vec![c];
         let mut bits = mix(seed ^ 2);
-        for _ in 0..window {
+        for _ in 0..mix(seed ^ 3) % (window as u64 + 1) {
             let (dx, dy) = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)][(bits % 5) as usize];
             bits = mix(bits);
             c = c.offset(dx, dy).unwrap_or(c);
@@ -736,8 +744,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
         /// The bound-pruned search returns exactly the exhaustive search's
-        /// path, and the dense table's O(1) `is_free_from` agrees with
-        /// `is_free` at every remaining step, on every cell of the box.
+        /// path; the dense table's `is_free` agrees with a pairwise check
+        /// of the walks, and its O(1) `is_free_from` with `is_free` at
+        /// every remaining step, on every cell of the box.
         #[test]
         fn early_exit_matches_exhaustive_search(
             tile in (0u32..6, 0u32..6, 2u32..14, 2u32..14),
@@ -748,12 +757,18 @@ mod tests {
             cap in prop_oneof![Just(super::super::EXPANSION_CAP), 1usize..400],
         ) {
             let case = Case::new(tile, shape, ends, &walk_seeds, mask_seed);
-            let (lo, hi, window) = (case.lo, case.hi, shape.0);
+            let (lo, hi, (window, sep, _)) = (case.lo, case.hi, shape);
             let dense = &case.reservations;
+            let walks: Vec<_> = walk_seeds.iter().map(|&s| walk(s, lo, hi, window)).collect();
             for y in lo.y..=hi.y {
                 for x in lo.x..=hi.x {
                     let c = GridCoord::new(x, y);
-                    for t in 0..=window {
+                    for t in 0..=window + 1 {
+                        prop_assert_eq!(
+                            dense.is_free(c, t),
+                            walks.iter().all(|w| position_at(w, t).chebyshev(c) >= sep),
+                            "cell {} at step {}", c, t
+                        );
                         prop_assert_eq!(
                             dense.is_free_from(c, t),
                             (t..=window).all(|s| dense.is_free(c, s)),

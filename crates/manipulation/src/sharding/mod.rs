@@ -78,6 +78,7 @@ use crate::cage::ParticleId;
 use crate::error::ManipulationError;
 use crate::routing::{ParticlePath, RoutingOutcome, RoutingProblem};
 use astar_soa::{position_at, window_astar, Arena, ArenaPool};
+pub(crate) use astar_soa::{DenseReservations, DenseZone};
 use cache::shard_key;
 use labchip_units::GridCoord;
 use partition::{stagger_phases, Partition, TileMembership};
@@ -85,7 +86,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use tail::{positions_hash, PeriodicTail};
 use verify::verify_and_repair;
-pub(crate) use verify::ConflictScan;
+pub(crate) use verify::{grid_box, ConflictScan};
 
 /// Sharding and windowing knobs of the [`IncrementalRouter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

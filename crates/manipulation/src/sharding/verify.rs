@@ -274,7 +274,7 @@ impl ConflictScan {
 }
 
 /// The inclusive cell box of the whole grid.
-fn grid_box(dims: GridDims) -> (GridCoord, GridCoord) {
+pub(crate) fn grid_box(dims: GridDims) -> (GridCoord, GridCoord) {
     (
         GridCoord::new(0, 0),
         GridCoord::new(dims.cols.saturating_sub(1), dims.rows.saturating_sub(1)),
