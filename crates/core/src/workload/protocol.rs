@@ -35,10 +35,9 @@ use super::phases::{
     self, sort_capacity, Accumulators, PhaseCtx, PhaseError, PhaseReport, RouteTarget,
 };
 use super::{BatchDriver, CycleReport, RecoveryPolicy};
-use labchip_manipulation::cage::ParticleId;
 use labchip_manipulation::journal::{FaultPlan, Journal};
 use labchip_manipulation::state::{ChipState, ChipStateSnapshot, TimeBreakdown};
-use labchip_units::{GridCoord, GridDims, Seconds};
+use labchip_units::{GridDims, Seconds};
 use serde::{Deserialize, Serialize};
 
 /// One phase of a [`Protocol`], with its knobs: the unit of chip work a
@@ -338,21 +337,13 @@ impl RunControl for NeverStop {
 /// Why [`BatchDriver::execute`] refused to resume a [`Checkpoint`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The snapshot's grid or plan does not span the driver's array.
+    /// The snapshot's grid or the detected map does not span the
+    /// driver's array.
     Dims {
         /// The driver's array.
         expected: GridDims,
-        /// The dims of the snapshot's grid or plan.
+        /// The dims of the snapshot's grid or the detected map.
         found: GridDims,
-    },
-    /// A particle of the snapshot lies outside its grid.
-    OffGrid {
-        /// The particle.
-        particle: ParticleId,
-        /// Its cell.
-        at: GridCoord,
-        /// The snapshot grid's dims.
-        dims: GridDims,
     },
     /// The snapshot's cage separation is not the driver's.
     Separation {
@@ -383,13 +374,6 @@ impl std::fmt::Display for CheckpointError {
         f.write_str("checkpoint does not fit: ")?;
         match self {
             Self::Dims { expected, found } => write!(f, "snapshot {found}, runner {expected}"),
-            Self::OffGrid { particle, at, dims } => {
-                write!(
-                    f,
-                    "particle {} at {at} lies outside grid {dims}",
-                    particle.0
-                )
-            }
             Self::Separation { expected, found } => {
                 write!(f, "snapshot separation {found}, runner {expected}")
             }
@@ -473,23 +457,19 @@ impl BatchDriver {
     }
 
     /// Checks that `checkpoint` fits this driver and its own protocol
-    /// before anything is restored from it.
+    /// before anything is restored from it. The snapshot's own invariants
+    /// (particles on its grid, a plan spanning it) were checked when it
+    /// was decoded.
     fn check(&self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
         let expected = GridDims::square(self.config.array_side);
-        let snapshot = &checkpoint.state;
-        for found in [snapshot.grid.dims(), snapshot.plan.dims()] {
+        let grid = checkpoint.state.grid();
+        let detected = checkpoint.ctx.detected.as_ref().map(|map| map.dims());
+        for found in std::iter::once(grid.dims()).chain(detected) {
             if found != expected {
                 return Err(CheckpointError::Dims { expected, found });
             }
         }
-        if let Some((particle, at)) = snapshot.particle_off_grid() {
-            return Err(CheckpointError::OffGrid {
-                particle,
-                at,
-                dims: expected,
-            });
-        }
-        let found = snapshot.grid.min_separation();
+        let found = grid.min_separation();
         if found != self.separation() {
             return Err(CheckpointError::Separation {
                 expected: self.separation(),

@@ -41,11 +41,10 @@
 use std::fmt;
 
 use labchip::workload::{BatchDriver, Protocol, WorkloadConfig};
-use labchip_manipulation::cage::ParticleId;
 use labchip_manipulation::fleet::{project, FleetOutcome, FleetStats, FleetTopology};
 use labchip_manipulation::journal::{apply_event, Event, Journal, ReplayError};
 use labchip_manipulation::state::{ChipState, ChipStateSnapshot};
-use labchip_units::{GridCoord, GridDims};
+use labchip_units::GridDims;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -111,17 +110,8 @@ pub enum ResumeError {
         shard: usize,
         /// The shard's local dims in the group topology.
         expected: GridDims,
-        /// The dims of the snapshot's grid or plan.
+        /// The dims of the snapshot's grid.
         found: GridDims,
-    },
-    /// A particle of a shard snapshot lies outside that snapshot's grid.
-    OffGrid {
-        /// The offending shard.
-        shard: usize,
-        /// The particle.
-        particle: ParticleId,
-        /// Its cell.
-        at: GridCoord,
     },
     /// A shard's remaining journal segments do not fold onto its
     /// snapshot.
@@ -155,15 +145,6 @@ impl fmt::Display for ResumeError {
                 f,
                 "shard {shard} snapshot spans {}x{}, the shard frame is {}x{}",
                 found.cols, found.rows, expected.cols, expected.rows
-            ),
-            ResumeError::OffGrid {
-                shard,
-                particle,
-                at,
-            } => write!(
-                f,
-                "shard {shard} snapshot holds particle {} at {at}, outside its grid",
-                particle.0
             ),
             ResumeError::Fold { shard, source } => {
                 write!(
@@ -361,20 +342,12 @@ impl ShardGroup {
         }
         for (shard, snapshot) in checkpoint.shards.iter().enumerate() {
             let expected = self.outcome.topology.local_dims(shard);
-            for found in [snapshot.grid.dims(), snapshot.plan.dims()] {
-                if found != expected {
-                    return Err(ResumeError::ShardDims {
-                        shard,
-                        expected,
-                        found,
-                    });
-                }
-            }
-            if let Some((particle, at)) = snapshot.particle_off_grid() {
-                return Err(ResumeError::OffGrid {
+            let found = snapshot.grid().dims();
+            if found != expected {
+                return Err(ResumeError::ShardDims {
                     shard,
-                    particle,
-                    at,
+                    expected,
+                    found,
                 });
             }
         }
@@ -461,6 +434,8 @@ fn segment_bounds(journal: &Journal) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use labchip_manipulation::cage::ParticleId;
+    use labchip_units::GridCoord;
 
     fn group(grid: (u32, u32)) -> ShardGroup {
         let config = WorkloadConfig {
@@ -595,12 +570,11 @@ mod tests {
         assert!(matches!(error, ResumeError::Fold { .. }), "{error:?}");
 
         // One edit to the JSON: the first particle's `x` set to 99, off
-        // its shard's grid.
-        let (shard, (particle, at)) = checkpoint
+        // its shard's grid, fails to decode and names the particle.
+        let (particle, at) = checkpoint
             .shards
             .iter()
-            .enumerate()
-            .find_map(|(shard, s)| Some((shard, s.grid.iter_particles().next()?)))
+            .find_map(|s| s.grid().iter_particles().next())
             .expect("some shard holds a particle");
         let json = checkpoint.to_json();
         let x = json
@@ -611,15 +585,9 @@ mod tests {
             .find(|c: char| !c.is_ascii_digit())
             .expect("a number");
         let edited = format!("{}99{}", &json[..x], &json[end..]);
-        let restored = GroupCheckpoint::from_json(&edited).expect("still a checkpoint");
-        assert_eq!(
-            group.resume(&restored).expect_err("off-grid particle"),
-            ResumeError::OffGrid {
-                shard,
-                particle,
-                at: GridCoord::new(99, at.y),
-            }
-        );
+        let error = GroupCheckpoint::from_json(&edited).expect_err("off-grid particle");
+        let named = format!("particle {} at {}", particle.0, GridCoord::new(99, at.y));
+        assert!(error.to_string().contains(&named), "{error}");
     }
 
     /// A journal with no phase markers is one segment, not an empty one.

@@ -19,10 +19,9 @@ use labchip::workload::{
     BatchDriver, Checkpoint, CheckpointError, Journaling, PhaseError, Protocol, ProtocolOutcome,
     RecoveryPolicy, RunOptions, Start, StopCause, WorkloadConfig,
 };
-use labchip_manipulation::cage::ParticleId;
 use labchip_manipulation::journal::{replay, FaultPlan, Journal};
 use labchip_manipulation::state::ChipState;
-use labchip_units::{GridCoord, GridDims, Seconds};
+use labchip_units::{GridDims, Seconds};
 use proptest::prelude::*;
 
 fn workload(seed: u64, noise_scale: f64, recovery: RecoveryPolicy) -> WorkloadConfig {
@@ -229,9 +228,16 @@ fn checkpoint_json_rejects_non_finite_ledger_floats_cleanly() {
     assert!(text.contains("null"), "non-finite floats encode as null");
     assert!(Checkpoint::from_json(&text).is_err());
 
+    // The snapshot's ledger is private: null its `motion` in the text,
+    // as the writer encodes an infinite one.
     checkpoint.ctx.budget.programming_time = programming_time;
-    checkpoint.state.time.motion = Seconds::new(f64::INFINITY);
-    assert!(Checkpoint::from_json(&checkpoint.to_json()).is_err());
+    let text = checkpoint.to_json();
+    let state = text.find("\"state\":").expect("a snapshot");
+    let at = state + text[state..].find("\"motion\":").expect("a ledger") + "\"motion\":".len();
+    let end = at + text[at..].find([',', '}']).expect("a number");
+    let edited = format!("{}null{}", &text[..at], &text[end..]);
+    assert!(Checkpoint::from_json(&text).is_ok());
+    assert!(Checkpoint::from_json(&edited).is_err());
 }
 
 /// Deeply nested input is a clean decode error, not a stack overflow.
@@ -274,25 +280,60 @@ fn pinned_checkpoint_file_decodes_re_encodes_and_resumes() {
 }
 
 /// The pinned checkpoint with one edit, particle 0 moved to `x = 99` on
-/// its 16² grid, is refused as a typed error instead of panicking when
-/// the snapshot is restored.
+/// its 16² grid, fails to decode, and the error names the particle and
+/// its cell.
 #[test]
 fn a_checkpoint_particle_off_its_grid_is_rejected() {
     let edited = PINNED_CHECKPOINT.replacen("\"0\":{\"x\":1,", "\"0\":{\"x\":99,", 1);
     assert_ne!(edited, PINNED_CHECKPOINT, "the edit applies");
+    let error = Checkpoint::from_json(&edited).expect_err("an off-grid particle");
+    assert!(
+        error.to_string().contains("particle 0 at (99, 1)"),
+        "{error}"
+    );
+}
+
+/// The pinned checkpoint with its plan one cell short fails to decode:
+/// every plan lookup would index past the end.
+#[test]
+fn a_checkpoint_plan_one_cell_short_is_rejected() {
+    let edited = PINNED_CHECKPOINT.replacen("\"cells\":[\"Empty\",", "\"cells\":[", 1);
+    assert_ne!(edited, PINNED_CHECKPOINT, "the edit applies");
+    let error = Checkpoint::from_json(&edited).expect_err("a short plan");
+    assert!(
+        error.to_string().contains("255 cells for a 16x16 map"),
+        "{error}"
+    );
+}
+
+/// The pinned checkpoint with its detected map reshaped to 8×32 (the
+/// same cell count) decodes, and resume refuses it before the flush
+/// diffs that map against the 16² plan.
+#[test]
+fn a_checkpoint_detected_map_off_the_array_is_rejected() {
+    let square = "\"dims\":{\"cols\":16,\"rows\":16}";
+    let at = PINNED_CHECKPOINT
+        .rfind(square)
+        .expect("the detected map's dims");
+    let edited = format!(
+        "{}\"dims\":{{\"cols\":8,\"rows\":32}}{}",
+        &PINNED_CHECKPOINT[..at],
+        &PINNED_CHECKPOINT[at + square.len()..]
+    );
     let checkpoint = Checkpoint::from_json(&edited).expect("the edited checkpoint decodes");
+    let detected = checkpoint.ctx.detected.as_ref().map(|map| map.dims());
+    assert_eq!(detected, Some(GridDims::new(8, 32)));
     let config = WorkloadConfig {
         array_side: 16,
         ..workload(2005, 8.0, RecoveryPolicy::date05_reference())
     };
     let run = BatchDriver::new(config).execute(Start::Resume(&checkpoint), RunOptions::default());
-    let off_grid = CheckpointError::OffGrid {
-        particle: ParticleId(0),
-        at: GridCoord::new(99, 1),
-        dims: GridDims::square(16),
+    let misfit = CheckpointError::Dims {
+        expected: GridDims::square(16),
+        found: GridDims::new(8, 32),
     };
     assert_eq!(
         run.err().map(|stopped| stopped.cause),
-        Some(StopCause::Rejected(off_grid))
+        Some(StopCause::Rejected(misfit))
     );
 }

@@ -26,7 +26,8 @@ pub struct ParticleId(pub u64);
 /// the cells near a site, so placing or stepping a particle costs
 /// `O(separation · log particles)` instead of a walk over every particle.
 /// It is derived from the particles: it is not serialized, and decoding
-/// rebuilds it.
+/// rebuilds it. Decoding also rejects a zero separation and any particle
+/// outside `dims`, which no constructor can produce.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CageGrid {
     dims: GridDims,
@@ -49,24 +50,28 @@ impl Serialize for CageGrid {
 
 impl<'de> Deserialize<'de> for CageGrid {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let map = value
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("CageGrid: expected object"))?;
-        let field = |name: &str| {
-            map.get(name)
-                .ok_or_else(|| serde::Error::custom(format!("CageGrid: missing field `{name}`")))
-        };
-        let particles: BTreeMap<u64, GridCoord> = Deserialize::from_value(field("particles")?)?;
-        let mut grid = Self {
-            dims: Deserialize::from_value(field("dims")?)?,
-            min_separation: Deserialize::from_value(field("min_separation")?)?,
-            particles: BTreeMap::new(),
-            cells: BTreeMap::new(),
-        };
-        for pos in particles.values() {
-            grid.occupy(*pos);
+        // The serialized fields, decoded as derived under the same name.
+        #[derive(Deserialize)]
+        struct CageGrid {
+            dims: GridDims,
+            min_separation: u32,
+            particles: BTreeMap<u64, GridCoord>,
         }
-        grid.particles = particles;
+        let fields: CageGrid = Deserialize::from_value(value)?;
+        let dims = fields.dims;
+        if fields.min_separation == 0 {
+            return Err(serde::Error::custom("CageGrid: min_separation is 0"));
+        }
+        let mut grid = Self::with_separation(dims, fields.min_separation);
+        for (id, &pos) in &fields.particles {
+            if !dims.contains(pos) {
+                return Err(serde::Error::custom(format!(
+                    "CageGrid: particle {id} at {pos} lies outside the {dims} grid"
+                )));
+            }
+            grid.occupy(pos);
+        }
+        grid.particles = fields.particles;
         Ok(grid)
     }
 }
@@ -384,6 +389,21 @@ mod tests {
     #[should_panic(expected = "separation")]
     fn zero_separation_rejected() {
         let _ = CageGrid::with_separation(GridDims::square(8), 0);
+    }
+
+    #[test]
+    fn decoding_rejects_a_zero_separation_and_an_off_grid_particle() {
+        let mut grid = grid();
+        grid.place(ParticleId(3), GridCoord::new(4, 5)).unwrap();
+        let json = serde_json::to_string(&grid);
+        let decode = |edited: String| serde_json::from_str::<CageGrid>(&edited).unwrap_err();
+        let error = decode(json.replace("\"min_separation\":2", "\"min_separation\":0"));
+        assert!(error.to_string().contains("min_separation"), "{error}");
+        let error = decode(json.replace("\"x\":4", "\"x\":16"));
+        assert!(
+            error.to_string().contains("particle 3 at (16, 5)"),
+            "{error}"
+        );
     }
 
     use proptest::prelude::{prop_oneof, Just};

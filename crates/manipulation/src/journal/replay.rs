@@ -4,7 +4,7 @@ use crate::error::ManipulationError;
 use crate::journal::event::Event;
 use crate::journal::log::Journal;
 use crate::state::ChipState;
-use labchip_units::GridDims;
+use labchip_units::{GridCoord, GridDims};
 use std::fmt;
 
 /// A journal event that cannot be applied to the reconstructed state —
@@ -29,9 +29,9 @@ pub enum ReplayError {
         /// Index of the offending event in the journal.
         index: usize,
         /// The origin recorded in the journal.
-        expected: labchip_units::GridCoord,
+        expected: GridCoord,
         /// The origin the replayed grid reported.
-        actual: labchip_units::GridCoord,
+        actual: GridCoord,
     },
 }
 
@@ -98,13 +98,28 @@ pub fn replay(
 /// fleet shard-group workers, which fold per-phase event segments between
 /// rendezvous barriers) share the exact replay semantics: markers are
 /// skipped, removals and handoff exports cross-check their recorded
-/// origin, and handoff import/export behave as place/remove.
+/// origin, handoff import/export behave as place/remove, and a merge
+/// target or plan goal off the grid is an [`OutOfBounds`] rejection, as
+/// an off-grid placement is.
+///
+/// [`OutOfBounds`]: ManipulationError::OutOfBounds
 ///
 /// # Errors
 ///
 /// Returns a [`ReplayError`] tagged with `index` if the event cannot be
 /// applied to `state`.
 pub fn apply_event(state: &mut ChipState, event: &Event, index: usize) -> Result<(), ReplayError> {
+    let dims = state.dims();
+    let on_grid = |coord: GridCoord| {
+        if dims.contains(coord) {
+            Ok(())
+        } else {
+            Err(ReplayError::Apply {
+                index,
+                source: ManipulationError::OutOfBounds { coord },
+            })
+        }
+    };
     match event {
         Event::PhaseStarted { .. } | Event::PhaseFinished { .. } | Event::PhaseAborted { .. } => {}
         Event::Placed { id, at } | Event::HandoffImported { id, at, .. } => {
@@ -124,8 +139,14 @@ pub fn apply_event(state: &mut ChipState, event: &Event, index: usize) -> Result
                 });
             }
         }
-        Event::PlacedMerged { id, at } => state.place_merged(*id, *at),
-        Event::PlanReplaced { goals } => state.set_plan_from_goals(goals.iter().copied()),
+        Event::PlacedMerged { id, at } => {
+            on_grid(*at)?;
+            state.place_merged(*id, *at);
+        }
+        Event::PlanReplaced { goals } => {
+            goals.iter().try_for_each(|&goal| on_grid(goal))?;
+            state.set_plan_from_goals(goals.iter().copied());
+        }
         Event::Charged { ledger, seconds } => state.charge(*ledger, *seconds),
     }
     Ok(())
@@ -136,7 +157,7 @@ mod tests {
     use super::*;
     use crate::cage::ParticleId;
     use crate::state::TimeLedger;
-    use labchip_units::{GridCoord, Seconds};
+    use labchip_units::Seconds;
 
     #[test]
     fn replay_reconstructs_a_live_run_bit_for_bit() {
@@ -216,6 +237,28 @@ mod tests {
         });
         let err = replay(&journal, dims, 1).unwrap_err();
         assert!(matches!(err, ReplayError::RemovedMismatch { index: 1, .. }));
+
+        // A merge or a plan goal off the grid.
+        let off_grid = GridCoord::new(99, 0);
+        for event in [
+            Event::PlacedMerged {
+                id: ParticleId(1),
+                at: off_grid,
+            },
+            Event::PlanReplaced {
+                goals: vec![GridCoord::new(1, 1), off_grid],
+            },
+        ] {
+            let mut journal = Journal::new();
+            journal.record(event);
+            assert_eq!(
+                replay(&journal, GridDims::square(16), 1),
+                Err(ReplayError::Apply {
+                    index: 0,
+                    source: ManipulationError::OutOfBounds { coord: off_grid }
+                })
+            );
+        }
     }
 
     #[test]
@@ -277,5 +320,27 @@ mod tests {
         });
         let err = replay(&journal, dims, 1).unwrap_err();
         assert!(matches!(err, ReplayError::RemovedMismatch { index: 1, .. }));
+
+        // A merge or a plan goal off the grid.
+        let off_grid = GridCoord::new(99, 0);
+        for event in [
+            Event::PlacedMerged {
+                id: ParticleId(1),
+                at: off_grid,
+            },
+            Event::PlanReplaced {
+                goals: vec![GridCoord::new(1, 1), off_grid],
+            },
+        ] {
+            let mut journal = Journal::new();
+            journal.record(event);
+            assert_eq!(
+                replay(&journal, GridDims::square(16), 1),
+                Err(ReplayError::Apply {
+                    index: 0,
+                    source: ManipulationError::OutOfBounds { coord: off_grid }
+                })
+            );
+        }
     }
 }

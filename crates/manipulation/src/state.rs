@@ -99,27 +99,46 @@ pub enum TimeLedger {
 /// A serde-round-trippable snapshot of the durable chip state: grid, plan
 /// and time ledger (the derived caches are rebuilt on demand, the journal
 /// is stored separately by the checkpoint that owns the snapshot).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Outside this module a snapshot comes only from [`ChipState::snapshot`]
+/// or its decoder, so it is a state [`ChipState::from_snapshot`] can run
+/// on. Each part checks its own invariants when decoded: the [`CageGrid`]
+/// a nonzero separation and every particle inside its dims, the
+/// [`OccupancyMap`] one cell per site, and the snapshot a plan that spans
+/// the grid. Pairwise separation is not checked: a merge or a recovery
+/// fallback legally leaves particles closer than it.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ChipStateSnapshot {
-    /// The cage grid (positions, dims, separation).
-    pub grid: CageGrid,
-    /// The plan map.
-    pub plan: OccupancyMap,
-    /// The accumulated time ledger.
-    pub time: TimeBreakdown,
+    grid: CageGrid,
+    plan: OccupancyMap,
+    time: TimeBreakdown,
 }
 
 impl ChipStateSnapshot {
-    /// The first particle, in id order, that lies outside the grid's own
-    /// dims, with its cell; `None` when every particle is on the grid.
-    /// A decoded snapshot is not checked for this, and restoring one
-    /// that fails it would index past the array, so resume paths call
-    /// this first.
-    pub fn particle_off_grid(&self) -> Option<(ParticleId, GridCoord)> {
-        let dims = self.grid.dims();
-        self.grid
-            .iter_particles()
-            .find(|&(_, at)| !dims.contains(at))
+    /// The cage grid (positions, dims, separation).
+    pub fn grid(&self) -> &CageGrid {
+        &self.grid
+    }
+}
+
+impl<'de> Deserialize<'de> for ChipStateSnapshot {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        // The serialized fields, decoded as derived under the same name.
+        #[derive(Deserialize)]
+        struct ChipStateSnapshot {
+            grid: CageGrid,
+            plan: OccupancyMap,
+            time: TimeBreakdown,
+        }
+        let ChipStateSnapshot { grid, plan, time } = Deserialize::from_value(value)?;
+        if plan.dims() != grid.dims() {
+            return Err(serde::Error::custom(format!(
+                "ChipStateSnapshot: plan {} on a {} grid",
+                plan.dims(),
+                grid.dims()
+            )));
+        }
+        Ok(Self { grid, plan, time })
     }
 }
 
@@ -172,17 +191,11 @@ impl ChipState {
 
     /// Wraps an existing grid (its particles become the state's truth).
     pub fn from_grid(grid: CageGrid) -> Self {
-        let dims = grid.dims();
-        Self {
+        Self::from_snapshot(ChipStateSnapshot {
+            plan: OccupancyMap::new(grid.dims()),
             grid,
-            plan: OccupancyMap::new(dims),
             time: TimeBreakdown::default(),
-            pattern: None,
-            occupancy: None,
-            journal: None,
-            fault: None,
-            tripped: false,
-        }
+        })
     }
 
     /// Array dimensions.
@@ -665,6 +678,27 @@ mod tests {
         assert!(state.place(ParticleId(1), GridCoord::new(2, 2)).is_err());
         assert!(state.remove(ParticleId(9)).is_err());
         assert_eq!(state.state_hash(), before);
+    }
+
+    #[test]
+    fn snapshot_decoder_rejects_a_plan_that_does_not_span_the_grid() {
+        let snapshot = ChipState::new(GridDims::square(4)).snapshot();
+        let json = serde_json::to_string(&snapshot);
+        let decoded: ChipStateSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(decoded, snapshot);
+        // The plan's dims come second; 2x8 keeps its cell count.
+        let square = r#"{"cols":4,"rows":4}"#;
+        let at = json.rfind(square).unwrap();
+        let edited = format!(
+            r#"{}{{"cols":2,"rows":8}}{}"#,
+            &json[..at],
+            &json[at + square.len()..]
+        );
+        let error = serde_json::from_str::<ChipStateSnapshot>(&edited).unwrap_err();
+        assert_eq!(
+            error.to_string(),
+            "ChipStateSnapshot: plan 2x8 on a 4x4 grid"
+        );
     }
 
     #[test]

@@ -209,10 +209,32 @@ impl DetectionStats {
 }
 
 /// A per-electrode occupancy map, the end product of a sensor scan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Decoding checks that `cells` holds exactly one entry per cell of
+/// `dims`, so every map, decoded or built, indexes in bounds.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct OccupancyMap {
     dims: GridDims,
     cells: Vec<Occupancy>,
+}
+
+impl<'de> Deserialize<'de> for OccupancyMap {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        // The serialized fields, decoded as derived under the same name.
+        #[derive(Deserialize)]
+        struct OccupancyMap {
+            dims: GridDims,
+            cells: Vec<Occupancy>,
+        }
+        let OccupancyMap { dims, cells } = Deserialize::from_value(value)?;
+        if cells.len() as u64 != dims.count() {
+            return Err(serde::Error::custom(format!(
+                "OccupancyMap: {} cells for a {dims} map",
+                cells.len()
+            )));
+        }
+        Ok(Self { dims, cells })
+    }
 }
 
 impl OccupancyMap {
@@ -364,6 +386,20 @@ mod tests {
         assert_eq!(a.diff_count(&a).unwrap(), 0);
         let c = OccupancyMap::new(GridDims::square(5));
         assert!(a.diff_count(&c).is_err());
+    }
+
+    #[test]
+    fn occupancy_map_decoder_rejects_a_cell_count_off_its_dims() {
+        let map = OccupancyMap::new(GridDims::square(4));
+        assert_eq!(OccupancyMap::from_value(&map.to_value()), Ok(map.clone()));
+        let mut value = map.to_value();
+        let Some(serde::Value::Array(cells)) = value.as_object_mut().unwrap().get_mut("cells")
+        else {
+            panic!("cells encode as an array");
+        };
+        cells.pop();
+        let error = OccupancyMap::from_value(&value).unwrap_err();
+        assert_eq!(error.to_string(), "OccupancyMap: 15 cells for a 4x4 map");
     }
 
     #[test]
