@@ -1111,12 +1111,15 @@ fn farm_command(args: &[String]) -> Result<(), String> {
                 .map_err(|err| format!("cannot read protocol `{path}`: {err}"))?;
             let protocol: labchip::workload::Protocol = serde_json::from_str(&text)
                 .map_err(|err| format!("`{path}` is not a protocol JSON: {err}"))?;
+            let workload = labchip::workload::WorkloadConfig {
+                array_side: side,
+                ..labchip::workload::WorkloadConfig::default()
+            };
+            labchip::scenario::Limit::protocol(&protocol, workload.detection_frames)
+                .map_err(|limit| format!("`{path}`: {limit}"))?;
             let farm = Farm::new(FarmConfig {
                 workers,
-                workload: labchip::workload::WorkloadConfig {
-                    array_side: side,
-                    ..labchip::workload::WorkloadConfig::default()
-                },
+                workload,
                 ..FarmConfig::default()
             });
             let mut spec = JobSpec::tenant(tenant);
@@ -1409,6 +1412,21 @@ mod tests {
             assert!(message.contains("exceeds the limit 4096"), "{message}");
         }
         assert!(parse_side("-1").is_err());
+    }
+
+    #[test]
+    fn farm_submit_refuses_oversized_protocol_scans_before_building_a_farm() {
+        let protocol = r#"{"name":"hostile","phases":[{"Load":{"particles":4,"capacity_clamp":8}},{"Sense":{"frames":4294967295}},"Flush"]}"#;
+        let path =
+            std::env::temp_dir().join(format!("labchip-hostile-{}.json", std::process::id()));
+        std::fs::write(&path, protocol).expect("temp dir is writable");
+        let path = path.to_str().expect("temp path is UTF-8").to_owned();
+        let args = ["submit", path.as_str(), "--side", "16"].map(String::from);
+        let result = farm_command(&args);
+        std::fs::remove_file(&path).expect("file was written");
+        let message = result.expect_err("four billion frames exceed the limit");
+        assert!(message.contains("`Sense.frames` = 4294967295"), "{message}");
+        assert!(message.contains("exceeds the limit 4096"), "{message}");
     }
 
     #[test]

@@ -129,10 +129,15 @@ impl BiochipBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ChipError::Configuration`] when the packaging stack is
-    /// inconsistent with the chamber, or [`ChipError::Fluidics`] when the
-    /// stack itself is invalid.
+    /// Returns [`ChipError::Configuration`] when the grid is empty or the
+    /// packaging stack is inconsistent with the chamber, or
+    /// [`ChipError::Fluidics`] when the stack itself is invalid.
     pub fn build(self) -> Result<Biochip, ChipError> {
+        if self.dims.count() == 0 {
+            return Err(ChipError::Configuration {
+                reason: format!("a {} array has no electrode", self.dims),
+            });
+        }
         self.packaging.validate()?;
         let chamber_height = self.packaging.chamber_height();
         if (chamber_height.get() - self.chamber.height.get()).abs() > 1e-9 {

@@ -302,19 +302,9 @@ impl Scenario for ProtocolsScenario {
         Limit::array_side(config.array_side)?;
         Limit::threads("threads", config.threads)?;
         Limit::scans(config.detection_frames, &config.recovery)?;
-        let phases = config.protocol.iter().flat_map(|p| &p.phases);
-        for phase in phases {
-            match phase {
-                PhaseSpec::Sense {
-                    frames: Some(frames),
-                } => Limit::frames("Sense.frames", (*frames).into())?,
-                PhaseSpec::Recover {
-                    policy: Some(policy),
-                } => Limit::scans(config.detection_frames, policy)?,
-                _ => {}
-            }
-        }
-        Ok(())
+        config.protocol.as_ref().map_or(Ok(()), |protocol| {
+            Limit::protocol(protocol, config.detection_frames)
+        })
     }
 
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {

@@ -9,6 +9,7 @@
 //! shape: force falls steeply as the node advances while the NRE cost rises.
 
 use crate::biochip::{Biochip, BiochipBuilder};
+use crate::error::ChipError;
 use crate::experiments::ExperimentTable;
 use crate::scenario::{Limit, Scenario, ScenarioContext};
 use labchip_array::technology::TechnologyNode;
@@ -66,19 +67,19 @@ pub struct Results {
     pub rows: Vec<TechnologyRow>,
 }
 
-fn analyze_node(node: &TechnologyNode, config: &Config) -> TechnologyRow {
+/// The row of one node, or the error of a chip the config cannot build
+/// (an array without electrodes).
+fn analyze_node(node: &TechnologyNode, config: &Config) -> Result<TechnologyRow, ChipError> {
     let mut chip: Biochip = BiochipBuilder::new()
         .dims(GridDims::square(config.array_side))
         .technology(node.clone())
         .pitch(node.electrode_pitch_for_cells(labchip_units::Meters::from_micrometers(25.0)))
         .io_drivers(config.use_io_drivers)
-        .build()
-        .expect("sweep configurations are valid");
+        .build()?;
     let center = GridCoord::new(config.array_side / 2, config.array_side / 2);
-    chip.program_single_cage(center)
-        .expect("centre electrode exists");
-    let summary = chip.cage_summary(center).expect("cage was just programmed");
-    TechnologyRow {
+    chip.program_single_cage(center)?;
+    let summary = chip.cage_summary(center)?;
+    Ok(TechnologyRow {
         node: node.name.clone(),
         drive_voltage: chip.drive_voltage().get(),
         pitch_um: chip.array().pitch().as_micrometers(),
@@ -91,7 +92,7 @@ fn analyze_node(node: &TechnologyNode, config: &Config) -> TechnologyRow {
             .unwrap_or(0.0),
         dep_figure_of_merit: node.dep_figure_of_merit(config.use_io_drivers),
         mask_set_cost_keur: node.mask_set_cost.as_kilo_euros(),
-    }
+    })
 }
 
 /// The technology sweep as a first-class engine scenario.
@@ -128,7 +129,13 @@ impl From<Results> for ExperimentTable {
 fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
     let mut rows = Vec::with_capacity(config.nodes.len());
     for node in &config.nodes {
-        let row = analyze_node(node, config);
+        let row = match analyze_node(node, config) {
+            Ok(row) => row,
+            Err(err) => {
+                ctx.emit_row(format!("{}: skipped, {err}", node.name));
+                continue;
+            }
+        };
         ctx.emit_row(format!(
             "{}: {:.1} V, {:.1} pN holding force",
             row.node, row.drive_voltage, row.holding_force_pn
@@ -190,6 +197,22 @@ mod tests {
 
     fn run(config: &Config) -> Results {
         run_with(config, &mut ScenarioContext::silent("E2"))
+    }
+
+    /// An array without electrodes skips every node instead of panicking
+    /// in the array constructor; one electrode is enough for a row.
+    #[test]
+    fn an_empty_array_skips_the_sweep() {
+        let results = run(&Config {
+            array_side: 0,
+            ..Config::default()
+        });
+        assert!(results.rows.is_empty());
+        let one = run(&Config {
+            array_side: 1,
+            ..Config::default()
+        });
+        assert_eq!(one.rows.len(), Config::default().nodes.len());
     }
 
     #[test]

@@ -178,6 +178,15 @@ impl From<Results> for ExperimentTable {
 }
 
 fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
+    // The drag starts on column 2 and ends `travel_steps` columns on, which
+    // must still lie on the array.
+    if u64::from(config.travel_steps) + 2 >= u64::from(config.array_side) {
+        ctx.emit_row(format!(
+            "skipped: a {}-step drag from column 2 leaves the {}-column array",
+            config.travel_steps, config.array_side
+        ));
+        return Results { rows: Vec::new() };
+    }
     let mut rows = Vec::with_capacity(config.speeds_um_s.len());
     for &speed in &config.speeds_um_s {
         let row = run_speed(config, speed, ctx);
@@ -261,6 +270,28 @@ mod tests {
         // cage's holding force and the cell is left behind.
         assert!(!fast.tracked, "tracking should fail at 5 mm/s");
         assert_eq!(results.max_tracked_speed().unwrap(), 50.0);
+    }
+
+    /// A drag that would leave the array is skipped, not run off its edge:
+    /// the last cage of a `travel_steps` drag sits on column
+    /// `2 + travel_steps`, so the array needs one column more.
+    #[test]
+    fn a_drag_off_the_array_is_skipped() {
+        let config = |array_side, travel_steps| Config {
+            speeds_um_s: vec![50.0],
+            travel_steps,
+            array_side,
+            ..Config::default()
+        };
+        for (side, travel) in [(0, 0), (2, 0), (3, 1), (16, 14), (16, 40), (16, u32::MAX)] {
+            assert!(
+                run(&config(side, travel)).rows.is_empty(),
+                "{side}/{travel}"
+            );
+        }
+        for (side, travel) in [(3, 0), (4, 1), (16, 13)] {
+            assert_eq!(run(&config(side, travel)).rows.len(), 1, "{side}/{travel}");
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use crate::experiments::ExperimentTable;
 use crate::scenario::{Limit, Scenario, ScenarioContext};
+use crate::workload::phases::lattice;
 use labchip_manipulation::cage::ParticleId;
 use labchip_manipulation::routing::{Router, RoutingProblem, RoutingRequest, RoutingStrategy};
 use labchip_units::{GridCoord, GridDims, Seconds};
@@ -83,22 +84,13 @@ pub fn generate_problem(config: &Config, particles: usize) -> RoutingProblem {
     let spacing = config.min_separation.max(1) + 1;
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ particles as u64);
 
-    let lattice = |x_lo: u32, x_hi: u32| -> Vec<GridCoord> {
-        let mut slots = Vec::new();
-        let mut y = 1;
-        while y < dims.rows - 1 {
-            let mut x = x_lo;
-            while x < x_hi {
-                slots.push(GridCoord::new(x, y));
-                x += spacing;
-            }
-            y += spacing;
-        }
-        slots
-    };
-
-    let all_starts = lattice(1, dims.cols / 3);
-    let all_goals = lattice(2 * dims.cols / 3, dims.cols - 1);
+    let all_starts = lattice(dims, 1, dims.cols / 3, spacing);
+    let all_goals = lattice(
+        dims,
+        2 * dims.cols / 3,
+        dims.cols.saturating_sub(1),
+        spacing,
+    );
     let count = particles.min(all_starts.len()).min(all_goals.len());
 
     // Choose a random subset of slots on each side, then pair them in scan
@@ -279,6 +271,29 @@ mod tests {
             assert!(r.goal.x >= 2 * problem.dims.cols / 3);
             assert!(problem.dims.contains(r.start) && problem.dims.contains(r.goal));
         }
+    }
+
+    /// Arrays too small for a lattice give empty problems; at
+    /// `array_side = 0` the goal lattice's right edge saturates at 0
+    /// instead of wrapping to `u32::MAX`.
+    #[test]
+    fn degenerate_arrays_give_empty_problems() {
+        for array_side in 0..6 {
+            let config = Config {
+                array_side,
+                ..quick_config()
+            };
+            assert!(
+                generate_problem(&config, 24).requests.is_empty(),
+                "{array_side}"
+            );
+            assert_eq!(run(&config).rows.len(), 2 * config.particle_counts.len());
+        }
+        let config = Config {
+            array_side: 6,
+            ..quick_config()
+        };
+        assert!(!generate_problem(&config, 24).requests.is_empty());
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use runner::{outcomes_to_json, RunOutcome, Runner};
 
 use crate::experiments::ExperimentTable;
 use crate::simulator::StepObserver;
-use crate::workload::RecoveryPolicy;
+use crate::workload::{PhaseSpec, Protocol, RecoveryPolicy};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use serde_json::Value;
@@ -185,6 +185,30 @@ impl Limit {
             "detection_frames × rescan_factor",
             u64::from(frames) * u64::from(recovery.rescan_factor.max(1)),
         )
+    }
+
+    /// Checks the scans `protocol` sets itself, on a workload that averages
+    /// `detection_frames` per detection scan: every `Sense` phase with its
+    /// own frame count, and the re-scan of every `Recover` phase with its
+    /// own policy. Phases that keep the workload's defaults are covered by
+    /// [`Limit::scans`] of the workload.
+    ///
+    /// # Errors
+    ///
+    /// The first exceeded [`Limit`], in phase order.
+    pub fn protocol(protocol: &Protocol, detection_frames: u32) -> Result<(), Limit> {
+        for phase in &protocol.phases {
+            match phase {
+                PhaseSpec::Sense {
+                    frames: Some(frames),
+                } => Limit::frames("Sense.frames", (*frames).into())?,
+                PhaseSpec::Recover {
+                    policy: Some(policy),
+                } => Limit::scans(detection_frames, policy)?,
+                _ => {}
+            }
+        }
+        Ok(())
     }
 }
 
@@ -390,6 +414,32 @@ mod tests {
         assert_eq!(v.as_str(), Some("hello world"));
         assert!(parse_override("no-equals").is_err());
         assert!(parse_override("=5").is_err());
+    }
+
+    /// The protocol check only validates: a four-billion-frame `Sense` or
+    /// re-scan is refused without running anything.
+    #[test]
+    fn protocol_scans_are_bounded_at_max_frames() {
+        let sense = |frames| {
+            Protocol::new("p").with_phase(PhaseSpec::Sense {
+                frames: Some(frames),
+            })
+        };
+        let recover = |rescan_factor| {
+            Protocol::new("p").with_phase(PhaseSpec::Recover {
+                policy: Some(RecoveryPolicy {
+                    rescan_factor,
+                    ..RecoveryPolicy::disabled()
+                }),
+            })
+        };
+        for (frames, ok) in [(4096, true), (4097, false), (u32::MAX, false)] {
+            assert_eq!(Limit::protocol(&sense(frames), 8).is_ok(), ok, "{frames}");
+            assert_eq!(Limit::protocol(&recover(frames), 1).is_ok(), ok, "{frames}");
+        }
+        let err = Limit::protocol(&sense(u32::MAX), 8).unwrap_err();
+        assert_eq!((err.field, err.value), ("Sense.frames", u32::MAX as usize));
+        assert!(Limit::protocol(&Protocol::new("empty"), u32::MAX).is_ok());
     }
 
     #[test]

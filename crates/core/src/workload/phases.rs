@@ -715,8 +715,6 @@ pub(super) fn recover(
     let dims = state.dims();
     let sep = state.grid().min_separation();
     let policy = policy.unwrap_or(driver.config.recovery);
-    let scanner = &driver.scanner;
-    let scan = &driver.scan;
     let rescan_frames = driver
         .config
         .detection_frames
@@ -748,20 +746,8 @@ pub(super) fn recover(
         ctx.acc.recovery_rounds += 1;
 
         // Re-scan every suspect with heavier averaging; most detection
-        // errors dissolve here. Charge the rows actually re-read.
-        let rows: HashSet<u32> = suspects.iter().map(|c| c.y).collect();
-        state.charge(
-            TimeLedger::Recovery,
-            scan.row_time(dims.cols) * (rows.len() as f64 * rescan_frames as f64),
-        );
-        let truth = state.occupancy();
-        for &site in &suspects {
-            detected.set(
-                site,
-                scanner.sense_site(truth.get(site), site, rescan_frames, ctx.acc.pass),
-            );
-        }
-        ctx.acc.pass += 1;
+        // errors dissolve here.
+        rescan(state, ctx, &mut detected, &suspects, rescan_frames);
 
         // Decide: confirmed strays are detected particles off the plan;
         // vacancies are plan slots the readout still reports empty.
@@ -882,19 +868,7 @@ pub(super) fn recover(
 
         // Verify the sites the moves touched so the loop (and the final
         // report) sees the post-move readout, not a stale map.
-        let rows: HashSet<u32> = touched.iter().map(|c| c.y).collect();
-        state.charge(
-            TimeLedger::Recovery,
-            scan.row_time(dims.cols) * (rows.len() as f64 * rescan_frames as f64),
-        );
-        let truth = state.occupancy();
-        for &site in &touched {
-            detected.set(
-                site,
-                scanner.sense_site(truth.get(site), site, rescan_frames, ctx.acc.pass),
-            );
-        }
-        ctx.acc.pass += 1;
+        rescan(state, ctx, &mut detected, &touched, rescan_frames);
     }
     let moves = ctx.acc.recovery_moves - moves_before;
     let rounds = ctx.acc.recovery_rounds - rounds_before;
@@ -906,6 +880,34 @@ pub(super) fn recover(
         particles_after: state.particle_count(),
         detail: format!("{rounds} rounds, {moves} corrective moves"),
     })
+}
+
+/// Re-reads `sites` into `detected` with `frames`-frame averaging, as one
+/// Recover pass: charges [`TimeLedger::Recovery`] for the rows actually
+/// re-read, then advances the scan pass.
+fn rescan(
+    state: &mut ChipState,
+    ctx: &mut PhaseCtx,
+    detected: &mut OccupancyMap,
+    sites: &[GridCoord],
+    frames: u32,
+) {
+    let driver = ctx.driver;
+    let rows: HashSet<u32> = sites.iter().map(|c| c.y).collect();
+    state.charge(
+        TimeLedger::Recovery,
+        driver.scan.row_time(state.dims().cols) * (rows.len() as f64 * frames as f64),
+    );
+    let truth = state.occupancy();
+    for &site in sites {
+        detected.set(
+            site,
+            driver
+                .scanner
+                .sense_site(truth.get(site), site, frames, ctx.acc.pass),
+        );
+    }
+    ctx.acc.pass += 1;
 }
 
 /// [`PhaseSpec::Flush`](super::PhaseSpec::Flush): empties the chip.

@@ -141,18 +141,8 @@ impl CageGrid {
             .ok_or(ManipulationError::UnknownParticle { id: id.0 })
     }
 
-    /// All `(particle, position)` pairs, sorted by particle id.
-    ///
-    /// Allocates a fresh `Vec` per call; hot paths that only need to walk
-    /// the particles should prefer the borrowing
-    /// [`CageGrid::iter_particles`].
-    pub fn particles(&self) -> Vec<(ParticleId, GridCoord)> {
-        self.iter_particles().collect()
-    }
-
     /// Borrowing iterator over `(particle, position)` pairs in ascending id
-    /// order — no allocation, same deterministic order as
-    /// [`CageGrid::particles`].
+    /// order — no allocation; `collect()` it for an owned snapshot.
     pub fn iter_particles(&self) -> impl Iterator<Item = (ParticleId, GridCoord)> + '_ {
         self.particles
             .iter()
@@ -302,7 +292,7 @@ mod tests {
         assert_eq!(g.position(ParticleId(1)).unwrap(), GridCoord::new(4, 4));
         assert_eq!(g.particle_count(), 1);
         assert!(g.position(ParticleId(2)).is_err());
-        assert_eq!(g.particles().len(), 1);
+        assert_eq!(g.iter_particles().count(), 1);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   at a time (longest distance first), each treating the already-planned
 //!   particles as moving obstacles and the not-yet-planned ones as static
 //!   obstacles at their start positions. The moving obstacles live in a
-//!   reservation table and the static ones in a zone counter: the sharded
-//!   router's dense tables, begun over the whole grid;
+//!   reservation table and the static ones in a zone counter: the dense
+//!   tables of the thread's planner arena, begun over the whole grid;
 //! * [`RoutingStrategy::Greedy`] — the obvious baseline: every step, every
 //!   particle moves towards its goal if the next cage is free, otherwise it
 //!   waits. Cheap, but it livelocks as density grows — which is exactly the
@@ -22,7 +22,7 @@
 
 use crate::cage::ParticleId;
 use crate::error::ManipulationError;
-use crate::sharding::{grid_box, ConflictScan, DenseReservations, DenseZone};
+use crate::sharding::{grid_box, with_arena, Arena, DenseZone};
 use labchip_units::{GridCoord, GridDims};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -101,8 +101,8 @@ impl RoutingProblem {
             return true;
         };
         dense_scan_fits(lo, hi)
-            && ConflictScan::default()
-                .first_conflicts(
+            && with_arena(|Arena { scan, .. }| {
+                scan.first_conflicts(
                     (lo, hi),
                     0..=0,
                     self.requests.len(),
@@ -110,6 +110,7 @@ impl RoutingProblem {
                     self.min_separation,
                 )
                 .is_empty()
+            })
     }
 
     /// The `O(requests²)` form of [`Self::validate`], which reports the
@@ -267,13 +268,15 @@ impl RoutingOutcome {
         if !dense_scan_fits(lo, hi) {
             return pairwise_conflict_free(&all, horizon, min_separation);
         }
-        ConflictScan::default().stays_clear(
-            (lo, hi),
-            horizon,
-            all.len(),
-            |i| &all[i].positions,
-            min_separation,
-        )
+        with_arena(|Arena { scan, .. }| {
+            scan.stays_clear(
+                (lo, hi),
+                horizon,
+                all.len(),
+                |i| &all[i].positions,
+                min_separation,
+            )
+        })
     }
 }
 
@@ -367,16 +370,9 @@ fn finalize(
 // Prioritized space-time A*
 // ---------------------------------------------------------------------------
 
-/// The prioritized planner's two whole-grid tables: the reservations of
-/// the routed paths, and the zones of the particles parked at their starts.
-#[derive(Default)]
-struct Tables {
-    reservations: DenseReservations,
-    parked: DenseZone,
-}
-
 /// Attempts to plan every pending request in priority order against the
-/// reservations of the already-routed paths, and reserves each new path;
+/// reservations of the already-routed paths (the arena's whole-grid
+/// `reservations`), and reserves each new path;
 /// when `treat_pending_as_static` is set, the starts of the *other*
 /// still-pending particles are treated as permanent obstacles
 /// (conservative), otherwise they are ignored (optimistic). Returns the
@@ -384,7 +380,7 @@ struct Tables {
 fn plan_round<'a>(
     problem: &RoutingProblem,
     paths: &mut Vec<ParticlePath>,
-    tables: &mut Tables,
+    arena: &mut Arena,
     pending: Vec<&'a RoutingRequest>,
     treat_pending_as_static: bool,
 ) -> Vec<&'a RoutingRequest> {
@@ -393,33 +389,33 @@ fn plan_round<'a>(
     queue.sort_by_key(|r| Reverse(r.start.manhattan(r.goal)));
 
     // Particles of this round that have not been planned yet sit parked at
-    // their starts. Each one's own zone is lifted while it plans, and stays
-    // lifted once it has a path; ids are unique, so that is exactly the
-    // zone of every *other* parked particle.
+    // their starts, in the arena's zone counter. Each one's own zone is
+    // lifted while it plans, and stays lifted once it has a path; ids are
+    // unique, so that is exactly the zone of every *other* parked particle.
     let (lo, hi) = grid_box(problem.dims);
-    tables.parked.begin(lo, hi);
+    arena.parked.begin(lo, hi);
     let parked = if treat_pending_as_static {
         &queue[..]
     } else {
         &[]
     };
     for request in parked {
-        tables.parked.add(request.start, sep);
+        arena.parked.add(request.start, sep);
     }
 
     let mut remaining: Vec<&RoutingRequest> = Vec::new();
     for request in queue {
         if treat_pending_as_static {
-            tables.parked.remove(request.start, sep);
+            arena.parked.remove(request.start, sep);
         }
-        match space_time_astar(problem, request, tables) {
+        match space_time_astar(problem, request, arena) {
             Some(path) => {
-                tables.reservations.add_path(&path.positions);
+                arena.reservations.add_path(&path.positions);
                 paths.push(path);
             }
             None => {
                 if treat_pending_as_static {
-                    tables.parked.add(request.start, sep);
+                    arena.parked.add(request.start, sep);
                 }
                 remaining.push(request);
             }
@@ -486,8 +482,6 @@ fn prioritized_astar(problem: &RoutingProblem) -> RoutingOutcome {
         })
         .collect();
 
-    let mut pending: Vec<&RoutingRequest> = moving;
-
     // Conservative "peeling" rounds: plan whoever can reach their goal while
     // treating the rest as parked; every round the planned paths vacate space
     // for the next layer. When a round makes no progress, fall back to one
@@ -496,34 +490,37 @@ fn prioritized_astar(problem: &RoutingProblem) -> RoutingOutcome {
     // steps `0..=max_steps + 1`, one past the last step A* reaches, and
     // carry over from round to round; the table cannot drop a path, so it
     // is rebuilt only after a repair demoted one.
-    let (lo, hi) = grid_box(problem.dims);
-    let mut tables = Tables::default();
-    let mut stale = true;
     const MAX_ROUNDS: usize = 16;
-    for _ in 0..MAX_ROUNDS {
-        if pending.is_empty() {
-            break;
-        }
-        if stale {
-            let (window, sep) = (problem.max_steps + 1, problem.min_separation);
-            tables.reservations.begin(window, sep, lo, hi);
-            for path in &paths {
-                tables.reservations.add_path(&path.positions);
+    let pending = with_arena(|arena| {
+        let (lo, hi) = grid_box(problem.dims);
+        let mut pending = moving;
+        let mut stale = true;
+        for _ in 0..MAX_ROUNDS {
+            if pending.is_empty() {
+                break;
             }
-            stale = false;
+            if stale {
+                let (window, sep) = (problem.max_steps + 1, problem.min_separation);
+                arena.reservations.begin(window, sep, lo, hi);
+                for path in &paths {
+                    arena.reservations.add_path(&path.positions);
+                }
+                stale = false;
+            }
+            let before = pending.len();
+            pending = plan_round(problem, &mut paths, arena, pending, true);
+            if pending.len() < before {
+                continue;
+            }
+            // Stuck: optimistic round + repair.
+            pending = plan_round(problem, &mut paths, arena, pending, false);
+            stale = repair_demote(problem, &mut paths, &mut arena.parked, &mut pending);
+            if pending.len() >= before {
+                break;
+            }
         }
-        let before = pending.len();
-        pending = plan_round(problem, &mut paths, &mut tables, pending, true);
-        if pending.len() < before {
-            continue;
-        }
-        // Stuck: optimistic round + repair.
-        pending = plan_round(problem, &mut paths, &mut tables, pending, false);
-        stale = repair_demote(problem, &mut paths, &mut tables.parked, &mut pending);
-        if pending.len() >= before {
-            break;
-        }
-    }
+        pending
+    });
 
     let unrouted: Vec<ParticleId> = {
         let mut ids: Vec<ParticleId> = pending.iter().map(|r| r.id).collect();
@@ -555,12 +552,12 @@ const ASTAR_EXPANSIONS_PER_STEP: usize = 96;
 fn space_time_astar(
     problem: &RoutingProblem,
     request: &RoutingRequest,
-    tables: &Tables,
+    arena: &Arena,
 ) -> Option<ParticlePath> {
     let horizon = problem.max_steps;
     let expansion_cap = horizon.saturating_mul(ASTAR_EXPANSIONS_PER_STEP);
     let (start, goal) = (request.start, request.goal);
-    if tables.parked.blocked(goal) {
+    if arena.parked.blocked(goal) {
         return None;
     }
 
@@ -575,7 +572,7 @@ fn space_time_astar(
         if expansions > expansion_cap {
             return None;
         }
-        if coord == goal && tables.reservations.is_free_from(goal, t) {
+        if coord == goal && arena.reservations.is_free_from(goal, t) {
             let mut positions = vec![coord];
             for step in (1..=t).rev() {
                 positions.push(parent[&(positions[positions.len() - 1], step)]);
@@ -594,8 +591,8 @@ fn space_time_astar(
                 continue;
             };
             if !problem.dims.contains(next)
-                || !tables.reservations.is_free(next, t + 1)
-                || tables.parked.blocked(next)
+                || !arena.reservations.is_free(next, t + 1)
+                || arena.parked.blocked(next)
             {
                 continue;
             }

@@ -6,8 +6,11 @@
 //! thread-scaling curve go *backwards*. Everything here is flat arrays over
 //! a dense cell or `(cell, step)` index space, cleared without freeing (by
 //! an epoch stamp, or for the reservation bits by emptying one plane), and
-//! bundled into an [`Arena`] that an [`ArenaPool`] recycles across shards,
-//! windows, and (through [`super::RouterCache`]) whole solves.
+//! bundled into one [`Arena`] per thread, lent out by [`with_arena`]. Every
+//! planner of the crate borrows its scratch there: the tile pass, window
+//! verification and repair, the prioritized planner, and the conflict scans
+//! of problem validation and outcome checking. So the scratch lives as long
+//! as the thread that plans: a rayon worker, or the caller.
 //!
 //! [`DenseReservations`] is the crate's one reservation table, and
 //! [`DenseZone`] its one parked-zone counter: every tile search plans
@@ -27,9 +30,10 @@
 //! comparison. None of this changes a plan: the pop order is the same
 //! total order over states, and the reordered tests are pure predicates.
 
+use super::verify::ConflictScan;
 use crate::routing::for_each_zone_cell;
 use labchip_units::GridCoord;
-use std::sync::Mutex;
+use std::cell::RefCell;
 
 /// The position of a window path at step `t` (paths park on their last
 /// cell for the remainder of the window).
@@ -54,14 +58,14 @@ pub(crate) fn window_path<'a>(traj: &'a [GridCoord], start: &'a GridCoord) -> &'
 /// as clear: every query the router makes is for a cell inside the box the
 /// table was begun with (a tile interior, or the whole grid).
 #[derive(Debug, Default, Clone, Copy)]
-struct CellBox {
-    lo: GridCoord,
-    bw: usize,
-    bh: usize,
+pub(super) struct CellBox {
+    pub(super) lo: GridCoord,
+    pub(super) bw: usize,
+    pub(super) bh: usize,
 }
 
 impl CellBox {
-    fn new(lo: GridCoord, hi: GridCoord) -> Self {
+    pub(super) fn new(lo: GridCoord, hi: GridCoord) -> Self {
         Self {
             lo,
             bw: (hi.x - lo.x + 1) as usize,
@@ -69,8 +73,13 @@ impl CellBox {
         }
     }
 
-    fn cells(self) -> usize {
+    pub(super) fn cells(self) -> usize {
         self.bw * self.bh
+    }
+
+    /// Flat index of `c`, which must lie in the box.
+    pub(super) fn slot(self, c: GridCoord) -> usize {
+        (c.y - self.lo.y) as usize * self.bw + (c.x - self.lo.x) as usize
     }
 
     /// Flat index of `c` within the box, or `None` outside it.
@@ -369,45 +378,33 @@ impl Scratch {
     }
 }
 
-/// One shard's worth of reusable planning state: A\* scratch, the dense
-/// reservation table, and the parked-neighbour zone counter. Checked out of
-/// an [`ArenaPool`] at the top of each shard task instead of being allocated
-/// inside the rayon closure.
+/// One thread's planner scratch: A\* scratch, the dense reservation table,
+/// the parked-zone counter and the conflict scan. Every table is re-begun
+/// (and so epoch-cleared) by its user before use, so what an earlier call
+/// left in it cannot change a plan.
 #[derive(Debug, Default)]
 pub(crate) struct Arena {
     pub(crate) scratch: Scratch,
     pub(crate) reservations: DenseReservations,
     pub(crate) parked: DenseZone,
+    pub(crate) scan: ConflictScan,
 }
 
-/// A mutex-guarded free list of [`Arena`]s shared by all shard tasks of a
-/// window. The pool never holds more arenas than ran concurrently, and the
-/// arenas are content-agnostic (epoch-cleared on checkout-side `begin`), so
-/// checkout order cannot affect results.
-#[derive(Debug, Default)]
-pub(crate) struct ArenaPool {
-    free: Mutex<Vec<Arena>>,
+thread_local! {
+    static ARENA: RefCell<Arena> = RefCell::new(Arena::default());
 }
 
-/// Upper bound on pooled arenas; anything beyond this is dropped on restore.
-const MAX_POOLED_ARENAS: usize = 32;
-
-impl ArenaPool {
-    pub(crate) fn checkout(&self) -> Arena {
-        self.free
-            .lock()
-            .ok()
-            .and_then(|mut free| free.pop())
-            .unwrap_or_default()
-    }
-
-    pub(crate) fn restore(&self, arena: Arena) {
-        if let Ok(mut free) = self.free.lock() {
-            if free.len() < MAX_POOLED_ARENAS {
-                free.push(arena);
-            }
-        }
-    }
+/// Lends `f` this thread's [`Arena`]. Its tables keep their allocations
+/// from call to call, so a thread that plans again allocates nothing new
+/// unless the tables must grow.
+///
+/// The one rule: `with_arena` is never entered while this thread's arena
+/// is lent out, and never wraps a `par_iter` call (the calling thread runs
+/// items of the call like any worker, and an item that borrows the arena
+/// would enter it again). A nested borrow panics in `RefCell::borrow_mut`;
+/// there is no fallback.
+pub(crate) fn with_arena<R>(f: impl FnOnce(&mut Arena) -> R) -> R {
+    ARENA.with(|arena| f(&mut arena.borrow_mut()))
 }
 
 /// Plans the best window path for one particle: a sequence of positions

@@ -25,13 +25,15 @@
 //! on a fresh one that it drops at the end, so a tile whose input recurs
 //! within a cold solve is served from the windows before it, and
 //! [`super::IncrementalRouter::solve_cached`] on one the caller keeps.
+//! The cache holds plans only: planner scratch lives in each thread's
+//! arena (`astar_soa::with_arena`), so a solve on a fresh cache allocates
+//! no scratch of its own.
 //!
 //! Paths are stored one `u64` word per member through the path codec
 //! (`codec::pack_plan`), relative to the member's start, which the key
 //! fixes. A word holds 15 cells, so a plan with a longer path (possible
 //! only with a window over 14 steps) is not stored.
 
-use super::astar_soa::ArenaPool;
 use super::codec::{pack_plan, unpack_plan};
 use labchip_units::{GridCoord, GridDims};
 use std::collections::HashMap;
@@ -113,16 +115,13 @@ pub(crate) fn shard_key(
 }
 
 /// Warm-start plan cache of the [`super::IncrementalRouter`], carried
-/// across solves by the workload driver. Also owns the pool of
-/// reusable A\* scratch so allocations persist across whole solves, not
-/// just across the windows of one solve.
+/// across solves by the workload driver.
 #[derive(Debug, Default)]
 pub struct RouterCache {
     /// Entries the solve in flight hit or inserted.
     current: HashMap<u128, Box<[u64]>>,
     /// Entries the last solve hit or inserted, not yet hit by this one.
     previous: HashMap<u128, Box<[u64]>>,
-    pub(crate) arenas: ArenaPool,
     hits: u64,
     misses: u64,
 }

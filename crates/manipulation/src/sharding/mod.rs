@@ -54,9 +54,9 @@
 //!   the goals and its phase, so the repeat is exact.
 //!
 //! The hot loops are struct-of-arrays throughout (`astar_soa`): flat
-//! epoch-stamped arrays for reservations, zones, and A\* scratch, pooled in
-//! reusable arenas instead of being allocated per shard inside the rayon
-//! closure. The A\* pops from exact-order `(f, t)` buckets, and a tile's
+//! epoch-stamped arrays for reservations, zones, conflict scans and A\*
+//! scratch, held in one arena per thread instead of being allocated per
+//! shard inside the rayon closure. The A\* pops from exact-order `(f, t)` buckets, and a tile's
 //! searches read one tile-local blocked mask: its members' zones and those
 //! of the frozen particles that reach into it.
 //!
@@ -77,16 +77,16 @@ pub use cache::{CacheStats, RouterCache};
 use crate::cage::ParticleId;
 use crate::error::ManipulationError;
 use crate::routing::{ParticlePath, RoutingOutcome, RoutingProblem};
-use astar_soa::{position_at, window_astar, Arena, ArenaPool};
-pub(crate) use astar_soa::{DenseReservations, DenseZone};
+use astar_soa::{position_at, window_astar};
+pub(crate) use astar_soa::{with_arena, Arena, DenseZone};
 use cache::shard_key;
 use labchip_units::GridCoord;
 use partition::{stagger_phases, Partition, TileMembership};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use tail::{positions_hash, PeriodicTail};
+pub(crate) use verify::grid_box;
 use verify::verify_and_repair;
-pub(crate) use verify::{grid_box, ConflictScan};
 
 /// Sharding and windowing knobs of the [`IncrementalRouter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -256,11 +256,6 @@ impl IncrementalRouter {
         let mut histories: Vec<Vec<GridCoord>> = positions.iter().map(|p| vec![*p]).collect();
         let mut pending_stays = vec![0usize; n];
 
-        // Per-window scratch, reused across windows — and, with a cache the
-        // caller keeps, across whole solves (the pool lives in the cache and
-        // is swapped in here for the duration of the plan).
-        let pool: ArenaPool = std::mem::take(&mut cache.arenas);
-        let mut scan = ConflictScan::default();
         let mut frozen_touch: Vec<(u32, GridCoord)> = Vec::new();
 
         let mut elapsed = 0usize;
@@ -378,51 +373,53 @@ impl IncrementalRouter {
                     let (lo, hi) = part
                         .interior_bounds(positions[indices[0] as usize], margin)
                         .expect("a mobile particle lies in its tile's interior");
-                    let mut arena = pool.checkout();
-                    let Arena {
-                        scratch,
-                        reservations,
-                        parked,
-                    } = &mut arena;
-                    reservations.begin(window, sep, lo, hi);
-                    // One blocked mask for the search: the zones of the
-                    // tile's members and of the frozen particles that reach
-                    // into it (no other frozen zone reaches the interior).
-                    parked.begin(lo, hi);
-                    for &i in indices {
-                        parked.add(positions[i as usize], sep);
-                    }
-                    for &(_, pos) in touch_of(tile) {
-                        parked.add(pos, sep);
-                    }
-                    for &i in indices {
-                        let i = i as usize;
-                        let start = positions[i];
-                        // Parked fast path: A* would pop the start first and
-                        // return the stay `[start]` at once. Its reservation
-                        // is left out and its parked zone kept instead; both
-                        // block the same cells at every step ≥ 1, and no
-                        // later start lies in that zone.
-                        if fast_park && start == goals[i] && reservations.is_free_from(start, 0) {
-                            out.push(Vec::new());
-                            continue;
-                        }
-                        parked.remove(start, sep);
-                        let parked_view = &*parked;
-                        let path = window_astar(
-                            lo,
-                            hi,
-                            |c| !parked_view.blocked(c),
-                            start,
-                            goals[i],
-                            &*reservations,
+                    with_arena(|arena| {
+                        let Arena {
                             scratch,
-                            EXPANSION_CAP,
-                        );
-                        reservations.add_path(&path);
-                        out.push(path);
-                    }
-                    pool.restore(arena);
+                            reservations,
+                            parked,
+                            ..
+                        } = arena;
+                        reservations.begin(window, sep, lo, hi);
+                        // One blocked mask for the search: the zones of the
+                        // tile's members and of the frozen particles that reach
+                        // into it (no other frozen zone reaches the interior).
+                        parked.begin(lo, hi);
+                        for &i in indices {
+                            parked.add(positions[i as usize], sep);
+                        }
+                        for &(_, pos) in touch_of(tile) {
+                            parked.add(pos, sep);
+                        }
+                        for &i in indices {
+                            let i = i as usize;
+                            let start = positions[i];
+                            // Parked fast path: A* would pop the start first and
+                            // return the stay `[start]` at once. Its reservation
+                            // is left out and its parked zone kept instead; both
+                            // block the same cells at every step ≥ 1, and no
+                            // later start lies in that zone.
+                            if fast_park && start == goals[i] && reservations.is_free_from(start, 0)
+                            {
+                                out.push(Vec::new());
+                                continue;
+                            }
+                            parked.remove(start, sep);
+                            let parked_view = &*parked;
+                            let path = window_astar(
+                                lo,
+                                hi,
+                                |c| !parked_view.blocked(c),
+                                start,
+                                goals[i],
+                                &*reservations,
+                                scratch,
+                                EXPANSION_CAP,
+                            );
+                            reservations.add_path(&path);
+                            out.push(path);
+                        }
+                    });
                 });
 
                 // Store the freshly planned shards under their content keys.
@@ -442,9 +439,7 @@ impl IncrementalRouter {
                     }
                 }
 
-                verify_and_repair(
-                    problem, &positions, &goals, &mut trajs, window, sep, &mut scan,
-                );
+                verify_and_repair(problem, &positions, &goals, &mut trajs, window, sep);
                 if SHORTCUTS {
                     tail.end_window(&positions, &trajs);
                 }
@@ -484,7 +479,6 @@ impl IncrementalRouter {
             }
         }
 
-        cache.arenas = pool;
         cache.end_solve();
 
         let mut paths = Vec::new();
@@ -989,6 +983,32 @@ mod tests {
             router.solve(&problem).unwrap(),
             router.plan::<false>(&problem, &mut RouterCache::new()).0
         );
+    }
+
+    /// Scratch reused on one thread carries nothing between calls: a solve
+    /// after a larger solve and a prioritized plan, both of which grow every
+    /// table of the thread's arena, equals the same solve on a fresh arena.
+    #[test]
+    fn reused_scratch_carries_nothing_between_solves() {
+        let small = moderate_problem();
+        let large = recover_shaped(48, 2, (1, 1), 150, 16, 5);
+        let router = small_shards();
+        let prioritized = Router::new(RoutingStrategy::PrioritizedAStar);
+        std::thread::spawn(move || {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(1)
+                .build()
+                .unwrap()
+                .install(|| {
+                    let first = router.solve(&small).unwrap();
+                    let larger = router.solve(&large).unwrap();
+                    assert!(larger.is_conflict_free(large.min_separation));
+                    prioritized.solve(&large).unwrap();
+                    assert_eq!(router.solve(&small).unwrap(), first);
+                })
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! wait-in-place and then re-planned serially against the merged
 //! reservation table.
 
-use super::astar_soa::{position_at, window_astar, window_path, DenseReservations, Scratch};
+use super::astar_soa::{position_at, window_astar, window_path, with_arena, Arena, CellBox};
 use super::EXPANSION_CAP;
 use crate::routing::RoutingProblem;
 use labchip_units::{GridCoord, GridDims};
@@ -20,13 +20,11 @@ use labchip_units::{GridCoord, GridDims};
 /// window ([`verify_and_repair`]), whole routing outcomes
 /// ([`crate::routing::RoutingOutcome::is_conflict_free`]) and the starts
 /// and goals of routing problems
-/// ([`crate::routing::RoutingProblem::validate`]).
+/// ([`crate::routing::RoutingProblem::validate`]). It lives in the
+/// thread's [`Arena`].
 #[derive(Debug, Default)]
 pub(crate) struct ConflictScan {
-    lo_x: u32,
-    lo_y: u32,
-    cols: usize,
-    rows: usize,
+    cells: CellBox,
     occupant: Vec<u32>,
     stamp: Vec<u32>,
     epoch: u32,
@@ -46,11 +44,8 @@ impl ConflictScan {
     /// Re-targets the scan to the inclusive cell box `[lo, hi]`, which
     /// must hold every position scanned.
     fn begin(&mut self, lo: GridCoord, hi: GridCoord) {
-        self.lo_x = lo.x;
-        self.lo_y = lo.y;
-        self.cols = (hi.x - lo.x) as usize + 1;
-        self.rows = (hi.y - lo.y) as usize + 1;
-        let cells = self.cols * self.rows;
+        self.cells = CellBox::new(lo, hi);
+        let cells = self.cells.cells();
         if self.occupant.len() < cells {
             self.occupant.resize(cells, 0);
             self.stamp.resize(cells, 0);
@@ -67,13 +62,8 @@ impl ConflictScan {
         }
     }
 
-    /// Grid index of `c`, which must lie in the box.
-    fn slot(&self, c: GridCoord) -> usize {
-        (c.y - self.lo_y) as usize * self.cols + (c.x - self.lo_x) as usize
-    }
-
     fn place(&mut self, i: usize, c: GridCoord) {
-        let k = self.slot(c);
+        let k = self.cells.slot(c);
         self.occupant[k] = i as u32;
         self.stamp[k] = self.epoch;
     }
@@ -87,10 +77,11 @@ impl ConflictScan {
             return;
         };
         let r = r as usize;
-        let (x, y) = ((c.x - self.lo_x) as usize, (c.y - self.lo_y) as usize);
-        let (x0, x1) = (x.saturating_sub(r), (x + r).min(self.cols - 1));
-        for row in y.saturating_sub(r)..=(y + r).min(self.rows - 1) {
-            let cells = row * self.cols + x0..=row * self.cols + x1;
+        let CellBox { lo, bw, bh } = self.cells;
+        let (x, y) = ((c.x - lo.x) as usize, (c.y - lo.y) as usize);
+        let (x0, x1) = (x.saturating_sub(r), (x + r).min(bw - 1));
+        for row in y.saturating_sub(r)..=(y + r).min(bh - 1) {
+            let cells = row * bw + x0..=row * bw + x1;
             for (&stamp, &occupant) in self.stamp[cells.clone()].iter().zip(&self.occupant[cells]) {
                 if stamp == self.epoch {
                     f(occupant as usize);
@@ -217,14 +208,14 @@ impl ConflictScan {
                 i = self.bucket_next[i as usize];
             }
             for &i in &moved {
-                let k = self.slot(path(i as usize)[t - 1]);
+                let k = self.cells.slot(path(i as usize)[t - 1]);
                 if self.occupant[k] == i {
                     self.stamp[k] = 0;
                 }
             }
             for &i in &moved {
                 let to = path(i as usize)[t];
-                if self.stamp[self.slot(to)] == self.epoch {
+                if self.stamp[self.cells.slot(to)] == self.epoch {
                     return false; // two particles in one cell
                 }
                 self.place(i as usize, to);
@@ -295,19 +286,20 @@ pub(crate) fn verify_and_repair(
     trajs: &mut [Vec<GridCoord>],
     window: usize,
     sep: u32,
-    scan: &mut ConflictScan,
 ) {
     let path = |i: usize| window_path(&trajs[i], &positions[i]);
     let (bounds, n) = (grid_box(problem.dims), trajs.len());
-    let clear = if problem.min_separation > 0 {
-        scan.stays_clear_from_clear_start(bounds, window, n, path, sep)
-    } else {
-        // Separation 0 lets two particles start in one cell, which the
-        // router's own separation of 1 counts as a conflict.
-        scan.stays_clear(bounds, window, n, path, sep)
-    };
+    let clear = with_arena(|Arena { scan, .. }| {
+        if problem.min_separation > 0 {
+            scan.stays_clear_from_clear_start(bounds, window, n, path, sep)
+        } else {
+            // Separation 0 lets two particles start in one cell, which the
+            // router's own separation of 1 counts as a conflict.
+            scan.stays_clear(bounds, window, n, path, sep)
+        }
+    });
     if !clear {
-        repair(problem, positions, goals, trajs, window, sep, scan);
+        repair(problem, positions, goals, trajs, window, sep);
     }
 }
 
@@ -321,84 +313,90 @@ fn repair(
     trajs: &mut [Vec<GridCoord>],
     window: usize,
     sep: u32,
-    scan: &mut ConflictScan,
 ) {
-    let mut demoted: Vec<usize> = Vec::new();
-    loop {
-        let offenders = scan.window_conflicts(problem.dims, positions, trajs, window, sep);
-        if offenders.is_empty() {
-            break;
-        }
-        for (a, b) in offenders {
-            // Demote the particle farther from its goal (ties: higher
-            // index); the other keeps its plan. Two waiting particles
-            // can never conflict (window-start states are valid), so if
-            // the preferred victim already waits, the other one moved.
-            let preferred =
-                if (positions[a].manhattan(goals[a]), a) >= (positions[b].manhattan(goals[b]), b) {
+    with_arena(|arena| {
+        let Arena {
+            scratch,
+            reservations,
+            scan,
+            ..
+        } = arena;
+        let mut demoted: Vec<usize> = Vec::new();
+        loop {
+            let offenders = scan.window_conflicts(problem.dims, positions, trajs, window, sep);
+            if offenders.is_empty() {
+                break;
+            }
+            for (a, b) in offenders {
+                // Demote the particle farther from its goal (ties: higher
+                // index); the other keeps its plan. Two waiting particles
+                // can never conflict (window-start states are valid), so if
+                // the preferred victim already waits, the other one moved.
+                let preferred = if (positions[a].manhattan(goals[a]), a)
+                    >= (positions[b].manhattan(goals[b]), b)
+                {
                     a
                 } else {
                     b
                 };
-            let victim = if trajs[preferred].len() > 1 {
-                preferred
-            } else {
-                a + b - preferred
-            };
-            if trajs[victim].len() > 1 {
-                trajs[victim].clear();
-                demoted.push(victim);
+                let victim = if trajs[preferred].len() > 1 {
+                    preferred
+                } else {
+                    a + b - preferred
+                };
+                if trajs[victim].len() > 1 {
+                    trajs[victim].clear();
+                    demoted.push(victim);
+                }
             }
         }
-    }
-    if demoted.is_empty() {
-        return;
-    }
-    demoted.sort_unstable();
-    demoted.dedup();
+        if demoted.is_empty() {
+            return;
+        }
+        demoted.sort_unstable();
+        demoted.dedup();
 
-    // Re-plan the demoted particles one at a time against everyone
-    // else's current trajectories: the merged ones, the re-planned ones
-    // and the stays of those still waiting. The dense table cannot drop a
-    // path, so it is rebuilt per particle; this is a cold path.
-    let (lo, hi) = grid_box(problem.dims);
-    let mut reservations = DenseReservations::default();
-    let mut scratch = Scratch::default();
-    for &i in &demoted {
-        reservations.begin(window, sep, lo, hi);
-        for (j, (traj, start)) in trajs.iter().zip(positions).enumerate() {
-            if j != i {
-                reservations.add_path(window_path(traj, start));
+        // Re-plan the demoted particles one at a time against everyone
+        // else's current trajectories: the merged ones, the re-planned ones
+        // and the stays of those still waiting. The dense table cannot drop a
+        // path, so it is rebuilt per particle; this is a cold path.
+        let (lo, hi) = grid_box(problem.dims);
+        for &i in &demoted {
+            reservations.begin(window, sep, lo, hi);
+            for (j, (traj, start)) in trajs.iter().zip(positions).enumerate() {
+                if j != i {
+                    reservations.add_path(window_path(traj, start));
+                }
+            }
+            let path = window_astar(
+                lo,
+                hi,
+                |_| true,
+                positions[i],
+                goals[i],
+                reservations,
+                scratch,
+                EXPANSION_CAP,
+            );
+            trajs[i] = path;
+        }
+        // The re-planned paths respected the reservations, but run one
+        // last wait-demotion sweep as a hard guarantee.
+        loop {
+            let offenders = scan.window_conflicts(problem.dims, positions, trajs, window, sep);
+            if offenders.is_empty() {
+                break;
+            }
+            for (a, b) in offenders {
+                let victim = a.max(b);
+                if trajs[victim].len() > 1 {
+                    trajs[victim].clear();
+                } else {
+                    trajs[a.min(b)].clear();
+                }
             }
         }
-        let path = window_astar(
-            lo,
-            hi,
-            |_| true,
-            positions[i],
-            goals[i],
-            &reservations,
-            &mut scratch,
-            EXPANSION_CAP,
-        );
-        trajs[i] = path;
-    }
-    // The re-planned paths respected the reservations, but run one
-    // last wait-demotion sweep as a hard guarantee.
-    loop {
-        let offenders = scan.window_conflicts(problem.dims, positions, trajs, window, sep);
-        if offenders.is_empty() {
-            break;
-        }
-        for (a, b) in offenders {
-            let victim = a.max(b);
-            if trajs[victim].len() > 1 {
-                trajs[victim].clear();
-            } else {
-                trajs[a.min(b)].clear();
-            }
-        }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -444,16 +442,7 @@ mod tests {
             Vec::new(),
         ];
         let before = trajs.clone();
-        let mut scan = ConflictScan::default();
-        verify_and_repair(
-            &problem(),
-            &positions,
-            &goals,
-            &mut trajs,
-            WINDOW,
-            SEP,
-            &mut scan,
-        );
+        verify_and_repair(&problem(), &positions, &goals, &mut trajs, WINDOW, SEP);
         assert_eq!(trajs, before);
     }
 
@@ -473,31 +462,14 @@ mod tests {
         );
 
         let mut verified = merged.clone();
-        let mut scan = ConflictScan::default();
-        verify_and_repair(
-            &problem(),
-            &positions,
-            &goals,
-            &mut verified,
-            WINDOW,
-            SEP,
-            &mut scan,
-        );
+        verify_and_repair(&problem(), &positions, &goals, &mut verified, WINDOW, SEP);
         let mut repaired = merged.clone();
-        repair(
-            &problem(),
-            &positions,
-            &goals,
-            &mut repaired,
-            WINDOW,
-            SEP,
-            &mut scan,
-        );
+        repair(&problem(), &positions, &goals, &mut repaired, WINDOW, SEP);
 
         assert_eq!(verified, repaired);
         assert_ne!(verified, merged, "repair must change the window");
         assert!(clear(&positions, &verified));
-        assert!(scan
+        assert!(ConflictScan::default()
             .window_conflicts(problem().dims, &positions, &verified, WINDOW, SEP)
             .is_empty());
     }
@@ -598,9 +570,7 @@ mod tests {
             if !clean(&mut scan, &trajs) {
                 conflicting += 1;
             }
-            verify_and_repair(
-                &problem, &positions, &goals, &mut trajs, window, sep, &mut scan,
-            );
+            verify_and_repair(&problem, &positions, &goals, &mut trajs, window, sep);
             assert!(
                 clean(&mut scan, &trajs),
                 "seed {seed}: the repaired window must be clean"

@@ -109,7 +109,7 @@ proptest! {
                 let _ = grid.place(ParticleId(id), coord);
             }
             // Invariant: pairwise separation always holds.
-            let particles = grid.particles();
+            let particles: Vec<_> = grid.iter_particles().collect();
             for (i, (_, a)) in particles.iter().enumerate() {
                 for (_, b) in &particles[i + 1..] {
                     prop_assert!(a.chebyshev(*b) >= grid.min_separation());
